@@ -266,6 +266,19 @@ def cmd_scan(args) -> int:
     return 0 if ok else 1
 
 
+def _worker_count(text: str) -> int:
+    """argparse type for --workers: an integer in 1..os.cpu_count()."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    limit = os.cpu_count() or 1
+    if not 1 <= count <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {limit} (the CPU count), got {count}")
+    return count
+
+
 def _triple(spec: str):
     parts = spec.split(",")
     if len(parts) != 3:
@@ -489,7 +502,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--r-max", type=float, default=50.0)
     sp.add_argument("--rtol", type=float, default=1e-10)
     sp.add_argument("--atol", type=float, default=1e-12)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1,
+                    help="worker processes, 1 to the CPU count")
     _add_common(sp)
     sp.set_defaults(func=cmd_scan)
 

@@ -26,12 +26,14 @@ from scipy.interpolate import CubicSpline
 from .errors import IntegratorError
 from .kernels import riesz_constant
 from .numerics import surface_area
-from .radial import (HardyHenonParams, PolyharmonicState, RadialField,
-                     RadialGrid, weighted_cumulative)
+from .radial import (HardyHenonParams, RadialField, RadialGrid,
+                     weighted_cumulative)
 from .rk import AdaptiveRK, StepRecord, hermite_crossing
 
 DEFAULT_BLOW_THRESHOLD = 1e8
 DEFAULT_SIGN_TOL = 1e-10
+# shooting from origin data starts at this radius, off the r = 0 singularity
+DEFAULT_R0 = 1e-6
 # below this amplitude a step-size underflow is an integrator fault, not a
 # finite-radius blow-up
 BLOWUP_AMPLITUDE_FLOOR = 1e6
@@ -49,7 +51,8 @@ class ShootingOutcome:
 
     layer_index is 0 for u itself and i for the i-th iterated Laplacian.
     The optional trace holds the downsampled trajectory (radii and the full
-    2m-dimensional state at accepted steps).
+    2m-dimensional state at accepted steps). `end` is (r, u) at the last
+    accepted step, or at the start when the run ended there.
     """
 
     kind: OutcomeKind
@@ -57,42 +60,36 @@ class ShootingOutcome:
     layer_index: Optional[int] = None
     trace_r: Optional[np.ndarray] = None
     trace_y: Optional[np.ndarray] = None
-
-    @property
-    def trace(self) -> Optional[PolyharmonicState]:
-        """Layer history as a PolyharmonicState, when enough samples exist."""
-        if self.trace_r is None or self.trace_r.size < 32:
-            return None
-        grid = RadialGrid(self.trace_r, "trajectory")
-        layers = tuple(RadialField(grid, self.trace_y[:, 2 * i])
-                       for i in range(self.trace_y.shape[1] // 2))
-        return PolyharmonicState(layers)
+    end: Optional[tuple] = None
 
     def growth_fit(self) -> Optional[float]:
         """Quadratic-growth coefficient u(r)/r^2 at the trajectory end
         (reported for survivors in place of an o(r^2) test)."""
-        if self.trace_r is None or self.trace_r.size == 0:
+        if self.end is None:
             return None
-        r, u = self.trace_r[-1], self.trace_y[-1, 0]
+        r, u = self.end
         return u / r ** 2 if r > 0 else None
 
 
 def _radial_rhs(params: HardyHenonParams):
     n, m, p, a = params.n, params.m, params.p, params.a
     nm1 = n - 1.0
+    top_row = 2 * m - 1
 
     def rhs(r, y):
-        dy = np.empty_like(y)
-        dy[0::2] = y[1::2]
-        src = np.empty(m)
-        if m > 1:
-            src[:m - 1] = y[0::2][1:]
-        u = y[0]
-        top = max(u, 0.0) ** p
+        # y = (u_0, u_0', ..., u_{m-1}, u_{m-1}'): u_i' = y[2i+1] and
+        # u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as r^(-a) u^p
+        c = nm1 / r
+        try:
+            top = max(y[0], 0.0) ** p
+        except OverflowError:   # float ** raises where numpy gives inf
+            top = math.inf
         if a != 0.0:
             top *= r ** (-a)
-        src[m - 1] = top
-        dy[1::2] = -src - (nm1 / r) * y[1::2]
+        dy = y[1:]
+        dy.append(-top - c * y[top_row])
+        for i in range(1, top_row, 2):
+            dy[i] = -dy[i] - c * y[i]
         return dy
 
     return rhs
@@ -113,6 +110,8 @@ def taylor_start(init: Sequence[float], params: HardyHenonParams,
     init = np.asarray(init, dtype=float)
     if init.shape != (m,):
         raise ValueError(f"need {m} origin values, got shape {init.shape}")
+    if not np.all(np.isfinite(init)):
+        raise ValueError("origin values must be finite")
     y = np.empty(2 * m)
     for i in range(m - 1):
         y[2 * i] = init[i] - init[i + 1] * r0 ** 2 / (2.0 * n)
@@ -123,80 +122,92 @@ def taylor_start(init: Sequence[float], params: HardyHenonParams,
     return y
 
 
-def _classify(params: HardyHenonParams, r0: float, y0: np.ndarray,
+def _check_run(r0: float, r_max: float, rtol: float, atol: float) -> None:
+    """Reject a non-finite or empty radius span and non-positive
+    tolerances before any integration starts."""
+    for name, value in (("r0", r0), ("r_max", r_max), ("rtol", rtol),
+                        ("atol", atol)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if r0 <= 0.0:
+        raise ValueError("the starting radius r0 must be positive")
+    if r_max <= r0:
+        raise ValueError("r_max must exceed the starting radius")
+    if rtol <= 0.0 or atol <= 0.0:
+        raise ValueError("rtol and atol must be positive")
+
+
+def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
               r_max: float, rtol: float, atol: float, blow_threshold: float,
               sign_tol: float, keep_trace: bool,
               classify: bool = True) -> ShootingOutcome:
-    m = params.m
-    trace_r, trace_y = [r0], [y0.copy()]
+    y0 = [float(v) for v in y0]
+    sign_rows = range(0, 2 * params.m, 2) if classify else ()
+    trace_r, trace_y = [r0], [y0]
+    last = None     # the last accepted StepRecord
 
-    if classify:
-        for i in range(m):
-            if y0[2 * i] < -sign_tol:
-                return ShootingOutcome(OutcomeKind.SIGN_LOSS, r0, i,
-                                       np.array(trace_r), np.array(trace_y))
-        if abs(y0[0]) >= blow_threshold:
-            return ShootingOutcome(OutcomeKind.BLOW_UP, r0, None,
-                                   np.array(trace_r), np.array(trace_y))
+    def outcome(kind, r_star, layer=None):
+        tr = ty = None
+        if keep_trace:
+            tr, ty = np.asarray(trace_r), np.asarray(trace_y)
+            if tr.size > 600:
+                keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
+                tr, ty = tr[keep], ty[keep]
+        end = (r0, y0[0]) if last is None else (last.t1, last.y1[0])
+        return ShootingOutcome(kind, r_star, layer, tr, ty, end)
 
-    result: dict = {}
+    for j in sign_rows:
+        if y0[j] < -sign_tol:
+            return outcome(OutcomeKind.SIGN_LOSS, r0, j // 2)
+    if classify and abs(y0[0]) >= blow_threshold:
+        return outcome(OutcomeKind.BLOW_UP, r0)
 
     def callback(rec: StepRecord):
-        trace_r.append(rec.t1)
-        trace_y.append(rec.y1.copy())
+        nonlocal last
+        last = rec
+        y1 = rec.y1
+        if keep_trace:
+            trace_r.append(rec.t1)
+            trace_y.append(y1)
         events = []
-        if classify:
-            for i in range(m):
-                if rec.y1[2 * i] < -sign_tol:
-                    t_star = hermite_crossing(
-                        rec, lambda y, i=i: y[2 * i], -sign_tol)
-                    events.append((t_star, OutcomeKind.SIGN_LOSS, i))
+        for j in sign_rows:
+            if y1[j] < -sign_tol:
+                t_star = hermite_crossing(rec, lambda y, j=j: y[j],
+                                          -sign_tol)
+                events.append((t_star, OutcomeKind.SIGN_LOSS, j // 2))
         # amplitude blow-up terminates even in pure tracking mode
-        if rec.y1[0] > blow_threshold:
+        if y1[0] > blow_threshold:
             t_star = hermite_crossing(rec, lambda y: y[0], blow_threshold)
             events.append((t_star, OutcomeKind.BLOW_UP, None))
-        if events:
-            events.sort(key=lambda e: e[0])
-            result["event"] = events[0]
-            return True
-        return None
+        # the earliest event wins; ties go to the lowest layer
+        return min(events, key=lambda e: e[0]) if events else None
 
     integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
     try:
-        integ.integrate(r0, y0, r_max, step_callback=callback)
+        event = integ.integrate(r0, y0, r_max, step_callback=callback)
     except IntegratorError as exc:
         r_fail, y_fail = exc.state
-        if abs(y_fail[0]) > BLOWUP_AMPLITUDE_FLOOR:
-            result["event"] = (r_fail, OutcomeKind.BLOW_UP, None)
-        else:
+        if abs(y_fail[0]) <= BLOWUP_AMPLITUDE_FLOOR:
             raise
+        event = (r_fail, OutcomeKind.BLOW_UP, None)
 
-    tr = np.asarray(trace_r)
-    ty = np.asarray(trace_y)
-    if tr.size > 600:
-        keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
-        tr, ty = tr[keep], ty[keep]
-    if not keep_trace:
-        tr = ty = None
-
-    if "event" in result:
-        t_star, kind, layer = result["event"]
-        return ShootingOutcome(kind, t_star, layer, tr, ty)
-    return ShootingOutcome(OutcomeKind.SURVIVED, r_max, None, tr, ty)
+    if event is None:
+        return outcome(OutcomeKind.SURVIVED, r_max)
+    r_star, kind, layer = event
+    return outcome(kind, r_star, layer)
 
 
 def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
-          r0: float = 1e-6, rtol: float = 1e-10, atol: float = 1e-12,
+          r0: float = DEFAULT_R0, rtol: float = 1e-10, atol: float = 1e-12,
           blow_threshold: float = DEFAULT_BLOW_THRESHOLD,
           sign_tol: float = DEFAULT_SIGN_TOL,
           keep_trace: bool = True) -> ShootingOutcome:
     """Integrate outward from origin layer values and classify the fate."""
-    if r_max <= r0:
-        raise ValueError("r_max must exceed the starting radius")
+    _check_run(r0, r_max, rtol, atol)
     init = np.asarray(init, dtype=float)
+    y0 = taylor_start(init, params, r0)
     if init[0] <= 0.0:
         raise ValueError("origin value u(0) must be positive")
-    y0 = taylor_start(init, params, r0)
     return _classify(params, r0, y0, r_max, rtol, atol, blow_threshold,
                      sign_tol, keep_trace)
 
@@ -212,11 +223,12 @@ def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
     changes (used to track reference profiles such as the singular
     power-law solution, which has sign-changing layers).
     """
-    if r0 <= 0.0:
-        raise ValueError("shoot_from requires r0 > 0")
+    _check_run(r0, r_max, rtol, atol)
     y0 = np.asarray(state, dtype=float)
     if y0.shape != (2 * params.m,):
         raise ValueError(f"state must have length {2 * params.m}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("state must be finite")
     return _classify(params, r0, y0, r_max, rtol, atol, blow_threshold,
                      sign_tol, keep_trace, classify=classify)
 
@@ -276,7 +288,7 @@ def _scan_cell(args):
     init, params, r_max, rtol, atol = args
     try:
         out = shoot(init, params, r_max, rtol=rtol, atol=atol,
-                    keep_trace=True)
+                    keep_trace=False)
         growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED \
             else None
         return ScanRecord(tuple(init), out.kind.value, out.layer_index,
@@ -291,13 +303,18 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
          workers: int = 1) -> ScanResult:
     """Classify every cell of the Cartesian grid of origin data.
 
-    `init_axes` gives one array of origin values per layer; cells with
-    u(0) <= 0 are rejected up front. Individual integrator failures are
-    recorded per cell, not raised.
+    `init_axes` gives one array of origin values per layer; non-finite
+    values, cells with u(0) <= 0 and a worker count below 1 are rejected up
+    front. Individual integrator failures are recorded per cell, not raised.
     """
+    if not workers >= 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    _check_run(DEFAULT_R0, r_max, rtol, atol)
     axes = [np.asarray(ax, dtype=float) for ax in init_axes]
     if len(axes) != params.m:
         raise ValueError(f"need {params.m} axes, got {len(axes)}")
+    if not all(np.all(np.isfinite(ax)) for ax in axes):
+        raise ValueError("origin data axes must be finite")
     if any(ax.size == 0 for ax in axes):
         return ScanResult(params, r_max, ())
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -106,6 +108,29 @@ class TestScanCommand:
         code, out2 = run_cli(args, tmp_path, "s2")
         assert (out1 / "scan.csv").read_bytes() == \
             (out2 / "scan.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [
+        "0", "-3", "nan", str((os.cpu_count() or 1) + 1)])
+    def test_workers_out_of_range_exits_2(self, workers, tmp_path, capsys,
+                                          monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        out_dir = tmp_path / "w"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", f"--workers={workers}", "--u0", "1,2,2",
+                  "--u1=-1,1,2", "--output-dir", str(out_dir), "--quiet"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "--workers" in err["error"]
+        assert not out_dir.exists()
+
+    def test_non_finite_origin_data_exits_2(self, tmp_path, capsys):
+        code = main(["shoot", "--init", "nan,1", "--output-dir",
+                     str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["code"] == 2
 
 
 class TestOtherCommands:

@@ -1,9 +1,16 @@
+import itertools
 import math
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hhlab.liouville import (OutcomeKind, bubble_amplitude, bubble_oracle,
+import hhlab.liouville
+import hhlab.rk
+from hhlab.liouville import (DEFAULT_BLOW_THRESHOLD, DEFAULT_R0,
+                             DEFAULT_SIGN_TOL, OutcomeKind, bubble_amplitude,
+                             bubble_oracle, reference_axes,
                              representation_check, scan, shoot, shoot_from,
                              taylor_start)
 from hhlab.navier import kelvin_transform
@@ -56,6 +63,36 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot_from([1.0, 0.0, 1.0, 0.0], 0.0, CRITICAL, 10.0)
 
+    @pytest.mark.parametrize("init,kwargs", [
+        ([math.nan, 0.5], {}),      # NaN slips past a u(0) <= 0 test
+        ([1.0, math.inf], {}),
+        ([1.0, 0.5], {"r_max": math.nan}),
+        ([1.0, 0.5], {"r_max": math.inf}),
+        ([1.0, 0.5], {"r0": math.nan}),
+        ([1.0, 0.5], {"r0": 0.0}),
+        ([1.0, 0.5], {"rtol": 0.0}),
+        ([1.0, 0.5], {"atol": -1e-12}),
+        ([1.0, 0.5], {"rtol": math.nan}),
+        ([1.0, 0.5], {"atol": math.inf}),
+    ])
+    def test_shoot_rejects_non_finite_and_non_positive_input(self, init,
+                                                             kwargs):
+        kwargs = {"r_max": 10.0, **kwargs}
+        with pytest.raises(ValueError):
+            shoot(init, CRITICAL, **kwargs)
+
+    @pytest.mark.parametrize("state,r0,kwargs", [
+        ([1.0, math.nan, 1.0, 0.0], 0.5, {}),
+        ([1.0, 0.0, -math.inf, 0.0], 0.5, {}),
+        ([1.0, 0.0, 1.0, 0.0], math.nan, {}),
+        ([1.0, 0.0, 1.0, 0.0], 0.5, {"r_max": math.inf}),
+        ([1.0, 0.0, 1.0, 0.0], 0.5, {"rtol": -1.0}),
+    ])
+    def test_shoot_from_rejects_non_finite_input(self, state, r0, kwargs):
+        kwargs = {"r_max": 10.0, **kwargs}
+        with pytest.raises(ValueError):
+            shoot_from(state, r0, CRITICAL, **kwargs)
+
     def test_hardy_weight_start(self):
         # 0 < a < 2 integrates from a Taylor start off the origin
         params = HardyHenonParams(4, 2, 0.5, 2.0)
@@ -97,6 +134,33 @@ class TestScan:
         with pytest.raises(ValueError):
             scan([np.array([0.0]), np.array([1.0])], CRITICAL, 10.0)
 
+    @pytest.mark.parametrize("axes,r_max,kwargs", [
+        ([[1.0, math.nan], [1.0]], 10.0, {}),
+        ([[1.0], [math.inf]], 10.0, {}),
+        ([[1.0], [1.0]], math.nan, {}),
+        ([[1.0], [1.0]], 10.0, {"rtol": 0.0}),
+        ([[1.0], [1.0]], 10.0, {"atol": math.nan}),
+        ([[1.0], [1.0]], 10.0, {"workers": 0}),
+        ([[1.0], [1.0]], 10.0, {"workers": -3}),
+        ([[1.0], [1.0]], 10.0, {"workers": math.nan}),
+    ])
+    def test_rejects_bad_input_before_any_cell(self, axes, r_max, kwargs,
+                                               monkeypatch):
+        def no_pool(*args, **kw):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        with pytest.raises(ValueError):
+            scan([np.array(ax) for ax in axes], CRITICAL, r_max, **kwargs)
+
+    def test_growth_fit_without_trace(self):
+        params = HardyHenonParams(4, 1, 0.0, 3.0)
+        kept = shoot([bubble_amplitude(4)], params, 50.0)
+        bare = shoot([bubble_amplitude(4)], params, 50.0, keep_trace=False)
+        assert bare.trace_r is None and bare.trace_y is None
+        assert bare.growth_fit() == kept.growth_fit()
+        assert kept.growth_fit() == kept.trace_y[-1, 0] / kept.trace_r[-1] ** 2
+
     def test_reduced_critical_scan_has_no_survivors(self):
         axes = [np.linspace(0.5, 8.0, 7), np.linspace(-8.0, 8.0, 7)]
         res = scan(axes, CRITICAL, 30.0)
@@ -132,6 +196,64 @@ class TestClassificationStability:
             assert r1.layer == r2.layer
             denom = max(abs(r1.r_star), 1e-5)
             assert abs(r1.r_star - r2.r_star) / denom < 1e-2
+
+
+def _scipy_classify(init, params, r_max):
+    """Classify one shot with scipy's DOP853, as an outside oracle for the
+    package's own integrator (which must not share code with it)."""
+    from scipy.integrate import solve_ivp
+    n, m, p, a = params.n, params.m, params.p, params.a
+
+    def rhs(r, y):
+        dy = np.empty_like(y)
+        dy[0::2] = y[1::2]
+        src = np.append(y[2::2], max(y[0], 0.0) ** p * r ** -a)
+        dy[1::2] = -src - (n - 1.0) / r * y[1::2]
+        return dy
+
+    def sign_event(i):
+        def event(r, y):
+            return y[2 * i] + DEFAULT_SIGN_TOL
+        event.terminal, event.direction = True, -1
+        return event
+
+    def blow_event(r, y):
+        return y[0] - DEFAULT_BLOW_THRESHOLD
+    blow_event.terminal, blow_event.direction = True, 1
+
+    sol = solve_ivp(rhs, (DEFAULT_R0, r_max),
+                    taylor_start(init, params, DEFAULT_R0), method="DOP853",
+                    rtol=1e-12, atol=1e-14,
+                    events=[sign_event(i) for i in range(m)] + [blow_event])
+    hits = [(ts[0], k) for k, ts in enumerate(sol.t_events) if ts.size]
+    if not hits:
+        return OutcomeKind.SURVIVED, None, r_max
+    r_star, k = min(hits)
+    if k == m:
+        return OutcomeKind.BLOW_UP, None, r_star
+    return OutcomeKind.SIGN_LOSS, k, r_star
+
+
+class TestScipyCrossOracle:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reference_cells_agree_with_dop853(self, m):
+        # 15 integrated cells per order: u(0) across the reference axis,
+        # u1(0) in {0, 5, 10}; cells with u1(0) < 0 end at r0 unintegrated
+        params = HardyHenonParams(4, m, 0.0, 2.0)
+        axes = reference_axes(params)
+        for i, j in itertools.product((0, 5, 10, 15, 20), (10, 15, 20)):
+            init = [axes[0][i], axes[1][j]] + [1.0] * (m - 2)
+            out = shoot(init, params, 50.0, keep_trace=False)
+            assert out.r_star > DEFAULT_R0
+            kind, layer, r_star = _scipy_classify(init, params, 50.0)
+            assert (out.kind, out.layer_index) == (kind, layer), init
+            assert abs(out.r_star - r_star) <= 1e-6 * r_star, init
+
+    def test_shooting_path_does_not_use_solve_ivp(self):
+        # navier's solver-side check may use scipy; the shooting classifier
+        # and its integrator may not, or this oracle would check itself
+        for module in (hhlab.liouville, hhlab.rk):
+            assert "solve_ivp" not in Path(module.__file__).read_text()
 
 
 class TestBubbleOracle:
