@@ -162,9 +162,9 @@ def cmd_eigen(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, 2.0)
         problem = NV.NavierProblem(params, args.R)
+        grid = problem.default_grid(args.nodes)
     except ValueError as exc:
         return _config_error(str(exc))
-    grid = problem.default_grid(args.nodes)
     eig = NV.first_eigenpair(problem, args.tol, grid)
     oracle = NV.first_dirichlet_eigenvalue_oracle(args.n, args.R) ** args.m
     rel = abs(eig.lambda1 / oracle - 1.0)
@@ -190,8 +190,6 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         return _config_error(str(exc))
     sol = NV.solve_positive(problem, config)
-    eig = NV.first_eigenpair(problem, config.eigen_tol,
-                             problem.default_grid(args.nodes))
     certs = sol.certificates
     label = (f"u(n={args.n},m={args.m},p={args.p:g},t={args.t:g},"
              f"R={args.R:g})")
@@ -216,7 +214,7 @@ def cmd_solve(args) -> int:
     ]
     ok = all(c["pass"] for c in checks)
     _write_json(args, "solve.json",
-                {"command": "solve", "lambda1": eig.lambda1,
+                {"command": "solve", "lambda1": sol.eigen.lambda1,
                  "sup_norm": sol.sup_norm, "rho": certs.rho,
                  "residual": sol.residual,
                  "certificates": certs.to_dict(), "checks": checks,

@@ -35,3 +35,7 @@ class BracketError(HHLabError, RuntimeError):
 
 class IntegratorError(HHLabError, RuntimeError):
     """Adaptive ODE integration failed (step-size underflow or budget)."""
+
+
+class AmplitudeRangeError(HHLabError, ArithmeticError):
+    """An amplitude bound lies outside the range of normal floats."""

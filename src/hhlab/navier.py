@@ -18,6 +18,7 @@ solution amplitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,10 +28,11 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, root
 from scipy.special import jv
 
-from .errors import BracketError, ConvergenceError
+from .errors import AmplitudeRangeError, BracketError, ConvergenceError
 from .numerics import ball_volume, surface_area
-from .radial import (HardyHenonParams, PolyharmonicState, RadialField,
-                     RadialGrid, iterated_green, poisson_solve_ball)
+from .radial import (MIN_NODES, HardyHenonParams, PolyharmonicState,
+                     RadialField, RadialGrid, iterated_green,
+                     poisson_solve_ball)
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,9 @@ class NavierProblem:
     def __post_init__(self):
         if self.params.a != 0.0:
             raise ValueError("Navier solver requires a = 0")
-        if self.R <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ValueError(
+                f"ball radius must be positive and finite, got {self.R!r}")
 
     @property
     def diameter(self) -> float:
@@ -68,6 +71,14 @@ class SolverConfig:
     max_picard: int = 400
     bracket_doublings: int = 60
     max_bisect: int = 200
+
+    def __post_init__(self):
+        if self.n_nodes < MIN_NODES:
+            raise ValueError(f"grid needs at least {MIN_NODES} nodes, "
+                             f"got {self.n_nodes}")
+        if self.grid_kind not in ("graded", "uniform"):
+            raise ValueError(f"grid_kind must be 'graded' or 'uniform', "
+                             f"got {self.grid_kind!r}")
 
     def make_grid(self, R: float) -> RadialGrid:
         if self.grid_kind == "uniform":
@@ -116,6 +127,7 @@ class NavierSolution:
     residual: float
     sup_norm: float
     certificates: Certificates
+    eigen: Optional[EigenPair] = None
 
     @property
     def u(self) -> RadialField:
@@ -171,6 +183,8 @@ def first_eigenpair(problem: NavierProblem, tol: float = 1e-10,
     iteration on the m-fold Green operator; phi is normalized to sup 1."""
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n, m = problem.params.n, problem.params.m
     if grid is None:
         grid = problem.default_grid()
@@ -214,11 +228,27 @@ def _picard_shape(problem: NavierProblem, s: float, v: RadialField,
     raise ConvergenceError("normalized Picard iteration did not converge")
 
 
+# log range of normal floats; the top keeps a margin above the rounding
+# of log_rho, so that a bound accepted here cannot overflow in the power
+_LOG_HUGE = math.log(sys.float_info.max) * (1.0 - 1e-12)
+_LOG_TINY = math.log(sys.float_info.min)
+
+
 def rho_radius(problem: NavierProblem) -> float:
     """Amplitude lower bound (sqrt(2n)/diam)^(2m/(p-1)) below which the
-    operator is a strict contraction toward zero."""
+    operator is a strict contraction toward zero.
+
+    The range is checked in log space first: p close to 1 drives the
+    exponent to infinity, and a bound outside the normal floats raises
+    AmplitudeRangeError instead of overflowing."""
     n, m, p = problem.params.n, problem.params.m, problem.params.p
-    return (math.sqrt(2.0 * n) / problem.diameter) ** (2.0 * m / (p - 1.0))
+    base, expo = math.sqrt(2.0 * n) / problem.diameter, 2.0 * m / (p - 1.0)
+    log_rho = expo * math.log(base)
+    if not _LOG_TINY <= log_rho <= _LOG_HUGE:
+        raise AmplitudeRangeError(
+            f"amplitude lower bound exp({log_rho:.6g}) is outside the "
+            f"float range")
+    return base ** expo
 
 
 def solve_positive(problem: NavierProblem,
@@ -283,7 +313,7 @@ def solve_positive(problem: NavierProblem,
 
     eig = first_eigenpair(problem, config.eigen_tol, grid)
     certs = build_certificates(state, residual, problem, eig)
-    return NavierSolution(state, residual, certs.sup_norm, certs)
+    return NavierSolution(state, residual, certs.sup_norm, certs, eig)
 
 
 def build_certificates(state: PolyharmonicState, residual: float,

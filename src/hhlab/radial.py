@@ -11,13 +11,14 @@ with a genuinely singular origin live on grids with r_0 > 0.
 
 from __future__ import annotations
 
-import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (ExtrapolationError, GridError, NonIntegrableSourceError)
 from .numerics import DerivativeStencils, fd_weights_batch, gauss_legendre
@@ -43,6 +44,14 @@ class HardyHenonParams:
     t: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("a", "p", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         if self.m < 1:
@@ -84,6 +93,7 @@ class RadialGrid:
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_stencils", None)
+        object.__setattr__(self, "_green", {})
 
     @classmethod
     def uniform(cls, r0: float, r1: float, n_nodes: int) -> "RadialGrid":
@@ -124,6 +134,12 @@ class RadialGrid:
         if width not in cache:
             cache[width] = DerivativeStencils(self.nodes, width)
         return cache[width]
+
+    def green(self, n: int) -> "_GreenSolve":
+        """The ball Green solve in dimension n, factorised once per grid."""
+        if n not in self._green:
+            self._green[n] = _GreenSolve(self.nodes, n)
+        return self._green[n]
 
 
 @dataclass(frozen=True)
@@ -192,11 +208,6 @@ class RadialField:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         return cls(RadialGrid(data[:, 0], "loaded"), data[:, 1])
 
-    def csv_text(self, label: str = "value") -> str:
-        buf = io.StringIO()
-        self.to_csv(buf, label)
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class PolyharmonicState:
@@ -258,26 +269,40 @@ def polyharmonic_apply(f: RadialField, n: int, m: int,
     return g
 
 
+def _panel_weights(r, n: int):
+    """W[k, j] = integral over panel j of t^(n-1) (t - r_j)^(3-k) dt.
+
+    Row k weights the k-th cubic-spline coefficient (scipy's order, highest
+    power first), so the monomial t^(n-1) is integrated exactly per panel.
+    Expanding it binomially about the panel's left node r_j keeps every term
+    nonnegative, so there is no cancellation."""
+    ri = r[:-1]
+    delta = np.diff(r)
+    weights = np.zeros((4, ri.size))
+    for k in range(4):
+        j = 3 - k
+        for ell in range(n):
+            coef = math.comb(n - 1, ell)
+            weights[k] += coef * ri ** (n - 1 - ell) \
+                * delta ** (ell + j + 1) / (ell + j + 1)
+    return weights
+
+
+def _integrate_panels(c, weights):
+    """Running integral from r_0 to every node, from the spline coefficients
+    of each panel and their exact panel weights."""
+    panel = c[0] * weights[0] + c[1] * weights[1] + c[2] * weights[2] \
+        + c[3] * weights[3]
+    return np.concatenate([[0.0], np.cumsum(panel)])
+
+
 def weighted_cumulative(r, vals, n: int):
     """F(r_j) = integral from r_0 to r_j of t^(n-1) f(t) dt, with f the
     cubic spline of `vals` and the monomial weight integrated exactly per
     panel (binomial expansion about each panel's left node, so no
     cancellation). Uniformly fourth-order accurate; exact when the spline
     reproduces f."""
-    spline = CubicSpline(r, vals)
-    c = spline.c
-    ri = r[:-1]
-    delta = np.diff(r)
-    panel = np.zeros(r.size - 1)
-    for k in range(4):
-        j = 3 - k
-        acc = np.zeros_like(ri)
-        for ell in range(n):
-            coef = math.comb(n - 1, ell)
-            acc += coef * ri ** (n - 1 - ell) \
-                * delta ** (ell + j + 1) / (ell + j + 1)
-        panel += c[k] * acc
-    return np.concatenate([[0.0], np.cumsum(panel)])
+    return _integrate_panels(CubicSpline(r, vals).c, _panel_weights(r, n))
 
 
 def _origin_head(r, w, n):
@@ -295,34 +320,83 @@ def _origin_head(r, w, n):
     return f0 * r0 ** n / (n + q)
 
 
+class _GreenSolve:
+    """The part of `poisson_solve_ball` that depends only on the grid and n.
+
+    Both integrals of the double-integral solve integrate not-a-knot cubic
+    splines. The spline slopes solve a tridiagonal system whose matrix
+    depends only on the nodes (the system scipy's CubicSpline solves; de
+    Boor, A Practical Guide to Splines, ch. IV), so its LU factorisation is
+    computed once here, together with the panel weights of the inner
+    integral of t^(n-1) f and of the outer plain antiderivative. A solve
+    then costs two tridiagonal back-substitutions and O(N) vector work, and
+    holds O(N) memory.
+    """
+
+    def __init__(self, r, n: int):
+        dx = np.diff(r)
+        d0, d1 = r[2] - r[0], r[-1] - r[-3]
+        lower = np.concatenate([dx[1:], [d1]])
+        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        upper = np.concatenate([[d0], dx[:-1]])
+        *lu, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise GridError("spline slope system is singular on this grid")
+        self._lu = lu
+        self._dx = dx
+        # not-a-knot end rows of the slope system's right-hand side
+        self._start = ((dx[0] + 2.0 * d0) * dx[1] / d0, dx[0] ** 2 / d0)
+        self._end = (dx[-1] ** 2 / d1, (2.0 * d1 + dx[-1]) * dx[-2] / d1)
+        self._inner = _panel_weights(r, n)
+        self._outer = _panel_weights(r, 1)
+        self.r_pow = r ** (n - 1)
+        # r^(1-n); the inner integral vanishes at an origin node
+        pos = r > 0.0
+        self._r_inv = np.zeros_like(r)
+        self._r_inv[pos] = r[pos] ** (1 - n)
+
+    def spline(self, y):
+        """Coefficients of the not-a-knot cubic spline of y, highest power
+        first: the rows of `CubicSpline(r, y).c`."""
+        dx = self._dx
+        slope = np.diff(y) / dx
+        b = np.empty_like(y)
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = self._start[0] * slope[0] + self._start[1] * slope[1]
+        b[-1] = self._end[0] * slope[-2] + self._end[1] * slope[-1]
+        s, _ = dgttrs(*self._lu, b)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def solve(self, f, head: float = 0.0):
+        """u(r_j) = int_{r_j}^R s^(1-n) (head + int_{r_0}^s t^(n-1) f) ds,
+        with `head` the inner integral over [0, r_0]."""
+        F = _integrate_panels(self.spline(f), self._inner) + head
+        outer = _integrate_panels(self.spline(F * self._r_inv), self._outer)
+        u = outer[-1] - outer
+        u[-1] = 0.0
+        return u
+
+
 def poisson_solve_ball(f: RadialField, R: float, n: int) -> RadialField:
     """Solve -Laplace u = f radially on the ball of radius R with u(R) = 0.
 
     Uses the exact double integral
         u(r) = int_r^R s^(1-n) int_0^s t^(n-1) f(t) dt ds
     with cubic-spline antiderivatives on the grid, so u is regular at the
-    origin and vanishes at R by construction. The grid must end at R.
+    origin and vanishes at R by construction. The grid must end at R. The
+    grid-only work is cached per grid and n (`RadialGrid.green`).
     """
     r = f.grid.nodes
     if abs(r[-1] - R) > 1e-9 * max(1.0, R):
         raise GridError(f"grid must end at the ball radius R={R:g}")
-    w = r ** (n - 1) * f.values
+    green = f.grid.green(n)
+    w = green.r_pow * f.values
     if not np.all(np.isfinite(w)):
         raise NonIntegrableSourceError(
             "r^(n-1) f is unbounded on the grid")
-    F = weighted_cumulative(r, f.values, n)
-    if r[0] > 0.0:
-        F += _origin_head(r, w, n)
-    integrand = np.empty_like(F)
-    if r[0] == 0.0:
-        integrand[0] = 0.0
-        integrand[1:] = F[1:] * r[1:] ** (1 - n)
-    else:
-        integrand = F * r ** (1 - n)
-    outer = CubicSpline(r, integrand).antiderivative()
-    u = outer(r[-1]) - outer(r)
-    u[-1] = 0.0
-    return RadialField(f.grid, u)
+    head = _origin_head(r, w, n) if r[0] > 0.0 else 0.0
+    return RadialField(f.grid, green.solve(f.values, head))
 
 
 def iterated_green(f: RadialField, R: float, n: int, m: int

@@ -59,6 +59,33 @@ class TestSolve:
         err = capsys.readouterr().err
         assert json.loads(err.strip())["code"] == 2
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--t", "nan"], ["solve", "--R", "nan"],
+        ["solve", "--p", "inf"], ["solve", "--nodes", "10"],
+        ["eigen", "--nodes", "10"], ["eigen", "--R", "inf"]])
+    def test_bad_input_exits_2(self, args, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code = main(args + ["--output-dir", str(out_dir), "--quiet"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["code"] == 2
+        assert not out_dir.exists()
+
+    def test_amplitude_bound_overflow_exits_1(self, tmp_path, capsys):
+        code = main(["solve", "--p", "1.0001",
+                     "--output-dir", str(tmp_path / "x"), "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
+
+    def test_lambda1_is_the_solver_eigenpair(self, tmp_path):
+        from hhlab.navier import NavierProblem, first_eigenpair
+        from hhlab.radial import HardyHenonParams
+        code, out = run_cli(["solve", "--nodes", "129"], tmp_path)
+        assert code == 0
+        problem = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
+        eig = first_eigenpair(problem, 1e-10, problem.default_grid(129))
+        assert read_json(out, "solve.json")["lambda1"] == eig.lambda1
+
 
 class TestConfigAndFlags:
     def test_unknown_flag_exits_2_without_outputs(self, tmp_path):

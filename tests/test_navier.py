@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hhlab.errors import AmplitudeRangeError
 from hhlab.liouville import bubble_amplitude
 from hhlab.navier import (NavierProblem, SolverConfig, apply_K,
                           blowup_normalize, energy_bound_check,
@@ -22,6 +23,22 @@ class TestProblem:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 0.0)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, R):
+        with pytest.raises(ValueError):
+            NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), R)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_nodes=10), dict(n_nodes=31), dict(grid_kind="chebyshev")])
+    def test_rejects_bad_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    def test_smallest_grid_accepted(self):
+        assert len(SolverConfig(n_nodes=32).make_grid(1.0)) == 32
 
 
 class TestApplyK:
@@ -57,6 +74,12 @@ class TestApplyK:
 
 
 class TestEigenpair:
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_empty_iteration_budget(self, unit_problem, max_iter):
+        with pytest.raises(ValueError):
+            first_eigenpair(unit_problem, 1e-10,
+                            unit_problem.default_grid(65), max_iter=max_iter)
+
     @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (4, 2)])
     def test_matches_bessel_oracle(self, n, m):
         problem = NavierProblem(HardyHenonParams(n, m, 0.0, 2.0), 1.0)
@@ -99,6 +122,13 @@ class TestEigenpair:
 
 
 class TestRho:
+    @pytest.mark.parametrize("p,R", [(1.0001, 1.0), (1.001, 1e6)])
+    def test_out_of_float_range(self, p, R):
+        # 1.0001: exp(1.4e4) overflows; R = 1e6: exp(-5.1e4) underflows
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, p), R)
+        with pytest.raises(AmplitudeRangeError):
+            rho_radius(prob)
+
     def test_reference_values(self):
         assert rho_radius(NavierProblem(
             HardyHenonParams(4, 2, 0.0, 3.0), 1.0)) == pytest.approx(2.0)
@@ -129,6 +159,13 @@ class TestSolve:
         assert sol.sup_norm >= 4.0
         assert certs.lower_bound_ok and certs.energy_ok and certs.monotone
         assert certs.all_pass
+
+    def test_carries_its_eigenpair(self, unit_problem, unit_solution):
+        eig = first_eigenpair(unit_problem, SolverConfig().eigen_tol,
+                              unit_problem.default_grid(513))
+        assert unit_solution.eigen.lambda1 == eig.lambda1
+        np.testing.assert_array_equal(unit_solution.eigen.phi.values,
+                                      eig.phi.values)
 
     def test_never_returns_trivial_solution(self, unit_solution, unit_problem):
         assert unit_solution.sup_norm >= rho_radius(unit_problem) - 1e-9

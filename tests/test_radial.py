@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from hhlab.errors import (ExtrapolationError, GridError,
                           NonIntegrableSourceError)
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
-                          hardy_bound_factor, iterated_green, jensen_gap,
-                          poisson_solve_ball, polyharmonic_apply,
+                          _origin_head, hardy_bound_factor, iterated_green,
+                          jensen_gap, poisson_solve_ball, polyharmonic_apply,
                           radial_laplacian, recenter_average, rescale,
-                          singular_solution, weighted_source_average)
+                          singular_solution, weighted_cumulative,
+                          weighted_source_average)
 
 
 class TestParams:
@@ -30,6 +32,20 @@ class TestParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             HardyHenonParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=4, m=2, t=math.nan), dict(n=4, m=2, t=math.inf),
+        dict(n=4, m=2, p=math.inf), dict(n=4, m=2, p=math.nan),
+        dict(n=4, m=2, a=-math.inf), dict(n=4, m=2, a=math.nan),
+        dict(n=4.5, m=2), dict(n=4.0, m=2), dict(n=4, m=1.5),
+    ])
+    def test_rejects_non_finite_and_non_integer(self, kwargs):
+        with pytest.raises(ValueError):
+            HardyHenonParams(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        assert HardyHenonParams(np.int64(4), np.int64(2)).order_class == \
+            "critical"
 
 
 class TestGridAndField:
@@ -184,6 +200,66 @@ class TestPoissonSolve:
         rough = RadialField(g, rng.uniform(0.0, 1.0, len(g)))
         u = poisson_solve_ball(rough, 1.0, 4)
         assert u.values.min() >= -1e-10 * u.values.max()
+
+
+def _reference_solve(r, vals, n, head=0.0):
+    """The double integral through scipy's CubicSpline and
+    weighted_cumulative, independent of the cached per-grid solve."""
+    F = weighted_cumulative(r, vals, n) + head
+    integrand = np.zeros_like(F)
+    pos = r > 0.0
+    integrand[pos] = F[pos] * r[pos] ** (1 - n)
+    outer = CubicSpline(r, integrand).antiderivative()
+    u = outer(r[-1]) - outer(r)
+    u[-1] = 0.0
+    return u
+
+
+def _grids(sizes):
+    for N in sizes:
+        yield RadialGrid.uniform(0.0, 1.0, N)
+        yield RadialGrid.graded(0.0, 1.0, N)
+
+
+class TestCachedGreenSolve:
+    @pytest.mark.parametrize("grid", list(_grids((32, 257, 4097))),
+                             ids=lambda g: f"{g.grading}-{len(g)}")
+    def test_spline_matches_scipy(self, grid, rng):
+        # Coefficient k multiplies (r - r_j)^(3-k), so it is compared as its
+        # term's size on the panel, c_k h^(3-k). On the finest panels of a
+        # graded grid the bare cubic coefficient of a smooth profile is
+        # round-off of size eps |s| / h^2 in scipy's result as well.
+        r = grid.nodes
+        h = np.diff(r)
+        for vals in (np.exp(-r) * np.cos(5.0 * r), (1.0 - r ** 2) ** 3,
+                     rng.uniform(-1.0, 1.0, r.size)):
+            want = CubicSpline(r, vals).c
+            got = np.array(grid.green(4).spline(vals))
+            assert got.shape == want.shape
+            powers = h ** np.arange(3, -1, -1)[:, None]
+            err = np.abs(got - want) * powers
+            assert np.max(err) <= 1e-12 * np.max(np.abs(want) * powers)
+            np.testing.assert_array_equal(got[3], want[3])
+
+    @pytest.mark.parametrize("r0", [0.0, 1e-4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_solve_matches_spline_double_integral(self, n, r0):
+        for grid in (RadialGrid.uniform(r0, 1.0, 257),
+                     RadialGrid.graded(r0, 1.0, 513)):
+            r = grid.nodes
+            f = RadialField.from_function(
+                grid, lambda s: np.exp(-2.0 * s) + s ** 2)
+            head = _origin_head(r, r ** (n - 1) * f.values, n) if r0 else 0.0
+            want = _reference_solve(r, f.values, n, head)
+            got = poisson_solve_ball(f, 1.0, n).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cached_per_grid_and_dimension(self):
+        g = RadialGrid.graded(0.0, 1.0, 65)
+        assert g.green(4) is g.green(4)
+        assert g.green(3) is not g.green(4)
+        poisson_solve_ball(RadialField.constant(g, 1.0), 1.0, 5)
+        assert g.green(5) is g.green(5)
 
 
 class TestIteratedGreen:
