@@ -264,12 +264,39 @@ def cmd_scan(args) -> int:
     return 0 if ok else 1
 
 
-def _worker_count(text: str) -> int:
-    """argparse type for --workers: an integer in 1..os.cpu_count()."""
+def _parse_int(text: str) -> int:
     try:
-        count = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = _parse_int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    """argparse type for --workers: an integer in 1..os.cpu_count()."""
+    count = _parse_int(text)
     limit = os.cpu_count() or 1
     if not 1 <= count <= limit:
         raise argparse.ArgumentTypeError(
@@ -436,10 +463,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("kernels-selftest", parents=[], help="kernel checks")
-    sp.add_argument("--n-configs", type=int, default=20)
+    sp.add_argument("--n-configs", type=_int_at_least(2), default=20,
+                    help="composition checks, split over n = 4 and 5 "
+                         "(at least 2)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=250_000)
-    sp.add_argument("--tol", type=float, default=1e-2)
+    sp.add_argument("--budget", type=_int_at_least(1), default=250_000)
+    sp.add_argument("--tol", type=_positive_float, default=1e-2)
     _add_common(sp)
     sp.set_defaults(func=cmd_kernels_selftest)
 

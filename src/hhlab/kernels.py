@@ -15,6 +15,7 @@ plus analytic far-field tail.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,16 +131,15 @@ def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
     theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
     t_nodes, t_weights = panel_quadrature(theta_breaks, order)
 
-    sin_half2 = np.sin(0.5 * t_nodes) ** 2
-    sin_pow = np.sin(t_nodes) ** (n - 2)
-
-    r = r_nodes[:, None]
     # squared distance from the second singular point z, in the form that is
-    # cancellation-free near (r, theta) = (d, 0)
-    q2 = (r - d) ** 2 + 4.0 * d * r * sin_half2[None, :]
-    integrand = (r_nodes ** (alpha1 - 1))[:, None] * \
-        q2 ** (0.5 * (alpha2 - n)) * sin_pow[None, :]
-    core = float(r_weights @ (integrand @ t_weights))
+    # cancellation-free near (r, theta) = (d, 0), raised to the kernel power
+    # in place; the separable Jacobian factors r^(alpha1-1) and
+    # sin^(n-2) ride on the weights, so the mesh holds one array
+    q = np.multiply.outer(4.0 * d * r_nodes, np.sin(0.5 * t_nodes) ** 2)
+    q += ((r_nodes - d) ** 2)[:, None]
+    np.power(q, 0.5 * (alpha2 - n), out=q)
+    core = float((r_weights * r_nodes ** (alpha1 - 1))
+                 @ (q @ (t_weights * np.sin(t_nodes) ** (n - 2))))
 
     # analytic tail beyond the outer radius: the angular average of the
     # |y-z| factor equals r^(alpha2-n) up to O((d/r)^2)
@@ -160,13 +160,25 @@ def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
     QuadratureError when two refinement levels within the evaluation budget
     disagree by more than 0.5%.
     """
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise KernelDomainError(
+            f"dimension must be an integer >= 2, got {n!r}")
     for name, a in (("alpha1", alpha1), ("alpha2", alpha2),
                     ("alpha1+alpha2", alpha1 + alpha2)):
         if not 0.0 < a < n:
             raise KernelDomainError(f"{name} = {a} outside (0, {n})")
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    d = float(np.linalg.norm(x - z))
+    if x.shape != (n,) or z.shape != (n,):
+        raise KernelDomainError(
+            f"points must be {n}-vectors, got shapes {x.shape} and {z.shape}")
+    # a non-finite coordinate, or a difference that overflows, leaves d
+    # non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = float(np.linalg.norm(x - z))
+    if not math.isfinite(d):
+        raise KernelDomainError(
+            f"points must be finite with a finite distance, got |x-z| = {d}")
     if d == 0.0:
         raise KernelDomainError("composition check requires x != z")
 

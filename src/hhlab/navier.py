@@ -61,6 +61,11 @@ class NavierProblem:
         return RadialGrid.graded(0.0, self.R, n_nodes)
 
 
+def _check_tolerance(name: str, tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n_nodes: int = 513
@@ -79,6 +84,8 @@ class SolverConfig:
         if self.grid_kind not in ("graded", "uniform"):
             raise ValueError(f"grid_kind must be 'graded' or 'uniform', "
                              f"got {self.grid_kind!r}")
+        for name in ("fixed_point_tol", "eigen_tol", "picard_tol"):
+            _check_tolerance(name, getattr(self, name))
 
     def make_grid(self, R: float) -> RadialGrid:
         if self.grid_kind == "uniform":
@@ -181,8 +188,7 @@ def first_eigenpair(problem: NavierProblem, tol: float = 1e-10,
                     max_iter: int = 200) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
     iteration on the m-fold Green operator; phi is normalized to sup 1."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n, m = problem.params.n, problem.params.m

@@ -87,6 +87,8 @@ class RadialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < MIN_NODES:
             raise GridError(f"grid needs at least {MIN_NODES} nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise GridError("nodes must be finite")
         if nodes[0] < 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise GridError("nodes must be nonnegative, strictly increasing")
         nodes = nodes.copy()

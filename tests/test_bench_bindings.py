@@ -5,8 +5,10 @@ fail here first. The tracer module is only imported, never installed."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.interpolate
 
@@ -36,3 +38,34 @@ def test_rk_binding_resolves():
 def test_radial_cubic_spline_is_scipys():
     import hhlab.radial
     assert hhlab.radial.CubicSpline is scipy.interpolate.CubicSpline
+
+
+def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
+    """The tracer counts kernels.quad_points by pairing consecutive
+    panel_quadrature calls (radial, then angular) into one tensor mesh."""
+    import math
+
+    import numpy as np
+
+    import hhlab.kernels as kernels
+
+    calls = []
+    real = kernels.panel_quadrature
+
+    def recording(breaks, order):
+        nodes, weights = real(breaks, order)
+        calls.append((float(breaks[-1]), nodes.size))
+        return nodes, weights
+
+    monkeypatch.setattr(kernels, "panel_quadrature", recording)
+    d = 1.5
+    kernels.riesz_compose_check(1.2, 1.7, np.zeros(4),
+                                np.array([d, 0.0, 0.0, 0.0]), 4)
+    assert len(calls) == 4
+    assert [end for end, _ in calls] == pytest.approx(
+        [400.0 * d, math.pi, 400.0 * d, math.pi])
+    # the fine and the coarse level at the default budget
+    levels = [(24, 26, 8), (14, 15, 6)]
+    for (_, n_r), (_, n_theta), level in zip(calls[::2], calls[1::2],
+                                             levels):
+        assert n_r * n_theta <= kernels._mesh_cost(*level)

@@ -37,6 +37,33 @@ class TestKernelsSelftest:
         assert (out1 / "kernels-selftest.json").read_bytes() == \
             (out2 / "kernels-selftest.json").read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-configs", "0"), ("--n-configs", "1"), ("--n-configs", "-4"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+        ("--tol", "-0.01"), ("--budget", "0"), ("--budget", "-5")])
+    def test_bad_input_exits_2(self, flag, value, tmp_path, capsys,
+                               monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a composition check was run")
+
+        monkeypatch.setattr("hhlab.kernels.riesz_compose_check",
+                            no_quadrature)
+        out_dir = tmp_path / "k"
+        with pytest.raises(SystemExit) as exc:
+            main(["kernels-selftest", f"{flag}={value}",
+                  "--output-dir", str(out_dir), "--quiet"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and flag in err["error"]
+        assert not out_dir.exists()
+
+    def test_smallest_config_count_runs(self, tmp_path):
+        code, out = run_cli(["kernels-selftest", "--n-configs", "2"],
+                            tmp_path)
+        assert code == 0
+        assert len(read_json(out, "kernels-selftest.json")
+                   ["composition_gaps"]) == 2
+
 
 class TestSolve:
     def test_reference_problem(self, tmp_path):
@@ -62,7 +89,9 @@ class TestSolve:
     @pytest.mark.parametrize("args", [
         ["solve", "--t", "nan"], ["solve", "--R", "nan"],
         ["solve", "--p", "inf"], ["solve", "--nodes", "10"],
-        ["eigen", "--nodes", "10"], ["eigen", "--R", "inf"]])
+        ["eigen", "--nodes", "10"], ["eigen", "--R", "inf"],
+        ["solve", "--tol", "nan"], ["solve", "--tol", "0"],
+        ["eigen", "--tol", "nan"], ["eigen", "--tol", "-1"]])
     def test_bad_input_exits_2(self, args, tmp_path, capsys):
         out_dir = tmp_path / "x"
         code = main(args + ["--output-dir", str(out_dir), "--quiet"])

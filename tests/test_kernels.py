@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhlab.errors import KernelDomainError, QuadratureError
-from hhlab.kernels import (BallGreen, RieszKernel, green_ball,
+from hhlab.kernels import (BallGreen, RieszKernel, _composition_integral,
+                           _composition_mesh, green_ball,
                            riesz_compose_check, riesz_constant)
+from hhlab.numerics import (graded_breaks, panel_quadrature,
+                            sin_power_integral, surface_area)
 from hhlab.liouville import representation_check
 from hhlab.radial import RadialField, RadialGrid
 
@@ -145,11 +150,111 @@ class TestComposition:
         with pytest.raises(KernelDomainError):
             riesz_compose_check(1.0, 1.0, x, x, 4)
 
+    @pytest.mark.parametrize("n", [4.5, 4.0, 1, "4"])
+    def test_rejects_bad_dimension(self, n):
+        with pytest.raises(KernelDomainError):
+            riesz_compose_check(1.0, 1.0, np.zeros(4),
+                                np.array([1.0, 0, 0, 0]), n)
+
+    @pytest.mark.parametrize("x,z", [
+        (np.zeros(3), np.array([1.0, 0, 0, 0])),
+        (np.zeros(4), np.array([1.0, 0, 0])),
+        (np.zeros((2, 4)), np.array([1.0, 0, 0, 0])),
+        (np.array([math.nan, 0, 0, 0]), np.array([1.0, 0, 0, 0])),
+        (np.zeros(4), np.array([math.inf, 0, 0, 0])),
+        (np.full(4, math.inf), np.full(4, math.inf)),
+        (np.full(4, 1e308), np.full(4, -1e308)),  # |x - z| overflows
+    ], ids=["x-3-vector", "z-3-vector", "x-matrix", "x-nan", "z-inf",
+            "both-inf", "distance-overflow"])
+    def test_rejects_bad_points_before_meshing(self, x, z, monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a quadrature mesh was built")
+
+        monkeypatch.setattr("hhlab.kernels.panel_quadrature", no_mesh)
+        with pytest.raises(KernelDomainError):
+            riesz_compose_check(1.0, 1.0, x, z, 4)
+
+    def test_accepts_numpy_integer_dimension(self):
+        lhs, rhs = riesz_compose_check(1.0, 1.0, np.zeros(4),
+                                       np.array([1.0, 0, 0, 0]), np.int64(4))
+        assert abs(lhs / rhs - 1.0) < 1e-2
+
     def test_budget_too_small(self):
         with pytest.raises(QuadratureError):
             riesz_compose_check(2.0, 1.5, np.zeros(4),
                                 np.array([1.0, 0, 0, 0]), 4,
                                 quadrature_budget=100)
+
+
+def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
+                                    order):
+    """The composition integral with its full-size broadcast integrand, as
+    first written; the oracle for the in-place evaluation."""
+    r_breaks = _composition_mesh(d, n_sing, 12)
+    r_nodes, r_weights = panel_quadrature(r_breaks, order)
+    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
+    t_nodes, t_weights = panel_quadrature(theta_breaks, order)
+    sin_half2 = np.sin(0.5 * t_nodes) ** 2
+    sin_pow = np.sin(t_nodes) ** (n - 2)
+    r = r_nodes[:, None]
+    q2 = (r - d) ** 2 + 4.0 * d * r * sin_half2[None, :]
+    integrand = (r_nodes ** (alpha1 - 1))[:, None] * \
+        q2 ** (0.5 * (alpha2 - n)) * sin_pow[None, :]
+    core = float(r_weights @ (integrand @ t_weights))
+    r_out = r_breaks[-1]
+    tail = sin_power_integral(n) * r_out ** (alpha1 + alpha2 - n) / \
+        (n - alpha1 - alpha2)
+    c = riesz_constant(alpha1, n) * riesz_constant(alpha2, n)
+    return c * surface_area(n - 1) * (core + tail)
+
+
+# the fine and coarse levels riesz_compose_check evaluates at the default
+# budget: (n_sing, n_theta, order)
+_LEVELS = [(24, 26, 8), (14, 15, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4, 5, 6]), u1=st.floats(0.05, 0.95),
+       u2=st.floats(0.05, 0.95), d=st.floats(1e-2, 1e2),
+       level=st.sampled_from(_LEVELS))
+def test_composition_integral_matches_broadcast_formula(n, u1, u2, d, level):
+    # alpha1, alpha2 and their sum anywhere inside (0, n)
+    alpha1, alpha2 = u1 * u2 * n, u1 * (1.0 - u2) * n
+    fused = _composition_integral(alpha1, alpha2, d, n, *level)
+    oracle = _broadcast_composition_integral(alpha1, alpha2, d, n, *level)
+    assert fused == pytest.approx(oracle, rel=1e-12)
+
+
+def _selftest_orders(n, u1, u2):
+    """The orders kernels-selftest draws: each in [0.5, n - 1.1], the sum in
+    [1, n - 0.4]; u1, u2 in [0, 1] place the pair inside that domain."""
+    total = 1.0 + u1 * (n - 1.4)
+    lo, hi = max(0.5, total - (n - 1.1)), min(n - 1.1, total - 0.5)
+    alpha1 = lo + u2 * (hi - lo)
+    return alpha1, total - alpha1
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([3, 4, 5, 6]), u1=st.floats(0.0, 1.0),
+       u2=st.floats(0.0, 1.0), k=st.integers(-5, 5),
+       lam=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_composition_scaling_law(n, u1, u2, k, lam, seed):
+    """lhs(lam (x - z)) = lam^(alpha1 + alpha2 - n) lhs(x - z).
+
+    For lam = 2^k every breakpoint and node of the mesh scales exactly, so
+    only the power's rounding is left. For a general lam the nodes next to
+    r = d are rounded relative to d while the innermost panel there is
+    0.4^24 d wide; at alpha2 = 0.5 that moves lhs by up to ~1.2e-10."""
+    alpha1, alpha2 = _selftest_orders(n, u1, u2)
+    rng = np.random.default_rng(seed)
+    x, z = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    lhs, rhs = riesz_compose_check(alpha1, alpha2, x, z, n)
+    for scale, rel in ((2.0 ** k, 1e-12), (lam, 1e-9)):
+        lhs_s, rhs_s = riesz_compose_check(alpha1, alpha2, scale * x,
+                                           scale * z, n)
+        factor = scale ** (alpha1 + alpha2 - n)
+        assert lhs_s == pytest.approx(factor * lhs, rel=rel)
+        assert rhs_s == pytest.approx(factor * rhs, rel=1e-12)
 
 
 def test_representation_consistency_cross_module():

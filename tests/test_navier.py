@@ -37,6 +37,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [
+        "fixed_point_tol", "eigen_tol", "picard_tol"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_rejects_bad_tolerance(self, name, tol):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: tol})
+
     def test_smallest_grid_accepted(self):
         assert len(SolverConfig(n_nodes=32).make_grid(1.0)) == 32
 
@@ -79,6 +86,11 @@ class TestEigenpair:
         with pytest.raises(ValueError):
             first_eigenpair(unit_problem, 1e-10,
                             unit_problem.default_grid(65), max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, unit_problem, tol):
+        with pytest.raises(ValueError):
+            first_eigenpair(unit_problem, tol, unit_problem.default_grid(65))
 
     @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (4, 2)])
     def test_matches_bessel_oracle(self, n, m):

@@ -68,6 +68,19 @@ class TestGridAndField:
         with pytest.raises(GridError):
             RadialGrid(np.linspace(-0.5, 1, 64))
 
+    @pytest.mark.parametrize("make", [
+        lambda: RadialGrid.uniform(0.0, math.inf, 64),
+        lambda: RadialGrid.graded(0.0, math.nan, 64),
+        lambda: RadialGrid.graded(0.0, math.inf, 64),
+        lambda: RadialGrid(np.append(np.linspace(0, 1, 63), math.inf)),
+        lambda: RadialGrid(np.append(np.linspace(0, 1, 63), math.nan)),
+    ], ids=["uniform-inf", "graded-nan", "graded-inf", "last-inf",
+            "last-nan"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_non_finite_nodes(self, make):
+        with pytest.raises(GridError):
+            make()
+
     def test_field_finite_and_shape(self):
         g = RadialGrid.uniform(0.0, 1.0, 64)
         with pytest.raises(GridError):
