@@ -3,8 +3,10 @@
 Every certificate a subcommand evaluates is reported in its JSON summary
 together with the equation tag it certifies (e.g. "eq:3-41"), so reports are
 self-documenting. Exit codes: 0 when all requested certificates pass, 1 when
-any fails, 2 for configuration errors (a machine-readable JSON error goes to
-standard error).
+any fails or the numerics fault, 2 for configuration errors. Every input is
+checked inside its command's configuration guard before any numerics run, so
+an error escaping a command is a numerical fault, never a configuration
+error. Errors go to standard error as machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -119,11 +121,11 @@ def cmd_ladder(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, max(1, args.n // 2), args.a,
                                      args.p)
+        threshold = L.divergence_threshold(params, args.M)
+        l0 = args.l0 if args.l0 is not None else threshold
+        state = L.LadderState.initial(l0, params, args.M, args.alpha0)
     except ValueError as exc:
         return _config_error(str(exc))
-    threshold = L.divergence_threshold(params, args.M)
-    l0 = args.l0 if args.l0 is not None else threshold
-    state = L.LadderState.initial(l0, params, args.M, args.alpha0)
     rows = L.ladder_table(state, args.k_max)
 
     out = _out_dir(args) / "ladder.csv"
@@ -163,6 +165,7 @@ def cmd_eigen(args) -> int:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, 2.0)
         problem = NV.NavierProblem(params, args.R)
         grid = problem.default_grid(args.nodes)
+        NV.check_tolerance("tol", args.tol)
     except ValueError as exc:
         return _config_error(str(exc))
     eig = NV.first_eigenpair(problem, args.tol, grid)
@@ -185,6 +188,7 @@ def cmd_solve(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, args.p, args.t)
         problem = NV.NavierProblem(params, args.R)
+        NV.check_solver_order(problem)
         config = NV.SolverConfig(n_nodes=args.nodes,
                                  fixed_point_tol=args.tol)
     except ValueError as exc:
@@ -226,6 +230,8 @@ def cmd_shoot(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
         init = [float(v) for v in args.init.split(",")]
+        LV.shoot_start(init, params, args.r_max, rtol=args.rtol,
+                       atol=args.atol)
     except ValueError as exc:
         return _config_error(str(exc))
     out = LV.shoot(init, params, args.r_max, rtol=args.rtol, atol=args.atol)
@@ -244,6 +250,8 @@ def cmd_scan(args) -> int:
             axes.append(np.linspace(*_triple(args.u1)))
         for _ in range(2, args.m):
             axes.append(np.array([args.higher]))
+        LV.scan_cells(axes, params, args.r_max, rtol=args.rtol,
+                      atol=args.atol, workers=args.workers)
     except ValueError as exc:
         return _config_error(str(exc))
     result = LV.scan(axes, params, args.r_max, rtol=args.rtol,
@@ -466,7 +474,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-configs", type=_int_at_least(2), default=20,
                     help="composition checks, split over n = 4 and 5 "
                          "(at least 2)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--budget", type=_int_at_least(1), default=250_000)
     sp.add_argument("--tol", type=_positive_float, default=1e-2)
     _add_common(sp)
@@ -543,7 +551,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_singular)
 
     sp = sub.add_parser("report", help="condensed certificate battery")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_common(sp)
     sp.set_defaults(func=cmd_report)
 
@@ -579,13 +587,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HHLabError as exc:
+    except (HHLabError, ValueError) as exc:
+        # inputs were checked in the command's guard: this is numerical
         json.dump({"error": str(exc), "code": 1,
                    "type": type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except ValueError as exc:
-        return _config_error(str(exc))
 
 
 if __name__ == "__main__":

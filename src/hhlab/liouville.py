@@ -197,17 +197,26 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
     return outcome(kind, r_star, layer)
 
 
+def shoot_start(init: Sequence[float], params: HardyHenonParams,
+                r_max: float, r0: float = DEFAULT_R0, rtol: float = 1e-10,
+                atol: float = 1e-12) -> np.ndarray:
+    """The Taylor start state of `shoot`, after its input checks: a finite
+    span and positive tolerances, m finite origin values, u(0) > 0."""
+    _check_run(r0, r_max, rtol, atol)
+    init = np.asarray(init, dtype=float)
+    y0 = taylor_start(init, params, r0)
+    if init[0] <= 0.0:
+        raise ValueError("origin value u(0) must be positive")
+    return y0
+
+
 def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
           r0: float = DEFAULT_R0, rtol: float = 1e-10, atol: float = 1e-12,
           blow_threshold: float = DEFAULT_BLOW_THRESHOLD,
           sign_tol: float = DEFAULT_SIGN_TOL,
           keep_trace: bool = True) -> ShootingOutcome:
     """Integrate outward from origin layer values and classify the fate."""
-    _check_run(r0, r_max, rtol, atol)
-    init = np.asarray(init, dtype=float)
-    y0 = taylor_start(init, params, r0)
-    if init[0] <= 0.0:
-        raise ValueError("origin value u(0) must be positive")
+    y0 = shoot_start(init, params, r_max, r0, rtol, atol)
     return _classify(params, r0, y0, r_max, rtol, atol, blow_threshold,
                      sign_tol, keep_trace)
 
@@ -298,15 +307,12 @@ def _scan_cell(args):
                           math.nan, None, str(exc))
 
 
-def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
-         r_max: float, rtol: float = 1e-10, atol: float = 1e-12,
-         workers: int = 1) -> ScanResult:
-    """Classify every cell of the Cartesian grid of origin data.
-
-    `init_axes` gives one array of origin values per layer; non-finite
-    values, cells with u(0) <= 0 and a worker count below 1 are rejected up
-    front. Individual integrator failures are recorded per cell, not raised.
-    """
+def scan_cells(init_axes: Sequence[Sequence[float]],
+               params: HardyHenonParams, r_max: float, rtol: float = 1e-10,
+               atol: float = 1e-12, workers: int = 1) -> np.ndarray:
+    """The (cells, m) origin data of `scan`, after its input checks: a
+    worker count of at least 1, a finite span and positive tolerances, m
+    finite axes, u(0) > 0 in every cell."""
     if not workers >= 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     _check_run(DEFAULT_R0, r_max, rtol, atol)
@@ -315,15 +321,26 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
         raise ValueError(f"need {params.m} axes, got {len(axes)}")
     if not all(np.all(np.isfinite(ax)) for ax in axes):
         raise ValueError("origin data axes must be finite")
-    if any(ax.size == 0 for ax in axes):
-        return ScanResult(params, r_max, ())
     mesh = np.meshgrid(*axes, indexing="ij")
     cells = np.stack([g.ravel() for g in mesh], axis=1)
     if np.any(cells[:, 0] <= 0.0):
         raise ValueError("u(0) axis must be strictly positive")
+    return cells
+
+
+def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
+         r_max: float, rtol: float = 1e-10, atol: float = 1e-12,
+         workers: int = 1) -> ScanResult:
+    """Classify every cell of the Cartesian grid of origin data.
+
+    `init_axes` gives one array of origin values per layer; the inputs are
+    checked up front (`scan_cells`). Individual integrator failures are
+    recorded per cell, not raised.
+    """
+    cells = scan_cells(init_axes, params, r_max, rtol, atol, workers)
     jobs = [(cells[i], params, r_max, rtol, atol)
             for i in range(cells.shape[0])]
-    if workers > 1:
+    if workers > 1 and jobs:
         import multiprocessing as mp
         with mp.Pool(workers) as pool:
             records = pool.map(_scan_cell, jobs, chunksize=16)

@@ -4,11 +4,12 @@ boundary conditions, plus its quantitative certificates.
 The nonlinear operator K(u) = G^m(u^p + t) composes the radial Dirichlet
 Green solve m times, so fixed points of K solve the Navier problem. The
 topological existence argument behind the solver is non-constructive; the
-solver finds the fixed point by normalized Picard iteration on the shape and
-bisection on the amplitude: small amplitudes contract toward zero, large ones
-escape, and the crossing is the nontrivial solution. Every returned solution
-carries certificates (fixed-point residual, positivity, the amplitude lower
-bound, the eigenvalue energy bound, radial monotonicity).
+solver brackets the fixed point's amplitude with normalized Picard shapes
+(small amplitudes contract toward zero, large ones escape, and the crossing
+is the nontrivial solution), then converges to it by Newton-GMRES on
+F(u) = u - K(u), safeguarded by the bracket. Every returned solution carries
+certificates (fixed-point residual, positivity, the amplitude lower bound,
+the eigenvalue energy bound, radial monotonicity).
 
 A shooting cross-oracle on the radial boundary-value problem, built on
 scipy's integrator and root finder, provides an independent route to the
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, root
+from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import jv
 
 from .errors import AmplitudeRangeError, BracketError, ConvergenceError
@@ -61,21 +63,27 @@ class NavierProblem:
         return RadialGrid.graded(0.0, self.R, n_nodes)
 
 
-def _check_tolerance(name: str, tol: float) -> None:
+def check_tolerance(name: str, tol: float) -> None:
+    """Raise ValueError unless tol is positive and finite."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid and tolerances of `solve_positive`.
+
+    fixed_point_tol bounds the certified residual max|u - K(u)| / sup u;
+    picard_tol is the inner tolerance, on the shape change of the bracket's
+    Picard iterations (at most max_picard per amplitude) and on the
+    relative residual at which Newton stops."""
+
     n_nodes: int = 513
     grid_kind: str = "graded"
     fixed_point_tol: float = 1e-8
     eigen_tol: float = 1e-10
     picard_tol: float = 1e-12
     max_picard: int = 400
-    bracket_doublings: int = 60
-    max_bisect: int = 200
 
     def __post_init__(self):
         if self.n_nodes < MIN_NODES:
@@ -85,7 +93,7 @@ class SolverConfig:
             raise ValueError(f"grid_kind must be 'graded' or 'uniform', "
                              f"got {self.grid_kind!r}")
         for name in ("fixed_point_tol", "eigen_tol", "picard_tol"):
-            _check_tolerance(name, getattr(self, name))
+            check_tolerance(name, getattr(self, name))
 
     def make_grid(self, R: float) -> RadialGrid:
         if self.grid_kind == "uniform":
@@ -129,12 +137,30 @@ class Certificates:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """What one `solve_positive` call did.
+
+    picard_iterations: normalized Picard steps of the amplitude bracket,
+    one per doubling trial plus those of each converged shape;
+    newton_steps: Newton steps taken, rejected ones included;
+    gmres_products: Jacobian-vector products, each an m-fold Green solve;
+    newton_residuals: max|u - K(u)| / sup u at each iterate of the Newton
+    run that converged, starting point first."""
+
+    picard_iterations: int
+    newton_steps: int
+    gmres_products: int
+    newton_residuals: tuple
+
+
+@dataclass(frozen=True)
 class NavierSolution:
     state: PolyharmonicState
     residual: float
     sup_norm: float
     certificates: Certificates
     eigen: Optional[EigenPair] = None
+    stats: Optional[SolverStats] = None
 
     @property
     def u(self) -> RadialField:
@@ -188,7 +214,7 @@ def first_eigenpair(problem: NavierProblem, tol: float = 1e-10,
                     max_iter: int = 200) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
     iteration on the m-fold Green operator; phi is normalized to sup 1."""
-    _check_tolerance("tol", tol)
+    check_tolerance("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n, m = problem.params.n, problem.params.m
@@ -216,22 +242,16 @@ def first_eigenpair(problem: NavierProblem, tol: float = 1e-10,
 # Fixed-point solver
 # ---------------------------------------------------------------------------
 
-def _picard_shape(problem: NavierProblem, s: float, v: RadialField,
-                  config: SolverConfig):
-    """Converge the normalized map u <- s K(u)/||K(u)|| at amplitude s.
-
-    Returns (shape, ||K(s * shape)||). The shape is kept at sup-norm 1."""
-    for _ in range(config.max_picard):
-        w = apply_K(v.with_values(s * v.values), problem)
-        nw = float(np.max(w.values))
-        if nw <= 0.0:
-            raise BracketError("operator collapsed to zero at this amplitude")
-        new = w.with_values(w.values / nw)
-        delta = float(np.max(np.abs(new.values - v.values)))
-        v = new
-        if delta < config.picard_tol:
-            return v, nw
-    raise ConvergenceError("normalized Picard iteration did not converge")
+# relative bracket width at which Newton takes over from bisection
+_NEWTON_WIDTH = 1e-2
+# relative bracket width at which the solve gives up. Newton converges
+# from brackets a million times wider; failing in one this narrow means the
+# linear solves are broken. Bisection alone would not meet picard_tol here.
+_MIN_WIDTH = 1e-8
+# GMRES restart length; the Krylov basis holds this many grid vectors
+_GMRES_RESTART = 20
+# relative tolerance of each GMRES solve (the inexact-Newton forcing term)
+_GMRES_RTOL = 1e-4
 
 
 # log range of normal floats; the top keeps a margin above the rounding
@@ -257,69 +277,218 @@ def rho_radius(problem: NavierProblem) -> float:
     return base ** expo
 
 
+def check_solver_order(problem: NavierProblem) -> None:
+    """Raise ValueError unless 2m >= n, the critical and super-critical
+    orders the existence theorems and `solve_positive` cover."""
+    if 2 * problem.params.m < problem.params.n:
+        raise ValueError("solver requires critical or super-critical order "
+                         "(2m >= n)")
+
+
+class _FixedPointSolve:
+    """One solve of u = K(u): the amplitude bracket, the safeguarded
+    Newton-GMRES iteration, and the counts they accumulate."""
+
+    def __init__(self, problem: NavierProblem, config: SolverConfig,
+                 grid: RadialGrid):
+        self.problem = problem
+        self.config = config
+        self.grid = grid
+        # Bound on log(size of every intermediate of K(s v) / size of its
+        # source), sup v <= 1: the Green solves' values and integrals stay
+        # within max(1, R)^(n+2m) of the source, and a spline's
+        # coefficients reach 1e3 times the size of its data over the cube
+        # of the smallest grid step; log 2 covers s^p + t <= 2 max(s^p, t).
+        n, m = problem.params.n, problem.params.m
+        self.log_growth = (math.log(2e3)
+                           + (n + 2 * m) * max(0.0, math.log(problem.R))
+                           - 3.0 * math.log(float(np.min(np.diff(
+                               grid.nodes)))))
+        self.picard_iterations = 0
+        self.newton_steps = 0
+        self.gmres_products = 0
+        self.newton_residuals = ()
+
+    def stats(self) -> SolverStats:
+        return SolverStats(self.picard_iterations, self.newton_steps,
+                           self.gmres_products, self.newton_residuals)
+
+    def in_range(self, s: float) -> bool:
+        """Whether K(s v), sup v <= 1, stays inside the normal floats."""
+        p, t = self.problem.params.p, self.problem.params.t
+        log_source = max(p * math.log(s),
+                         math.log(t) if t > 0.0 else -math.inf)
+        return log_source + self.log_growth <= _LOG_HUGE
+
+    def doubled(self, s: float) -> float:
+        """2s, or BracketError once K(2s v) would leave the float range."""
+        s *= 2.0
+        if not self.in_range(s):
+            raise BracketError("no sign change before the amplitude leaves "
+                               "the float range")
+        return s
+
+    def picard_step(self, s: float, v: RadialField):
+        """One normalized Picard step at amplitude s: returns
+        (K(s v)/||K(s v)||, ||K(s v)||)."""
+        self.picard_iterations += 1
+        w = apply_K(v.with_values(s * v.values), self.problem)
+        nw = float(np.max(w.values))
+        if nw <= 0.0:
+            raise BracketError("operator collapsed to zero at this amplitude")
+        return w.with_values(w.values / nw), nw
+
+    def g(self, s: float, v: RadialField):
+        """g(s) = ||K(s shape)|| - s at the shape (sup 1) the normalized
+        Picard map converges to from v; returns (g(s), shape)."""
+        for _ in range(self.config.max_picard):
+            new, nw = self.picard_step(s, v)
+            delta = float(np.max(np.abs(new.values - v.values)))
+            v = new
+            if delta < self.config.picard_tol:
+                return nw - s, v
+        raise ConvergenceError("normalized Picard iteration did not converge")
+
+    def run(self):
+        """Bracket the nontrivial fixed point's amplitude, then converge to
+        it by Newton; returns (u, K(u) layers)."""
+        rho = rho_radius(self.problem)
+        if not self.in_range(rho):
+            raise AmplitudeRangeError(
+                f"K overflows the float range at the amplitude lower bound "
+                f"{rho:.6g}")
+        v = RadialField(self.grid,
+                        1.0 - (self.grid.nodes / self.problem.R) ** 2)
+        g_rho, v = self.g(rho, v)
+        if g_rho >= 0.0:
+            raise BracketError(
+                "operator does not contract at the certified lower radius")
+        # cheap doubling: one Picard step per trial amplitude
+        lo = s = rho
+        while True:
+            s = self.doubled(s)
+            v, nw = self.picard_step(s, v)
+            if nw >= s:
+                break
+        # certify the upper end with a converged shape, doubling on while
+        # its sign is wrong, then the lower end s/2
+        while True:
+            g_s, v = self.g(s, v)
+            if g_s >= 0.0:
+                break
+            lo, s = s, self.doubled(s)
+        hi = s
+        if hi / 2.0 > lo:
+            g_half, v = self.g(hi / 2.0, v)
+            if g_half < 0.0:
+                lo = hi / 2.0
+            else:
+                hi = hi / 2.0
+        # narrow the bracket geometrically; once it is narrow, try Newton
+        # from the midpoint, and narrow further whenever Newton fails
+        while True:
+            mid = lo * math.sqrt(hi / lo)
+            g_mid, v = self.g(mid, v)
+            if g_mid >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= _NEWTON_WIDTH * hi:
+                found = self.newton(v.with_values(mid * v.values), lo, hi)
+                if found is not None:
+                    return found
+            if hi - lo <= _MIN_WIDTH * hi:
+                raise ConvergenceError(
+                    "Newton-GMRES did not converge inside the narrowest "
+                    "amplitude bracket")
+
+    def newton(self, u: RadialField, lo: float, hi: float):
+        """Newton-GMRES on F(u) = u - K(u), iterates projected onto u >= 0.
+
+        Returns (u, K(u) layers) once max|F| <= picard_tol sup u, or None
+        as soon as a step fails to halve max|F| or moves sup u out of
+        [lo, hi]."""
+        tol = self.config.picard_tol
+        state = apply_K(u, self.problem, with_layers=True)
+        F = u.values - state.layers[0].values
+        res, sup = float(np.max(np.abs(F))), float(np.max(u.values))
+        history = [res / sup]
+        while res > tol * sup:
+            self.newton_steps += 1
+            dx = self.newton_direction(u, F)
+            if dx is None:
+                return None
+            new = u.with_values(np.maximum(u.values + dx, 0.0))
+            sup_new = float(np.max(new.values))
+            if not lo <= sup_new <= hi:
+                return None
+            new_state = apply_K(new, self.problem, with_layers=True)
+            F_new = new.values - new_state.layers[0].values
+            res_new = float(np.max(np.abs(F_new)))
+            if not res_new <= 0.5 * res:
+                return None
+            u, state, F, res, sup = new, new_state, F_new, res_new, sup_new
+            history.append(res / sup)
+        self.newton_residuals = tuple(history)
+        return u, state
+
+    def newton_direction(self, u: RadialField, F):
+        """GMRES solution of J dx = -F with J x = x - G^m(p u^(p-1) x), or
+        None when GMRES returns no finite vector. Each product is one pass
+        through the module's `iterated_green`."""
+        params, R = self.problem.params, self.problem.R
+        slope = params.p * u.values ** (params.p - 1.0)
+
+        def jacobian(x):
+            self.gmres_products += 1
+            w = iterated_green(u.with_values(slope * x), R, params.n,
+                               params.m)
+            return x - w.layers[0].values
+
+        # solve for dx / sup u, so that GMRES's 2-norms cannot overflow
+        scale = float(np.max(u.values))
+        size = len(u.values)
+        op = LinearOperator((size, size), matvec=jacobian, dtype=float)
+        y, info = gmres(op, -F / scale, rtol=_GMRES_RTOL,
+                        restart=_GMRES_RESTART, maxiter=1)
+        dx = scale * y
+        if info < 0 or not np.all(np.isfinite(dx)):
+            return None
+        return dx
+
+
 def solve_positive(problem: NavierProblem,
                    config: SolverConfig = SolverConfig()) -> NavierSolution:
     """Find a positive fixed point of K with amplitude at least rho.
 
-    For a trial amplitude s the normalized Picard map converges to a shape;
-    g(s) = ||K(s shape)|| - s changes sign across the nontrivial fixed
-    point, located by bisection after geometric bracket expansion. The
-    trivial fixed point u = 0 is never returned. When several positive
-    solutions exist the solver returns the one this homotopy finds and
-    makes no minimality claim.
+    For a trial amplitude s the normalized Picard map converges to a
+    shape; g(s) = ||K(s shape)|| - s changes sign across the nontrivial
+    fixed point. The solver certifies g(rho) < 0 (the contraction at rho,
+    so the result has sup >= rho), brackets the sign change by doubling
+    the amplitude, and bisects the bracket to 1e-2 relative width. From
+    the midpoint it runs Newton-GMRES on F(u) = u - K(u); a step must
+    halve max|F| and keep sup u inside the bracket, and when one does not
+    the bracket is bisected further and Newton restarted. The trivial
+    fixed point u = 0 is never returned, and for t > 0 the bracket above
+    rho selects the upper (mountain-pass) branch, not the minimal
+    solution. When several positive solutions exist the solver returns
+    the one this homotopy finds and makes no minimality claim.
     """
-    if 2 * problem.params.m < problem.params.n:
-        raise ValueError("solver requires critical or super-critical order "
-                         "(2m >= n)")
+    check_solver_order(problem)
     grid = config.make_grid(problem.R)
-    r = grid.nodes
-    rho = rho_radius(problem)
-    v = RadialField(grid, 1.0 - (r / problem.R) ** 2)
-
-    def g(s, v0):
-        shape, nw = _picard_shape(problem, s, v0, config)
-        return nw - s, shape
-
-    s_lo = rho
-    g_lo, v = g(s_lo, v)
-    if g_lo >= 0.0:
-        # amplitudes at rho should contract; search downward defensively
-        raise BracketError(
-            "operator does not contract at the certified lower radius")
-    s_hi = s_lo
-    g_hi = g_lo
-    for _ in range(config.bracket_doublings):
-        s_hi *= 2.0
-        g_hi, v = g(s_hi, v)
-        if g_hi >= 0.0:
-            break
-    else:
-        raise BracketError(
-            "no sign change within the bracket expansion budget")
-
-    s_lo = s_hi / 2.0
-    for _ in range(config.max_bisect):
-        s_mid = 0.5 * (s_lo + s_hi)
-        g_mid, v = g(s_mid, v)
-        if g_mid >= 0.0:
-            s_hi = s_mid
-        else:
-            s_lo = s_mid
-        if (s_hi - s_lo) <= 1e-14 * s_hi:
-            break
-    s_star = 0.5 * (s_lo + s_hi)
-    shape, _ = _picard_shape(problem, s_star, v, config)
-    u = shape.with_values(s_star * shape.values)
-    state = apply_K(u, problem, with_layers=True)
+    solver = _FixedPointSolve(problem, config, grid)
+    u, state = solver.run()
     w = state.layers[0]
-    residual = float(np.max(np.abs(u.values - w.values))) / s_star
+    residual = float(np.max(np.abs(u.values - w.values))) \
+        / float(np.max(u.values))
     if residual > config.fixed_point_tol:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} above tolerance")
 
     eig = first_eigenpair(problem, config.eigen_tol, grid)
     certs = build_certificates(state, residual, problem, eig)
-    return NavierSolution(state, residual, certs.sup_norm, certs, eig)
+    return NavierSolution(state, residual, certs.sup_norm, certs, eig,
+                          solver.stats())
 
 
 def build_certificates(state: PolyharmonicState, residual: float,

@@ -69,3 +69,53 @@ def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
     for (_, n_r), (_, n_theta), level in zip(calls[::2], calls[1::2],
                                              levels):
         assert n_r * n_theta <= kernels._mesh_cost(*level)
+
+
+def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
+    """navier.green_solves_per_solve counts the Green solves the tracer sees
+    under `hhlab solve`. Each one that solve_positive makes must pass
+    through a navier binding the tracer wraps: iterated_green (reached by
+    apply_K and by the Newton Jacobian products) or poisson_solve_ball (the
+    eigenpair)."""
+    import hhlab.navier as navier
+    import hhlab.radial as radial
+    from hhlab.radial import HardyHenonParams
+
+    names = ("apply_K", "iterated_green", "poisson_solve_ball")
+    traced = {(module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
+    assert {("hhlab.navier", name) for name in names} <= traced
+
+    calls = dict.fromkeys(names, 0)
+    solves = {"inside": 0, "outside": 0}
+    depth = [0]
+
+    def counting(name):
+        real = getattr(navier, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(navier, name, counting(name))
+    real_solve = radial._GreenSolve.solve
+
+    def counted_solve(self, *args, **kwargs):
+        solves["inside" if depth[0] else "outside"] += 1
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(radial._GreenSolve, "solve", counted_solve)
+    m = 2
+    problem = navier.NavierProblem(HardyHenonParams(4, m, 0.0, 2.0, 0.5))
+    sol = navier.solve_positive(problem, navier.SolverConfig(n_nodes=129))
+    assert solves["outside"] == 0
+    assert solves["inside"] == (m * calls["iterated_green"]
+                                + calls["poisson_solve_ball"])
+    assert sol.stats.gmres_products > 0
+    assert calls["iterated_green"] == (calls["apply_K"]
+                                       + sol.stats.gmres_products)

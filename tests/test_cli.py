@@ -116,6 +116,62 @@ class TestSolve:
         assert read_json(out, "solve.json")["lambda1"] == eig.lambda1
 
 
+class TestErrorClasses:
+    @pytest.mark.parametrize("args,numerics", [
+        (["eigen", "--tol", "nan"], "hhlab.navier.first_eigenpair"),
+        (["solve", "--n", "6", "--m", "2"], "hhlab.navier.solve_positive"),
+        (["shoot", "--init=-1,1"], "hhlab.liouville.shoot"),
+        (["shoot", "--init", "1,1", "--r-max", "nan"],
+         "hhlab.liouville.shoot"),
+        (["scan", "--u0", "0,1,3"], "hhlab.liouville.scan"),
+        (["scan", "--rtol", "0"], "hhlab.liouville.scan"),
+        (["ladder", "--l0=-3"], "hhlab.ladder.ladder_table"),
+        (["ladder", "--alpha0", "0.5"], "hhlab.ladder.ladder_table"),
+        (["ladder", "--M=-0.5"], "hhlab.ladder.ladder_table")])
+    def test_input_checked_before_numerics(self, args, numerics, tmp_path,
+                                           capsys, monkeypatch):
+        def no_numerics(*a, **k):
+            raise AssertionError("numerics ran on invalid input")
+
+        monkeypatch.setattr(numerics, no_numerics)
+        out_dir = tmp_path / "x"
+        code = main(args + ["--output-dir", str(out_dir), "--quiet"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["code"] == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["kernels-selftest", "report"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out_dir = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed=-1", "--output-dir", str(out_dir),
+                  "--quiet"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "--seed" in err["error"]
+        assert not out_dir.exists()
+
+    def test_value_error_in_numerics_exits_1(self, tmp_path, capsys,
+                                             monkeypatch):
+        def faulty(*args, **kwargs):
+            raise ValueError("apply_K requires a nonnegative field")
+
+        monkeypatch.setattr("hhlab.navier.solve_positive", faulty)
+        code = main(["solve", "--output-dir", str(tmp_path / "x"),
+                     "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "apply_K requires a nonnegative field",
+                       "code": 1, "type": "ValueError"}
+
+    def test_bracket_failure_exits_1(self, tmp_path, capsys):
+        code = main(["solve", "--p", "1.005", "--nodes", "65",
+                     "--output-dir", str(tmp_path / "x"), "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 1 and err["type"] == "BracketError"
+
+
 class TestConfigAndFlags:
     def test_unknown_flag_exits_2_without_outputs(self, tmp_path):
         out_dir = tmp_path / "nothing"

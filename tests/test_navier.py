@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hhlab.errors import AmplitudeRangeError
+import hhlab.navier as navier
+from hhlab.errors import AmplitudeRangeError, BracketError, ConvergenceError
 from hhlab.liouville import bubble_amplitude
 from hhlab.navier import (NavierProblem, SolverConfig, apply_K,
                           blowup_normalize, energy_bound_check,
@@ -220,6 +221,108 @@ class TestSolve:
         oracle = shooting_oracle_sup_norm(
             unit_problem, [unit_solution.sup_norm, u1_origin])
         assert abs(oracle / unit_solution.sup_norm - 1.0) < 5e-3
+
+
+class TestNewtonSolver:
+    """The bracket-safeguarded Newton-GMRES fixed-point solve."""
+
+    @pytest.mark.parametrize("n,m,p,t", [
+        (3, 2, 5.0, 0.0), (4, 3, 5.0, 0.5), (4, 2, 2.0, 0.5),
+        (4, 2, 5.0, 0.5)])
+    def test_shooting_oracle_agreement(self, n, m, p, t):
+        # p = 5 is where Newton from an unnarrowed bracket stalls off the
+        # solution; t > 0 is where the branch choice matters
+        prob = NavierProblem(HardyHenonParams(n, m, 0.0, p, t), 1.0)
+        sol = solve_positive(prob, SolverConfig(n_nodes=513))
+        init = [float(layer.values[0]) for layer in sol.state.layers]
+        oracle = shooting_oracle_sup_norm(prob, init)
+        assert abs(oracle / sol.sup_norm - 1.0) < 5e-3
+        assert sol.certificates.all_pass
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    def test_forced_solution_lies_above_the_minimal_one(self, t):
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, t), 1.0)
+        sol = solve_positive(prob, SolverConfig(n_nodes=257))
+        # Picard from u = 0 increases monotonically to the minimal solution
+        u = RadialField.constant(sol.u.grid, 0.0)
+        for _ in range(200):
+            new = apply_K(u, prob)
+            done = np.max(np.abs(new.values - u.values)) \
+                <= 1e-14 * np.max(new.values)
+            u = new
+            if done:
+                break
+        else:
+            pytest.fail("Picard from zero did not converge")
+        assert sol.sup_norm >= rho_radius(prob)
+        assert sol.sup_norm > 100.0 * float(np.max(u.values))
+        assert np.all(sol.u.values[:-1] > u.values[:-1])
+
+    @pytest.mark.parametrize("n,m,t", [(3, 2, 0.0), (3, 2, 2.0)])
+    def test_safeguard_rescues_newton_from_a_wide_bracket(self, n, m, t,
+                                                          monkeypatch):
+        # handed over right after the doubling, Newton meets steps that
+        # fail the safeguard at p = 5; each one narrows the bracket, and
+        # the restarted Newton reaches the same solution
+        prob = NavierProblem(HardyHenonParams(n, m, 0.0, 5.0, t), 1.0)
+        config = SolverConfig(n_nodes=257)
+        ref = solve_positive(prob, config)
+        monkeypatch.setattr(navier, "_NEWTON_WIDTH", 1.0)
+        sol = solve_positive(prob, config)
+        stats = sol.stats
+        assert stats.newton_steps > len(stats.newton_residuals) - 1
+        assert sol.sup_norm == pytest.approx(ref.sup_norm, rel=1e-10)
+        assert sol.residual < 1e-8 and sol.certificates.all_pass
+
+    def test_large_amplitude_solves(self):
+        # the solution sits about 2^69 rho above the contraction radius,
+        # beyond a fixed budget of 60 bracket doublings
+        prob = NavierProblem(HardyHenonParams(8, 4, 0.0, 1.2), 1.0)
+        sol = solve_positive(prob, SolverConfig(n_nodes=129))
+        ratio = math.log2(sol.sup_norm / rho_radius(prob))
+        assert 68.0 < ratio < 70.0
+        assert sol.sup_norm == pytest.approx(6.4405e32, rel=1e-3)
+        assert sol.residual < 1e-8 and sol.certificates.all_pass
+
+    def test_no_sign_change_in_float_range(self):
+        # the crossing lies near 215^200 (lambda1^(1/(p-1))), past the
+        # largest float: the doubling must stop with a BracketError
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 1.005), 1.0)
+        with pytest.raises(BracketError, match="float range"):
+            solve_positive(prob, SolverConfig(n_nodes=65))
+
+    def test_operator_overflow_at_rho(self):
+        # rho ~ 1e200 is a float, but rho^p is not
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 4.0), 1e-150)
+        with pytest.raises(AmplitudeRangeError):
+            solve_positive(prob, SolverConfig(n_nodes=65))
+
+    def test_stats(self, unit_solution):
+        stats = unit_solution.stats
+        assert stats.picard_iterations > 0
+        assert stats.newton_steps == len(stats.newton_residuals) - 1
+        assert stats.gmres_products >= stats.newton_steps
+        hist = stats.newton_residuals
+        assert all(b <= 0.5 * a for a, b in zip(hist, hist[1:]))
+        assert hist[-1] <= SolverConfig().picard_tol
+        assert hist[-1] == pytest.approx(unit_solution.residual, rel=1e-6)
+
+    @pytest.mark.parametrize("garbage", ["nan", "random", "failure"])
+    def test_garbage_gmres_raises_convergence_error(self, garbage,
+                                                    monkeypatch):
+        rng = np.random.default_rng(5)
+
+        def fake_gmres(op, b, **kwargs):
+            if garbage == "nan":
+                return np.full(b.shape, np.nan), 0
+            if garbage == "random":
+                return 1e3 * rng.standard_normal(b.shape), 0
+            return np.zeros(b.shape), -1
+
+        monkeypatch.setattr(navier, "gmres", fake_gmres)
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, 0.5), 1.0)
+        with pytest.raises(ConvergenceError):
+            solve_positive(prob, SolverConfig(n_nodes=65))
 
 
 class TestTorsion:

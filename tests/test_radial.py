@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -273,6 +275,42 @@ class TestCachedGreenSolve:
         assert g.green(3) is not g.green(4)
         poisson_solve_ball(RadialField.constant(g, 1.0), 1.0, 5)
         assert g.green(5) is g.green(5)
+
+
+_green_grids = st.builds(
+    lambda kind, R, N: getattr(RadialGrid, kind)(0.0, R, N),
+    st.sampled_from(["uniform", "graded"]), st.floats(0.1, 10.0),
+    st.integers(32, 2049))
+
+
+# coefficients of normal size: subnormal products carry no relative precision
+_coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
+                          st.floats(-10.0, -1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_green_grids, n=st.integers(2, 8), seed=st.integers(0, 2 ** 32),
+       alpha=_coefficients, beta=_coefficients)
+def test_green_solve_is_linear(grid, n, seed, alpha, beta):
+    # the Newton solver's Jacobian products rely on this
+    rng = np.random.default_rng(seed)
+    R = grid.r_max
+    f, g = (rng.uniform(-1.0, 1.0, len(grid)) for _ in range(2))
+    Pf, Pg, Pfg = (poisson_solve_ball(RadialField(grid, v), R, n).values
+                   for v in (f, g, alpha * f + beta * g))
+    scale = abs(alpha) * np.max(np.abs(Pf)) + abs(beta) * np.max(np.abs(Pg))
+    assert np.max(np.abs(Pfg - (alpha * Pf + beta * Pg))) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_green_grids, n=st.integers(2, 8), k=st.sampled_from([0, 1, 2]))
+def test_green_solve_is_exact_on_low_monomials(grid, n, k):
+    # cubic splines reproduce f = r^k and r^(1-n) F = r^(k+1)/(n+k), and
+    # the panel weights integrate them exactly: only round-off remains
+    r, R = grid.nodes, grid.r_max
+    u = poisson_solve_ball(RadialField(grid, r ** k), R, n).values
+    exact = (R ** (k + 2) - r ** (k + 2)) / ((k + 2) * (n + k))
+    assert np.max(np.abs(u - exact)) <= 1e-13 * np.max(exact)
 
 
 class TestIteratedGreen:
