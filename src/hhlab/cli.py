@@ -255,7 +255,7 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         return _config_error(str(exc))
     result = LV.scan(axes, params, args.r_max, rtol=args.rtol,
-                     atol=args.atol, workers=args.workers)
+                     atol=args.atol)
     with open(_out_dir(args) / "scan.csv", "w") as fh:
         result.to_csv(fh)
     tally = result.tally
@@ -303,7 +303,9 @@ def _positive_float(text: str) -> float:
 
 
 def _worker_count(text: str) -> int:
-    """argparse type for --workers: an integer in 1..os.cpu_count()."""
+    """argparse type for the deprecated --workers: an integer in
+    1..os.cpu_count(), still checked so that existing invocations keep
+    their exit codes."""
     count = _parse_int(text)
     limit = os.cpu_count() or 1
     if not 1 <= count <= limit:
@@ -538,7 +540,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--rtol", type=float, default=1e-10)
     sp.add_argument("--atol", type=float, default=1e-12)
     sp.add_argument("--workers", type=_worker_count, default=1,
-                    help="worker processes, 1 to the CPU count")
+                    help="deprecated and ignored (1 to the CPU count): "
+                    "every scan runs in one process")
     _add_common(sp)
     sp.set_defaults(func=cmd_scan)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,7 +29,8 @@ from .kernels import riesz_constant
 from .numerics import surface_area
 from .radial import (HardyHenonParams, RadialField, RadialGrid,
                      weighted_cumulative)
-from .rk import AdaptiveRK, StepRecord, hermite_crossing
+from .rk import (AdaptiveRK, LaneRK, StepRecord, float_powers,
+                 hermite_crossing)
 
 DEFAULT_BLOW_THRESHOLD = 1e8
 DEFAULT_SIGN_TOL = 1e-10
@@ -95,6 +97,28 @@ def _radial_rhs(params: HardyHenonParams):
     return rhs
 
 
+def _lane_rhs(params: HardyHenonParams):
+    """`_radial_rhs` for LaneRK: r holds one radius per lane and each row
+    of y one lane's state, in the column layout of `_radial_rhs`. Each
+    entry is computed by the same operations in the same order."""
+    n, m, p, a = params.n, params.m, params.p, params.a
+    nm1 = n - 1.0
+    top_row = 2 * m - 1
+
+    def rhs(r, y):
+        c = nm1 / r
+        top = float_powers(np.maximum(y[:, 0], 0.0), p)
+        if a != 0.0:
+            top *= float_powers(r, -a)
+        dy = np.empty_like(y)
+        dy[:, 0::2] = y[:, 1::2]
+        dy[:, 1:top_row:2] = -y[:, 2::2] - c[:, None] * y[:, 1:top_row:2]
+        dy[:, top_row] = -top - c * y[:, top_row]
+        return dy
+
+    return rhs
+
+
 def taylor_start(init: Sequence[float], params: HardyHenonParams,
                  r0: float) -> np.ndarray:
     """Second-order Taylor state at r0 from origin values of the layers.
@@ -137,6 +161,57 @@ def _check_run(r0: float, r_max: float, rtol: float, atol: float) -> None:
         raise ValueError("rtol and atol must be positive")
 
 
+# An event is (r*, kind, layer): where and how a trajectory ends. Single
+# shoots (`_classify`) and scan lanes (`_scan_lanes`) share these rules.
+
+def _start_event(r0: float, y0, m: int, blow_threshold: float,
+                 sign_tol: float):
+    """The event of a classified start state that ends at r0, or None."""
+    for j in range(0, 2 * m, 2):
+        if y0[j] < -sign_tol:
+            return r0, OutcomeKind.SIGN_LOSS, j // 2
+    if abs(y0[0]) >= blow_threshold:
+        return r0, OutcomeKind.BLOW_UP, None
+    return None
+
+
+def _step_event(rec: StepRecord, sign_rows, blow_threshold: float,
+                sign_tol: float):
+    """The event inside the accepted step `rec`, or None: a required-positive
+    layer (rows `sign_rows`) below -sign_tol, or u above blow_threshold,
+    each located on the step's Hermite interpolant."""
+    y1 = rec.y1
+    events = []
+    for j in sign_rows:
+        if y1[j] < -sign_tol:
+            t_star = hermite_crossing(rec, lambda y, j=j: y[j], -sign_tol)
+            events.append((t_star, OutcomeKind.SIGN_LOSS, j // 2))
+    # amplitude blow-up terminates even in pure tracking mode
+    if y1[0] > blow_threshold:
+        t_star = hermite_crossing(rec, lambda y: y[0], blow_threshold)
+        events.append((t_star, OutcomeKind.BLOW_UP, None))
+    # the earliest event wins; ties go to the lowest layer
+    return min(events, key=lambda e: e[0]) if events else None
+
+
+def _failure_event(exc: IntegratorError):
+    """A step-size underflow or exhausted budget above the amplitude floor
+    is a finite-radius blow-up; below it the fault is re-raised."""
+    r_fail, y_fail = exc.state
+    if abs(y_fail[0]) <= BLOWUP_AMPLITUDE_FLOOR:
+        raise exc
+    return r_fail, OutcomeKind.BLOW_UP, None
+
+
+def _outcome(event, r_max: float, end: tuple, trace_r=None,
+             trace_y=None) -> ShootingOutcome:
+    """The outcome of a trajectory that ended on `event` (None: it reached
+    r_max) with its last accepted (r, u) `end`."""
+    r_star, kind, layer = (r_max, OutcomeKind.SURVIVED, None) \
+        if event is None else event
+    return ShootingOutcome(kind, r_star, layer, trace_r, trace_y, end)
+
+
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
               r_max: float, rtol: float, atol: float, blow_threshold: float,
               sign_tol: float, keep_trace: bool,
@@ -146,7 +221,7 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
     trace_r, trace_y = [r0], [y0]
     last = None     # the last accepted StepRecord
 
-    def outcome(kind, r_star, layer=None):
+    def outcome(event):
         tr = ty = None
         if keep_trace:
             tr, ty = np.asarray(trace_r), np.asarray(trace_y)
@@ -154,47 +229,27 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
                 keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
                 tr, ty = tr[keep], ty[keep]
         end = (r0, y0[0]) if last is None else (last.t1, last.y1[0])
-        return ShootingOutcome(kind, r_star, layer, tr, ty, end)
+        return _outcome(event, r_max, end, tr, ty)
 
-    for j in sign_rows:
-        if y0[j] < -sign_tol:
-            return outcome(OutcomeKind.SIGN_LOSS, r0, j // 2)
-    if classify and abs(y0[0]) >= blow_threshold:
-        return outcome(OutcomeKind.BLOW_UP, r0)
+    if classify:
+        event = _start_event(r0, y0, params.m, blow_threshold, sign_tol)
+        if event is not None:
+            return outcome(event)
 
     def callback(rec: StepRecord):
         nonlocal last
         last = rec
-        y1 = rec.y1
         if keep_trace:
             trace_r.append(rec.t1)
-            trace_y.append(y1)
-        events = []
-        for j in sign_rows:
-            if y1[j] < -sign_tol:
-                t_star = hermite_crossing(rec, lambda y, j=j: y[j],
-                                          -sign_tol)
-                events.append((t_star, OutcomeKind.SIGN_LOSS, j // 2))
-        # amplitude blow-up terminates even in pure tracking mode
-        if y1[0] > blow_threshold:
-            t_star = hermite_crossing(rec, lambda y: y[0], blow_threshold)
-            events.append((t_star, OutcomeKind.BLOW_UP, None))
-        # the earliest event wins; ties go to the lowest layer
-        return min(events, key=lambda e: e[0]) if events else None
+            trace_y.append(rec.y1)
+        return _step_event(rec, sign_rows, blow_threshold, sign_tol)
 
     integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
     try:
         event = integ.integrate(r0, y0, r_max, step_callback=callback)
     except IntegratorError as exc:
-        r_fail, y_fail = exc.state
-        if abs(y_fail[0]) <= BLOWUP_AMPLITUDE_FLOOR:
-            raise
-        event = (r_fail, OutcomeKind.BLOW_UP, None)
-
-    if event is None:
-        return outcome(OutcomeKind.SURVIVED, r_max)
-    r_star, kind, layer = event
-    return outcome(kind, r_star, layer)
+        event = _failure_event(exc)
+    return outcome(event)
 
 
 def shoot_start(init: Sequence[float], params: HardyHenonParams,
@@ -293,26 +348,71 @@ class ScanResult:
             fh.write(f"{vals},{kind},{layer},{rec.r_star:.17g},{growth}\n")
 
 
-def _scan_cell(args):
-    init, params, r_max, rtol, atol = args
-    try:
-        out = shoot(init, params, r_max, rtol=rtol, atol=atol,
-                    keep_trace=False)
-        growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED \
-            else None
-        return ScanRecord(tuple(init), out.kind.value, out.layer_index,
-                          out.r_star, growth, None)
-    except IntegratorError as exc:
-        return ScanRecord(tuple(init), "IntegratorFailure", None,
-                          math.nan, None, str(exc))
+def _scan_record(init, out: ShootingOutcome) -> ScanRecord:
+    growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
+    return ScanRecord(tuple(init), out.kind.value, out.layer_index,
+                      out.r_star, growth, None)
+
+
+def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
+                rtol: float, atol: float,
+                blow_threshold: float = DEFAULT_BLOW_THRESHOLD,
+                sign_tol: float = DEFAULT_SIGN_TOL) -> list:
+    """The ScanRecord of every cell, as `shoot` would classify it alone.
+
+    Cells whose Taylor start ends at r0 are recorded at once; the others
+    are integrated together as the lanes of one LaneRK run, with the event
+    rules of `_classify` applied to each lane."""
+    r0 = DEFAULT_R0
+    records = [None] * len(cells)
+    lanes, starts = [], []
+    for i, init in enumerate(cells):
+        y0 = taylor_start(init, params, r0)
+        event = _start_event(r0, y0, params.m, blow_threshold, sign_tol)
+        if event is None:
+            lanes.append(i)
+            starts.append(y0)
+        else:
+            records[i] = _scan_record(init, _outcome(event, r_max,
+                                                     (r0, y0[0])))
+    if not lanes:
+        return records
+
+    sign_rows = range(0, 2 * params.m, 2)
+
+    def callback(t0, t1, y0, y1, f0, f1):
+        # screen every lane at once; build a StepRecord only for those
+        # where _step_event finds an event
+        hit = np.flatnonzero((y1[:, 0::2] < -sign_tol).any(axis=1)
+                             | (y1[:, 0] > blow_threshold))
+        return {k: _step_event(StepRecord(float(t0[k]), float(t1[k]),
+                                          y0[k].tolist(), y1[k].tolist(),
+                                          f0[k].tolist(), f1[k].tolist()),
+                               sign_rows, blow_threshold, sign_tol)
+                for k in hit}
+
+    integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
+    results, t, y = integ.integrate(r0, np.array(starts), r_max, callback)
+    for k, i in enumerate(lanes):
+        event = results[k]
+        if isinstance(event, IntegratorError):
+            try:
+                event = _failure_event(event)
+            except IntegratorError as exc:
+                records[i] = ScanRecord(tuple(cells[i]), "IntegratorFailure",
+                                        None, math.nan, None, str(exc))
+                continue
+        end = (float(t[k]), float(y[k, 0]))
+        records[i] = _scan_record(cells[i], _outcome(event, r_max, end))
+    return records
 
 
 def scan_cells(init_axes: Sequence[Sequence[float]],
                params: HardyHenonParams, r_max: float, rtol: float = 1e-10,
                atol: float = 1e-12, workers: int = 1) -> np.ndarray:
     """The (cells, m) origin data of `scan`, after its input checks: a
-    worker count of at least 1, a finite span and positive tolerances, m
-    finite axes, u(0) > 0 in every cell."""
+    worker count of at least 1 (deprecated, see `scan`), a finite span and
+    positive tolerances, m finite axes, u(0) > 0 in every cell."""
     if not workers >= 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     _check_run(DEFAULT_R0, r_max, rtol, atol)
@@ -334,19 +434,20 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
     """Classify every cell of the Cartesian grid of origin data.
 
     `init_axes` gives one array of origin values per layer; the inputs are
-    checked up front (`scan_cells`). Individual integrator failures are
-    recorded per cell, not raised.
+    checked up front (`scan_cells`). Each cell is classified as `shoot`
+    would classify it, with the default thresholds; the cells that leave
+    r0 are integrated together as lanes of one array (`_scan_lanes`).
+    Individual integrator failures are recorded per cell, not raised.
+
+    `workers` is deprecated and ignored: it is still checked (at least 1),
+    but every scan runs in the calling process.
     """
     cells = scan_cells(init_axes, params, r_max, rtol, atol, workers)
-    jobs = [(cells[i], params, r_max, rtol, atol)
-            for i in range(cells.shape[0])]
-    if workers > 1 and jobs:
-        import multiprocessing as mp
-        with mp.Pool(workers) as pool:
-            records = pool.map(_scan_cell, jobs, chunksize=16)
-    else:
-        records = [_scan_cell(job) for job in jobs]
-    return ScanResult(params, r_max, tuple(records))
+    if workers != 1:
+        warnings.warn("scan(workers=...) is deprecated and ignored",
+                      DeprecationWarning, stacklevel=2)
+    return ScanResult(params, r_max,
+                      tuple(_scan_lanes(cells, params, r_max, rtol, atol)))
 
 
 def reference_axes(params: HardyHenonParams,

@@ -19,7 +19,6 @@ solution amplitude.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,9 +31,9 @@ from scipy.special import jv
 
 from .errors import AmplitudeRangeError, BracketError, ConvergenceError
 from .numerics import ball_volume, surface_area
-from .radial import (MIN_NODES, HardyHenonParams, PolyharmonicState,
-                     RadialField, RadialGrid, iterated_green,
-                     poisson_solve_ball)
+from .radial import (LOG_HUGE, LOG_TINY, MIN_NODES, HardyHenonParams,
+                     PolyharmonicState, RadialField, RadialGrid,
+                     iterated_green, poisson_solve_ball)
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,6 @@ _GMRES_RESTART = 20
 _GMRES_RTOL = 1e-4
 
 
-# log range of normal floats; the top keeps a margin above the rounding
-# of log_rho, so that a bound accepted here cannot overflow in the power
-_LOG_HUGE = math.log(sys.float_info.max) * (1.0 - 1e-12)
-_LOG_TINY = math.log(sys.float_info.min)
-
 
 def rho_radius(problem: NavierProblem) -> float:
     """Amplitude lower bound (sqrt(2n)/diam)^(2m/(p-1)) below which the
@@ -270,7 +264,7 @@ def rho_radius(problem: NavierProblem) -> float:
     n, m, p = problem.params.n, problem.params.m, problem.params.p
     base, expo = math.sqrt(2.0 * n) / problem.diameter, 2.0 * m / (p - 1.0)
     log_rho = expo * math.log(base)
-    if not _LOG_TINY <= log_rho <= _LOG_HUGE:
+    if not LOG_TINY <= log_rho <= LOG_HUGE:
         raise AmplitudeRangeError(
             f"amplitude lower bound exp({log_rho:.6g}) is outside the "
             f"float range")
@@ -318,7 +312,7 @@ class _FixedPointSolve:
         p, t = self.problem.params.p, self.problem.params.t
         log_source = max(p * math.log(s),
                          math.log(t) if t > 0.0 else -math.inf)
-        return log_source + self.log_growth <= _LOG_HUGE
+        return log_source + self.log_growth <= LOG_HUGE
 
     def doubled(self, s: float) -> float:
         """2s, or BracketError once K(2s v) would leave the float range."""

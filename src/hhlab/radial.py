@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,10 +21,16 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import (ExtrapolationError, GridError, NonIntegrableSourceError)
+from .errors import (AmplitudeRangeError, ExtrapolationError, GridError,
+                     NonIntegrableSourceError)
 from .numerics import DerivativeStencils, fd_weights_batch, gauss_legendre
 
 MIN_NODES = 32
+# log range of normal floats; the top keeps a margin above the rounding of
+# a log amplitude, so that an amplitude accepted by a check against these
+# bounds cannot overflow when its power is taken
+LOG_HUGE = math.log(sys.float_info.max) * (1.0 - 1e-12)
+LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,14 @@ class HardyHenonParams:
 
     @property
     def sigma(self) -> float:
-        """Homogeneity exponent (n - a)/(p - 1) of the re-scaling map."""
-        return (self.n - self.a) / (self.p - 1.0)
+        """Homogeneity exponent (2m - a)/(p - 1) of the re-scaling map.
+
+        u_lam(x) = lam^sigma u(lam x) solves the equation whenever u does:
+        the left side scales as (-Lap)^m [lam^sigma u(lam x)] =
+        lam^(sigma + 2m) ((-Lap)^m u)(lam x) and the right side as
+        lam^(sigma p + a), and the two powers agree at this sigma. It equals
+        (n - a)/(p - 1) only at critical order 2m = n."""
+        return (2 * self.m - self.a) / (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -504,9 +517,16 @@ def singular_solution(params: HardyHenonParams
                       ) -> Optional[tuple[float, float]]:
     """Exact power-law distributional solution C r^(-sigma), when it exists.
 
-    sigma = (n-a)/(p-1); the amplitude solves C^(p-1) = P with
-    P = prod_{j<m} (sigma+2j)(n-2-sigma-2j). Returns None when P <= 0,
-    in which case no positive solution of this form exists.
+    sigma = (2m-a)/(p-1) (`HardyHenonParams.sigma`). Since
+    -Lap r^(-s) = s(n-2-s) r^(-s-2), (-Lap)^m C r^(-sigma) = C P r^(-sigma-2m)
+    with P = prod_{j<m} (sigma+2j)(n-2-sigma-2j); the right side is
+    C^p r^(-sigma p - a), the same power, so the amplitude solves
+    C^(p-1) = P. Returns None when P <= 0, in which case no positive
+    solution of this form exists.
+
+    The range of C is checked in log space first: p close to 1 drives the
+    exponent 1/(p-1) to infinity, and an amplitude outside the normal
+    floats raises AmplitudeRangeError instead of overflowing.
     """
     sigma = params.sigma
     if sigma <= 0.0:
@@ -517,12 +537,17 @@ def singular_solution(params: HardyHenonParams
         prod *= s * (params.n - 2 - s)
     if prod <= 0.0:
         return None
+    log_c = math.log(prod) / (params.p - 1.0)
+    if not LOG_TINY <= log_c <= LOG_HUGE:
+        raise AmplitudeRangeError(
+            f"singular amplitude exp({log_c:.6g}) is outside the float range")
     return sigma, prod ** (1.0 / (params.p - 1.0))
 
 
 def rescale(u: RadialField, lam: float, params: HardyHenonParams
             ) -> RadialField:
-    """Re-scaling u_lam(r) = lam^((n-a)/(p-1)) u(lam r) on the induced grid.
+    """Re-scaling u_lam(r) = lam^sigma u(lam r), sigma = (2m-a)/(p-1), on
+    the induced grid.
 
     The grid nodes map to r/lam, so no interpolation takes place and the
     scale-invariant profiles are fixed exactly.

@@ -119,3 +119,33 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     assert sol.stats.gmres_products > 0
     assert calls["iterated_green"] == (calls["apply_K"]
                                        + sol.stats.gmres_products)
+
+
+def test_scan_events_are_located_through_liouvilles_binding(monkeypatch):
+    """rk.hermite_crossing counts the event locations the tracer sees at
+    hhlab.liouville.hermite_crossing. Scan lanes must locate their events
+    there too, once per event, as the single shoots do."""
+    import hhlab.liouville as liouville
+    from hhlab.radial import HardyHenonParams
+
+    assert ("hhlab.liouville", "hermite_crossing") in {
+        (module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
+    calls = []
+    real = liouville.hermite_crossing
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].t1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "hermite_crossing", counting)
+    params = HardyHenonParams(4, 2, 0.0, 2.0)
+    axes = [np.array([0.5, 2.0, 8.0]), np.array([-1.0, 0.0, 1.0, 6.0])]
+    res = liouville.scan(axes, params, 30.0)
+    in_scan = len(calls)
+    integrated = [rec for rec in res.records
+                  if rec.r_star > liouville.DEFAULT_R0]
+    assert integrated and in_scan >= len(integrated)
+    calls.clear()
+    for rec in res.records:
+        liouville.shoot(list(rec.init), params, 30.0, keep_trace=False)
+    assert in_scan == len(calls)

@@ -265,6 +265,24 @@ class TestOtherCommands:
         payload = read_json(out, "singular.json")
         assert payload["exists"] is False
 
+    def test_singular_super_critical_order(self, tmp_path):
+        # sigma = (2m - a)/(p - 1) = 2 at n = 3, m = 2, p = 3, and
+        # C^2 = 2 (1 - 2) 4 (1 - 4) = 24
+        code, out = run_cli(["singular", "--n", "3", "--m", "2", "--p", "3"],
+                            tmp_path)
+        assert code == 0
+        payload = read_json(out, "singular.json")
+        assert payload["sigma"] == pytest.approx(2.0)
+        assert payload["amplitude"] == pytest.approx(24.0 ** 0.5)
+        assert payload["checks"][0]["pass"]
+
+    def test_singular_amplitude_overflow_exits_1(self, tmp_path, capsys):
+        code = main(["singular", "--p", "1.0001",
+                     "--output-dir", str(tmp_path / "x"), "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
+
     def test_eigen_tagged(self, tmp_path):
         code, out = run_cli(["eigen", "--n", "3", "--m", "1",
                              "--nodes", "257"], tmp_path)

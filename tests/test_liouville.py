@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hhlab.liouville
 import hhlab.rk
+from hhlab.errors import IntegratorError
 from hhlab.liouville import (DEFAULT_BLOW_THRESHOLD, DEFAULT_R0,
                              DEFAULT_SIGN_TOL, OutcomeKind, bubble_amplitude,
                              bubble_oracle, reference_axes,
@@ -184,6 +187,148 @@ class TestScan:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "init0,init1,kind,layer,r_star,growth_fit"
         assert len(lines) == 5
+
+
+def _shoot_record(init, params, r_max, **kwargs):
+    """What `shoot` says about one cell, in ScanRecord terms: kind, layer,
+    r*, growth_fit (survivors only), or the IntegratorError message."""
+    try:
+        out = shoot(init, params, r_max, keep_trace=False, **kwargs)
+    except IntegratorError as exc:
+        return "IntegratorFailure", None, None, None, str(exc)
+    growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
+    return out.kind.value, out.layer_index, out.r_star, growth, None
+
+
+def _cells(axes):
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+
+
+def _assert_agrees(records, cells, params, r_max, **kwargs):
+    """Cell by cell, the lane records match the float stepper's shoot: kind,
+    layer and error exactly, r* and growth_fit to 1e-9 relative."""
+    assert len(records) == len(cells)
+    for rec, init in zip(records, cells):
+        kind, layer, r_star, growth, error = _shoot_record(
+            init, params, r_max, **kwargs)
+        assert rec.init == tuple(init)
+        assert (rec.kind, rec.layer, rec.error) == (kind, layer, error), init
+        if error is not None:
+            assert math.isnan(rec.r_star) and rec.growth_fit is None
+            continue
+        assert rec.r_star == pytest.approx(r_star, rel=1e-9, abs=0.0), init
+        if growth is None:
+            assert rec.growth_fit is None
+        else:
+            assert rec.growth_fit == pytest.approx(growth, rel=1e-9), init
+
+
+class TestScanLanes:
+    """scan integrates its cells as the lanes of one LaneRK run; the float
+    stepper behind `shoot` is the oracle for every lane."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 8), m=st.integers(1, 4),
+           a=st.one_of(st.just(0.0), st.floats(-2.0, 1.9)),
+           p=st.floats(1.0, 6.0, exclude_min=True),
+           u0=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+           u1=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+           higher=st.floats(-2.0, 2.0), r_max=st.floats(2.0, 20.0))
+    def test_scan_agrees_with_shoot_cell_by_cell(self, n, m, a, p, u0, u1,
+                                                  higher, r_max):
+        params = HardyHenonParams(n, m, a, p)
+        axes = [u0] + [u1] * (m > 1) + [[higher]] * max(m - 2, 0)
+        res = scan(axes, params, r_max)
+        _assert_agrees(res.records, _cells(axes), params, r_max)
+
+    def test_reference_scans_match_shoot_exactly(self):
+        # a lane repeats the float stepper's arithmetic operation for
+        # operation, so the 882 reference cells agree to the last bit
+        for m in (2, 3):
+            params = HardyHenonParams(4, m, 0.0, 2.0)
+            axes = reference_axes(params)
+            res = scan(axes, params, 50.0)
+            for rec, init in zip(res.records, _cells(axes)):
+                kind, layer, r_star, _, _ = _shoot_record(init, params, 50.0)
+                assert (rec.kind, rec.layer, rec.r_star) == \
+                    (kind, layer, r_star)
+
+    def test_m1_scan_with_survivors(self):
+        # second order, one axis: the n = 4, p = 3 bubble amplitude
+        # survives with its growth fit
+        axes = [np.array([0.2, 1.0, bubble_amplitude(4), 7.0])]
+        kinds = set()
+        for params in (HardyHenonParams(4, 1, 0.0, 3.0),
+                       HardyHenonParams(3, 1, 0.0, 5.0),
+                       HardyHenonParams(6, 1, -1.0, 1.5)):
+            res = scan(axes, params, 30.0)
+            _assert_agrees(res.records, _cells(axes), params, 30.0)
+            kinds |= {rec.kind for rec in res.records}
+            if params.n == 4:
+                assert res.records[2].kind == "Survived"
+        assert kinds == {"Survived", "SignLoss"}
+
+    def test_blow_up_lanes(self):
+        # with the sign rule switched off, a negative second layer drives u
+        # through the blow-up threshold, located on the Hermite step
+        params = HardyHenonParams(4, 2, 0.0, 4.0)
+        cells = _cells([np.array([0.5, 1.0]), np.array([-1.0, -1e10])])
+        records = hhlab.liouville._scan_lanes(cells, params, 20.0, 1e-10,
+                                              1e-12, sign_tol=1e30)
+        _assert_agrees(records, cells, params, 20.0, sign_tol=1e30)
+        assert {rec.kind for rec in records} == {"BlowUp"}
+        assert all(DEFAULT_R0 < rec.r_star < 20.0 for rec in records)
+
+    def test_non_finite_retry_and_underflow_blow_up_lanes(self, monkeypatch):
+        # with no thresholds at all, u^p overflows in trial stages: those
+        # lanes retry at a quarter step until h underflows above the
+        # amplitude floor, a blow-up at the failure radius
+        non_finite = []
+        real_step = hhlab.rk.LaneRK._step
+
+        def counting(self, t, y, h, f0):
+            y1, f1, err = real_step(self, t, y, h, f0)
+            non_finite.append(int(np.sum(~np.isfinite(y1).all(axis=1))))
+            return y1, f1, err
+
+        monkeypatch.setattr(hhlab.rk.LaneRK, "_step", counting)
+        params = HardyHenonParams(4, 2, 0.0, 4.0)
+        cells = _cells([np.array([1.0, 1e30]), np.array([-1.0, -1e10])])
+        kwargs = dict(blow_threshold=math.inf, sign_tol=math.inf)
+        records = hhlab.liouville._scan_lanes(cells, params, 20.0, 1e-10,
+                                              1e-12, **kwargs)
+        _assert_agrees(records, cells, params, 20.0, **kwargs)
+        assert {rec.kind for rec in records} == {"BlowUp"}
+        assert sum(non_finite) > 0
+
+    def test_integrator_failure_lane(self, monkeypatch):
+        # a step budget of 40 ends the long lanes below the amplitude floor:
+        # recorded as IntegratorFailure, with the error shoot raises
+        def budget(cls):
+            return lambda *args, **kw: cls(*args, max_steps=40, **kw)
+
+        monkeypatch.setattr(hhlab.liouville, "AdaptiveRK",
+                            budget(hhlab.rk.AdaptiveRK))
+        monkeypatch.setattr(hhlab.liouville, "LaneRK",
+                            budget(hhlab.rk.LaneRK))
+        axes = [np.array([0.5, 5.0]), np.array([-1.0, 0.0, 8.0])]
+        res = scan(axes, CRITICAL, 30.0)
+        _assert_agrees(res.records, _cells(axes), CRITICAL, 30.0)
+        kinds = [rec.kind for rec in res.records]
+        assert "IntegratorFailure" in kinds and "SignLoss" in kinds
+        assert res.tally["IntegratorFailure"] == kinds.count(
+            "IntegratorFailure")
+
+    def test_workers_is_ignored(self, monkeypatch):
+        def no_pool(*args, **kw):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        axes = [np.array([1.0, 2.0]), np.array([-1.0, 1.0])]
+        with pytest.warns(DeprecationWarning):
+            pooled = scan(axes, CRITICAL, 10.0, workers=2)
+        assert pooled == scan(axes, CRITICAL, 10.0)
 
 
 class TestClassificationStability:

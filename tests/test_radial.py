@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from hhlab.errors import (ExtrapolationError, GridError,
-                          NonIntegrableSourceError)
+from hhlab.errors import (AmplitudeRangeError, ExtrapolationError,
+                          GridError, NonIntegrableSourceError)
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           _origin_head, hardy_bound_factor, iterated_green,
                           jensen_gap, poisson_solve_ball, polyharmonic_apply,
@@ -464,6 +464,62 @@ class TestSingularSolution:
         assert residual < 1e-5 * amplitude ** 2
 
 
+# (n, m, a, p) at super-critical order 2m > n where C r^(-sigma) exists
+SUPER_CRITICAL_SINGULAR = [
+    (2, 2, 0.0, 2.0), (3, 2, 0.0, 2.0), (3, 2, 0.0, 3.0), (3, 2, 0.5, 3.0),
+    (2, 2, 1.5, 5.0), (4, 3, 1.5, 5.0), (5, 3, 0.5, 3.0), (5, 3, 1.5, 5.0),
+    (5, 4, 0.5, 3.0), (6, 4, 1.5, 5.0), (7, 4, 1.5, 5.0),
+]
+
+
+class TestSingularSolutionSuperCritical:
+    def test_sigma_is_two_m_minus_a(self):
+        assert HardyHenonParams(3, 2, 0.0, 3.0).sigma == pytest.approx(2.0)
+        assert HardyHenonParams(5, 3, 0.5, 3.0).sigma == pytest.approx(2.75)
+        # at critical order 2m = n it is (n - a)/(p - 1), as before
+        assert HardyHenonParams(6, 3, 1.0, 2.5).sigma == pytest.approx(
+            5.0 / 1.5)
+
+    @pytest.mark.parametrize("n,m,a,p", SUPER_CRITICAL_SINGULAR)
+    def test_ode_tracks_the_profile(self, n, m, a, p):
+        # integrate the layer system outward from the exact layers of
+        # C r^(-sigma), u_i = C P_i r^(-sigma-2i), with the package's own
+        # stepper: the trajectory stays on the profile only if sigma and C
+        # solve the top equation -Lap u_{m-1} = r^(-a) u^p
+        from hhlab.liouville import shoot_from
+        params = HardyHenonParams(n, m, a, p)
+        sigma, amplitude = singular_solution(params)
+        r0, state, coef = 1.0, [], amplitude
+        for i in range(m):
+            s = sigma + 2 * i
+            state += [coef * r0 ** -s, -s * coef * r0 ** (-s - 1)]
+            coef *= s * (n - 2 - s)
+        out = shoot_from(state, r0, params, 3.0, rtol=1e-12, atol=1e-14,
+                         classify=False, blow_threshold=math.inf)
+        exact = amplitude * out.trace_r ** -sigma
+        assert np.max(np.abs(out.trace_y[:, 0] - exact) / exact) < 1e-8
+
+    @pytest.mark.parametrize("n,m,a,p", [
+        (3, 2, 0.0, 2.0), (3, 2, 0.0, 3.0), (3, 2, 0.5, 2.0),
+        (3, 2, 0.5, 3.0), (3, 2, -1.0, 3.0)])
+    def test_pde_residual(self, n, m, a, p):
+        # the finite-difference residual of `hhlab singular`, same bound
+        params = HardyHenonParams(n, m, a, p)
+        sigma, amplitude = singular_solution(params)
+        grid = RadialGrid.uniform(0.45, 2.05, 401)
+        u = RadialField.from_function(grid, lambda r: amplitude * r ** -sigma)
+        op = polyharmonic_apply(u, n, m, width=7)
+        rhs = amplitude ** p * grid.nodes ** (-sigma * p - a)
+        window = (grid.nodes >= 0.5) & (grid.nodes <= 2.0)
+        residual = np.max(np.abs(op.values - rhs)[window])
+        assert residual < 1e-5 * amplitude ** p
+
+    def test_amplitude_outside_float_range_raises(self):
+        # p -> 1 sends C = P^(1/(p-1)) far past the largest float
+        with pytest.raises(AmplitudeRangeError):
+            singular_solution(HardyHenonParams(4, 2, 0.0, 1.0001))
+
+
 class TestRescale:
     def test_identity(self):
         g = RadialGrid.uniform(0.5, 2.0, 64)
@@ -502,3 +558,27 @@ class TestRescale:
         scale = lam ** (params.sigma + 2 * params.m)
         atol = 1e-8 * np.max(np.abs(res_u)) * scale
         np.testing.assert_allclose(res_ul, scale * res_u, atol=atol, rtol=0)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 3),
+                                 (5, 4), (7, 4)])
+def test_pde_invariance_super_critical_order(n, m):
+    # residual(u_lam)(r) = lam^(sigma + 2m) residual(u)(lam r) needs the
+    # source to scale like the operator, lam^(sigma p + a) = lam^(sigma + 2m),
+    # which is what fixes sigma = (2m - a)/(p - 1). A coarse grid keeps the
+    # round-off of m repeated difference Laplacians below the bound; with
+    # (n - a)/(p - 1) the gap is at least 4.6e-8 on these cases
+    params = HardyHenonParams(n, m, 0.5, 3.0)
+    g = RadialGrid.uniform(0.5, 2.0, 61)
+    u = RadialField.from_function(g, lambda r: 5.0 * r ** -3.0)
+    lam = 1.3
+
+    def residual(field):
+        op = polyharmonic_apply(field, n, m)
+        return op.values - np.maximum(field.values, 0.0) ** params.p \
+            * field.grid.nodes ** -params.a
+
+    res_u = residual(u)
+    scale = lam ** (params.sigma + 2 * m)
+    gap = np.max(np.abs(residual(rescale(u, lam, params)) - scale * res_u))
+    assert gap <= 1e-9 * np.max(np.abs(res_u)) * scale

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from hhlab.errors import IntegratorError
-from hhlab.rk import AdaptiveRK, StepRecord, hermite_crossing
+from hhlab.rk import AdaptiveRK, LaneRK, StepRecord, hermite_crossing
 
 
 def collect(records):
@@ -134,3 +135,166 @@ class TestHermite:
         # cubic(t) = cubic(0.6) has its only root in [0, 1] at t = 0.6
         root = hermite_crossing(self.REC, lambda y: y[0], cubic(0.6))
         assert abs(root - 0.6) < 1e-12
+
+
+def lanes_of(rhs):
+    """A LaneRK right-hand side that applies the float `rhs` row by row."""
+    def lane_rhs(t, y):
+        return np.array([rhs(ti, yi) for ti, yi in zip(t.tolist(),
+                                                      y.tolist())])
+    return lane_rhs
+
+
+class TestLaneRK:
+    """Every lane must take exactly the steps AdaptiveRK takes for it alone
+    (the per-row rhs below computes the same floats)."""
+
+    @staticmethod
+    def float_run(rhs, y0, t_end, stop=None, **kwargs):
+        records = []
+
+        def callback(rec):
+            records.append(rec)
+            return stop(rec) if stop else None
+        try:
+            out = AdaptiveRK(rhs, **kwargs).integrate(0.0, y0, t_end,
+                                                      callback)
+        except IntegratorError as exc:
+            out = exc
+        return out, records
+
+    @staticmethod
+    def lane_run(rhs, y0, t_end, stop=None, **kwargs):
+        records = {}
+
+        def callback(t0, t1, ya, yb, fa, fb):
+            stops = {}
+            for k in range(t0.size):
+                rec = StepRecord(float(t0[k]), float(t1[k]), ya[k].tolist(),
+                                 yb[k].tolist(), fa[k].tolist(),
+                                 fb[k].tolist())
+                records.setdefault(float(ya[k, -1]), []).append(rec)
+                value = stop(rec) if stop else None
+                if value is not None:
+                    stops[k] = value
+            return stops
+        out = LaneRK(lanes_of(rhs), **kwargs).integrate(0.0, y0, t_end,
+                                                        callback)
+        return out, records
+
+    def test_lanes_step_like_the_float_stepper(self):
+        # y' = -k y with a different rate per lane, carried as a constant
+        # last component that also labels the lane's records
+        def rhs(t, y):
+            return [-y[1] * y[0], 0.0]
+
+        rates = [0.5, 1.0, 3.0, 20.0]
+        (results, t, y), lane_records = self.lane_run(
+            rhs, [[1.0, k] for k in rates], 2.0, rtol=1e-9, atol=1e-12)
+        assert results == [None] * len(rates)
+        for i, k in enumerate(rates):
+            out, records = self.float_run(rhs, [1.0, k], 2.0, rtol=1e-9,
+                                          atol=1e-12)
+            assert out is None
+            assert lane_records[k] == records
+            assert (t[i], y[i].tolist()) == (records[-1].t1, records[-1].y1)
+
+    def test_per_lane_stop_values(self):
+        def rhs(t, y):
+            return [math.cos(t * y[1]), 0.0]
+
+        def stop(rec):
+            return ("stop", rec.t1) if rec.y1[0] >= 0.5 else None
+
+        rates = [1.0, 2.0, 40.0]
+        (results, t, _), _ = self.lane_run(rhs, [[0.0, k] for k in rates],
+                                           3.0, stop)
+        for i, k in enumerate(rates):
+            out, records = self.float_run(rhs, [0.0, k], 3.0, stop)
+            assert results[i] == out
+            assert t[i] == records[-1].t1
+        # the fast lane never reaches 0.5 and runs to the end
+        assert results[2] is None and t[2] == 3.0
+
+    def test_non_finite_retry_and_underflow_per_lane(self):
+        # y' = y^2 blows up at t = 1/y(0): the lane starting at 2 underflows
+        # (after non-finite retries) while the one starting at -1 decays
+        def rhs(t, y):
+            try:
+                return [y[0] * y[0] * y[1], 0.0]
+            except OverflowError:
+                return [math.inf, 0.0]
+
+        starts = [[2.0, 1.0], [-1.0, 1.0], [1e150, 1e150]]
+        (results, t, y), _ = self.lane_run(rhs, starts, 2.0)
+        for i, y0 in enumerate(starts):
+            out, records = self.float_run(rhs, y0, 2.0)
+            if isinstance(out, IntegratorError):
+                assert isinstance(results[i], IntegratorError)
+                assert str(results[i]) == str(out)
+                assert results[i].state == out.state
+                assert (t[i], y[i].tolist()) == out.state
+            else:
+                assert results[i] is out is None
+        assert "underflow" in str(results[0]) and results[1] is None
+        assert "underflow" in str(results[2])
+
+    def test_non_finite_trial_step_is_retried_at_quarter_size(self):
+        # as in TestControl: y' = 1 grows h fivefold until the 21st
+        # evaluation poisons a trial stage, here of the second lane only;
+        # each lane's records must equal the float stepper's, poisoned alike
+        poisoned = 1 + 6 * 3 + 1
+
+        def float_rhs():
+            calls = []
+
+            def rhs(t, y):
+                calls.append(t)
+                return [math.nan if len(calls) == poisoned + 1 else 1.0, 0.0]
+            return rhs
+
+        lane_calls = []
+
+        def lane_rhs(t, y):
+            lane_calls.append(t)
+            dy = np.zeros_like(y)
+            dy[:, 0] = 1.0
+            if len(lane_calls) == poisoned + 1:
+                dy[1, 0] = math.nan
+            return dy
+
+        records = {}
+
+        def callback(t0, t1, ya, yb, fa, fb):
+            for k in range(t0.size):
+                records.setdefault(float(ya[k, 1]), []).append(StepRecord(
+                    float(t0[k]), float(t1[k]), ya[k].tolist(),
+                    yb[k].tolist(), fa[k].tolist(), fb[k].tolist()))
+
+        LaneRK(lane_rhs).integrate(0.0, [[0.0, 0.0], [0.0, 1.0]], 1.0,
+                                   callback)
+        _, clean = self.float_run(lambda t, y: [1.0, 0.0], [0.0, 0.0], 1.0)
+        _, retried = self.float_run(float_rhs(), [0.0, 1.0], 1.0)
+        assert records[0.0] == clean and records[1.0] == retried
+        steps = [rec.t1 - rec.t0 for rec in retried]
+        assert steps[3] == pytest.approx(0.25 * 5 * steps[2], rel=1e-9)
+
+    def test_exhausted_budget_per_lane(self):
+        def rhs(t, y):
+            return [-y[1] * y[0], 0.0]
+
+        starts = [[1.0, 0.0], [1.0, 50.0]]
+        (results, t, y), _ = self.lane_run(rhs, starts, 10.0, rtol=1e-10,
+                                           max_steps=20)
+        # a zero rate has zero error, so the step grows fivefold each time
+        assert results[0] is None and t[0] == 10.0
+        out, _ = self.float_run(rhs, starts[1], 10.0, rtol=1e-10,
+                                max_steps=20)
+        assert isinstance(results[1], IntegratorError)
+        assert "budget" in str(results[1])
+        assert results[1].state == out.state
+
+    def test_no_lanes(self):
+        results, t, y = LaneRK(lanes_of(lambda t, y: y)).integrate(
+            0.0, np.empty((0, 2)), 1.0)
+        assert results == [] and t.shape == (0,) and y.shape == (0, 2)
