@@ -7,8 +7,7 @@ from .errors import (BracketError, ConvergenceError, ExtrapolationError,
                      GridError, HHLabError, IntegratorError,
                      KernelDomainError, NonIntegrableSourceError,
                      QuadratureError)
-from .kernels import (BallGreen, RieszKernel, green_ball, riesz_compose_check,
-                      riesz_constant)
+from .kernels import green_ball, riesz_compose_check, riesz_constant
 from .ladder import (ClosedFormBound, LadderState, default_alpha0,
                      divergence_threshold, geometry_constant, ladder_advance,
                      ladder_advance_direct, ladder_closed_form, ladder_table,
@@ -17,8 +16,8 @@ from .liouville import (OutcomeKind, RepresentationCheck, ScanResult,
                         ShootingOutcome, bubble_amplitude, bubble_oracle,
                         reference_axes, representation_check, scan, shoot,
                         shoot_from)
-from .navier import (Certificates, EigenPair, NavierProblem, NavierSolution,
-                     SolverConfig, apply_K, blowup_normalize,
+from .navier import (EigenPair, NavierProblem, NavierSolution, SolverConfig,
+                     apply_K, blowup_normalize,
                      energy_bound_check, first_dirichlet_eigenvalue_oracle,
                      first_eigenpair, kelvin_pde_check, kelvin_transform,
                      radial_monotonicity_check, rho_radius,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,25 +36,6 @@ def riesz_constant(alpha: float, n: int) -> float:
             f"Riesz order must lie in (0, {n}), got {alpha}")
     return math.gamma((n - alpha) / 2.0) / (
         math.pi ** (n / 2.0) * 2.0 ** alpha * math.gamma(alpha / 2.0))
-
-
-@dataclass(frozen=True)
-class RieszKernel:
-    """Riesz kernel R_{alpha,n} |x|^(alpha-n) of order alpha in R^n."""
-
-    alpha: float
-    n: int
-    constant: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "constant",
-                           riesz_constant(self.alpha, self.n))
-
-    def __call__(self, distance):
-        d = np.asarray(distance, dtype=float)
-        if np.any(d <= 0.0):
-            raise KernelDomainError("Riesz kernel undefined at distance 0")
-        return self.constant * d ** (self.alpha - self.n)
 
 
 def _reflected_distance(x, y, R):
@@ -89,26 +69,12 @@ def green_ball(x, y, R: float, n: int) -> float:
     return c * (d ** (2 - n) - dstar ** (2 - n))
 
 
-@dataclass(frozen=True)
-class BallGreen:
-    """Green function object for -Laplace on B_R(0) with Dirichlet data."""
-
-    radius: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise KernelDomainError("ball Green function requires n >= 3")
-        if self.radius <= 0.0:
-            raise KernelDomainError("ball radius must be positive")
-
-    def __call__(self, x, y) -> float:
-        return green_ball(x, y, self.radius, self.n)
-
-
 # ---------------------------------------------------------------------------
 # Composition identity check
 # ---------------------------------------------------------------------------
+
+QUADRATURE_BUDGET = 250_000  # default evaluation budget of one check
+
 
 def _composition_mesh(d: float, n_sing: int, n_far: int):
     """Radial panel breakpoints graded into r=0 and r=d, growing to 400 d."""
@@ -152,7 +118,7 @@ def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
 
 
 def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
-                        quadrature_budget: int = 250_000):
+                        quadrature_budget: int = QUADRATURE_BUDGET):
     """Numerically verify the Riesz composition identity at one point pair.
 
     Returns (lhs, rhs): the quadrature value of the convolution of the two

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -409,12 +408,10 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
 
 def scan_cells(init_axes: Sequence[Sequence[float]],
                params: HardyHenonParams, r_max: float, rtol: float = 1e-10,
-               atol: float = 1e-12, workers: int = 1) -> np.ndarray:
+               atol: float = 1e-12) -> np.ndarray:
     """The (cells, m) origin data of `scan`, after its input checks: a
-    worker count of at least 1 (deprecated, see `scan`), a finite span and
-    positive tolerances, m finite axes, u(0) > 0 in every cell."""
-    if not workers >= 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    finite span and positive tolerances, m finite axes, u(0) > 0 in every
+    cell."""
     _check_run(DEFAULT_R0, r_max, rtol, atol)
     axes = [np.asarray(ax, dtype=float) for ax in init_axes]
     if len(axes) != params.m:
@@ -429,8 +426,8 @@ def scan_cells(init_axes: Sequence[Sequence[float]],
 
 
 def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
-         r_max: float, rtol: float = 1e-10, atol: float = 1e-12,
-         workers: int = 1) -> ScanResult:
+         r_max: float, rtol: float = 1e-10,
+         atol: float = 1e-12) -> ScanResult:
     """Classify every cell of the Cartesian grid of origin data.
 
     `init_axes` gives one array of origin values per layer; the inputs are
@@ -438,14 +435,8 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
     would classify it, with the default thresholds; the cells that leave
     r0 are integrated together as lanes of one array (`_scan_lanes`).
     Individual integrator failures are recorded per cell, not raised.
-
-    `workers` is deprecated and ignored: it is still checked (at least 1),
-    but every scan runs in the calling process.
     """
-    cells = scan_cells(init_axes, params, r_max, rtol, atol, workers)
-    if workers != 1:
-        warnings.warn("scan(workers=...) is deprecated and ignored",
-                      DeprecationWarning, stacklevel=2)
+    cells = scan_cells(init_axes, params, r_max, rtol, atol)
     return ScanResult(params, r_max,
                       tuple(_scan_lanes(cells, params, r_max, rtol, atol)))
 

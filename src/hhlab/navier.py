@@ -8,8 +8,9 @@ solver brackets the fixed point's amplitude with normalized Picard shapes
 (small amplitudes contract toward zero, large ones escape, and the crossing
 is the nontrivial solution), then converges to it by Newton-GMRES on
 F(u) = u - K(u), safeguarded by the bracket. Every returned solution carries
-certificates (fixed-point residual, positivity, the amplitude lower bound,
-the eigenvalue energy bound, radial monotonicity).
+its certificates as `Check`s (`build_certificates`): fixed-point residual,
+positivity, boundary values, the amplitude lower bound, the eigenvalue
+energy bound, radial monotonicity.
 
 A shooting cross-oracle on the radial boundary-value problem, built on
 scipy's integrator and root finder, provides an independent route to the
@@ -19,7 +20,7 @@ solution amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import jv
 
 from .errors import AmplitudeRangeError, BracketError, ConvergenceError
-from .numerics import ball_volume, surface_area
+from .numerics import Check, ball_volume, surface_area
 from .radial import (LOG_HUGE, LOG_TINY, MIN_NODES, HardyHenonParams,
                      PolyharmonicState, RadialField, RadialGrid,
                      iterated_green, poisson_solve_ball)
@@ -101,41 +102,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class Certificates:
-    """Check results attached to a solved problem."""
-
-    fixed_point_residual: float
-    positive_layers: bool
-    boundary_values: bool
-    sup_norm: float
-    rho: float
-    lower_bound_ok: bool
-    energy_lhs: float
-    energy_rhs: float
-    energy_ok: bool
-    monotone: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (self.positive_layers and self.boundary_values
-                and self.lower_bound_ok and self.energy_ok and self.monotone)
-
-    def to_dict(self) -> dict:
-        return {
-            "fixed_point_residual": self.fixed_point_residual,
-            "positive_layers": self.positive_layers,
-            "boundary_values": self.boundary_values,
-            "sup_norm": self.sup_norm,
-            "rho": self.rho,
-            "lower_bound_ok": self.lower_bound_ok,
-            "energy_lhs": self.energy_lhs,
-            "energy_rhs": self.energy_rhs,
-            "energy_ok": self.energy_ok,
-            "monotone": self.monotone,
-        }
-
-
-@dataclass(frozen=True)
 class SolverStats:
     """What one `solve_positive` call did.
 
@@ -157,7 +123,7 @@ class NavierSolution:
     state: PolyharmonicState
     residual: float
     sup_norm: float
-    certificates: Certificates
+    certificates: tuple  # of Check, from build_certificates
     eigen: Optional[EigenPair] = None
     stats: Optional[SolverStats] = None
 
@@ -480,28 +446,34 @@ def solve_positive(problem: NavierProblem,
             f"fixed-point residual {residual:.3e} above tolerance")
 
     eig = first_eigenpair(problem, config.eigen_tol, grid)
-    certs = build_certificates(state, residual, problem, eig)
-    return NavierSolution(state, residual, certs.sup_norm, certs, eig,
-                          solver.stats())
+    sol = NavierSolution(state, residual, float(np.max(np.abs(w.values))),
+                         (), eig, solver.stats())
+    return replace(sol, certificates=build_certificates(
+        sol, problem, config.fixed_point_tol))
 
 
-def build_certificates(state: PolyharmonicState, residual: float,
-                       problem: NavierProblem, eig: EigenPair
-                       ) -> Certificates:
-    u = state.layers[0]
-    sup = float(np.max(np.abs(u.values)))
-    interior = slice(0, -1)
-    positive = all(bool(np.all(layer.values[interior] > 0.0))
-                   for layer in state.layers)
-    boundary = all(abs(float(layer.values[-1])) <= 1e-10 * max(1.0, sup)
-                   for layer in state.layers)
+def build_certificates(sol: NavierSolution, problem: NavierProblem,
+                       tol: float) -> tuple:
+    """The solver's certificates, as `Check`s: the fixed-point residual
+    below `tol`, positive layers, Navier boundary values, the amplitude
+    lower bound rho, the eigenvalue energy bound and radial monotonicity."""
+    layers = sol.state.layers
+    positive = all(bool(np.all(layer.values[:-1] > 0.0)) for layer in layers)
+    edge = 1e-10 * max(1.0, sol.sup_norm)
+    boundary = all(abs(float(layer.values[-1])) <= edge for layer in layers)
     rho = rho_radius(problem)
-    lower_ok = sup >= rho - 1e-9
-    lhs, rhs, energy_ok = energy_bound_check(
-        NavierSolution(state, residual, sup, None), eig, problem)
-    monotone = radial_monotonicity_check(u)
-    return Certificates(residual, positive, boundary, sup, rho, lower_ok,
-                        lhs, rhs, energy_ok, monotone)
+    lhs, rhs, energy_ok = energy_bound_check(sol, sol.eigen, problem)
+    monotone = radial_monotonicity_check(sol.u)
+    return (
+        Check("fixed-point-residual", "eq:4-30", sol.residual, tol,
+              sol.residual < tol),
+        Check("positive-layers", "eq:3-3", positive, True, positive),
+        Check("boundary-values", "eq:Navier", boundary, True, boundary),
+        Check("amplitude-lower-bound", "eq:1.8", sol.sup_norm, rho,
+              sol.sup_norm >= rho - 1e-9),
+        Check("energy-bound", "eq:3-41", lhs, rhs, energy_ok),
+        Check("radial-monotonicity", "thm:Boundary", monotone, True,
+              monotone))
 
 
 # ---------------------------------------------------------------------------

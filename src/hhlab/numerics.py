@@ -1,15 +1,28 @@
 """Shared numerical primitives.
 
 Gauss-Legendre panel quadrature on graded meshes (for kernels with algebraic
-endpoint singularities) and Fornberg finite-difference stencils on nonuniform
-grids (for the radial operators).
+endpoint singularities), Fornberg finite-difference stencils on nonuniform
+grids (for the radial operators), and the `Check` record every certificate
+is reported in.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Any, NamedTuple
 
 import numpy as np
+
+
+class Check(NamedTuple):
+    """One certificate: the claim's name and equation tag, the measured
+    value, the bound it is held to, and the verdict."""
+
+    name: str
+    tag: str
+    value: Any
+    bound: Any
+    ok: bool
 
 
 @lru_cache(maxsize=64)

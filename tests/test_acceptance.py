@@ -1,5 +1,11 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL
-line (run with -s to see them). Tolerances are pinned here and nowhere else.
+line (run with -s to see them).
+
+This battery is the independent side of the certificates: it computes each
+criterion with its own code and holds it to its own tolerance, set below,
+instead of calling the registry (`hhlab.checks`) the CLI reports from.
+`test_registry_bounds_are_no_looser` checks that no registry bound is looser
+than the tolerance pinned here for the same claim.
 """
 
 import math
@@ -7,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from hhlab import checks
 from hhlab.kernels import riesz_compose_check, riesz_constant
 from hhlab.ladder import (LadderState, divergence_threshold, ladder_advance,
                           ladder_closed_form, monomial_poisson_coefficient)
@@ -22,6 +29,17 @@ from hhlab.navier import (NavierProblem, SolverConfig, apply_K,
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           poisson_solve_ball, polyharmonic_apply, rescale,
                           singular_solution)
+
+
+CONSTANT_TOL = 1e-12
+COMPOSITION_TOL = 1e-2
+MONOMIAL_TOL = 1e-6
+THRESHOLD_TOL = 1e-2
+LADDER_TOL = 1e-9
+SINGULAR_REL = 1e-5
+EIGEN_REL = 2e-3
+FIXED_POINT_TOL = 1e-8
+REPRESENTATION_TOL = 1e-3
 
 
 def _report(num, name, ok, detail):
@@ -46,7 +64,8 @@ def test_01_riesz_composition():
             z = rng.uniform(-2.0, 2.0, n)
             lhs, rhs = riesz_compose_check(a1, a2, x, z, n)
             worst = max(worst, abs(lhs / rhs - 1.0))
-    ok = worst < 1e-2 and c24 < 1e-12 and c45 < 1e-12
+    ok = (worst < COMPOSITION_TOL and c24 < CONSTANT_TOL
+          and c45 < CONSTANT_TOL)
     _report(1, "riesz composition + constants", ok,
             f"worst rel gap {worst:.2e}, constant errors {c24:.1e}/{c45:.1e}")
 
@@ -60,7 +79,7 @@ def test_02_monomial_poisson_coefficient():
             u = poisson_solve_ball(f, 1.0, n)
             coeff = monomial_poisson_coefficient(beta, n)
             worst = max(worst, abs(u.values[0] - coeff))
-    _report(2, "monomial double-integration coefficient", worst < 1e-6,
+    _report(2, "monomial double-integration coefficient", worst < MONOMIAL_TOL,
             f"worst abs error {worst:.2e}")
 
 
@@ -84,15 +103,15 @@ def test_03_ladder_consistency_and_divergence():
 
     params = HardyHenonParams(4, 2, 0.0, 2.0)
     threshold = divergence_threshold(params, 0.0)
-    thr_ok = abs(threshold - 16777216.0) < 1e-2
+    thr_ok = abs(threshold - 16777216.0) < THRESHOLD_TOL
     cur = LadderState.initial(threshold, params)
     bound_ok = True
     for k in range(41):
         bound = params.n * k / (params.p - 1.0) * math.log(2.0 * params.p)
-        if cur.log_l < bound - 1e-9 * max(1.0, abs(bound)):
+        if cur.log_l < bound - LADDER_TOL * max(1.0, abs(bound)):
             bound_ok = False
         cur = ladder_advance(cur)
-    ok = worst < 1e-9 and thr_ok and bound_ok
+    ok = worst < LADDER_TOL and thr_ok and bound_ok
     _report(3, "ladder recurrence/closed form/threshold", ok,
             f"log gap {worst:.2e}, threshold {threshold:.1f}, "
             f"divergence bound {'holds' if bound_ok else 'fails'}")
@@ -109,10 +128,10 @@ def test_04_singular_solution():
     residual = float(np.max(np.abs(op.values - rhs)[window]))
     none_case = singular_solution(HardyHenonParams(4, 2, 0.0, 3.0))
     ok = (sigma == pytest.approx(4.0) and amplitude == pytest.approx(192.0)
-          and residual < 1e-5 * 192.0 ** 2 and none_case is None)
+          and residual < SINGULAR_REL * 192.0 ** 2 and none_case is None)
     _report(4, "singular solution", ok,
             f"sigma={sigma:g}, C={amplitude:g}, residual {residual:.3e} "
-            f"< {1e-5 * 192.0**2:.3e}, p=3 case none")
+            f"< {SINGULAR_REL * 192.0**2:.3e}, p=3 case none")
 
 
 def test_05_eigenvalue_oracle():
@@ -125,23 +144,23 @@ def test_05_eigenvalue_oracle():
         rel = abs(eig.lambda1 / oracle - 1.0)
         worst = max(worst, rel)
         values[(n, m)] = eig.lambda1
-    refs_ok = (values[(3, 1)] == pytest.approx(math.pi ** 2, rel=2e-3)
-               and values[(4, 1)] == pytest.approx(14.6820, rel=2e-3)
-               and values[(4, 2)] == pytest.approx(215.5606, rel=2e-3))
-    _report(5, "first eigenvalue vs Bessel oracle", worst < 2e-3 and refs_ok,
-            f"worst rel error {worst:.2e} at N=512")
+    refs_ok = (values[(3, 1)] == pytest.approx(math.pi ** 2, rel=EIGEN_REL)
+               and values[(4, 1)] == pytest.approx(14.6820, rel=EIGEN_REL)
+               and values[(4, 2)] == pytest.approx(215.5606, rel=EIGEN_REL))
+    _report(5, "first eigenvalue vs Bessel oracle",
+            worst < EIGEN_REL and refs_ok, f"worst rel error {worst:.2e} at N=512")
 
 
 def test_06_existence_and_lower_bound():
     problem = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
     sol = solve_positive(problem, SolverConfig(n_nodes=513))
-    certs = sol.certificates
+    certs = {c.name: c.ok for c in sol.certificates}
     u1_origin = float(sol.state.layers[1].values[0])
     oracle = shooting_oracle_sup_norm(problem, [sol.sup_norm, u1_origin])
     oracle_gap = abs(oracle / sol.sup_norm - 1.0)
-    ok = (sol.residual < 1e-8 and certs.positive_layers
-          and sol.sup_norm >= 4.0 and certs.energy_ok and certs.monotone
-          and oracle_gap < 5e-3)
+    ok = (sol.residual < FIXED_POINT_TOL and certs["positive-layers"]
+          and sol.sup_norm >= 4.0 and certs["energy-bound"]
+          and certs["radial-monotonicity"] and oracle_gap < 5e-3)
     _report(6, "existence + amplitude lower bound", ok,
             f"sup {sol.sup_norm:.4f} >= 4, residual {sol.residual:.1e}, "
             f"shooting oracle gap {oracle_gap:.2e}")
@@ -199,7 +218,7 @@ def test_09_representation_check():
     check = representation_check(u.with_values(u.values ** 3), 4)
     target = 2.0 * math.sqrt(2.0)
     err = abs(check.potential_at_0 - target)
-    ok = err < 1e-3 and not check.truncated
+    ok = err < REPRESENTATION_TOL and not check.truncated
     _report(9, "representation formula at the origin", ok,
             f"|potential - 2*sqrt(2)| = {err:.2e}, "
             f"tail fraction {check.tail_fraction:.1e}")
@@ -242,3 +261,18 @@ def test_10_invariance_suite():
             f"rescale {rescale_err:.1e}, v(0)-1 = {peak - 1.0:.1e}, "
             f"transformed residual {transformed_residual:.1e}, kelvin "
             f"{kelvin_self:.1e}/{involution:.1e}")
+
+
+def test_registry_bounds_are_no_looser():
+    pairs = [
+        (checks.CONSTANT_TOL, CONSTANT_TOL),
+        (checks.COMPOSITION_TOL, COMPOSITION_TOL),
+        (checks.MONOMIAL_TOL, MONOMIAL_TOL),
+        (checks.THRESHOLD_TOL, THRESHOLD_TOL),
+        (checks.LADDER_TOL, LADDER_TOL),
+        (checks.SINGULAR_REL, SINGULAR_REL),
+        (checks.EIGEN_REL, EIGEN_REL),
+        (SolverConfig().fixed_point_tol, FIXED_POINT_TOL),
+        (checks.REPRESENTATION_TOL, REPRESENTATION_TOL),
+    ]
+    assert all(ours <= pinned for ours, pinned in pairs), pairs

@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,16 @@ class TestLadderCommand:
         assert lines[0] == "k,log_l,alpha"
         assert len(lines) == 14
 
+    def test_negative_k_max_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "l"
+        with pytest.raises(SystemExit) as exc:
+            main(["ladder", "--k-max", "-1", "--output-dir", str(out_dir),
+                  "--quiet"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "--k-max" in err["error"]
+        assert not out_dir.exists()
+
 
 class TestScanCommand:
     def test_small_scan_and_determinism(self, tmp_path):
@@ -236,6 +248,20 @@ class TestScanCommand:
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 2 and "--workers" in err["error"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("axis", [["--u0", "0.1,10,0"],
+                                      ["--u1=-10,10,0"]])
+    def test_empty_axis_exits_2(self, axis, tmp_path, capsys, monkeypatch):
+        def no_numerics(*a, **k):
+            raise AssertionError("a scan ran with no cells")
+
+        monkeypatch.setattr("hhlab.liouville.scan", no_numerics)
+        out_dir = tmp_path / "e"
+        code = main(["scan", *axis, "--output-dir", str(out_dir), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "at least one point" in err["error"]
         assert not out_dir.exists()
 
     def test_non_finite_origin_data_exits_2(self, tmp_path, capsys):
@@ -283,12 +309,48 @@ class TestOtherCommands:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
 
+    def test_singular_profile_overflow_exits_1(self, tmp_path, capsys):
+        # log C = 653 is a float, but C r^(-sigma) at r = 0.45 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["singular", "--p", "1.03",
+                         "--output-dir", str(tmp_path / "x"), "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
+
     def test_eigen_tagged(self, tmp_path):
         code, out = run_cli(["eigen", "--n", "3", "--m", "1",
                              "--nodes", "257"], tmp_path)
         assert code == 0
         payload = read_json(out, "eigen.json")
         assert payload["checks"][0]["tag"] == "lemma:3.1"
+
+
+class TestReport:
+    # a small run of each command; check names do not depend on the sizes
+    COMMANDS = {
+        "report": ["report"],
+        "solve-p2-t0": ["solve", "--nodes", "129"],
+        "eigen-nodes257": ["eigen", "--nodes", "129"],
+        "scan-m2": ["scan", "--u0", "0.5,4,3", "--u1=-4,4,3",
+                    "--r-max", "20"],
+        "singular": ["singular"],
+        "ladder": ["ladder"],
+        "kernels-selftest": ["kernels-selftest", "--n-configs", "2"],
+    }
+    REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference.json")
+
+    def test_check_names_match_the_benchmark_reference(self, tmp_path):
+        reference = json.loads(self.REFERENCE.read_text())["commands"]
+        for ref_id, args in self.COMMANDS.items():
+            code, out = run_cli(args, tmp_path, ref_id)
+            assert code == 0, ref_id
+            payload = read_json(out, f"{args[0]}.json")
+            assert payload["pass"], ref_id
+            names = {c["name"] for c in payload["checks"]}
+            assert names == set(reference[ref_id]["checks"]), ref_id
 
 
 def test_console_script_entry_point():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhlab.errors import KernelDomainError, QuadratureError
-from hhlab.kernels import (BallGreen, RieszKernel, _composition_integral,
-                           _composition_mesh, green_ball,
-                           riesz_compose_check, riesz_constant)
+from hhlab.kernels import (_composition_integral, _composition_mesh,
+                           green_ball, riesz_compose_check, riesz_constant)
 from hhlab.numerics import (graded_breaks, panel_quadrature,
                             sin_power_integral, surface_area)
 from hhlab.liouville import representation_check
@@ -39,13 +38,6 @@ class TestRieszConstant:
     def test_domain_errors(self, alpha):
         with pytest.raises(KernelDomainError):
             riesz_constant(alpha, 4)
-
-    def test_kernel_object(self):
-        k = RieszKernel(2.0, 4)
-        assert k.constant == pytest.approx(riesz_constant(2, 4))
-        assert k(2.0) == pytest.approx(k.constant * 2.0 ** -2)
-        with pytest.raises(KernelDomainError):
-            k(0.0)
 
 
 class TestGreenBall:
@@ -110,13 +102,9 @@ class TestGreenBall:
 
     def test_wrapper_validation(self):
         with pytest.raises(KernelDomainError):
-            BallGreen(1.0, 2)
+            green_ball(np.zeros(2), np.array([0.5, 0.0]), 1.0, 2)
         with pytest.raises(KernelDomainError):
-            BallGreen(-1.0, 4)
-        g = BallGreen(2.0, 5)
-        x = np.zeros(5)
-        y = np.array([0.5, 0, 0, 0, 0.0])
-        assert g(x, y) == green_ball(x, y, 2.0, 5)
+            green_ball(np.zeros(4), np.array([0.5, 0, 0, 0.0]), -1.0, 4)
 
 
 class TestComposition:

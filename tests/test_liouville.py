@@ -1,6 +1,5 @@
 import itertools
 import math
-import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +142,13 @@ class TestScan:
         ([[1.0], [1.0]], math.nan, {}),
         ([[1.0], [1.0]], 10.0, {"rtol": 0.0}),
         ([[1.0], [1.0]], 10.0, {"atol": math.nan}),
-        ([[1.0], [1.0]], 10.0, {"workers": 0}),
-        ([[1.0], [1.0]], 10.0, {"workers": -3}),
-        ([[1.0], [1.0]], 10.0, {"workers": math.nan}),
     ])
     def test_rejects_bad_input_before_any_cell(self, axes, r_max, kwargs,
                                                monkeypatch):
-        def no_pool(*args, **kw):
-            raise AssertionError("a worker pool was started")
+        def no_cells(*args, **kw):
+            raise AssertionError("a cell was integrated")
 
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr("hhlab.liouville._scan_lanes", no_cells)
         with pytest.raises(ValueError):
             scan([np.array(ax) for ax in axes], CRITICAL, r_max, **kwargs)
 
@@ -319,16 +315,6 @@ class TestScanLanes:
         assert "IntegratorFailure" in kinds and "SignLoss" in kinds
         assert res.tally["IntegratorFailure"] == kinds.count(
             "IntegratorFailure")
-
-    def test_workers_is_ignored(self, monkeypatch):
-        def no_pool(*args, **kw):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        axes = [np.array([1.0, 2.0]), np.array([-1.0, 1.0])]
-        with pytest.warns(DeprecationWarning):
-            pooled = scan(axes, CRITICAL, 10.0, workers=2)
-        assert pooled == scan(axes, CRITICAL, 10.0)
 
 
 class TestClassificationStability:

@@ -164,14 +164,19 @@ class TestRho:
 
 
 class TestSolve:
-    def test_reference_solution_certificates(self, unit_solution):
+    def test_reference_solution_certificates(self, unit_problem,
+                                             unit_solution):
         sol = unit_solution
         assert sol.residual < 1e-8
-        certs = sol.certificates
-        assert certs.positive_layers and certs.boundary_values
+        certs = {c.name: c for c in sol.certificates}
+        assert list(certs) == [
+            "fixed-point-residual", "positive-layers", "boundary-values",
+            "amplitude-lower-bound", "energy-bound", "radial-monotonicity"]
         assert sol.sup_norm >= 4.0
-        assert certs.lower_bound_ok and certs.energy_ok and certs.monotone
-        assert certs.all_pass
+        assert certs["amplitude-lower-bound"].value == sol.sup_norm
+        assert certs["amplitude-lower-bound"].bound == rho_radius(
+            unit_problem)
+        assert all(c.ok for c in sol.certificates)
 
     def test_carries_its_eigenpair(self, unit_problem, unit_solution):
         eig = first_eigenpair(unit_problem, SolverConfig().eigen_tol,
@@ -204,7 +209,7 @@ class TestSolve:
         sol = solve_positive(prob, SolverConfig(n_nodes=257))
         assert sol.residual < 1e-8
         assert sol.sup_norm >= rho_radius(prob)
-        assert sol.certificates.positive_layers
+        assert {c.name: c.ok for c in sol.certificates}["positive-layers"]
 
     def test_grid_convergence_order(self):
         # halving h changes the sup norm at observed order >= 1.8
@@ -237,7 +242,7 @@ class TestNewtonSolver:
         init = [float(layer.values[0]) for layer in sol.state.layers]
         oracle = shooting_oracle_sup_norm(prob, init)
         assert abs(oracle / sol.sup_norm - 1.0) < 5e-3
-        assert sol.certificates.all_pass
+        assert all(c.ok for c in sol.certificates)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_forced_solution_lies_above_the_minimal_one(self, t):
@@ -272,7 +277,7 @@ class TestNewtonSolver:
         stats = sol.stats
         assert stats.newton_steps > len(stats.newton_residuals) - 1
         assert sol.sup_norm == pytest.approx(ref.sup_norm, rel=1e-10)
-        assert sol.residual < 1e-8 and sol.certificates.all_pass
+        assert sol.residual < 1e-8 and all(c.ok for c in sol.certificates)
 
     def test_large_amplitude_solves(self):
         # the solution sits about 2^69 rho above the contraction radius,
@@ -282,7 +287,7 @@ class TestNewtonSolver:
         ratio = math.log2(sol.sup_norm / rho_radius(prob))
         assert 68.0 < ratio < 70.0
         assert sol.sup_norm == pytest.approx(6.4405e32, rel=1e-3)
-        assert sol.residual < 1e-8 and sol.certificates.all_pass
+        assert sol.residual < 1e-8 and all(c.ok for c in sol.certificates)
 
     def test_no_sign_change_in_float_range(self):
         # the crossing lies near 215^200 (lambda1^(1/(p-1))), past the
