@@ -16,16 +16,16 @@ from .liouville import (OutcomeKind, RepresentationCheck, ScanResult,
                         ShootingOutcome, bubble_amplitude, bubble_oracle,
                         reference_axes, representation_check, scan, shoot,
                         shoot_from)
-from .navier import (EigenPair, NavierProblem, NavierSolution, SolverConfig,
-                     apply_K, blowup_normalize,
-                     energy_bound_check, first_dirichlet_eigenvalue_oracle,
-                     first_eigenpair, kelvin_pde_check, kelvin_transform,
+from .navier import (EigenPair, NavierProblem, NavierSolution, apply_K,
+                     blowup_normalize, energy_bound_check,
+                     first_dirichlet_eigenvalue_oracle, first_eigenpair,
+                     kelvin_pde_check, kelvin_transform,
                      radial_monotonicity_check, rho_radius,
                      shooting_oracle_sup_norm, solve_positive,
                      torsion_bound_check, torsion_function)
-from .radial import (HardyHenonParams, PolyharmonicState, RadialField,
-                     RadialGrid, hardy_bound_factor, iterated_green,
-                     jensen_gap, poisson_solve_ball, polyharmonic_apply,
+from .radial import (HardyHenonParams, RadialField, RadialGrid,
+                     hardy_bound_factor, iterated_green, jensen_gap,
+                     poisson_solve_ball, polyharmonic_apply,
                      radial_laplacian, recenter_average, rescale,
                      singular_solution, weighted_source_average)
 

@@ -94,7 +94,7 @@ def riesz_composition(gaps: list, tol: float = COMPOSITION_TOL) -> Check:
 def monomial_coefficient() -> Check:
     """eq:2-31: one radial double integration of r^beta on the unit ball
     has u(0) = 1/((beta+2)(beta+n))."""
-    grid = RD.RadialGrid.graded(0.0, 1.0, 513)
+    grid = RD.RadialGrid.graded(0.0, 1.0, NV.DEFAULT_NODES)
     worst = 0.0
     for beta, n in ((0.0, 4), (2.5, 4), (8.0, 6)):
         f = RD.RadialField.from_function(grid, lambda r: r ** beta)
@@ -187,8 +187,7 @@ def torsion_bound(problem: NV.NavierProblem) -> Check:
     """eq:4-9: the torsion function stays below diam^2/(2n)."""
     h = NV.torsion_function(problem)
     return Check("torsion-bound", "eq:4-9", float(np.max(h.values)),
-                 problem.diameter ** 2 / (2.0 * problem.params.n),
-                 NV.torsion_bound_check(h, problem))
+                 problem.torsion_cap, NV.torsion_bound_check(h, problem))
 
 
 def scan_survivors(result: LV.ScanResult) -> list:

@@ -126,15 +126,15 @@ def cmd_solve(args) -> int:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, args.p, args.t)
         problem = NV.NavierProblem(params, args.R)
         NV.check_solver_order(problem)
-        config = NV.SolverConfig(n_nodes=args.nodes,
-                                 fixed_point_tol=args.tol)
+        grid = problem.default_grid(args.nodes)
+        NV.check_tolerance("tol", args.tol)
     except ValueError as exc:
         return _config_error(str(exc))
-    sol = NV.solve_positive(problem, config)
+    sol = NV.solve_positive(problem, grid, args.tol)
     label = (f"u(n={args.n},m={args.m},p={args.p:g},t={args.t:g},"
              f"R={args.R:g})")
     sol.u.to_csv(str(_out_dir(args) / "solution.csv"), label)
-    for i, layer in enumerate(sol.state.layers[1:], start=1):
+    for i, layer in enumerate(sol.layers[1:], start=1):
         layer.to_csv(str(_out_dir(args) / f"layer{i}.csv"),
                      label.replace("u(", f"u{i}("))
     return _finish(args, "solve", sol.certificates,
@@ -217,7 +217,7 @@ def cmd_report(args) -> int:
     """Condensed certificate battery with one row per check."""
     params = RD.HardyHenonParams(4, 2, 0.0, 2.0)
     problem = NV.NavierProblem(params, 1.0)
-    sol = NV.solve_positive(problem, NV.SolverConfig(n_nodes=257))
+    sol = NV.solve_positive(problem, problem.default_grid(257))
     threshold = C.divergence_threshold()
     state = L.LadderState.initial(threshold.value, params)
     scan = LV.scan([np.linspace(0.5, 8.0, 9), np.linspace(-8.0, 8.0, 9)],
@@ -332,17 +332,16 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eigen", help="first Navier eigenpair on the ball")
     _add_shared(sp, "n", "m")
     sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--nodes", type=int, default=513)
-    sp.add_argument("--tol", type=float, default=NV.SolverConfig.eigen_tol)
+    sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
+    sp.add_argument("--tol", type=float, default=NV.EIGEN_TOL)
     sp.set_defaults(func=cmd_eigen)
 
     sp = sub.add_parser("solve", help="positive Navier solution on the ball")
     _add_shared(sp, "n", "m", "p")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--nodes", type=int, default=513)
-    sp.add_argument("--tol", type=float,
-                    default=NV.SolverConfig.fixed_point_tol)
+    sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
+    sp.add_argument("--tol", type=float, default=NV.FIXED_POINT_TOL)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("shoot", help="classify one radial trajectory")

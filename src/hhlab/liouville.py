@@ -183,11 +183,11 @@ def _step_event(rec: StepRecord, sign_rows, blow_threshold: float,
     events = []
     for j in sign_rows:
         if y1[j] < -sign_tol:
-            t_star = hermite_crossing(rec, lambda y, j=j: y[j], -sign_tol)
+            t_star = hermite_crossing(rec, j, -sign_tol)
             events.append((t_star, OutcomeKind.SIGN_LOSS, j // 2))
     # amplitude blow-up terminates even in pure tracking mode
     if y1[0] > blow_threshold:
-        t_star = hermite_crossing(rec, lambda y: y[0], blow_threshold)
+        t_star = hermite_crossing(rec, 0, blow_threshold)
         events.append((t_star, OutcomeKind.BLOW_UP, None))
     # the earliest event wins; ties go to the lowest layer
     return min(events, key=lambda e: e[0]) if events else None

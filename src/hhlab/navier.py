@@ -20,21 +20,28 @@ solution amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, root
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import jv
 
-from .errors import AmplitudeRangeError, BracketError, ConvergenceError
+from .errors import (AmplitudeRangeError, BracketError, ConvergenceError,
+                     GridError)
 from .numerics import Check, ball_volume, surface_area
-from .radial import (LOG_HUGE, LOG_TINY, MIN_NODES, HardyHenonParams,
-                     PolyharmonicState, RadialField, RadialGrid,
-                     iterated_green, poisson_solve_ball)
+from .radial import (LOG_HUGE, LOG_TINY, HardyHenonParams, RadialField,
+                     RadialGrid, iterated_green, poisson_solve_ball,
+                     weighted_cumulative)
+
+# nodes of the default graded grid
+DEFAULT_NODES = 513
+# certified bound on the fixed-point residual max|u - K(u)| / sup u
+FIXED_POINT_TOL = 1e-8
+# sup-norm change at which the eigenfunction's inverse power iteration stops
+EIGEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,14 @@ class NavierProblem:
     def diameter(self) -> float:
         return 2.0 * self.R
 
-    def default_grid(self, n_nodes: int = 513) -> RadialGrid:
+    @property
+    def torsion_cap(self) -> float:
+        """diam^2/(2n), the center value of the comparison paraboloid
+        (diam^2 - r^2)/(2n) that bounds the torsion function."""
+        return self.diameter ** 2 / (2.0 * self.params.n)
+
+    def default_grid(self, n_nodes: int = DEFAULT_NODES) -> RadialGrid:
+        """The graded grid on [0, R] every solver uses unless given one."""
         return RadialGrid.graded(0.0, self.R, n_nodes)
 
 
@@ -67,38 +81,6 @@ def check_tolerance(name: str, tol: float) -> None:
     """Raise ValueError unless tol is positive and finite."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Grid and tolerances of `solve_positive`.
-
-    fixed_point_tol bounds the certified residual max|u - K(u)| / sup u;
-    picard_tol is the inner tolerance, on the shape change of the bracket's
-    Picard iterations (at most max_picard per amplitude) and on the
-    relative residual at which Newton stops."""
-
-    n_nodes: int = 513
-    grid_kind: str = "graded"
-    fixed_point_tol: float = 1e-8
-    eigen_tol: float = 1e-10
-    picard_tol: float = 1e-12
-    max_picard: int = 400
-
-    def __post_init__(self):
-        if self.n_nodes < MIN_NODES:
-            raise ValueError(f"grid needs at least {MIN_NODES} nodes, "
-                             f"got {self.n_nodes}")
-        if self.grid_kind not in ("graded", "uniform"):
-            raise ValueError(f"grid_kind must be 'graded' or 'uniform', "
-                             f"got {self.grid_kind!r}")
-        for name in ("fixed_point_tol", "eigen_tol", "picard_tol"):
-            check_tolerance(name, getattr(self, name))
-
-    def make_grid(self, R: float) -> RadialGrid:
-        if self.grid_kind == "uniform":
-            return RadialGrid.uniform(0.0, R, self.n_nodes)
-        return RadialGrid.graded(0.0, R, self.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -120,16 +102,19 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class NavierSolution:
-    state: PolyharmonicState
+    """u = layers[0] with its Navier chain layers[i] = (-Lap)^i u, and what
+    certifies it."""
+
+    layers: tuple
     residual: float
     sup_norm: float
     certificates: tuple  # of Check, from build_certificates
-    eigen: Optional[EigenPair] = None
-    stats: Optional[SolverStats] = None
+    eigen: EigenPair
+    stats: SolverStats
 
     @property
     def u(self) -> RadialField:
-        return self.state.layers[0]
+        return self.layers[0]
 
 
 @dataclass(frozen=True)
@@ -146,8 +131,8 @@ def apply_K(u: RadialField, problem: NavierProblem,
             with_layers: bool = False):
     """K(u) = m-fold ball Green solve of u^p + t.
 
-    Fixed points solve the Navier problem; returns layer 0 (or the full
-    stack with with_layers=True).
+    Fixed points solve the Navier problem; returns layer 0 (or the layer
+    tuple of `iterated_green` with with_layers=True).
     """
     p, t, m, n = (problem.params.p, problem.params.t, problem.params.m,
                   problem.params.n)
@@ -155,8 +140,8 @@ def apply_K(u: RadialField, problem: NavierProblem,
     if np.any(vals < -1e-12 * max(1.0, float(np.max(np.abs(vals))))):
         raise ValueError("apply_K requires a nonnegative field")
     source = u.with_values(np.maximum(vals, 0.0) ** p + t)
-    state = iterated_green(source, problem.R, n, m)
-    return state if with_layers else state.layers[0]
+    layers = iterated_green(source, problem.R, n, m)
+    return layers if with_layers else layers[0]
 
 
 def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
@@ -174,7 +159,7 @@ def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
     return (zero / R) ** 2
 
 
-def first_eigenpair(problem: NavierProblem, tol: float = 1e-10,
+def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
                     grid: Optional[RadialGrid] = None,
                     max_iter: int = 200) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
@@ -211,13 +196,17 @@ def first_eigenpair(problem: NavierProblem, tol: float = 1e-10,
 _NEWTON_WIDTH = 1e-2
 # relative bracket width at which the solve gives up. Newton converges
 # from brackets a million times wider; failing in one this narrow means the
-# linear solves are broken. Bisection alone would not meet picard_tol here.
+# linear solves are broken. Bisection alone would not meet _PICARD_TOL here.
 _MIN_WIDTH = 1e-8
+# inner tolerance: on the shape change of the bracket's Picard iterations
+# (at most _MAX_PICARD per amplitude) and on the relative residual at which
+# Newton stops
+_PICARD_TOL = 1e-12
+_MAX_PICARD = 400
 # GMRES restart length; the Krylov basis holds this many grid vectors
 _GMRES_RESTART = 20
 # relative tolerance of each GMRES solve (the inexact-Newton forcing term)
 _GMRES_RTOL = 1e-4
-
 
 
 def rho_radius(problem: NavierProblem) -> float:
@@ -249,10 +238,8 @@ class _FixedPointSolve:
     """One solve of u = K(u): the amplitude bracket, the safeguarded
     Newton-GMRES iteration, and the counts they accumulate."""
 
-    def __init__(self, problem: NavierProblem, config: SolverConfig,
-                 grid: RadialGrid):
+    def __init__(self, problem: NavierProblem, grid: RadialGrid):
         self.problem = problem
-        self.config = config
         self.grid = grid
         # Bound on log(size of every intermediate of K(s v) / size of its
         # source), sup v <= 1: the Green solves' values and integrals stay
@@ -301,11 +288,11 @@ class _FixedPointSolve:
     def g(self, s: float, v: RadialField):
         """g(s) = ||K(s shape)|| - s at the shape (sup 1) the normalized
         Picard map converges to from v; returns (g(s), shape)."""
-        for _ in range(self.config.max_picard):
+        for _ in range(_MAX_PICARD):
             new, nw = self.picard_step(s, v)
             delta = float(np.max(np.abs(new.values - v.values)))
             v = new
-            if delta < self.config.picard_tol:
+            if delta < _PICARD_TOL:
                 return nw - s, v
         raise ConvergenceError("normalized Picard iteration did not converge")
 
@@ -365,15 +352,14 @@ class _FixedPointSolve:
     def newton(self, u: RadialField, lo: float, hi: float):
         """Newton-GMRES on F(u) = u - K(u), iterates projected onto u >= 0.
 
-        Returns (u, K(u) layers) once max|F| <= picard_tol sup u, or None
+        Returns (u, K(u) layers) once max|F| <= _PICARD_TOL sup u, or None
         as soon as a step fails to halve max|F| or moves sup u out of
         [lo, hi]."""
-        tol = self.config.picard_tol
-        state = apply_K(u, self.problem, with_layers=True)
-        F = u.values - state.layers[0].values
+        layers = apply_K(u, self.problem, with_layers=True)
+        F = u.values - layers[0].values
         res, sup = float(np.max(np.abs(F))), float(np.max(u.values))
         history = [res / sup]
-        while res > tol * sup:
+        while res > _PICARD_TOL * sup:
             self.newton_steps += 1
             dx = self.newton_direction(u, F)
             if dx is None:
@@ -382,15 +368,15 @@ class _FixedPointSolve:
             sup_new = float(np.max(new.values))
             if not lo <= sup_new <= hi:
                 return None
-            new_state = apply_K(new, self.problem, with_layers=True)
-            F_new = new.values - new_state.layers[0].values
+            new_layers = apply_K(new, self.problem, with_layers=True)
+            F_new = new.values - new_layers[0].values
             res_new = float(np.max(np.abs(F_new)))
             if not res_new <= 0.5 * res:
                 return None
-            u, state, F, res, sup = new, new_state, F_new, res_new, sup_new
+            u, layers, F, res, sup = new, new_layers, F_new, res_new, sup_new
             history.append(res / sup)
         self.newton_residuals = tuple(history)
-        return u, state
+        return u, layers
 
     def newton_direction(self, u: RadialField, F):
         """GMRES solution of J dx = -F with J x = x - G^m(p u^(p-1) x), or
@@ -403,7 +389,7 @@ class _FixedPointSolve:
             self.gmres_products += 1
             w = iterated_green(u.with_values(slope * x), R, params.n,
                                params.m)
-            return x - w.layers[0].values
+            return x - w[0].values
 
         # solve for dx / sup u, so that GMRES's 2-norms cannot overflow
         scale = float(np.max(u.values))
@@ -417,9 +403,11 @@ class _FixedPointSolve:
         return dx
 
 
-def solve_positive(problem: NavierProblem,
-                   config: SolverConfig = SolverConfig()) -> NavierSolution:
-    """Find a positive fixed point of K with amplitude at least rho.
+def solve_positive(problem: NavierProblem, grid: Optional[RadialGrid] = None,
+                   tol: float = FIXED_POINT_TOL) -> NavierSolution:
+    """Find a positive fixed point of K with amplitude at least rho, on
+    `grid` (default `problem.default_grid()`, and it must run from 0 to R)
+    with certified residual max|u - K(u)| / sup u below `tol`.
 
     For a trial amplitude s the normalized Picard map converges to a
     shape; g(s) = ||K(s shape)|| - s changes sign across the nontrivial
@@ -435,42 +423,52 @@ def solve_positive(problem: NavierProblem,
     the one this homotopy finds and makes no minimality claim.
     """
     check_solver_order(problem)
-    grid = config.make_grid(problem.R)
-    solver = _FixedPointSolve(problem, config, grid)
-    u, state = solver.run()
-    w = state.layers[0]
-    residual = float(np.max(np.abs(u.values - w.values))) \
+    check_tolerance("tol", tol)
+    if grid is None:
+        grid = problem.default_grid()
+    elif grid.r0 != 0.0 or grid.r_max != problem.R:
+        raise GridError(f"solver grid must run from 0 to R={problem.R:g}, "
+                        f"got [{grid.r0:g}, {grid.r_max:g}]")
+    solver = _FixedPointSolve(problem, grid)
+    u, layers = solver.run()
+    residual = float(np.max(np.abs(u.values - layers[0].values))) \
         / float(np.max(u.values))
-    if residual > config.fixed_point_tol:
+    if residual > tol:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} above tolerance")
 
-    eig = first_eigenpair(problem, config.eigen_tol, grid)
-    sol = NavierSolution(state, residual, float(np.max(np.abs(w.values))),
-                         (), eig, solver.stats())
-    return replace(sol, certificates=build_certificates(
-        sol, problem, config.fixed_point_tol))
+    eig = first_eigenpair(problem, EIGEN_TOL, grid)
+    return NavierSolution(layers, residual, layers[0].sup_norm,
+                          build_certificates(layers, residual, eig, problem,
+                                             tol),
+                          eig, solver.stats())
 
 
-def build_certificates(sol: NavierSolution, problem: NavierProblem,
-                       tol: float) -> tuple:
-    """The solver's certificates, as `Check`s: the fixed-point residual
-    below `tol`, positive layers, Navier boundary values, the amplitude
-    lower bound rho, the eigenvalue energy bound and radial monotonicity."""
-    layers = sol.state.layers
+def build_certificates(layers: tuple, residual: float, eig: EigenPair,
+                       problem: NavierProblem, tol: float) -> tuple:
+    """The certificates of the layer stack `layers` (u first) with
+    fixed-point residual `residual`, as `Check`s: the residual below `tol`,
+    positive layers, Navier boundary values, the amplitude lower bound rho,
+    the eigenvalue energy bound against `eig` and radial monotonicity."""
+    u = layers[0]
+    sup = u.sup_norm
     positive = all(bool(np.all(layer.values[:-1] > 0.0)) for layer in layers)
-    edge = 1e-10 * max(1.0, sol.sup_norm)
+    edge = 1e-10 * max(1.0, sup)
     boundary = all(abs(float(layer.values[-1])) <= edge for layer in layers)
     rho = rho_radius(problem)
-    lhs, rhs, energy_ok = energy_bound_check(sol, sol.eigen, problem)
-    monotone = radial_monotonicity_check(sol.u)
+    lhs, rhs, energy_ok = energy_bound_check(u, eig, problem)
+    p, t = problem.params.p, problem.params.t
+    # u_1 = -Lap u; for m = 1 it is the source, up to the residual
+    u1 = layers[1] if len(layers) > 1 \
+        else u.with_values(np.maximum(u.values, 0.0) ** p + t)
+    monotone = radial_monotonicity_check(u, u1, problem.params.n)
     return (
-        Check("fixed-point-residual", "eq:4-30", sol.residual, tol,
-              sol.residual < tol),
+        Check("fixed-point-residual", "eq:4-30", residual, tol,
+              residual < tol),
         Check("positive-layers", "eq:3-3", positive, True, positive),
         Check("boundary-values", "eq:Navier", boundary, True, boundary),
-        Check("amplitude-lower-bound", "eq:1.8", sol.sup_norm, rho,
-              sol.sup_norm >= rho - 1e-9),
+        Check("amplitude-lower-bound", "eq:1.8", sup, rho,
+              sup >= rho - 1e-9),
         Check("energy-bound", "eq:3-41", lhs, rhs, energy_ok),
         Check("radial-monotonicity", "thm:Boundary", monotone, True,
               monotone))
@@ -492,11 +490,8 @@ def torsion_function(problem: NavierProblem,
 def torsion_bound_check(h: RadialField, problem: NavierProblem) -> bool:
     """0 <= h < diam^2/(2n), strictly below the comparison paraboloid
     zeta(r) = (diam^2 - r^2)/(2n) in the open ball."""
-    n = problem.params.n
-    diam = problem.diameter
-    r = h.grid.nodes
-    zeta = (diam ** 2 - r ** 2) / (2.0 * n)
-    cap = diam ** 2 / (2.0 * n)
+    cap = problem.torsion_cap
+    zeta = cap - h.grid.nodes ** 2 / (2.0 * problem.params.n)
     vals = h.values
     if np.any(vals < -1e-12):
         return False
@@ -505,31 +500,39 @@ def torsion_bound_check(h: RadialField, problem: NavierProblem) -> bool:
     return bool(np.all(vals[:-1] < zeta[:-1]))
 
 
-def energy_bound_check(sol: NavierSolution, eig: EigenPair,
+def energy_bound_check(u: RadialField, eig: EigenPair,
                        problem: NavierProblem):
-    """Tests integral of u^p phi over the ball against lambda1^(p') |ball|."""
+    """Tests integral of u^p phi over the ball against lambda1^(p') |ball|.
+
+    The radial integral splines u^p phi with the grid's cached Green solve
+    and integrates the weight r^(n-1) exactly per panel; u and phi share
+    the grid."""
     n, p = problem.params.n, problem.params.p
-    u, phi = sol.u, eig.phi
-    r = u.grid.nodes
-    integrand = r ** (n - 1) * np.maximum(u.values, 0.0) ** p * phi.values
-    anti = CubicSpline(r, integrand).antiderivative()
-    lhs = surface_area(n) * float(anti(r[-1]) - anti(r[0]))
+    f = np.maximum(u.values, 0.0) ** p * eig.phi.values
+    lhs = surface_area(n) * u.grid.green(n).integral(f)
     p_conj = p / (p - 1.0)
     rhs = eig.lambda1 ** p_conj * ball_volume(n, problem.R)
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-8))
 
 
-def radial_monotonicity_check(u, tol: Optional[float] = None) -> bool:
-    """True when the profile is radially nonincreasing (u' <= tol), the
+def radial_monotonicity_check(u: RadialField, u1: RadialField,
+                              n: int) -> bool:
+    """True when the profile u is radially nonincreasing (u' <= tol), the
     radial surrogate for monotonicity along the inward boundary normal.
-    Accepts a RadialField or a NavierSolution (checked on its layer 0)."""
-    if isinstance(u, NavierSolution):
-        u = u.u
-    d1 = u.grid.stencils().first(u.values)
-    if tol is None:
-        scale = float(np.max(np.abs(u.values)))
-        span = u.grid.r_max - u.grid.r0
-        tol = 1e-8 * scale / max(span, 1e-30) + 1e-12
+
+    u' is taken from the Navier chain, not from a difference stencil:
+    u'(r) = -r^(1-n) int_0^r s^(n-1) u_1(s) ds with u_1 = -Lap u on the
+    same grid, which must start at the origin (u'(0) = 0). On graded grids
+    adjacent values of u near r = 0 agree to the last bit, and a stencil
+    there reads round-off."""
+    r = u.grid.nodes
+    if r[0] != 0.0:
+        raise GridError("monotonicity check needs a grid from the origin")
+    d1 = np.zeros_like(r)
+    d1[1:] = -r[1:] ** (1 - n) * weighted_cumulative(r, u1.values, n)[1:]
+    scale = float(np.max(np.abs(u.values)))
+    span = u.grid.r_max - u.grid.r0
+    tol = 1e-8 * scale / max(span, 1e-30) + 1e-12
     return bool(np.max(d1) <= tol)
 
 

@@ -224,26 +224,6 @@ class RadialField:
         return cls(RadialGrid(data[:, 0], "loaded"), data[:, 1])
 
 
-@dataclass(frozen=True)
-class PolyharmonicState:
-    """Layer stack (u, u_1, ..., u_{m-1}) with u_i = (-Laplace)^i u."""
-
-    layers: tuple
-
-    def __post_init__(self):
-        if len(self.layers) < 1:
-            raise ValueError("state needs at least one layer")
-        object.__setattr__(self, "layers", tuple(self.layers))
-
-    @property
-    def m(self) -> int:
-        return len(self.layers)
-
-    @property
-    def u(self) -> RadialField:
-        return self.layers[0]
-
-
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
@@ -383,6 +363,10 @@ class _GreenSolve:
         t = (s[:-1] + s[1:] - 2.0 * slope) / dx
         return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
+    def integral(self, f) -> float:
+        """int_{r_0}^{r_N} t^(n-1) f dt, with f the spline of its values."""
+        return float(_integrate_panels(self.spline(f), self._inner)[-1])
+
     def solve(self, f, head: float = 0.0):
         """u(r_j) = int_{r_j}^R s^(1-n) (head + int_{r_0}^s t^(n-1) f) ds,
         with `head` the inner integral over [0, r_0]."""
@@ -414,9 +398,9 @@ def poisson_solve_ball(f: RadialField, R: float, n: int) -> RadialField:
     return RadialField(f.grid, green.solve(f.values, head))
 
 
-def iterated_green(f: RadialField, R: float, n: int, m: int
-                   ) -> PolyharmonicState:
-    """Apply the ball Green operator m times; return the full layer stack.
+def iterated_green(f: RadialField, R: float, n: int, m: int) -> tuple:
+    """Apply the ball Green operator m times; return the layer stack
+    (u, u_1, ..., u_{m-1}).
 
     Layer 0 is the final potential u and layer i its i-th iterated negative
     Laplacian, so every layer vanishes at R (Navier boundary data).
@@ -428,7 +412,7 @@ def iterated_green(f: RadialField, R: float, n: int, m: int
     for _ in range(m):
         g = poisson_solve_ball(g, R, n)
         chain.append(g)
-    return PolyharmonicState(tuple(reversed(chain)))
+    return tuple(reversed(chain))
 
 
 def _sphere_average(fn: Callable, d: float, r: float, n: int) -> float:
@@ -454,6 +438,13 @@ def _check_coverage(f: RadialField, d: float, r: float) -> None:
             f"covers [{f.grid.r0:g}, {f.grid.r_max:g}]")
 
 
+def _clipped(f: RadialField) -> Callable:
+    """f's interpolant with arguments clipped to the grid, so that sphere
+    radii rounded just past a covered end stay evaluable."""
+    interp = f.interpolator()
+    return lambda arg: interp(np.clip(arg, f.grid.r0, f.grid.r_max))
+
+
 def recenter_average(f: RadialField, d: float, r: float, n: int) -> float:
     """Spherical average of the radial profile f over the sphere of radius r
     centered at distance d from the origin."""
@@ -462,12 +453,7 @@ def recenter_average(f: RadialField, d: float, r: float, n: int) -> float:
     if r == 0.0:
         return float(f(d))
     _check_coverage(f, d, r)
-    interp = f.interpolator()
-
-    def safe(arg):
-        return interp(np.clip(arg, f.grid.r0, f.grid.r_max))
-
-    return _sphere_average(safe, d, r, n)
+    return _sphere_average(_clipped(f), d, r, n)
 
 
 def jensen_gap(f: RadialField, p: float, d: float, r: float, n: int) -> float:
@@ -478,11 +464,7 @@ def jensen_gap(f: RadialField, p: float, d: float, r: float, n: int) -> float:
     if r == 0.0:
         return 0.0
     _check_coverage(f, d, r)
-    interp = f.interpolator()
-
-    def safe(arg):
-        return interp(np.clip(arg, f.grid.r0, f.grid.r_max))
-
+    safe = _clipped(f)
     avg_pow = _sphere_average(lambda s: np.maximum(safe(s), 0.0) ** p, d, r, n)
     avg = _sphere_average(safe, d, r, n)
     return avg_pow - max(avg, 0.0) ** p
@@ -493,11 +475,10 @@ def weighted_source_average(f: RadialField, p: float, a: float, d: float,
     """Re-centered average of f^p |x|^(-a) over the sphere (the source term
     seen by the top equation of the radial system)."""
     _check_coverage(f, d, r)
-    interp = f.interpolator()
+    safe = _clipped(f)
 
     def source(arg):
-        base = np.maximum(interp(np.clip(arg, f.grid.r0, f.grid.r_max)),
-                          0.0) ** p
+        base = np.maximum(safe(arg), 0.0) ** p
         if a == 0.0:
             return base
         return base * np.asarray(arg) ** (-a)

@@ -116,29 +116,29 @@ class StepRecord:
     f0: list
     f1: list
 
-    def eval(self, t):
-        """Cubic Hermite interpolant on [t0, t1]."""
+    def eval(self, t, j: int) -> float:
+        """Component j of the cubic Hermite interpolant on [t0, t1]."""
         h = self.t1 - self.t0
         s = (t - self.t0) / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return [h00 * a + h01 * b + h * (h10 * fa + h11 * fb)
-                for a, b, fa, fb in zip(self.y0, self.y1, self.f0, self.f1)]
+        return h00 * self.y0[j] + h01 * self.y1[j] \
+            + h * (h10 * self.f0[j] + h11 * self.f1[j])
 
 
-def hermite_crossing(rec: StepRecord, component: Callable, level: float,
+def hermite_crossing(rec: StepRecord, j: int, level: float,
                      tol: float = 1e-13) -> float:
-    """Locate where component(y(t)) crosses `level` inside a step, by
-    bisection on the Hermite interpolant."""
+    """Locate where component j of y(t) crosses `level` inside a step, by
+    bisection on the Hermite interpolant of that component alone."""
     lo, hi = rec.t0, rec.t1
-    glo = component(rec.y0) - level
+    glo = rec.y0[j] - level
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol * max(1.0, abs(mid)):
             return mid
-        gm = component(rec.eval(mid)) - level
+        gm = rec.eval(mid, j) - level
         if (glo <= 0.0) == (gm <= 0.0):
             lo, glo = mid, gm
         else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hhlab.navier import NavierProblem, SolverConfig, solve_positive
+from hhlab.navier import NavierProblem, solve_positive
 from hhlab.radial import HardyHenonParams
 
 
@@ -13,7 +13,7 @@ def unit_problem():
 
 @pytest.fixture(scope="session")
 def unit_solution(unit_problem):
-    return solve_positive(unit_problem, SolverConfig(n_nodes=513))
+    return solve_positive(unit_problem)
 
 
 @pytest.fixture()

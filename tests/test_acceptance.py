@@ -13,15 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from hhlab import checks
+from hhlab import checks, navier
 from hhlab.kernels import riesz_compose_check, riesz_constant
 from hhlab.ladder import (LadderState, divergence_threshold, ladder_advance,
                           ladder_closed_form, monomial_poisson_coefficient)
 from hhlab.liouville import (OutcomeKind, bubble_amplitude, bubble_oracle,
                              reference_axes, representation_check, scan,
                              shoot)
-from hhlab.navier import (NavierProblem, SolverConfig, apply_K,
-                          blowup_normalize,
+from hhlab.navier import (NavierProblem, apply_K, blowup_normalize,
                           first_dirichlet_eigenvalue_oracle, first_eigenpair,
                           kelvin_transform, shooting_oracle_sup_norm,
                           solve_positive, torsion_bound_check,
@@ -153,9 +152,9 @@ def test_05_eigenvalue_oracle():
 
 def test_06_existence_and_lower_bound():
     problem = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
-    sol = solve_positive(problem, SolverConfig(n_nodes=513))
+    sol = solve_positive(problem, problem.default_grid(513))
     certs = {c.name: c.ok for c in sol.certificates}
-    u1_origin = float(sol.state.layers[1].values[0])
+    u1_origin = float(sol.layers[1].values[0])
     oracle = shooting_oracle_sup_norm(problem, [sol.sup_norm, u1_origin])
     oracle_gap = abs(oracle / sol.sup_norm - 1.0)
     ok = (sol.residual < FIXED_POINT_TOL and certs["positive-layers"]
@@ -237,7 +236,7 @@ def test_10_invariance_suite():
             / (amplitude * v.grid.nodes ** -sigma))))
 
     problem = NavierProblem(params, 1.0)
-    sol = solve_positive(problem, SolverConfig(n_nodes=513))
+    sol = solve_positive(problem, problem.default_grid(513))
     v, lam = blowup_normalize(sol.u, params)
     peak = float(v.values[0])
     induced = NavierProblem(
@@ -272,7 +271,7 @@ def test_registry_bounds_are_no_looser():
         (checks.LADDER_TOL, LADDER_TOL),
         (checks.SINGULAR_REL, SINGULAR_REL),
         (checks.EIGEN_REL, EIGEN_REL),
-        (SolverConfig().fixed_point_tol, FIXED_POINT_TOL),
+        (navier.FIXED_POINT_TOL, FIXED_POINT_TOL),
         (checks.REPRESENTATION_TOL, REPRESENTATION_TOL),
     ]
     assert all(ours <= pinned for ours, pinned in pairs), pairs

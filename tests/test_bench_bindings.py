@@ -112,7 +112,7 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     monkeypatch.setattr(radial._GreenSolve, "solve", counted_solve)
     m = 2
     problem = navier.NavierProblem(HardyHenonParams(4, m, 0.0, 2.0, 0.5))
-    sol = navier.solve_positive(problem, navier.SolverConfig(n_nodes=129))
+    sol = navier.solve_positive(problem, problem.default_grid(129))
     assert solves["outside"] == 0
     assert solves["inside"] == (m * calls["iterated_green"]
                                 + calls["poisson_solve_ball"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import hhlab.navier as navier
-from hhlab.errors import AmplitudeRangeError, BracketError, ConvergenceError
+from hhlab.errors import (AmplitudeRangeError, BracketError, ConvergenceError,
+                          GridError)
 from hhlab.liouville import bubble_amplitude
-from hhlab.navier import (NavierProblem, SolverConfig, apply_K,
+from hhlab.navier import (NavierProblem, apply_K,
                           blowup_normalize, energy_bound_check,
                           first_dirichlet_eigenvalue_oracle, first_eigenpair,
                           kelvin_pde_check, kelvin_transform,
@@ -31,22 +32,26 @@ class TestProblem:
             NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), R)
 
 
-class TestSolverConfig:
-    @pytest.mark.parametrize("kwargs", [
-        dict(n_nodes=10), dict(n_nodes=31), dict(grid_kind="chebyshev")])
-    def test_rejects_bad_grid(self, kwargs):
+class TestSolveInputs:
+    @pytest.mark.parametrize("n_nodes", [10, 31])
+    def test_rejects_coarse_grid(self, unit_problem, n_nodes):
         with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+            solve_positive(unit_problem, unit_problem.default_grid(n_nodes))
 
-    @pytest.mark.parametrize("name", [
-        "fixed_point_tol", "eigen_tol", "picard_tol"])
+    @pytest.mark.parametrize("r0,r1", [(0.1, 1.0), (0.0, 2.0), (0.0, 0.5)])
+    def test_rejects_grid_off_the_ball(self, unit_problem, r0, r1):
+        with pytest.raises(GridError, match="from 0 to R"):
+            solve_positive(unit_problem, RadialGrid.uniform(r0, r1, 65))
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
-    def test_rejects_bad_tolerance(self, name, tol):
-        with pytest.raises(ValueError, match=name):
-            SolverConfig(**{name: tol})
+    def test_rejects_bad_tolerance(self, unit_problem, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_positive(unit_problem, tol=tol)
 
-    def test_smallest_grid_accepted(self):
-        assert len(SolverConfig(n_nodes=32).make_grid(1.0)) == 32
+    def test_smallest_grid_accepted(self, unit_problem):
+        grid = unit_problem.default_grid(32)
+        sol = solve_positive(unit_problem, grid)
+        assert sol.u.grid is grid and len(grid) == 32
 
 
 class TestApplyK:
@@ -119,10 +124,10 @@ class TestEigenpair:
     def test_fixed_point_certificate(self, unit_problem):
         from hhlab.radial import iterated_green
         eig = first_eigenpair(unit_problem, 1e-12)
-        state = iterated_green(
+        layers = iterated_green(
             eig.phi.with_values(eig.lambda1 * eig.phi.values),
             unit_problem.R, 4, 2)
-        err = np.max(np.abs(state.layers[0].values - eig.phi.values))
+        err = np.max(np.abs(layers[0].values - eig.phi.values))
         assert err < 1e-9
 
     def test_radius_scaling(self):
@@ -179,7 +184,7 @@ class TestSolve:
         assert all(c.ok for c in sol.certificates)
 
     def test_carries_its_eigenpair(self, unit_problem, unit_solution):
-        eig = first_eigenpair(unit_problem, SolverConfig().eigen_tol,
+        eig = first_eigenpair(unit_problem, navier.EIGEN_TOL,
                               unit_problem.default_grid(513))
         assert unit_solution.eigen.lambda1 == eig.lambda1
         np.testing.assert_array_equal(unit_solution.eigen.phi.values,
@@ -197,7 +202,7 @@ class TestSolve:
         # rescaling the unit-ball solution with lam = 1/2 solves the R=2 ball
         params = HardyHenonParams(4, 2, 0.0, 2.0)
         probR = NavierProblem(params, 2.0)
-        solR = solve_positive(probR, SolverConfig(n_nodes=513))
+        solR = solve_positive(probR, probR.default_grid(513))
         mapped = rescale(unit_solution.u, 0.5, params)
         assert mapped.grid.r_max == pytest.approx(2.0)
         assert float(np.max(mapped.values)) == pytest.approx(
@@ -206,7 +211,7 @@ class TestSolve:
     def test_small_forcing_branch(self):
         params = HardyHenonParams(4, 2, 0.0, 2.0, t=1.0)
         prob = NavierProblem(params, 1.0)
-        sol = solve_positive(prob, SolverConfig(n_nodes=257))
+        sol = solve_positive(prob, prob.default_grid(257))
         assert sol.residual < 1e-8
         assert sol.sup_norm >= rho_radius(prob)
         assert {c.name: c.ok for c in sol.certificates}["positive-layers"]
@@ -214,15 +219,14 @@ class TestSolve:
     def test_grid_convergence_order(self):
         # halving h changes the sup norm at observed order >= 1.8
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
-        sups = [solve_positive(
-            prob, SolverConfig(n_nodes=N, grid_kind="uniform")).sup_norm
-            for N in (33, 65, 129, 257)]
+        sups = [solve_positive(prob, RadialGrid.uniform(0.0, 1.0, N)).sup_norm
+                for N in (33, 65, 129, 257)]
         d = [abs(b - a) for a, b in zip(sups, sups[1:])]
         orders = [math.log2(d0 / d1) for d0, d1 in zip(d, d[1:])]
         assert min(orders) >= 1.8
 
     def test_shooting_oracle_agreement(self, unit_problem, unit_solution):
-        u1_origin = float(unit_solution.state.layers[1].values[0])
+        u1_origin = float(unit_solution.layers[1].values[0])
         oracle = shooting_oracle_sup_norm(
             unit_problem, [unit_solution.sup_norm, u1_origin])
         assert abs(oracle / unit_solution.sup_norm - 1.0) < 5e-3
@@ -238,8 +242,8 @@ class TestNewtonSolver:
         # p = 5 is where Newton from an unnarrowed bracket stalls off the
         # solution; t > 0 is where the branch choice matters
         prob = NavierProblem(HardyHenonParams(n, m, 0.0, p, t), 1.0)
-        sol = solve_positive(prob, SolverConfig(n_nodes=513))
-        init = [float(layer.values[0]) for layer in sol.state.layers]
+        sol = solve_positive(prob, prob.default_grid(513))
+        init = [float(layer.values[0]) for layer in sol.layers]
         oracle = shooting_oracle_sup_norm(prob, init)
         assert abs(oracle / sol.sup_norm - 1.0) < 5e-3
         assert all(c.ok for c in sol.certificates)
@@ -247,7 +251,7 @@ class TestNewtonSolver:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_forced_solution_lies_above_the_minimal_one(self, t):
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, t), 1.0)
-        sol = solve_positive(prob, SolverConfig(n_nodes=257))
+        sol = solve_positive(prob, prob.default_grid(257))
         # Picard from u = 0 increases monotonically to the minimal solution
         u = RadialField.constant(sol.u.grid, 0.0)
         for _ in range(200):
@@ -270,10 +274,10 @@ class TestNewtonSolver:
         # fail the safeguard at p = 5; each one narrows the bracket, and
         # the restarted Newton reaches the same solution
         prob = NavierProblem(HardyHenonParams(n, m, 0.0, 5.0, t), 1.0)
-        config = SolverConfig(n_nodes=257)
-        ref = solve_positive(prob, config)
+        grid = prob.default_grid(257)
+        ref = solve_positive(prob, grid)
         monkeypatch.setattr(navier, "_NEWTON_WIDTH", 1.0)
-        sol = solve_positive(prob, config)
+        sol = solve_positive(prob, grid)
         stats = sol.stats
         assert stats.newton_steps > len(stats.newton_residuals) - 1
         assert sol.sup_norm == pytest.approx(ref.sup_norm, rel=1e-10)
@@ -283,7 +287,7 @@ class TestNewtonSolver:
         # the solution sits about 2^69 rho above the contraction radius,
         # beyond a fixed budget of 60 bracket doublings
         prob = NavierProblem(HardyHenonParams(8, 4, 0.0, 1.2), 1.0)
-        sol = solve_positive(prob, SolverConfig(n_nodes=129))
+        sol = solve_positive(prob, prob.default_grid(129))
         ratio = math.log2(sol.sup_norm / rho_radius(prob))
         assert 68.0 < ratio < 70.0
         assert sol.sup_norm == pytest.approx(6.4405e32, rel=1e-3)
@@ -294,13 +298,13 @@ class TestNewtonSolver:
         # largest float: the doubling must stop with a BracketError
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 1.005), 1.0)
         with pytest.raises(BracketError, match="float range"):
-            solve_positive(prob, SolverConfig(n_nodes=65))
+            solve_positive(prob, prob.default_grid(65))
 
     def test_operator_overflow_at_rho(self):
         # rho ~ 1e200 is a float, but rho^p is not
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 4.0), 1e-150)
         with pytest.raises(AmplitudeRangeError):
-            solve_positive(prob, SolverConfig(n_nodes=65))
+            solve_positive(prob, prob.default_grid(65))
 
     def test_stats(self, unit_solution):
         stats = unit_solution.stats
@@ -309,7 +313,7 @@ class TestNewtonSolver:
         assert stats.gmres_products >= stats.newton_steps
         hist = stats.newton_residuals
         assert all(b <= 0.5 * a for a, b in zip(hist, hist[1:]))
-        assert hist[-1] <= SolverConfig().picard_tol
+        assert hist[-1] <= navier._PICARD_TOL
         assert hist[-1] == pytest.approx(unit_solution.residual, rel=1e-6)
 
     @pytest.mark.parametrize("garbage", ["nan", "random", "failure"])
@@ -327,7 +331,7 @@ class TestNewtonSolver:
         monkeypatch.setattr(navier, "gmres", fake_gmres)
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, 0.5), 1.0)
         with pytest.raises(ConvergenceError):
-            solve_positive(prob, SolverConfig(n_nodes=65))
+            solve_positive(prob, prob.default_grid(65))
 
 
 class TestTorsion:
@@ -358,19 +362,13 @@ class TestTorsion:
 class TestEnergyBound:
     def test_zero_field(self, unit_problem, unit_solution):
         eig = first_eigenpair(unit_problem, 1e-10)
-        zero_state = unit_solution.state
-        from hhlab.navier import NavierSolution
-        zero = NavierSolution(
-            zero_state, 0.0, 0.0, None)
-        zero = NavierSolution(
-            type(zero_state)((zero_state.layers[0].with_values(
-                np.zeros(len(zero_state.layers[0].grid))),)), 0.0, 0.0, None)
+        zero = RadialField.constant(eig.phi.grid, 0.0)
         lhs, rhs, ok = energy_bound_check(zero, eig, unit_problem)
         assert lhs == 0.0 and ok
 
     def test_computed_solution(self, unit_problem, unit_solution):
         eig = first_eigenpair(unit_problem, 1e-10)
-        lhs, rhs, ok = energy_bound_check(unit_solution, eig, unit_problem)
+        lhs, rhs, ok = energy_bound_check(unit_solution.u, eig, unit_problem)
         assert ok
         # tightness probe, reported but not asserted
         print(f"energy bound ratio lhs/rhs = {lhs / rhs:.4f}")
@@ -453,12 +451,52 @@ class TestBlowupNormalize:
             blowup_normalize(RadialField.constant(g, 0.0), params)
 
 
+def _bump(r, n, c=0.5, w=0.05):
+    """b(r) = exp(-((r - c)/w)^2) and -Lap b, both exact."""
+    x = (r - c) / w
+    b = np.exp(-x ** 2)
+    db = -2.0 * x / w * b
+    d2b = (4.0 * x ** 2 - 2.0) / w ** 2 * b
+    lap = np.empty_like(r)
+    lap[0] = n * d2b[0]
+    lap[1:] = d2b[1:] + (n - 1) / r[1:] * db[1:]
+    return b, -lap
+
+
 class TestMonotonicity:
     def test_solution_and_torsion(self, unit_solution, unit_problem):
-        assert radial_monotonicity_check(unit_solution.u)
-        assert radial_monotonicity_check(torsion_function(unit_problem))
+        u, u1 = unit_solution.layers
+        assert radial_monotonicity_check(u, u1, 4)
+        h = torsion_function(unit_problem)
+        assert radial_monotonicity_check(
+            h, RadialField.constant(h.grid, 1.0), 4)
 
     def test_negative_control(self, unit_problem):
+        # u = 1 - r^2 plus a bump: -Lap u = 2n - Lap b
         g = unit_problem.default_grid(257)
-        bad = RadialField(g, 1.0 + 0.05 * np.sin(6.0 * g.nodes))
-        assert not radial_monotonicity_check(bad)
+        b, lap_b = _bump(g.nodes, 4)
+        u = RadialField(g, 1.0 - g.nodes ** 2 + 0.1 * b)
+        u1 = RadialField(g, 8.0 + 0.1 * lap_b)
+        assert not radial_monotonicity_check(u, u1, 4)
+
+    def test_bumped_solver_stack_fails(self, unit_solution):
+        # mutation: a bump in u makes u_1 negative on an annulus
+        u, u1 = unit_solution.layers
+        b, lap_b = _bump(u.grid.nodes, 4)
+        amp = unit_solution.sup_norm
+        bumped = u1.with_values(u1.values + amp * lap_b)
+        assert np.min(bumped.values) < 0.0
+        assert not radial_monotonicity_check(
+            u.with_values(u.values + amp * b), bumped, 4)
+
+    def test_requires_a_grid_from_the_origin(self):
+        g = RadialGrid.uniform(0.1, 1.0, 65)
+        u = RadialField.from_function(g, lambda r: 1.0 - r ** 2)
+        with pytest.raises(GridError):
+            radial_monotonicity_check(u, RadialField.constant(g, 8.0), 4)
+
+    @pytest.mark.parametrize("n_nodes", [1025, 2049])
+    def test_fine_graded_grids_pass(self, unit_problem, n_nodes):
+        # difference stencils read round-off at r ~ 0 on these grids
+        sol = solve_positive(unit_problem, unit_problem.default_grid(n_nodes))
+        assert all(c.ok for c in sol.certificates)

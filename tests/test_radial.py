@@ -317,41 +317,40 @@ class TestIteratedGreen:
     def test_m1_reduces_to_single_solve(self):
         g = RadialGrid.graded(0.0, 1.0, 257)
         f = RadialField.from_function(g, lambda r: 1.0 + r)
-        state = iterated_green(f, 1.0, 4, 1)
+        layers = iterated_green(f, 1.0, 4, 1)
         u = poisson_solve_ball(f, 1.0, 4)
-        assert state.m == 1
-        np.testing.assert_allclose(state.layers[0].values, u.values, rtol=0)
+        assert len(layers) == 1
+        np.testing.assert_allclose(layers[0].values, u.values, rtol=0)
 
     def test_biharmonic_closed_form(self):
         # symbolic composition of the monomial rule for f = 1, m = 2, n = 4:
         # layer1 = (1-r^2)/8, layer0 = (1-r^2)(2-r^2)/192 (checked by
         # applying -Lap: layer0'' + (3/r) layer0' = (r^2-1)/8)
         g = RadialGrid.graded(0.0, 1.0, 513)
-        state = iterated_green(RadialField.constant(g, 1.0), 1.0, 4, 2)
+        layers = iterated_green(RadialField.constant(g, 1.0), 1.0, 4, 2)
         r = g.nodes
-        np.testing.assert_allclose(state.layers[1].values,
+        np.testing.assert_allclose(layers[1].values,
                                    (1.0 - r ** 2) / 8.0, atol=1e-14)
         np.testing.assert_allclose(
-            state.layers[0].values,
+            layers[0].values,
             (1.0 - r ** 2) * (2.0 - r ** 2) / 192.0, atol=1e-9)
 
     def test_navier_boundary_data(self):
         g = RadialGrid.graded(0.0, 1.5, 257)
         f = RadialField.from_function(g, lambda r: np.exp(-r))
-        state = iterated_green(f, 1.5, 6, 3)
-        for layer in state.layers:
+        for layer in iterated_green(f, 1.5, 6, 3):
             assert abs(layer.values[-1]) < 1e-10
 
     def test_consecutive_layers_satisfy_the_chain(self):
         # -Lap layer_i = layer_{i+1} within discretization residual
         g = RadialGrid.uniform(0.0, 1.0, 801)
         f = RadialField.from_function(g, lambda r: 1.0 + np.cos(r))
-        state = iterated_green(f, 1.0, 4, 3)
+        layers = iterated_green(f, 1.0, 4, 3)
         inner = slice(4, -4)
-        for i in range(state.m - 1):
-            lap = radial_laplacian(state.layers[i], 4)
-            err = np.abs(lap.values - state.layers[i + 1].values)[inner]
-            scale = np.max(np.abs(state.layers[i + 1].values))
+        for i in range(len(layers) - 1):
+            lap = radial_laplacian(layers[i], 4)
+            err = np.abs(lap.values - layers[i + 1].values)[inner]
+            scale = np.max(np.abs(layers[i + 1].values))
             assert err.max() < 1e-6 * max(scale, 1e-30)
 
 
@@ -421,6 +420,27 @@ class TestJensen:
         g = RadialGrid.uniform(0.0, 5.0, 801)
         f = RadialField.from_function(g, lambda r: 1.0 + r)
         assert jensen_gap(f, 2.0, 1.0, 1.0, 4) > 1e-6
+
+
+# Both averages of the Jensen gap use the same positive, normalised
+# Gauss-Legendre weights (at most 20 + 5n = 60 nodes here), so the discrete
+# gap is >= 0 exactly and only rounding of sums of that many terms, each
+# below max(f)^p, is left: a few 1e-14 max(f)^p. The floor allows 1e-12.
+JENSEN_FLOOR = 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.floats(1e-2, 1e2), min_size=32, max_size=96),
+       R=st.floats(0.5, 10.0), n=st.integers(2, 8),
+       p=st.floats(1.0, 6.0, exclude_min=True),
+       d_frac=st.floats(0.0, 1.0, exclude_max=True),
+       r_frac=st.floats(0.0, 1.0, exclude_min=True))
+def test_jensen_gap_is_nonnegative(values, R, n, p, d_frac, r_frac):
+    # any positive profile and any sphere inside the field's coverage
+    f = RadialField(RadialGrid.uniform(0.0, R, len(values)), values)
+    d = d_frac * R
+    r = r_frac * (R - d)
+    assert jensen_gap(f, p, d, r, n) >= -JENSEN_FLOOR * max(values) ** p
 
 
 def test_weighted_source_lower_bound(rng):

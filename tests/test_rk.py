@@ -125,15 +125,15 @@ class TestHermite:
 
     def test_interpolant_reproduces_a_cubic(self):
         for t in (0.0, 0.125, 0.3, 0.77, 1.0):
-            assert self.REC.eval(t)[0] == pytest.approx(cubic(t), abs=1e-15)
+            assert self.REC.eval(t, 0) == pytest.approx(cubic(t), abs=1e-15)
 
     def test_crossing_finds_the_cubic_root(self):
-        root = hermite_crossing(self.REC, lambda y: y[0], 0.0)
+        root = hermite_crossing(self.REC, 0, 0.0)
         assert abs(root - 0.3) < 1e-12
 
     def test_crossing_of_a_level(self):
         # cubic(t) = cubic(0.6) has its only root in [0, 1] at t = 0.6
-        root = hermite_crossing(self.REC, lambda y: y[0], cubic(0.6))
+        root = hermite_crossing(self.REC, 0, cubic(0.6))
         assert abs(root - 0.6) < 1e-12
 
 
