@@ -374,13 +374,17 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list) -> list:
-    """Load INI defaults for the chosen subcommand; flags still override."""
-    if "--config" not in argv:
+    """Load INI defaults for the chosen subcommand; flags still override.
+    The file is named by `--config PATH` or `--config=PATH`."""
+    path = None
+    for i, token in enumerate(argv):
+        if token == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        elif token.startswith("--config="):
+            path = token[len("--config="):]
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path, command = argv[idx + 1], argv[0] if argv else None
+    command = argv[0]
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise SystemExit(_config_error(f"config file {path!r} not readable"))
@@ -402,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HHLabError, ValueError) as exc:
+    except (HHLabError, ValueError, ArithmeticError) as exc:
         # inputs were checked in the command's guard: this is numerical
         json.dump({"error": str(exc), "code": 1,
                    "type": type(exc).__name__}, sys.stderr)

@@ -9,11 +9,14 @@ the Riesz composition identity
 valid for a1, a2, a1+a2 all in (0, n). The composition integral is reduced to
 polar coordinates about x (it depends on |x-z| only) and evaluated with
 Gauss-Legendre panels on meshes graded into the two algebraic singularities,
-plus analytic far-field tail.
+plus analytic far-field tail. With r = |x-z| rho the integral is
+|x-z|^(a1+a2-n) times its value at unit distance, so each refinement level's
+mesh is built once per process at |x-z| = 1 and shared by every check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -74,47 +77,70 @@ def green_ball(x, y, R: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 QUADRATURE_BUDGET = 250_000  # default evaluation budget of one check
+_OUTER_RADIUS = 400.0        # quadrature radius at unit distance
+_ROW_BLOCK = 64              # mesh rows raised to the kernel power at once
 
 
-def _composition_mesh(d: float, n_sing: int, n_far: int):
-    """Radial panel breakpoints graded into r=0 and r=d, growing to 400 d."""
+def _composition_mesh(n_sing: int, n_far: int):
+    """Radial panel breakpoints at unit distance: graded into rho = 0 and
+    rho = 1, then growing geometrically to 400."""
     ratio = 0.4
-    inner = graded_breaks(0.0, 0.5 * d, n_sing, ratio, toward="start")
-    into_d = graded_breaks(0.5 * d, d, n_sing, ratio, toward="end")
-    out_of_d = graded_breaks(d, 2.0 * d, n_sing, ratio, toward="start")
-    far = geometric_breaks(2.0 * d, 400.0 * d, 1.7)[:n_far + 1]
-    if far[-1] < 400.0 * d:
-        far = np.append(far, 400.0 * d)
+    inner = graded_breaks(0.0, 0.5, n_sing, ratio, toward="start")
+    into_d = graded_breaks(0.5, 1.0, n_sing, ratio, toward="end")
+    out_of_d = graded_breaks(1.0, 2.0, n_sing, ratio, toward="start")
+    far = geometric_breaks(2.0, _OUTER_RADIUS, 1.7)[:n_far + 1]
+    if far[-1] < _OUTER_RADIUS:
+        far = np.append(far, _OUTER_RADIUS)
     return np.concatenate([inner, into_d[1:], out_of_d[1:], far[1:]])
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_mesh(n_sing: int, n_theta: int, order: int):
+    """The tensor Gauss mesh of one refinement level at |x-z| = 1, built
+    once per process: radial nodes and weights, angular nodes and weights,
+    and Q = (rho - 1)^2 + 4 rho sin^2(theta/2), the squared distance to the
+    second singular point in the form that is cancellation-free near
+    (rho, theta) = (1, 0). The arrays are shared, so they are read-only."""
+    r_nodes, r_weights = panel_quadrature(_composition_mesh(n_sing, 12),
+                                          order)
+    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
+    t_nodes, t_weights = panel_quadrature(theta_breaks, order)
+    q = np.multiply.outer(4.0 * r_nodes, np.sin(0.5 * t_nodes) ** 2)
+    q += ((r_nodes - 1.0) ** 2)[:, None]
+    mesh = (r_nodes, r_weights, t_nodes, t_weights, q)
+    for a in mesh:
+        a.flags.writeable = False
+    return mesh
 
 
 def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
                           n_sing: int, n_theta: int, order: int) -> float:
-    """One graded-mesh evaluation of the composition integral at |x-z| = d."""
-    r_breaks = _composition_mesh(d, n_sing, 12)
-    r_nodes, r_weights = panel_quadrature(r_breaks, order)
+    """One graded-mesh evaluation of the composition integral at |x-z| = d.
 
-    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
-    t_nodes, t_weights = panel_quadrature(theta_breaks, order)
-
-    # squared distance from the second singular point z, in the form that is
-    # cancellation-free near (r, theta) = (d, 0), raised to the kernel power
-    # in place; the separable Jacobian factors r^(alpha1-1) and
-    # sin^(n-2) ride on the weights, so the mesh holds one array
-    q = np.multiply.outer(4.0 * d * r_nodes, np.sin(0.5 * t_nodes) ** 2)
-    q += ((r_nodes - d) ** 2)[:, None]
-    np.power(q, 0.5 * (alpha2 - n), out=q)
-    core = float((r_weights * r_nodes ** (alpha1 - 1))
-                 @ (q @ (t_weights * np.sin(t_nodes) ** (n - 2))))
+    With r = d rho the integral is d^(alpha1+alpha2-n) times its value at
+    unit distance, so every d shares the level's cached unit mesh."""
+    r_nodes, r_weights, t_nodes, t_weights, q = _unit_mesh(n_sing, n_theta,
+                                                           order)
+    # the separable Jacobian factors rho^(alpha1-1) and sin^(n-2) ride on
+    # the weights; Q is raised to the kernel power a block of rows at a
+    # time, so no temporary of the mesh's size is allocated
+    angular = t_weights * np.sin(t_nodes) ** (n - 2)
+    inner = np.empty(r_nodes.size)
+    block = np.empty((min(_ROW_BLOCK, r_nodes.size), t_nodes.size))
+    for i in range(0, r_nodes.size, _ROW_BLOCK):
+        rows = q[i:i + _ROW_BLOCK]
+        powered = np.power(rows, 0.5 * (alpha2 - n), out=block[:len(rows)])
+        inner[i:i + len(rows)] = powered @ angular
+    core = float((r_weights * r_nodes ** (alpha1 - 1)) @ inner)
 
     # analytic tail beyond the outer radius: the angular average of the
-    # |y-z| factor equals r^(alpha2-n) up to O((d/r)^2)
-    r_out = r_breaks[-1]
-    tail = sin_power_integral(n) * r_out ** (alpha1 + alpha2 - n) / \
+    # |y-z| factor equals rho^(alpha2-n) up to O(rho^-2)
+    tail = sin_power_integral(n) * _OUTER_RADIUS ** (alpha1 + alpha2 - n) / \
         (n - alpha1 - alpha2)
 
     c = riesz_constant(alpha1, n) * riesz_constant(alpha2, n)
-    return c * surface_area(n - 1) * (core + tail)
+    return c * surface_area(n - 1) * (core + tail) * \
+        d ** (alpha1 + alpha2 - n)
 
 
 def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
@@ -122,9 +148,10 @@ def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
     """Numerically verify the Riesz composition identity at one point pair.
 
     Returns (lhs, rhs): the quadrature value of the convolution of the two
-    kernels evaluated at (x, z), and the closed-form right-hand side. Raises
-    QuadratureError when two refinement levels within the evaluation budget
-    disagree by more than 0.5%.
+    kernels evaluated at (x, z), and the closed-form right-hand side. The
+    budget, an integer count of quadrature points, fixes the two refinement
+    levels. Raises QuadratureError when the two levels disagree by more
+    than 0.5%.
     """
     if not isinstance(n, numbers.Integral) or n < 2:
         raise KernelDomainError(
@@ -147,6 +174,21 @@ def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
             f"points must be finite with a finite distance, got |x-z| = {d}")
     if d == 0.0:
         raise KernelDomainError("composition check requires x != z")
+    # both sides are |x-z|^(alpha1+alpha2-n) times a constant
+    try:
+        power = d ** (alpha1 + alpha2 - n)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise KernelDomainError(
+            f"|x-z|^(alpha1+alpha2-n) leaves the float range at "
+            f"|x-z| = {d}")
+    # the budget picks the cached refinement levels, so it must be a count
+    if (not isinstance(quadrature_budget, numbers.Integral)
+            or quadrature_budget < 1):
+        raise KernelDomainError(
+            f"quadrature budget must be an integer >= 1, "
+            f"got {quadrature_budget!r}")
 
     order = 8
     n_sing, n_theta = 24, 26
@@ -173,8 +215,7 @@ def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
             f"composition integral did not converge within budget "
             f"(levels {coarse:.6e} vs {fine:.6e})")
 
-    rhs = riesz_constant(alpha1 + alpha2, n) * d ** (alpha1 + alpha2 - n)
-    return fine, rhs
+    return fine, riesz_constant(alpha1 + alpha2, n) * power
 
 
 def _mesh_cost(n_sing: int, n_theta: int, order: int) -> int:

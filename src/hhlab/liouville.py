@@ -139,7 +139,10 @@ def taylor_start(init: Sequence[float], params: HardyHenonParams,
     for i in range(m - 1):
         y[2 * i] = init[i] - init[i + 1] * r0 ** 2 / (2.0 * n)
         y[2 * i + 1] = -init[i + 1] * r0 / n
-    f0 = max(init[0], 0.0) ** p
+    # at a huge p, u(0)^p overflows to inf and the top layer's start to
+    # -inf: a sign loss at r0, not a fault
+    with np.errstate(over="ignore"):
+        f0 = max(init[0], 0.0) ** p
     y[2 * m - 2] = init[m - 1] - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
     y[2 * m - 1] = -f0 * r0 ** (1.0 - a) / (n - a)
     return y

@@ -126,7 +126,10 @@ class RadialGrid:
         log_w = np.minimum(k, n_nodes - 2 - k) * math.log(ratio)
         w = np.exp(np.minimum(log_w, math.log(1e6)))
         nodes = np.concatenate([[0.0], np.cumsum(w)])
-        nodes = r0 + (r1 - r0) * nodes / nodes[-1]
+        # fewer than two nodes (0/0) or a span that overflows leaves
+        # non-finite or too few nodes, which the constructor rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = r0 + (r1 - r0) * nodes / nodes[-1]
         nodes[-1] = r1
         return cls(nodes, "geometric")
 

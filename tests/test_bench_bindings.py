@@ -42,11 +42,9 @@ def test_radial_cubic_spline_is_scipys():
 
 def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
     """The tracer counts kernels.quad_points by pairing consecutive
-    panel_quadrature calls (radial, then angular) into one tensor mesh."""
-    import math
-
-    import numpy as np
-
+    panel_quadrature calls (radial, then angular) into one tensor mesh.
+    Each refinement level's mesh is built once per process at unit
+    distance, so a check at another distance builds nothing."""
     import hhlab.kernels as kernels
 
     calls = []
@@ -58,17 +56,20 @@ def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
         return nodes, weights
 
     monkeypatch.setattr(kernels, "panel_quadrature", recording)
-    d = 1.5
+    kernels._unit_mesh.cache_clear()
     kernels.riesz_compose_check(1.2, 1.7, np.zeros(4),
-                                np.array([d, 0.0, 0.0, 0.0]), 4)
+                                np.array([1.5, 0.0, 0.0, 0.0]), 4)
     assert len(calls) == 4
     assert [end for end, _ in calls] == pytest.approx(
-        [400.0 * d, math.pi, 400.0 * d, math.pi])
+        [400.0, math.pi, 400.0, math.pi])
     # the fine and the coarse level at the default budget
     levels = [(24, 26, 8), (14, 15, 6)]
     for (_, n_r), (_, n_theta), level in zip(calls[::2], calls[1::2],
                                              levels):
         assert n_r * n_theta <= kernels._mesh_cost(*level)
+    kernels.riesz_compose_check(1.2, 1.7, np.zeros(4),
+                                np.array([0.0, 0.3, 0.0, 0.0]), 4)
+    assert len(calls) == 4
 
 
 def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
@@ -119,6 +120,41 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     assert sol.stats.gmres_products > 0
     assert calls["iterated_green"] == (calls["apply_K"]
                                        + sol.stats.gmres_products)
+
+
+def test_every_weighted_cumulative_of_a_solve_is_traced(monkeypatch):
+    """radial.weighted_cumulative counts the calls the tracer sees at the
+    bindings it wraps. Every call solve_positive makes (the monotonicity
+    certificate's chain derivative) must go through hhlab.radial's."""
+    import sys
+
+    import hhlab.navier as navier
+    import hhlab.radial as radial
+    from hhlab.radial import HardyHenonParams
+
+    assert ("hhlab.radial", "weighted_cumulative") in {
+        (module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
+    real = radial.weighted_cumulative
+    through_binding = [0]
+    executed = [0]
+
+    def counting(*args, **kwargs):
+        through_binding[0] += 1
+        return real(*args, **kwargs)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is real.__code__:
+            executed[0] += 1
+
+    monkeypatch.setattr(radial, "weighted_cumulative", counting)
+    problem = navier.NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, 0.5))
+    sys.setprofile(profile)
+    try:
+        navier.solve_positive(problem, problem.default_grid(129))
+    finally:
+        sys.setprofile(None)
+    assert executed[0] > 0
+    assert through_binding[0] == executed[0]
 
 
 def test_scan_events_are_located_through_liouvilles_binding(monkeypatch):

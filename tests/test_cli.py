@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hhlab.cli import main
+from hhlab.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -197,6 +199,19 @@ class TestConfigAndFlags:
         over = read_json(out, "eigen.json")
         assert over["lambda1"] == pytest.approx(215.56, rel=1e-3)
 
+    def test_config_file_named_with_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[eigen]\nn = 4\nm = 1\nnodes = 257\n")
+        code, out = run_cli(["eigen", f"--config={cfg}"], tmp_path, "c1")
+        assert code == 0
+        assert read_json(out, "eigen.json")["lambda1"] == pytest.approx(
+            14.682, rel=1e-3)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["eigen", f"--config={tmp_path / 'missing.ini'}"],
+                    tmp_path, "c2")
+        assert exc.value.code == 2
+        assert "not readable" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestLadderCommand:
     def test_csv_and_determinism(self, tmp_path):
@@ -351,6 +366,60 @@ class TestReport:
             assert payload["pass"], ref_id
             names = {c["name"] for c in payload["checks"]}
             assert names == set(reference[ref_id]["checks"]), ref_id
+
+
+# Values every flag of every subcommand is driven through, one flag at a
+# time; the other flags keep the cheap values below or their defaults.
+_FUZZ_POOL = ["nan", "inf", "-inf", "-1", "0", "1", "1e308", "", "x"]
+_FUZZ_CHEAP = {
+    "kernels-selftest": {"--n-configs": "2"},
+    "ladder": {"--k-max": "5"},
+    "eigen": {"--nodes": "33"},
+    "solve": {"--nodes": "33"},
+    "shoot": {"--init": "2.0,1.0", "--r-max": "5"},
+    "scan": {"--u0": "0.5,2,2", "--u1": "-1,1,2", "--r-max": "5"},
+}
+_SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_fuzzed_flags_exit_cleanly(command, tmp_path):
+    """Any value of any flag exits 0, 1 or 2 with no traceback, and every
+    line on standard error is a JSON object (a numpy warning is not)."""
+    # every flag that takes a value, bar --output-dir
+    flags = [action.option_strings[-1]
+             for action in _SUBCOMMANDS[command]._actions
+             if action.option_strings and action.nargs is None
+             and action.option_strings[-1] != "--output-dir"]
+    assert flags
+    faults = []
+    for flag in flags:
+        for value in _FUZZ_POOL:
+            argv = {**_FUZZ_CHEAP.get(command, {}), flag: value}
+            args = [command, *(f"{k}={v}" for k, v in argv.items()),
+                    "--quiet", "--output-dir", str(tmp_path / "out")]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # a traceback at the console
+                    code = f"{type(exc).__name__}: {exc}"
+            lines = err.getvalue().splitlines()
+            lines += [f"{w.category.__name__}: {w.message}" for w in caught]
+            not_json = []
+            for line in lines:
+                try:
+                    json.loads(line)
+                except ValueError:
+                    not_json.append(line)
+            if code not in (0, 1, 2) or not_json:
+                faults.append((f"{flag}={value}", code, not_json[:2]))
+    assert not faults
 
 
 def test_console_script_entry_point():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hhlab.errors import KernelDomainError, QuadratureError
 from hhlab.kernels import (_composition_integral, _composition_mesh,
-                           green_ball, riesz_compose_check, riesz_constant)
+                           _unit_mesh, green_ball, riesz_compose_check,
+                           riesz_constant)
 from hhlab.numerics import (graded_breaks, panel_quadrature,
                             sin_power_integral, surface_area)
 from hhlab.liouville import representation_check
@@ -107,6 +108,16 @@ class TestGreenBall:
             green_ball(np.zeros(4), np.array([0.5, 0, 0, 0.0]), -1.0, 4)
 
 
+def _forbid_meshing(monkeypatch):
+    """Empty the unit-mesh cache and make building a mesh fail, so that a
+    check which rejects its input must do so before any mesh exists."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a quadrature mesh was built")
+
+    _unit_mesh.cache_clear()
+    monkeypatch.setattr("hhlab.kernels.panel_quadrature", no_mesh)
+
+
 class TestComposition:
     def test_matches_closed_form_n5(self):
         lhs, rhs = riesz_compose_check(
@@ -152,15 +163,24 @@ class TestComposition:
         (np.zeros(4), np.array([math.inf, 0, 0, 0])),
         (np.full(4, math.inf), np.full(4, math.inf)),
         (np.full(4, 1e308), np.full(4, -1e308)),  # |x - z| overflows
+        (np.zeros(4), np.array([1e-160, 0, 0, 0])),  # |x - z|^-2 overflows
+        (np.zeros(4), np.array([1e170, 0, 0, 0])),  # |x - z|^-2 underflows
     ], ids=["x-3-vector", "z-3-vector", "x-matrix", "x-nan", "z-inf",
-            "both-inf", "distance-overflow"])
+            "both-inf", "distance-overflow", "power-overflow",
+            "power-underflow"])
     def test_rejects_bad_points_before_meshing(self, x, z, monkeypatch):
-        def no_mesh(*args, **kwargs):
-            raise AssertionError("a quadrature mesh was built")
-
-        monkeypatch.setattr("hhlab.kernels.panel_quadrature", no_mesh)
+        _forbid_meshing(monkeypatch)
         with pytest.raises(KernelDomainError):
             riesz_compose_check(1.0, 1.0, x, z, 4)
+
+    @pytest.mark.parametrize("budget", [
+        math.nan, math.inf, -math.inf, 2.5e5, 1000.5, 0, -5])
+    def test_rejects_bad_budget_before_meshing(self, budget, monkeypatch):
+        _forbid_meshing(monkeypatch)
+        with pytest.raises(KernelDomainError):
+            riesz_compose_check(1.0, 1.0, np.zeros(4),
+                                np.array([1.0, 0, 0, 0]), 4,
+                                quadrature_budget=budget)
 
     def test_accepts_numpy_integer_dimension(self):
         lhs, rhs = riesz_compose_check(1.0, 1.0, np.zeros(4),
@@ -176,16 +196,17 @@ class TestComposition:
 
 def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
                                     order):
-    """The composition integral with its full-size broadcast integrand, as
-    first written; the oracle for the in-place evaluation."""
-    r_breaks = _composition_mesh(d, n_sing, 12)
+    """The composition integral with its full-size broadcast integrand on a
+    mesh built afresh at unit distance, times d^(alpha1+alpha2-n); the
+    oracle for the blocked evaluation on the cached mesh."""
+    r_breaks = _composition_mesh(n_sing, 12)
     r_nodes, r_weights = panel_quadrature(r_breaks, order)
     theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
     t_nodes, t_weights = panel_quadrature(theta_breaks, order)
     sin_half2 = np.sin(0.5 * t_nodes) ** 2
     sin_pow = np.sin(t_nodes) ** (n - 2)
     r = r_nodes[:, None]
-    q2 = (r - d) ** 2 + 4.0 * d * r * sin_half2[None, :]
+    q2 = (r - 1.0) ** 2 + 4.0 * r * sin_half2[None, :]
     integrand = (r_nodes ** (alpha1 - 1))[:, None] * \
         q2 ** (0.5 * (alpha2 - n)) * sin_pow[None, :]
     core = float(r_weights @ (integrand @ t_weights))
@@ -193,7 +214,8 @@ def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
     tail = sin_power_integral(n) * r_out ** (alpha1 + alpha2 - n) / \
         (n - alpha1 - alpha2)
     c = riesz_constant(alpha1, n) * riesz_constant(alpha2, n)
-    return c * surface_area(n - 1) * (core + tail)
+    return c * surface_area(n - 1) * (core + tail) * \
+        d ** (alpha1 + alpha2 - n)
 
 
 # the fine and coarse levels riesz_compose_check evaluates at the default
@@ -208,9 +230,9 @@ _LEVELS = [(24, 26, 8), (14, 15, 6)]
 def test_composition_integral_matches_broadcast_formula(n, u1, u2, d, level):
     # alpha1, alpha2 and their sum anywhere inside (0, n)
     alpha1, alpha2 = u1 * u2 * n, u1 * (1.0 - u2) * n
-    fused = _composition_integral(alpha1, alpha2, d, n, *level)
+    blocked = _composition_integral(alpha1, alpha2, d, n, *level)
     oracle = _broadcast_composition_integral(alpha1, alpha2, d, n, *level)
-    assert fused == pytest.approx(oracle, rel=1e-12)
+    assert blocked == pytest.approx(oracle, rel=1e-12)
 
 
 def _selftest_orders(n, u1, u2):
@@ -229,19 +251,18 @@ def _selftest_orders(n, u1, u2):
 def test_composition_scaling_law(n, u1, u2, k, lam, seed):
     """lhs(lam (x - z)) = lam^(alpha1 + alpha2 - n) lhs(x - z).
 
-    For lam = 2^k every breakpoint and node of the mesh scales exactly, so
-    only the power's rounding is left. For a general lam the nodes next to
-    r = d are rounded relative to d while the innermost panel there is
-    0.4^24 d wide; at alpha2 = 0.5 that moves lhs by up to ~1.2e-10."""
+    The quadrature runs on one mesh at unit distance for every |x - z|, so
+    only the rounding of |x - z| and of the powers is left, for lam = 2^k
+    and for a general lam alike."""
     alpha1, alpha2 = _selftest_orders(n, u1, u2)
     rng = np.random.default_rng(seed)
     x, z = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
     lhs, rhs = riesz_compose_check(alpha1, alpha2, x, z, n)
-    for scale, rel in ((2.0 ** k, 1e-12), (lam, 1e-9)):
+    for scale in (2.0 ** k, lam):
         lhs_s, rhs_s = riesz_compose_check(alpha1, alpha2, scale * x,
                                            scale * z, n)
         factor = scale ** (alpha1 + alpha2 - n)
-        assert lhs_s == pytest.approx(factor * lhs, rel=rel)
+        assert lhs_s == pytest.approx(factor * lhs, rel=1e-12)
         assert rhs_s == pytest.approx(factor * rhs, rel=1e-12)
 
 
