@@ -137,18 +137,33 @@ def apply_K(u: RadialField, problem: NavierProblem,
     p, t, m, n = (problem.params.p, problem.params.t, problem.params.m,
                   problem.params.n)
     vals = u.values
-    if np.any(vals < -1e-12 * max(1.0, float(np.max(np.abs(vals))))):
+    # rejects a value below -1e-12 max(1, max|u|); max|u| matters only when
+    # the smallest value is negative
+    low = float(vals.min())
+    if low < 0.0 and low < -1e-12 * max(1.0, -low, float(vals.max())):
         raise ValueError("apply_K requires a nonnegative field")
-    source = u.with_values(np.maximum(vals, 0.0) ** p + t)
-    layers = iterated_green(source, problem.R, n, m)
+    source = np.maximum(vals, 0.0)
+    source **= p
+    source += t
+    layers = iterated_green(RadialField.adopt(u.grid, source), problem.R, n,
+                            m)
     return layers if with_layers else layers[0]
 
 
 def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
     """Independent Bessel-zero route to the first radial Dirichlet eigenvalue
-    of the ball: (j_{n/2-1,1} / R)^2, by bracketed root finding on J_{n/2-1}."""
+    of the ball: (j_{n/2-1,1} / R)^2, by bracketed root finding on J_{n/2-1}.
+
+    J_nu is positive on (0, j_{nu,1}), j_{nu,1} > nu (DLMF 10.21.3) and
+    consecutive zeros are more than pi apart, so steps of 0.5 from
+    max(0.05, nu) first change sign across j_{nu,1}. The scan reaches at
+    least 2 nu^(1/3) + 3.5 past its start, beyond j_{nu,1}: j_{nu,1} - nu
+    is below 1.86 nu^(1/3) + 1.04 nu^(-1/3) for nu > 0 (Qu and Wong, Trans.
+    AMS 351 (1999); the leading terms of DLMF 10.21.40), and below 2.9 for
+    nu <= 1."""
     order = n / 2.0 - 1.0
-    xs = np.linspace(0.05, 25.0, 2500)
+    xs = max(0.05, order) + 0.5 * np.arange(
+        int(4.0 * order ** (1.0 / 3.0)) + 9)
     vals = jv(order, xs)
     sign = np.sign(vals)
     idx = np.where(np.diff(sign) != 0)[0]
@@ -179,7 +194,7 @@ def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
             w = poisson_solve_ball(w, problem.R, n)
         s = float(np.max(w.values))
         lam = 1.0 / s
-        new = w.with_values(w.values / s)
+        new = RadialField.adopt(grid, w.values / s)
         delta = float(np.max(np.abs(new.values - phi.values)))
         phi = new
         if delta < tol:
@@ -279,11 +294,11 @@ class _FixedPointSolve:
         """One normalized Picard step at amplitude s: returns
         (K(s v)/||K(s v)||, ||K(s v)||)."""
         self.picard_iterations += 1
-        w = apply_K(v.with_values(s * v.values), self.problem)
+        w = apply_K(RadialField.adopt(self.grid, s * v.values), self.problem)
         nw = float(np.max(w.values))
         if nw <= 0.0:
             raise BracketError("operator collapsed to zero at this amplitude")
-        return w.with_values(w.values / nw), nw
+        return RadialField.adopt(self.grid, w.values / nw), nw
 
     def g(self, s: float, v: RadialField):
         """g(s) = ||K(s shape)|| - s at the shape (sup 1) the normalized
@@ -341,7 +356,8 @@ class _FixedPointSolve:
             else:
                 lo = mid
             if hi - lo <= _NEWTON_WIDTH * hi:
-                found = self.newton(v.with_values(mid * v.values), lo, hi)
+                found = self.newton(
+                    RadialField.adopt(self.grid, mid * v.values), lo, hi)
                 if found is not None:
                     return found
             if hi - lo <= _MIN_WIDTH * hi:
@@ -364,7 +380,8 @@ class _FixedPointSolve:
             dx = self.newton_direction(u, F)
             if dx is None:
                 return None
-            new = u.with_values(np.maximum(u.values + dx, 0.0))
+            new = RadialField.adopt(self.grid,
+                                    np.maximum(u.values + dx, 0.0))
             sup_new = float(np.max(new.values))
             if not lo <= sup_new <= hi:
                 return None
@@ -387,8 +404,8 @@ class _FixedPointSolve:
 
         def jacobian(x):
             self.gmres_products += 1
-            w = iterated_green(u.with_values(slope * x), R, params.n,
-                               params.m)
+            w = iterated_green(RadialField.adopt(u.grid, slope * x), R,
+                               params.n, params.m)
             return x - w[0].values
 
         # solve for dx / sup u, so that GMRES's 2-norms cannot overflow

@@ -19,13 +19,15 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (AmplitudeRangeError, ExtrapolationError, GridError,
                      NonIntegrableSourceError)
 from .numerics import DerivativeStencils, fd_weights_batch, gauss_legendre
 
 MIN_NODES = 32
+# CSV rows formatted and written at a time
+_CSV_BLOCK = 256
 # log range of normal floats; the top keeps a margin above the rounding of
 # a log amplitude, so that an amplitude accepted by a check against these
 # bounds cannot overflow when its power is taken
@@ -168,12 +170,23 @@ class RadialField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def adopt(cls, grid: RadialGrid, values: np.ndarray) -> "RadialField":
+        """A field that takes over `values`, a float array freshly made for
+        it: checked like any field and frozen in place, not copied. Nothing
+        may write to `values` afterwards."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._own(np.asarray(values, dtype=float))
+        return field
+
+    def _own(self, vals: np.ndarray) -> None:
         if vals.shape != self.grid.nodes.shape:
             raise GridError("values must match the grid length")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise GridError("field values must be finite")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_interp", None)
@@ -210,13 +223,20 @@ class RadialField:
         return float(np.max(np.abs(self.values)))
 
     def to_csv(self, path_or_buf, label: str = "value") -> None:
-        """Two-column CSV (r, value); the single header row names the field."""
+        """Two-column CSV (r, value); the single header row names the field.
+
+        Rows are formatted from Python floats and written _CSV_BLOCK at a
+        time, so a large field's text is never held whole."""
+        nodes, values = self.grid.nodes, self.values
         own = isinstance(path_or_buf, (str, bytes))
         fh = open(path_or_buf, "w") if own else path_or_buf
         try:
             fh.write(f"r,{label}\n")
-            for r, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{r:.17g},{v:.17g}\n")
+            for k in range(0, nodes.size, _CSV_BLOCK):
+                block = slice(k, k + _CSV_BLOCK)
+                fh.write("".join(
+                    f"{r:.17g},{v:.17g}\n" for r, v in
+                    zip(nodes[block].tolist(), values[block].tolist())))
         finally:
             if own:
                 fh.close()
@@ -294,6 +314,15 @@ def _integrate_panels(c, weights):
     return np.concatenate([[0.0], np.cumsum(panel)])
 
 
+def _slope_weights(r, n: int):
+    """(A, B, C / h, D) of `_GreenSolve`: the integral of t^(n-1) times the
+    spline over panel j is A_j s_j + B_j s_{j+1} + C_j m_j + D_j y_j."""
+    w0, w1, w2, w3 = _panel_weights(r, n)
+    h = np.diff(r)
+    return (w0 / h ** 2 - 2.0 * w1 / h + w2, w0 / h ** 2 - w1 / h,
+            (3.0 * w1 / h - 2.0 * w0 / h ** 2) / h, w3)
+
+
 def weighted_cumulative(r, vals, n: int):
     """F(r_j) = integral from r_0 to r_j of t^(n-1) f(t) dt, with f the
     cubic spline of `vals` and the monomial weight integrated exactly per
@@ -322,60 +351,128 @@ class _GreenSolve:
     """The part of `poisson_solve_ball` that depends only on the grid and n.
 
     Both integrals of the double-integral solve integrate not-a-knot cubic
-    splines. The spline slopes solve a tridiagonal system whose matrix
-    depends only on the nodes (the system scipy's CubicSpline solves; de
-    Boor, A Practical Guide to Splines, ch. IV), so its LU factorisation is
-    computed once here, together with the panel weights of the inner
-    integral of t^(n-1) f and of the outer plain antiderivative. A solve
-    then costs two tridiagonal back-substitutions and O(N) vector work, and
-    holds O(N) memory.
+    splines, and each running integral is taken straight from the spline's
+    node slopes s, with no coefficient arrays.
+
+    Slopes. With panel widths h_j and differences d_j = y_{j+1} - y_j, the
+    slopes solve the tridiagonal system scipy's CubicSpline solves (de Boor,
+    A Practical Guide to Splines, ch. IV): interior rows
+    h_j s_{j-1} + 2 (h_{j-1} + h_j) s_j + h_{j-1} s_{j+1} = 3 (h_j d_{j-1} /
+    h_{j-1} + h_{j-1} d_j / h_j), and two not-a-knot end rows, the first
+    h_1 s_0 + (h_0 + h_1) s_1 = b_0 with b_0 a combination of d_0 and d_1.
+    Dividing interior row j by h_{j-1} h_j makes it symmetric; eliminating
+    s_0 = (b_0 - (h_0 + h_1) s_1) / h_1 turns row 1 into
+    (1/h_0 + 1/h_1) s_1 + s_2 / h_1, and likewise at the far end. The
+    remaining system in s_1..s_{N-2} is symmetric and diagonally dominant
+    with a positive diagonal, so positive definite, and its LDL^T
+    factorisation (LAPACK dpttrf) depends only on the nodes: it is computed
+    once here. Every right-hand side row is a combination P_j d_{j-1} +
+    Q_j d_j, the end rows included.
+
+    Panels. On panel j, with x = t - r_j, the spline is the cubic Hermite
+    interpolant of the node values and slopes; with m_j = d_j / h_j its
+    coefficients, highest power first, are
+    c0 = (s_j + s_{j+1} - 2 m_j)/h^2, c1 = (3 m_j - 2 s_j - s_{j+1})/h,
+    c2 = s_j and c3 = y_j. Against the exact panel weights w0..w3 of x^(3-k)
+    (`_panel_weights`) the panel integral sum_k c_k w_k regroups as
+    A s_j + B s_{j+1} + C m_j + D y_j with
+
+        A = w0/h^2 - 2 w1/h + w2,   B = w0/h^2 - w1/h,
+        C = 3 w1/h - 2 w0/h^2,      D = w3,
+
+    built once per grid and n for the inner integral of t^(n-1) f and for
+    the outer plain antiderivative (n = 1). A is the integral of
+    t^(n-1) x (h - x)^2 / h^2, about r_j^(n-1) h^2 / 12, while its largest
+    term 2 w1/h is about 8 times that, so forming A loses about 3 bits.
+    That error enters the panel integral as about eps r_j^(n-1) h^2 |s_j|,
+    no larger than the rounding of the D y_j term, eps r_j^(n-1) h |y_j|,
+    wherever h |s_j| <= |y_j|.
+
+    A solve costs two tridiagonal back-substitutions and O(N) vector work,
+    and holds O(N) memory.
     """
 
     def __init__(self, r, n: int):
-        dx = np.diff(r)
+        h = np.diff(r)
         d0, d1 = r[2] - r[0], r[-1] - r[-3]
-        lower = np.concatenate([dx[1:], [d1]])
-        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-        upper = np.concatenate([[d0], dx[:-1]])
-        *lu, info = dgttrf(lower, diag, upper)
+        inv = 1.0 / h
+        diag = 2.0 * (inv[:-1] + inv[1:])
+        diag[0] = inv[0] + inv[1]
+        diag[-1] = inv[-2] + inv[-1]
+        *ldl, info = dpttrf(diag, inv[1:-1])
         if info != 0:
             raise GridError("spline slope system is singular on this grid")
-        self._lu = lu
-        self._dx = dx
-        # not-a-knot end rows of the slope system's right-hand side
-        self._start = ((dx[0] + 2.0 * d0) * dx[1] / d0, dx[0] ** 2 / d0)
-        self._end = (dx[-1] ** 2 / d1, (2.0 * d1 + dx[-1]) * dx[-2] / d1)
-        self._inner = _panel_weights(r, n)
-        self._outer = _panel_weights(r, 1)
+        self._ldl = ldl
+        # right-hand side rows P_j d_{j-1} + Q_j d_j: 3 / h_{j-1}^2 and
+        # 3 / h_j^2 inside; row 1 is the first interior row minus the first
+        # end row, divided by h_0 h_1, and row N-2 its mirror image
+        self._p = 3.0 * inv[:-1] ** 2
+        self._q = 3.0 * inv[1:] ** 2
+        self._p[0] = h[1] / (d0 * h[0] ** 2)
+        self._q[0] = (2.0 * h[0] + 3.0 * h[1]) / (d0 * h[1] ** 2)
+        self._p[-1] = (2.0 * h[-1] + 3.0 * h[-2]) / (d1 * h[-2] ** 2)
+        self._q[-1] = h[-2] / (d1 * h[-1] ** 2)
+        # the end slopes from the not-a-knot rows: s_0 = a d_0 + b d_1 - c s_1
+        # and s_{N-1} = a d_{N-3} + b d_{N-2} - c s_{N-2}
+        self._first = ((h[0] + 2.0 * d0) / (d0 * h[0]),
+                       h[0] ** 2 / (d0 * h[1] ** 2), d0 / h[1])
+        self._last = (h[-1] ** 2 / (d1 * h[-2] ** 2),
+                      (2.0 * d1 + h[-1]) / (d1 * h[-1]), d1 / h[-2])
+        self._inner = _slope_weights(r, n)
+        self._outer = _slope_weights(r, 1)
         self.r_pow = r ** (n - 1)
+        # whether r^(n-1) f stays finite for every finite f
+        self.pow_bounded = bool(self.r_pow.max() <= 1.0)
         # r^(1-n); the inner integral vanishes at an origin node
         pos = r > 0.0
         self._r_inv = np.zeros_like(r)
         self._r_inv[pos] = r[pos] ** (1 - n)
 
-    def spline(self, y):
-        """Coefficients of the not-a-knot cubic spline of y, highest power
-        first: the rows of `CubicSpline(r, y).c`."""
-        dx = self._dx
-        slope = np.diff(y) / dx
-        b = np.empty_like(y)
-        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        b[0] = self._start[0] * slope[0] + self._start[1] * slope[1]
-        b[-1] = self._end[0] * slope[-2] + self._end[1] * slope[-1]
-        s, _ = dgttrs(*self._lu, b)
-        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-        return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    def slopes(self, y):
+        """(s, d): the node slopes s of the not-a-knot cubic spline of y
+        (`CubicSpline(r, y)` has s[:-1] as its linear coefficients) and the
+        differences d = diff(y)."""
+        d = np.subtract(y[1:], y[:-1])
+        s = np.empty_like(y)
+        inner = s[1:-1]
+        np.multiply(self._p, d[:-1], out=inner)
+        inner += self._q * d[1:]
+        # solved in place: the slopes overwrite their right-hand side
+        dpttrs(*self._ldl, inner, overwrite_b=True)
+        a, b, c = self._first
+        s[0] = a * d[0] + b * d[1] - c * s[1]
+        a, b, c = self._last
+        s[-1] = a * d[-2] + b * d[-1] - c * s[-2]
+        return s, d
+
+    def _running(self, weights, y):
+        """The integral from r_0 to every node of the weight times the
+        spline of y, `weights` being that weight's (A, B, C / h, D)."""
+        s, d = self.slopes(y)
+        A, B, C, D = weights
+        panel = d
+        panel *= C
+        panel += A * s[:-1]
+        panel += B * s[1:]
+        panel += D * y[:-1]
+        out = np.empty_like(y)
+        out[0] = 0.0
+        np.add.accumulate(panel, out=out[1:])
+        return out
 
     def integral(self, f) -> float:
         """int_{r_0}^{r_N} t^(n-1) f dt, with f the spline of its values."""
-        return float(_integrate_panels(self.spline(f), self._inner)[-1])
+        return float(self._running(self._inner, f)[-1])
 
     def solve(self, f, head: float = 0.0):
         """u(r_j) = int_{r_j}^R s^(1-n) (head + int_{r_0}^s t^(n-1) f) ds,
         with `head` the inner integral over [0, r_0]."""
-        F = _integrate_panels(self.spline(f), self._inner) + head
-        outer = _integrate_panels(self.spline(F * self._r_inv), self._outer)
-        u = outer[-1] - outer
+        F = self._running(self._inner, f)
+        if head:
+            F += head
+        F *= self._r_inv
+        u = self._running(self._outer, F)
+        np.subtract(u[-1], u, out=u)
         u[-1] = 0.0
         return u
 
@@ -389,16 +486,21 @@ def poisson_solve_ball(f: RadialField, R: float, n: int) -> RadialField:
     origin and vanishes at R by construction. The grid must end at R. The
     grid-only work is cached per grid and n (`RadialGrid.green`).
     """
-    r = f.grid.nodes
-    if abs(r[-1] - R) > 1e-9 * max(1.0, R):
+    grid = f.grid
+    if abs(grid.r_max - R) > 1e-9 * max(1.0, R):
         raise GridError(f"grid must end at the ball radius R={R:g}")
-    green = f.grid.green(n)
-    w = green.r_pow * f.values
-    if not np.all(np.isfinite(w)):
-        raise NonIntegrableSourceError(
-            "r^(n-1) f is unbounded on the grid")
-    head = _origin_head(r, w, n) if r[0] > 0.0 else 0.0
-    return RadialField(f.grid, green.solve(f.values, head))
+    green = grid.green(n)
+    head = 0.0
+    # a field's values are finite, so r^(n-1) f needs a check only where
+    # r^(n-1) exceeds 1
+    if not green.pow_bounded or grid.r0 > 0.0:
+        w = green.r_pow * f.values
+        if not np.isfinite(w).all():
+            raise NonIntegrableSourceError(
+                "r^(n-1) f is unbounded on the grid")
+        if grid.r0 > 0.0:
+            head = _origin_head(grid.nodes, w, n)
+    return RadialField.adopt(grid, green.solve(f.values, head))
 
 
 def iterated_green(f: RadialField, R: float, n: int, m: int) -> tuple:

@@ -77,7 +77,9 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     under `hhlab solve`. Each one that solve_positive makes must pass
     through a navier binding the tracer wraps: iterated_green (reached by
     apply_K and by the Newton Jacobian products) or poisson_solve_ball (the
-    eigenpair)."""
+    eigenpair). Inside, each iterated_green reaches its m layers through
+    radial's poisson_solve_ball, which the tracer also wraps, so
+    radial.poisson_solve_ball.calls counts every Green solve as well."""
     import hhlab.navier as navier
     import hhlab.radial as radial
     from hhlab.radial import HardyHenonParams
@@ -85,10 +87,14 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     names = ("apply_K", "iterated_green", "poisson_solve_ball")
     traced = {(module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
     assert {("hhlab.navier", name) for name in names} <= traced
+    assert ("hhlab.radial", "poisson_solve_ball") in traced
 
     calls = dict.fromkeys(names, 0)
     solves = {"inside": 0, "outside": 0}
     depth = [0]
+    # depth inside navier's iterated_green, and the radial poisson_solve_ball
+    # calls made there
+    chain = {"depth": 0, "layers": 0}
 
     def counting(name):
         real = getattr(navier, name)
@@ -96,14 +102,23 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             depth[0] += 1
+            chain["depth"] += name == "iterated_green"
             try:
                 return real(*args, **kwargs)
             finally:
                 depth[0] -= 1
+                chain["depth"] -= name == "iterated_green"
         return wrapper
 
     for name in names:
         monkeypatch.setattr(navier, name, counting(name))
+    real_layer = radial.poisson_solve_ball
+
+    def counted_layer(*args, **kwargs):
+        chain["layers"] += chain["depth"] > 0
+        return real_layer(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "poisson_solve_ball", counted_layer)
     real_solve = radial._GreenSolve.solve
 
     def counted_solve(self, *args, **kwargs):
@@ -117,6 +132,7 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     assert solves["outside"] == 0
     assert solves["inside"] == (m * calls["iterated_green"]
                                 + calls["poisson_solve_ball"])
+    assert chain["layers"] == m * calls["iterated_green"]
     assert sol.stats.gmres_products > 0
     assert calls["iterated_green"] == (calls["apply_K"]
                                        + sol.stats.gmres_products)

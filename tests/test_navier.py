@@ -105,6 +105,19 @@ class TestEigenpair:
         oracle = first_dirichlet_eigenvalue_oracle(n, 1.0) ** m
         assert abs(eig.lambda1 / oracle - 1.0) < 2e-3
 
+    @pytest.mark.parametrize("n", range(2, 81, 2))
+    def test_bessel_oracle_matches_tabulated_zero(self, n):
+        # the scan starts at max(0.05, nu); from n = 42 on, the first zero
+        # lies beyond any fixed scan window ending at 25
+        from scipy.special import jn_zeros
+        zero = math.sqrt(first_dirichlet_eigenvalue_oracle(n, 1.0))
+        assert zero == pytest.approx(jn_zeros(n // 2 - 1, 1)[0], rel=1e-13)
+
+    def test_bessel_oracle_half_integer_order(self):
+        # J_{1/2}(x) = sqrt(2 / (pi x)) sin x has its first zero at pi
+        zero = math.sqrt(first_dirichlet_eigenvalue_oracle(3, 1.0))
+        assert zero == pytest.approx(math.pi, rel=1e-13)
+
     def test_reference_values(self):
         # pi^2 for n=3 and powers of the first J1 zero for n=4
         p3 = NavierProblem(HardyHenonParams(3, 1, 0.0, 2.0), 1.0)

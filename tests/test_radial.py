@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -96,6 +97,16 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
+    def test_adopt_freezes_without_copying(self):
+        g = RadialGrid.uniform(0.0, 1.0, 64)
+        vals = np.ones(64)
+        f = RadialField.adopt(g, vals)
+        assert f.values is vals and not vals.flags.writeable
+        with pytest.raises(GridError):
+            RadialField.adopt(g, np.full(64, np.inf))
+        with pytest.raises(GridError):
+            RadialField.adopt(g, np.ones(63))
+
     def test_csv_round_trip(self, tmp_path):
         g = RadialGrid.graded(0.0, 2.0, 65)
         f = RadialField.from_function(g, lambda r: np.exp(-r))
@@ -106,6 +117,22 @@ class TestGridAndField:
         back = RadialField.from_csv(str(path))
         np.testing.assert_allclose(back.grid.nodes, g.nodes, rtol=0)
         np.testing.assert_allclose(back.values, f.values, rtol=0)
+
+    def test_csv_bytes_match_per_row_formatting(self, rng):
+        # the writer formats Python floats in blocks of rows (two blocks
+        # here); the bytes are those of formatting each numpy value on its
+        # own row
+        g = RadialGrid.graded(0.0, 3.0, 257)
+        vals = rng.normal(size=len(g)) * 10.0 ** rng.integers(-300, 300,
+                                                              len(g))
+        vals[:6] = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.0]
+        f = RadialField(g, vals)
+        buf = io.StringIO()
+        f.to_csv(buf, "u")
+        want = "r,u\n" + "".join(f"{r:.17g},{v:.17g}\n"
+                                 for r, v in zip(g.nodes, f.values))
+        assert buf.getvalue() == want
+        assert want.splitlines()[1] == "0,-0"
 
     def test_evaluation_and_extrapolation(self):
         g = RadialGrid.uniform(0.5, 2.0, 64)
@@ -182,6 +209,15 @@ class TestPoissonSolve:
         with pytest.raises(NonIntegrableSourceError):
             poisson_solve_ball(f, 1.0, 4)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_weighted_source(self):
+        # beyond r = 1 the weight r^(n-1) can carry a finite field past the
+        # float range
+        g = RadialGrid.uniform(0.0, 10.0, 64)
+        f = RadialField.constant(g, 1e307)
+        with pytest.raises(NonIntegrableSourceError):
+            poisson_solve_ball(f, 10.0, 4)
+
     def test_grid_must_end_at_radius(self):
         g = RadialGrid.uniform(0.0, 1.0, 64)
         with pytest.raises(GridError):
@@ -240,21 +276,17 @@ class TestCachedGreenSolve:
     @pytest.mark.parametrize("grid", list(_grids((32, 257, 4097))),
                              ids=lambda g: f"{g.grading}-{len(g)}")
     def test_spline_matches_scipy(self, grid, rng):
-        # Coefficient k multiplies (r - r_j)^(3-k), so it is compared as its
-        # term's size on the panel, c_k h^(3-k). On the finest panels of a
-        # graded grid the bare cubic coefficient of a smooth profile is
-        # round-off of size eps |s| / h^2 in scipy's result as well.
+        # the kernel integrates the spline from its node slopes: scipy's
+        # linear coefficients at the left nodes and its derivative at the end
         r = grid.nodes
-        h = np.diff(r)
         for vals in (np.exp(-r) * np.cos(5.0 * r), (1.0 - r ** 2) ** 3,
                      rng.uniform(-1.0, 1.0, r.size)):
-            want = CubicSpline(r, vals).c
-            got = np.array(grid.green(4).spline(vals))
-            assert got.shape == want.shape
-            powers = h ** np.arange(3, -1, -1)[:, None]
-            err = np.abs(got - want) * powers
-            assert np.max(err) <= 1e-12 * np.max(np.abs(want) * powers)
-            np.testing.assert_array_equal(got[3], want[3])
+            spline = CubicSpline(r, vals)
+            want = np.append(spline.c[2], spline(r[-1], 1))
+            s, d = grid.green(4).slopes(vals)
+            assert s.shape == want.shape
+            assert np.max(np.abs(s - want)) <= 1e-12 * np.max(np.abs(want))
+            np.testing.assert_array_equal(d, np.diff(vals))
 
     @pytest.mark.parametrize("r0", [0.0, 1e-4])
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
@@ -311,6 +343,36 @@ def test_green_solve_is_exact_on_low_monomials(grid, n, k):
     u = poisson_solve_ball(RadialField(grid, r ** k), R, n).values
     exact = (R ** (k + 2) - r ** (k + 2)) / ((k + 2) * (n + k))
     assert np.max(np.abs(u - exact)) <= 1e-13 * np.max(exact)
+
+
+# grids of the kernel comparison: from the origin, or from r0 = frac * R
+# with the origin head term
+_kernel_grids = st.builds(
+    lambda kind, R, N, frac: getattr(RadialGrid, kind)(frac * R, R, N),
+    st.sampled_from(["uniform", "graded"]), st.floats(0.1, 10.0),
+    st.integers(32, 2049),
+    st.one_of(st.just(0.0), st.floats(1e-4, 0.5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_kernel_grids, n=st.integers(2, 8), seed=st.integers(0, 2 ** 32),
+       c=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_green_kernel_matches_scipy_double_integral(grid, n, seed, c):
+    # the fused kernel against the same double integral through scipy's
+    # CubicSpline. Sources stay above 0.2, so neither integral cancels;
+    # rough ones only from the origin, where no power-law head is fitted
+    # to the first two values
+    r, R = grid.nodes, grid.r_max
+    vals = 1.5 + 0.5 * (c[0] * np.cos(3.0 * r / R) + c[1] * (r / R) ** 2)
+    if grid.r0 == 0.0:
+        vals += 0.3 * c[2] * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, r.size)
+    head = _origin_head(r, r ** (n - 1) * vals, n) if grid.r0 else 0.0
+    want = _reference_solve(r, vals, n, head)
+    got = poisson_solve_ball(RadialField(grid, vals), R, n).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    total = weighted_cumulative(r, vals, n)[-1]
+    assert abs(grid.green(n).integral(vals) - total) <= 1e-12 * abs(total)
 
 
 class TestIteratedGreen:
