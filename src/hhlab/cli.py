@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -279,7 +280,7 @@ def _positive_float(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Command table
 # ---------------------------------------------------------------------------
 
 def _add_common(sp):
@@ -303,14 +304,7 @@ def _add_shared(sp, *names):
         sp.add_argument(f"--{name}", type=kind, default=default)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hhlab",
-                     description="Numerical laboratory for critical and "
-                                 "super-critical order Hardy-Henon "
-                                 "equations")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("kernels-selftest", help="kernel checks")
+def _kernels_selftest_flags(sp):
     sp.add_argument("--n-configs", type=_int_at_least(2), default=20,
                     help="composition checks, split over n = 4 and 5 "
                          "(at least 2)")
@@ -318,63 +312,112 @@ def build_parser() -> _Parser:
     sp.add_argument("--budget", type=_int_at_least(1),
                     default=K.QUADRATURE_BUDGET)
     sp.add_argument("--tol", type=_positive_float, default=C.COMPOSITION_TOL)
-    sp.set_defaults(func=cmd_kernels_selftest)
 
-    sp = sub.add_parser("ladder", help="blow-up ladder table")
+
+def _ladder_flags(sp):
     _add_shared(sp, "n", "p", "a")
     sp.add_argument("--M", type=float, default=0.0)
     sp.add_argument("--l0", type=float, default=None,
                     help="starting amplitude (default: divergence threshold)")
     sp.add_argument("--alpha0", type=float, default=None)
     sp.add_argument("--k-max", type=_int_at_least(0), default=40)
-    sp.set_defaults(func=cmd_ladder)
 
-    sp = sub.add_parser("eigen", help="first Navier eigenpair on the ball")
+
+def _eigen_flags(sp):
     _add_shared(sp, "n", "m")
     sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
     sp.add_argument("--tol", type=float, default=NV.EIGEN_TOL)
-    sp.set_defaults(func=cmd_eigen)
 
-    sp = sub.add_parser("solve", help="positive Navier solution on the ball")
+
+def _solve_flags(sp):
     _add_shared(sp, "n", "m", "p")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
     sp.add_argument("--tol", type=float, default=NV.FIXED_POINT_TOL)
-    sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("shoot", help="classify one radial trajectory")
+
+def _shoot_flags(sp):
     _add_shared(sp, "n", "m", "p", "a")
     sp.add_argument("--init", required=True,
                     help="comma-separated origin layer values")
     _add_shared(sp, "r-max", "rtol", "atol")
-    sp.set_defaults(func=cmd_shoot)
 
-    sp = sub.add_parser("scan", help="classify a grid of origin data")
+
+def _scan_flags(sp):
     _add_shared(sp, "n", "m", "p", "a")
     sp.add_argument("--u0", default="0.1,10,21", help="min,max,count")
     sp.add_argument("--u1", default="-10,10,21", help="min,max,count")
     sp.add_argument("--higher", type=float, default=1.0,
                     help="fixed origin value for layers above the first two")
     _add_shared(sp, "r-max", "rtol", "atol")
-    sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("singular", help="exact power-law singular solution")
+
+def _singular_flags(sp):
     _add_shared(sp, "n", "m", "a", "p")
-    sp.set_defaults(func=cmd_singular)
 
-    sp = sub.add_parser("report", help="condensed certificate battery")
+
+def _report_flags(sp):
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.set_defaults(func=cmd_report)
 
-    for sp in sub.choices.values():
-        _add_common(sp)
+
+class _Command(NamedTuple):
+    run: Callable      # handler: parsed args -> exit code
+    help: str          # its line in the top-level --help
+    add_flags: Callable  # adds its flags to a parser
+
+
+# every subcommand, in the order the top-level --help lists them
+_COMMANDS = {
+    "kernels-selftest": _Command(cmd_kernels_selftest, "kernel checks",
+                                 _kernels_selftest_flags),
+    "ladder": _Command(cmd_ladder, "blow-up ladder table", _ladder_flags),
+    "eigen": _Command(cmd_eigen, "first Navier eigenpair on the ball",
+                      _eigen_flags),
+    "solve": _Command(cmd_solve, "positive Navier solution on the ball",
+                      _solve_flags),
+    "shoot": _Command(cmd_shoot, "classify one radial trajectory",
+                      _shoot_flags),
+    "scan": _Command(cmd_scan, "classify a grid of origin data",
+                     _scan_flags),
+    "singular": _Command(cmd_singular, "exact power-law singular solution",
+                         _singular_flags),
+    "report": _Command(cmd_report, "condensed certificate battery",
+                       _report_flags),
+}
+
+
+def command_parser(name: str) -> _Parser:
+    """The parser of one subcommand: its own flags, then the common ones.
+    A run builds only the parser of the command it was given."""
+    parser = _Parser(prog=f"hhlab {name}")
+    _COMMANDS[name].add_flags(parser)
+    _add_common(parser)
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list) -> list:
-    """Load INI defaults for the chosen subcommand; flags still override.
+def _dispatch_parser(argv: list) -> _Parser:
+    """The top-level parser: it names every subcommand with its help and
+    owns no flags. It only sees an argv that does not start with a command
+    name, so it ends in the top-level help or a JSON error. A subcommand
+    named later in argv (`hhlab --quiet solve --p 2`) gets its flags, so
+    the error names only the arguments that command does not know."""
+    parser = _Parser(prog="hhlab",
+                     description="Numerical laboratory for critical and "
+                                 "super-critical order Hardy-Henon "
+                                 "equations")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        if name in argv:
+            command.add_flags(sp)
+            _add_common(sp)
+    return parser
+
+
+def _apply_config(argv: list) -> list:
+    """Load INI defaults for the subcommand argv[0]; flags still override.
     The file is named by `--config PATH` or `--config=PATH`."""
     path = None
     for i, token in enumerate(argv):
@@ -386,12 +429,18 @@ def _apply_config(parser: _Parser, argv: list) -> list:
         return argv
     command = argv[0]
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise SystemExit(_config_error(f"config file {path!r} not readable"))
-    if command is None or not cp.has_section(command):
-        return argv
+    try:
+        if not cp.read(path):
+            raise SystemExit(
+                _config_error(f"config file {path!r} not readable"))
+        if not cp.has_section(command):
+            return argv
+        items = cp.items(command)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise SystemExit(_config_error(
+            f"config file {path!r} is malformed: {exc}"))
     injected = []
-    for key, value in cp.items(command):
+    for key, value in items:
         flag = "--" + key.replace("_", "-")
         if flag not in argv:
             injected.extend([flag, value])
@@ -400,12 +449,12 @@ def _apply_config(parser: _Parser, argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if argv and not argv[0].startswith("-"):
-        argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        _dispatch_parser(argv).parse_args(argv)   # exits: help or a JSON error
+    argv = _apply_config(argv)
+    args = command_parser(argv[0]).parse_args(argv[1:])
     try:
-        return args.func(args)
+        return _COMMANDS[argv[0]].run(args)
     except (HHLabError, ValueError, ArithmeticError) as exc:
         # inputs were checked in the command's guard: this is numerical
         json.dump({"error": str(exc), "code": 1,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hhlab.cli import build_parser, main
+from hhlab.cli import _COMMANDS, command_parser, main
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -212,6 +212,75 @@ class TestConfigAndFlags:
         assert exc.value.code == 2
         assert "not readable" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("content", [
+        b"n = 4\n",                          # no section header
+        b"[ladder]\nk_max = 5%\n",           # bare % in a value
+        b"[ladder]\nn = 4\nn = 5\n",         # repeated key
+        b"[ladder]\nn = \xff\xfe4\n",        # not UTF-8
+    ], ids=["no-section", "bare-percent", "duplicate-key", "not-utf8"])
+    def test_malformed_config_exits_2(self, content, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(content)
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["ladder", "--config", str(cfg), "--output-dir",
+                  str(out_dir), "--quiet"])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 2 and "malformed" in err["error"]
+        assert not out_dir.exists()
+
+
+class TestDispatch:
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hhlab ")
+        for name, command in _COMMANDS.items():
+            assert name in out and command.help in out
+        assert len(_COMMANDS) == 8
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_command_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: hhlab {command} ")
+        assert "--output-dir" in out and "--quiet" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                    + ", ".join(map(repr, _COMMANDS)) + ")"),
+        # a flag before the command: only what solve does not know is named
+        (["--quiet", "solve", "--p", "2"],
+         "unrecognized arguments: --quiet")],
+        ids=["empty", "unknown", "flag-first"])
+    def test_no_command_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message, "code": 2}
+
+    def test_only_the_chosen_parser_is_built(self, tmp_path, monkeypatch):
+        def no_parser(sp):
+            raise AssertionError("another command's parser was built")
+
+        for name, command in list(_COMMANDS.items()):
+            if name != "ladder":
+                monkeypatch.setitem(_COMMANDS, name,
+                                    command._replace(add_flags=no_parser))
+        code, out = run_cli(["ladder", "--k-max", "3"], tmp_path)
+        assert code == 0
+        assert read_json(out, "ladder.json")["pass"]
+
 
 class TestLadderCommand:
     def test_csv_and_determinism(self, tmp_path):
@@ -379,16 +448,15 @@ _FUZZ_CHEAP = {
     "shoot": {"--init": "2.0,1.0", "--r-max": "5"},
     "scan": {"--u0": "0.5,2,2", "--u1": "-1,1,2", "--r-max": "5"},
 }
-_SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
 
 
-@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_fuzzed_flags_exit_cleanly(command, tmp_path):
     """Any value of any flag exits 0, 1 or 2 with no traceback, and every
     line on standard error is a JSON object (a numpy warning is not)."""
     # every flag that takes a value, bar --output-dir
     flags = [action.option_strings[-1]
-             for action in _SUBCOMMANDS[command]._actions
+             for action in command_parser(command)._actions
              if action.option_strings and action.nargs is None
              and action.option_strings[-1] != "--output-dir"]
     assert flags
