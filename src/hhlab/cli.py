@@ -418,7 +418,9 @@ def _dispatch_parser(argv: list) -> _Parser:
 
 def _apply_config(argv: list) -> list:
     """Load INI defaults for the subcommand argv[0]; flags still override.
-    The file is named by `--config PATH` or `--config=PATH`."""
+    The file is named by `--config PATH` or `--config=PATH`. A key is its
+    flag's name without the dashes, `_` standing for `-`, and keeps its
+    case as on the command line: `R = 2` sets `--R`."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -429,6 +431,7 @@ def _apply_config(argv: list) -> list:
         return argv
     command = argv[0]
     cp = configparser.ConfigParser()
+    cp.optionxform = str
     try:
         if not cp.read(path):
             raise SystemExit(

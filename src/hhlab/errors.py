@@ -18,11 +18,7 @@ class GridError(HHLabError, ValueError):
 
 
 class NonIntegrableSourceError(HHLabError, ValueError):
-    """Radial source is not integrable against r^(n-1) near the origin."""
-
-
-class ExtrapolationError(HHLabError, ValueError):
-    """Requested evaluation range exceeds the field's grid."""
+    """Radial source times r^(n-1) overflows the float range on the grid."""
 
 
 class ConvergenceError(HHLabError, RuntimeError):

@@ -24,8 +24,9 @@ def default_alpha0(params: HardyHenonParams) -> float:
 
 def geometry_constant(params: HardyHenonParams, M: float) -> float:
     """C0 = min{(1+M)^(-a), 1}, the re-center path geometry factor."""
-    if M < 0.0:
-        raise ValueError("re-center path length M must be nonnegative")
+    if not (math.isfinite(M) and M >= 0.0):
+        raise ValueError(f"re-center path length M must be finite and "
+                         f"nonnegative, got {M!r}")
     return min((1.0 + M) ** (-params.a), 1.0)
 
 
@@ -48,8 +49,9 @@ class LadderState:
             raise ValueError("step index must be nonnegative")
         if not math.isfinite(self.log_l):
             raise ValueError("log amplitude must be finite")
-        if self.alpha < 1.0:
-            raise ValueError("exponent alpha must be >= 1")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise ValueError(f"exponent alpha must be finite and >= 1, got "
+                             f"{self.alpha!r}")
         if not 0.0 < self.C0 <= 1.0:
             raise ValueError("C0 must lie in (0, 1]")
         if self.M < 0.0:

@@ -14,7 +14,9 @@ energy bound, radial monotonicity.
 
 A shooting cross-oracle on the radial boundary-value problem, built on
 scipy's integrator and root finder, provides an independent route to the
-solution amplitude.
+solution amplitude. The Kelvin transform and the blow-up normalization map a
+profile onto the inverted or rescaled nodes of its grid, so neither
+interpolates.
 """
 
 from __future__ import annotations
@@ -566,23 +568,7 @@ def kelvin_transform(u: RadialField, n: int) -> RadialField:
         raise ValueError("Kelvin transform needs a grid bounded away from 0")
     s = (1.0 / r)[::-1]
     vals = (r ** (n - 2.0) * u.values)[::-1]
-    return RadialField(RadialGrid(s, "kelvin"), vals)
-
-
-def kelvin_pde_check(u: RadialField, f: RadialField, n: int) -> float:
-    """Finite-difference check of the Kelvin identity: if -Lap u = f then
-    -Lap (Kelvin u)(s) = s^(-n-2) f(1/s). Returns the sup relative residual
-    over the interior of the transformed grid."""
-    from .radial import radial_laplacian
-    ub = kelvin_transform(u, n)
-    lap = radial_laplacian(ub, n)
-    r = u.grid.nodes
-    target = (r ** (n + 2.0) * f.values)[::-1]
-    cut = slice(4, -4)
-    scale = float(np.max(np.abs(target[cut])))
-    if scale == 0.0:
-        scale = 1.0
-    return float(np.max(np.abs(lap.values[cut] - target[cut]))) / scale
+    return RadialField(RadialGrid(s), vals)
 
 
 def blowup_normalize(u: RadialField, params: HardyHenonParams):
@@ -599,7 +585,7 @@ def blowup_normalize(u: RadialField, params: HardyHenonParams):
         raise ValueError("profile must peak at the origin")
     lam = M ** ((1.0 - params.p) / (2.0 * params.m))
     nodes = u.grid.nodes / lam
-    v = RadialField(RadialGrid(nodes, u.grid.grading), u.values / M)
+    v = RadialField(RadialGrid(nodes), u.values / M)
     return v, lam
 
 

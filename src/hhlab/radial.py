@@ -1,12 +1,13 @@
 """Radial representation of poly-harmonic operators.
 
 Graded radial grids, the radial Laplacian on nonuniform grids, the exact
-double-integral Poisson solve on balls, re-centered spherical averaging with
-its Jensen gap, the exact singular power-law solution, and the equation's
-re-scaling map.
+double-integral Poisson solve on balls, the exact singular power-law
+solution, and the equation's re-scaling map.
 
-All solves assume even regular profiles at the origin (u'(0) = 0); fields
-with a genuinely singular origin live on grids with r_0 > 0.
+The Poisson solve runs on grids from the origin and assumes even regular
+profiles there (u'(0) = 0). Fields with a genuinely singular origin, such as
+the power-law solution, live on grids with r_0 > 0, where the
+finite-difference operators apply and the Poisson solve does not.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import (AmplitudeRangeError, ExtrapolationError, GridError,
-                     NonIntegrableSourceError)
-from .numerics import DerivativeStencils, fd_weights_batch, gauss_legendre
+from .errors import AmplitudeRangeError, GridError, NonIntegrableSourceError
+from .numerics import DerivativeStencils, fd_weights_batch
 
 MIN_NODES = 32
+# spacing ratio of `RadialGrid.graded` between neighbouring panels
+GRADING_RATIO = 1.05
 # CSV rows formatted and written at a time
 _CSV_BLOCK = 256
 # log range of normal floats; the top keeps a margin above the rounding of
@@ -93,10 +95,9 @@ class HardyHenonParams:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial nodes with a grading descriptor."""
+    """Strictly increasing, nonnegative radial nodes."""
 
     nodes: np.ndarray
-    grading: str = "uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -114,18 +115,18 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, r0: float, r1: float, n_nodes: int) -> "RadialGrid":
-        return cls(np.linspace(r0, r1, n_nodes), "uniform")
+        return cls(np.linspace(r0, r1, n_nodes))
 
     @classmethod
-    def graded(cls, r0: float, r1: float, n_nodes: int,
-               ratio: float = 1.05) -> "RadialGrid":
-        """Geometric refinement toward both ends (spacing ratio `ratio`).
+    def graded(cls, r0: float, r1: float, n_nodes: int) -> "RadialGrid":
+        """Geometric refinement toward both ends (spacing ratio
+        GRADING_RATIO).
 
         The end-to-middle spacing skew is capped at 1e6 so large grids keep
         all spacings far above the float spacing of the coordinates.
         """
         k = np.arange(n_nodes - 1)
-        log_w = np.minimum(k, n_nodes - 2 - k) * math.log(ratio)
+        log_w = np.minimum(k, n_nodes - 2 - k) * math.log(GRADING_RATIO)
         w = np.exp(np.minimum(log_w, math.log(1e6)))
         nodes = np.concatenate([[0.0], np.cumsum(w)])
         # fewer than two nodes (0/0) or a span that overflows leaves
@@ -133,7 +134,7 @@ class RadialGrid:
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = r0 + (r1 - r0) * nodes / nodes[-1]
         nodes[-1] = r1
-        return cls(nodes, "geometric")
+        return cls(nodes)
 
     @property
     def r0(self) -> float:
@@ -164,7 +165,7 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialField:
-    """A radial profile sampled on a grid, with monotone-cubic evaluation."""
+    """A radial profile sampled on a grid."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -189,7 +190,6 @@ class RadialField:
             raise GridError("field values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_interp", None)
 
     @classmethod
     def from_function(cls, grid: RadialGrid, fn: Callable) -> "RadialField":
@@ -201,22 +201,6 @@ class RadialField:
 
     def with_values(self, values) -> "RadialField":
         return RadialField(self.grid, values)
-
-    def interpolator(self) -> PchipInterpolator:
-        if self._interp is None:
-            object.__setattr__(
-                self, "_interp",
-                PchipInterpolator(self.grid.nodes, self.values,
-                                  extrapolate=False))
-        return self._interp
-
-    def __call__(self, r):
-        out = self.interpolator()(r)
-        if np.any(np.isnan(out)):
-            raise ExtrapolationError(
-                f"evaluation outside grid range "
-                f"[{self.grid.r0:g}, {self.grid.r_max:g}]")
-        return out
 
     @property
     def sup_norm(self) -> float:
@@ -240,11 +224,6 @@ class RadialField:
         finally:
             if own:
                 fh.close()
-
-    @classmethod
-    def from_csv(cls, path) -> "RadialField":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(RadialGrid(data[:, 0], "loaded"), data[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +311,6 @@ def weighted_cumulative(r, vals, n: int):
     return _integrate_panels(CubicSpline(r, vals).c, _panel_weights(r, n))
 
 
-def _origin_head(r, w, n):
-    """Estimate of the missing integral of t^(n-1) f over [0, r0] for grids
-    that start above the origin, by local power-law extension of f."""
-    r0, r1 = r[0], r[1]
-    f0, f1 = w[0] / r0 ** (n - 1), w[1] / r1 ** (n - 1)
-    if f0 == 0.0 or f0 * f1 <= 0.0:
-        return 0.0
-    q = math.log(abs(f1 / f0)) / math.log(r1 / r0)
-    if q + n <= 0.05:
-        raise NonIntegrableSourceError(
-            f"source behaves like r^{q:.3g} near the origin; "
-            f"r^{{n-1}} f is not integrable")
-    return f0 * r0 ** n / (n + q)
-
-
 class _GreenSolve:
     """The part of `poisson_solve_ball` that depends only on the grid and n.
 
@@ -423,10 +387,10 @@ class _GreenSolve:
         self.r_pow = r ** (n - 1)
         # whether r^(n-1) f stays finite for every finite f
         self.pow_bounded = bool(self.r_pow.max() <= 1.0)
-        # r^(1-n); the inner integral vanishes at an origin node
-        pos = r > 0.0
+        # r^(1-n) for `solve`, whose grids start at the origin, where the
+        # inner integral vanishes
         self._r_inv = np.zeros_like(r)
-        self._r_inv[pos] = r[pos] ** (1 - n)
+        self._r_inv[1:] = r[1:] ** (1 - n)
 
     def slopes(self, y):
         """(s, d): the node slopes s of the not-a-knot cubic spline of y
@@ -464,12 +428,10 @@ class _GreenSolve:
         """int_{r_0}^{r_N} t^(n-1) f dt, with f the spline of its values."""
         return float(self._running(self._inner, f)[-1])
 
-    def solve(self, f, head: float = 0.0):
-        """u(r_j) = int_{r_j}^R s^(1-n) (head + int_{r_0}^s t^(n-1) f) ds,
-        with `head` the inner integral over [0, r_0]."""
+    def solve(self, f):
+        """u(r_j) = int_{r_j}^R s^(1-n) int_0^s t^(n-1) f dt ds on a grid
+        from the origin."""
         F = self._running(self._inner, f)
-        if head:
-            F += head
         F *= self._r_inv
         u = self._running(self._outer, F)
         np.subtract(u[-1], u, out=u)
@@ -483,24 +445,21 @@ def poisson_solve_ball(f: RadialField, R: float, n: int) -> RadialField:
     Uses the exact double integral
         u(r) = int_r^R s^(1-n) int_0^s t^(n-1) f(t) dt ds
     with cubic-spline antiderivatives on the grid, so u is regular at the
-    origin and vanishes at R by construction. The grid must end at R. The
-    grid-only work is cached per grid and n (`RadialGrid.green`).
+    origin and vanishes at R by construction. The grid must run from 0 to
+    R. The grid-only work is cached per grid and n (`RadialGrid.green`).
     """
     grid = f.grid
+    if grid.r0 != 0.0:
+        raise GridError(f"ball Green solve needs a grid from the origin, "
+                        f"got r0={grid.r0:g}")
     if abs(grid.r_max - R) > 1e-9 * max(1.0, R):
         raise GridError(f"grid must end at the ball radius R={R:g}")
     green = grid.green(n)
-    head = 0.0
     # a field's values are finite, so r^(n-1) f needs a check only where
     # r^(n-1) exceeds 1
-    if not green.pow_bounded or grid.r0 > 0.0:
-        w = green.r_pow * f.values
-        if not np.isfinite(w).all():
-            raise NonIntegrableSourceError(
-                "r^(n-1) f is unbounded on the grid")
-        if grid.r0 > 0.0:
-            head = _origin_head(grid.nodes, w, n)
-    return RadialField.adopt(grid, green.solve(f.values, head))
+    if not green.pow_bounded and not np.isfinite(green.r_pow * f.values).all():
+        raise NonIntegrableSourceError("r^(n-1) f is unbounded on the grid")
+    return RadialField.adopt(grid, green.solve(f.values))
 
 
 def iterated_green(f: RadialField, R: float, n: int, m: int) -> tuple:
@@ -518,85 +477,6 @@ def iterated_green(f: RadialField, R: float, n: int, m: int) -> tuple:
         g = poisson_solve_ball(g, R, n)
         chain.append(g)
     return tuple(reversed(chain))
-
-
-def _sphere_average(fn: Callable, d: float, r: float, n: int) -> float:
-    """Average of fn(|x|) over the sphere of radius r centered at distance d
-    from the origin, via Gauss-Legendre in the polar angle."""
-    n_nodes = int(math.ceil(20 + 5 * n))
-    x, w = gauss_legendre(n_nodes)
-    theta = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * math.pi * w
-    sin_pow = np.sin(theta) ** (n - 2)
-    # |x|^2 = d^2 + r^2 + 2 d r cos(theta), stable form near theta = pi
-    arg = np.sqrt((d - r) ** 2 + 4.0 * d * r * np.cos(0.5 * theta) ** 2)
-    weights = wt * sin_pow
-    return float(weights @ fn(arg) / np.sum(weights))
-
-
-def _check_coverage(f: RadialField, d: float, r: float) -> None:
-    lo, hi = abs(d - r), d + r
-    tol = 1e-12 * max(1.0, f.grid.r_max)
-    if lo < f.grid.r0 - tol or hi > f.grid.r_max + tol:
-        raise ExtrapolationError(
-            f"re-centered average needs [{lo:g}, {hi:g}] but the field "
-            f"covers [{f.grid.r0:g}, {f.grid.r_max:g}]")
-
-
-def _clipped(f: RadialField) -> Callable:
-    """f's interpolant with arguments clipped to the grid, so that sphere
-    radii rounded just past a covered end stay evaluable."""
-    interp = f.interpolator()
-    return lambda arg: interp(np.clip(arg, f.grid.r0, f.grid.r_max))
-
-
-def recenter_average(f: RadialField, d: float, r: float, n: int) -> float:
-    """Spherical average of the radial profile f over the sphere of radius r
-    centered at distance d from the origin."""
-    if d < 0.0 or r < 0.0:
-        raise ValueError("d and r must be nonnegative")
-    if r == 0.0:
-        return float(f(d))
-    _check_coverage(f, d, r)
-    return _sphere_average(_clipped(f), d, r, n)
-
-
-def jensen_gap(f: RadialField, p: float, d: float, r: float, n: int) -> float:
-    """average(f^p) - average(f)^p over the re-centered sphere; nonnegative
-    up to quadrature round-off for f >= 0 and p > 1."""
-    if p <= 1.0:
-        raise ValueError("Jensen gap requires p > 1")
-    if r == 0.0:
-        return 0.0
-    _check_coverage(f, d, r)
-    safe = _clipped(f)
-    avg_pow = _sphere_average(lambda s: np.maximum(safe(s), 0.0) ** p, d, r, n)
-    avg = _sphere_average(safe, d, r, n)
-    return avg_pow - max(avg, 0.0) ** p
-
-
-def weighted_source_average(f: RadialField, p: float, a: float, d: float,
-                            r: float, n: int) -> float:
-    """Re-centered average of f^p |x|^(-a) over the sphere (the source term
-    seen by the top equation of the radial system)."""
-    _check_coverage(f, d, r)
-    safe = _clipped(f)
-
-    def source(arg):
-        base = np.maximum(safe(arg), 0.0) ** p
-        if a == 0.0:
-            return base
-        return base * np.asarray(arg) ** (-a)
-
-    return _sphere_average(source, d, r, n)
-
-
-def hardy_bound_factor(d: float, r: float, a: float) -> float:
-    """min over the sphere of |x|^(-a): (d+r)^(-a) for a >= 0 (largest radius)
-    and |d-r|^(-a) for a < 0 (smallest radius)."""
-    if a >= 0.0:
-        return (d + r) ** (-a)
-    return abs(d - r) ** (-a)
 
 
 def singular_solution(params: HardyHenonParams
@@ -642,4 +522,4 @@ def rescale(u: RadialField, lam: float, params: HardyHenonParams
         raise ValueError("scaling factor must be positive")
     nodes = u.grid.nodes / lam
     values = lam ** params.sigma * u.values
-    return RadialField(RadialGrid(nodes, u.grid.grading), values)
+    return RadialField(RadialGrid(nodes), values)

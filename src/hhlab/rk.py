@@ -64,6 +64,7 @@ _SHRINK_MIN, _GROW_MAX = 0.2, 5.0
 _RETRY = 0.25
 MAX_STEPS = 500_000         # trial steps per trajectory, rejected included
 H_MIN_FACTOR = 1e-14        # smallest step relative to |t|
+CROSSING_TOL = 1e-13        # event bracket width relative to max(1, |t|)
 
 
 def _first_step(t: float, t_end: float) -> float:
@@ -128,15 +129,14 @@ class StepRecord:
             + h * (h10 * self.f0[j] + h11 * self.f1[j])
 
 
-def hermite_crossing(rec: StepRecord, j: int, level: float,
-                     tol: float = 1e-13) -> float:
+def hermite_crossing(rec: StepRecord, j: int, level: float) -> float:
     """Locate where component j of y(t) crosses `level` inside a step, by
     bisection on the Hermite interpolant of that component alone."""
     lo, hi = rec.t0, rec.t1
     glo = rec.y0[j] - level
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= CROSSING_TOL * max(1.0, abs(mid)):
             return mid
         gm = rec.eval(mid, j) - level
         if (glo <= 0.0) == (gm <= 0.0):

@@ -212,6 +212,19 @@ class TestConfigAndFlags:
         assert exc.value.code == 2
         assert "not readable" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("command,content,field,value", [
+        ("eigen", "[eigen]\nR = 2\n", "bessel_oracle",
+         pytest.approx(215.56 / 16, rel=1e-3)),
+        ("ladder", "[ladder]\nM = 0.5\nk_max = 3\n", "M", 0.5)],
+        ids=["eigen-R", "ladder-M"])
+    def test_config_keys_keep_their_case(self, command, content, field,
+                                         value, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(content)
+        code, out = run_cli([command, "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert read_json(out, f"{command}.json")[field] == value
+
     @pytest.mark.parametrize("content", [
         b"n = 4\n",                          # no section header
         b"[ladder]\nk_max = 5%\n",           # bare % in a value
@@ -302,6 +315,19 @@ class TestLadderCommand:
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 2 and "--k-max" in err["error"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--alpha0", "exponent alpha"), ("--M", "path length M")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_2(self, flag, field, value, tmp_path,
+                                      capsys):
+        out_dir = tmp_path / "l"
+        code = main(["ladder", flag, value, "--output-dir", str(out_dir),
+                     "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and field in err["error"]
         assert not out_dir.exists()
 
 

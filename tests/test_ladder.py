@@ -59,6 +59,12 @@ class TestAdvance:
         with pytest.raises(ValueError):
             LadderState(0, 0.0, 1.0, 1.5, 0.0, params)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        params = HardyHenonParams(4, 2, 0.0, 2.0)
+        with pytest.raises(ValueError, match="alpha"):
+            LadderState.initial(1.0, params, alpha0=alpha)
+
 
 class TestClosedForm:
     def test_k0_reduces_to_l0(self, rng):
@@ -114,6 +120,12 @@ class TestThreshold:
         assert geometry_constant(params, 1.0) == pytest.approx(0.5)
         neg = HardyHenonParams(4, 2, -1.0, 2.0)
         assert geometry_constant(neg, 5.0) == 1.0
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_geometry_constant_rejects_non_finite_M(self, M):
+        params = HardyHenonParams(4, 2, 1.0, 2.0)
+        with pytest.raises(ValueError, match="M must be finite"):
+            geometry_constant(params, M)
 
     def test_divergence_above_threshold(self):
         params = HardyHenonParams(4, 2, 0.0, 2.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hhlab.navier as navier
 from hhlab.errors import (AmplitudeRangeError, BracketError, ConvergenceError,
@@ -10,8 +12,8 @@ from hhlab.liouville import bubble_amplitude
 from hhlab.navier import (NavierProblem, apply_K,
                           blowup_normalize, energy_bound_check,
                           first_dirichlet_eigenvalue_oracle, first_eigenpair,
-                          kelvin_pde_check, kelvin_transform,
-                          radial_monotonicity_check, rho_radius,
+                          kelvin_transform, radial_monotonicity_check,
+                          rho_radius,
                           shooting_oracle_sup_norm, solve_positive,
                           torsion_bound_check, torsion_function)
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid, rescale)
@@ -412,23 +414,33 @@ class TestKelvin:
         np.testing.assert_allclose(back.grid.nodes, g.nodes, rtol=1e-14)
         np.testing.assert_allclose(back.values, u.values, atol=1e-8)
 
-    def test_pde_identity(self):
-        # -Lap (1+r^2)^(-1) = 8/(1+r^2)^3 + ... checked under inversion
-        g = RadialGrid.uniform(0.25, 4.0, 4001)
-        u = RadialField.from_function(g, lambda r: 1.0 / (1.0 + r ** 2))
-        f = RadialField.from_function(g, lambda r: 8.0 / (1.0 + r ** 2) ** 3
-                                      - 2.0 / (1.0 + r ** 2) ** 2)
-        # recompute f exactly: -Lap u for n = 4
-        r = g.nodes
-        exact = -((6.0 * r ** 2 - 2.0) / (1.0 + r ** 2) ** 3
-                  - 6.0 / (1.0 + r ** 2) ** 2)
-        f = RadialField(g, exact)
-        assert kelvin_pde_check(u, f, 4) < 1e-6
-
     def test_requires_positive_radius(self):
         g = RadialGrid.uniform(0.0, 1.0, 64)
         with pytest.raises(ValueError):
             kelvin_transform(RadialField.constant(g, 1.0), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), kind=st.sampled_from(["uniform", "graded"]),
+       r0=st.floats(1e-3, 10.0), ratio=st.floats(1.01, 1e3),
+       N=st.integers(32, 2049), seed=st.integers(0, 2 ** 32))
+def test_kelvin_is_an_involution_fixing_the_bubble(n, kind, r0, ratio, N,
+                                                   seed):
+    # v(s) = s^(2-n) u(1/s) maps nodes and values exactly, so only rounding
+    # is left; the bubble (1 + r^2)^(-(n-2)/2) is its own Kelvin transform
+    grid = getattr(RadialGrid, kind)(r0, r0 * ratio, N)
+    u = RadialField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, N))
+    back = kelvin_transform(kelvin_transform(u, n), n)
+    np.testing.assert_allclose(back.grid.nodes, grid.nodes, rtol=1e-14,
+                               atol=0.0)
+    np.testing.assert_allclose(back.values, u.values, rtol=1e-12, atol=0.0)
+
+    def bubble(r):
+        return bubble_amplitude(n) * (1.0 + r ** 2) ** (-(n - 2) / 2.0)
+
+    bk = kelvin_transform(RadialField.from_function(grid, bubble), n)
+    np.testing.assert_allclose(bk.values, bubble(bk.grid.nodes), rtol=1e-12,
+                               atol=0.0)
 
 
 class TestBlowupNormalize:

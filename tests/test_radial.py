@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from hhlab.errors import (AmplitudeRangeError, ExtrapolationError,
-                          GridError, NonIntegrableSourceError)
+from hhlab.errors import (AmplitudeRangeError, GridError,
+                          NonIntegrableSourceError)
+from hhlab.navier import NavierProblem, first_eigenpair, torsion_function
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
-                          _origin_head, hardy_bound_factor, iterated_green,
-                          jensen_gap, poisson_solve_ball, polyharmonic_apply,
-                          radial_laplacian, recenter_average, rescale,
-                          singular_solution, weighted_cumulative,
-                          weighted_source_average)
+                          iterated_green, poisson_solve_ball,
+                          polyharmonic_apply, radial_laplacian, rescale,
+                          singular_solution, weighted_cumulative)
 
 
 class TestParams:
@@ -54,9 +52,10 @@ class TestParams:
 class TestGridAndField:
     def test_factories(self):
         g = RadialGrid.uniform(0.0, 1.0, 64)
-        assert g.grading == "uniform" and len(g) == 64
+        assert len(g) == 64
+        np.testing.assert_allclose(np.diff(g.nodes), 1.0 / 63, rtol=1e-12)
         g2 = RadialGrid.graded(0.0, 1.0, 129)
-        assert g2.grading == "geometric"
+        assert g2.r0 == 0.0 and g2.r_max == 1.0
         # refinement toward both ends
         d = np.diff(g2.nodes)
         assert d[0] < d[len(d) // 2] and d[-1] < d[len(d) // 2]
@@ -114,9 +113,9 @@ class TestGridAndField:
         f.to_csv(str(path), "u(n=4,m=2,p=2,a=0,t=0,R=2)")
         text = path.read_text().splitlines()
         assert text[0] == "r,u(n=4,m=2,p=2,a=0,t=0,R=2)"
-        back = RadialField.from_csv(str(path))
-        np.testing.assert_allclose(back.grid.nodes, g.nodes, rtol=0)
-        np.testing.assert_allclose(back.values, f.values, rtol=0)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 0], g.nodes)
+        np.testing.assert_array_equal(back[:, 1], f.values)
 
     def test_csv_bytes_match_per_row_formatting(self, rng):
         # the writer formats Python floats in blocks of rows (two blocks
@@ -133,14 +132,6 @@ class TestGridAndField:
                                  for r, v in zip(g.nodes, f.values))
         assert buf.getvalue() == want
         assert want.splitlines()[1] == "0,-0"
-
-    def test_evaluation_and_extrapolation(self):
-        g = RadialGrid.uniform(0.5, 2.0, 64)
-        f = RadialField.from_function(g, lambda r: r ** 2)
-        assert f(1.0) == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(ExtrapolationError):
-            f(0.1)
-
 
 class TestRadialLaplacian:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -181,17 +172,6 @@ class TestPoissonSolve:
         expected = coeff * (1.0 - grid.nodes ** (beta + 2.0))
         np.testing.assert_allclose(u.values, expected, atol=1e-7)
 
-    def test_singular_origin_head_correction(self):
-        # grids bounded away from 0 extend the inner integral by a local
-        # power fit; leading-order accuracy only
-        grid = RadialGrid.graded(1e-4, 1.0, 2049)
-        beta, n = -1.5, 4
-        f = RadialField.from_function(grid, lambda r: r ** beta)
-        u = poisson_solve_ball(f, 1.0, n)
-        coeff = 1.0 / ((beta + 2.0) * (beta + n))
-        expected = coeff * (1.0 - grid.nodes ** (beta + 2.0))
-        np.testing.assert_allclose(u.values, expected, atol=5e-3)
-
     def test_linearity(self, rng):
         g = RadialGrid.graded(0.0, 1.0, 257)
         f1 = RadialField(g, rng.uniform(0.0, 1.0, len(g)))
@@ -202,12 +182,6 @@ class TestPoissonSolve:
                                  1.0, 4)
         np.testing.assert_allclose(u12.values, u1.values + u2.values,
                                    atol=1e-10)
-
-    def test_non_integrable_source(self):
-        g = RadialGrid.uniform(1e-3, 1.0, 512)
-        f = RadialField.from_function(g, lambda r: r ** -5.0)
-        with pytest.raises(NonIntegrableSourceError):
-            poisson_solve_ball(f, 1.0, 4)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_weighted_source(self):
@@ -222,6 +196,17 @@ class TestPoissonSolve:
         g = RadialGrid.uniform(0.0, 1.0, 64)
         with pytest.raises(GridError):
             poisson_solve_ball(RadialField.constant(g, 1.0), 2.0, 4)
+
+    def test_grid_must_start_at_origin(self):
+        # so must every Navier solve that takes a grid
+        g = RadialGrid.uniform(1e-3, 1.0, 64)
+        problem = NavierProblem(HardyHenonParams(4, 2), 1.0)
+        with pytest.raises(GridError):
+            poisson_solve_ball(RadialField.constant(g, 1.0), 1.0, 4)
+        with pytest.raises(GridError):
+            first_eigenpair(problem, grid=g)
+        with pytest.raises(GridError):
+            torsion_function(problem, grid=g)
 
     def test_solve_then_laplacian_recovers_source(self):
         g = RadialGrid.uniform(0.0, 1.0, 801)
@@ -253,13 +238,12 @@ class TestPoissonSolve:
         assert u.values.min() >= -1e-10 * u.values.max()
 
 
-def _reference_solve(r, vals, n, head=0.0):
+def _reference_solve(r, vals, n):
     """The double integral through scipy's CubicSpline and
     weighted_cumulative, independent of the cached per-grid solve."""
-    F = weighted_cumulative(r, vals, n) + head
+    F = weighted_cumulative(r, vals, n)
     integrand = np.zeros_like(F)
-    pos = r > 0.0
-    integrand[pos] = F[pos] * r[pos] ** (1 - n)
+    integrand[1:] = F[1:] * r[1:] ** (1 - n)
     outer = CubicSpline(r, integrand).antiderivative()
     u = outer(r[-1]) - outer(r)
     u[-1] = 0.0
@@ -268,13 +252,13 @@ def _reference_solve(r, vals, n, head=0.0):
 
 def _grids(sizes):
     for N in sizes:
-        yield RadialGrid.uniform(0.0, 1.0, N)
-        yield RadialGrid.graded(0.0, 1.0, N)
+        yield pytest.param(RadialGrid.uniform(0.0, 1.0, N), id=f"uniform-{N}")
+        yield pytest.param(RadialGrid.graded(0.0, 1.0, N),
+                           id=f"geometric-{N}")
 
 
 class TestCachedGreenSolve:
-    @pytest.mark.parametrize("grid", list(_grids((32, 257, 4097))),
-                             ids=lambda g: f"{g.grading}-{len(g)}")
+    @pytest.mark.parametrize("grid", list(_grids((32, 257, 4097))))
     def test_spline_matches_scipy(self, grid, rng):
         # the kernel integrates the spline from its node slopes: scipy's
         # linear coefficients at the left nodes and its derivative at the end
@@ -288,7 +272,7 @@ class TestCachedGreenSolve:
             assert np.max(np.abs(s - want)) <= 1e-12 * np.max(np.abs(want))
             np.testing.assert_array_equal(d, np.diff(vals))
 
-    @pytest.mark.parametrize("r0", [0.0, 1e-4])
+    @pytest.mark.parametrize("r0", [0.0])
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_solve_matches_spline_double_integral(self, n, r0):
         for grid in (RadialGrid.uniform(r0, 1.0, 257),
@@ -296,8 +280,7 @@ class TestCachedGreenSolve:
             r = grid.nodes
             f = RadialField.from_function(
                 grid, lambda s: np.exp(-2.0 * s) + s ** 2)
-            head = _origin_head(r, r ** (n - 1) * f.values, n) if r0 else 0.0
-            want = _reference_solve(r, f.values, n, head)
+            want = _reference_solve(r, f.values, n)
             got = poisson_solve_ball(f, 1.0, n).values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -345,30 +328,16 @@ def test_green_solve_is_exact_on_low_monomials(grid, n, k):
     assert np.max(np.abs(u - exact)) <= 1e-13 * np.max(exact)
 
 
-# grids of the kernel comparison: from the origin, or from r0 = frac * R
-# with the origin head term
-_kernel_grids = st.builds(
-    lambda kind, R, N, frac: getattr(RadialGrid, kind)(frac * R, R, N),
-    st.sampled_from(["uniform", "graded"]), st.floats(0.1, 10.0),
-    st.integers(32, 2049),
-    st.one_of(st.just(0.0), st.floats(1e-4, 0.5)))
-
-
 @settings(max_examples=80, deadline=None)
-@given(grid=_kernel_grids, n=st.integers(2, 8), seed=st.integers(0, 2 ** 32),
+@given(grid=_green_grids, n=st.integers(2, 8), seed=st.integers(0, 2 ** 32),
        c=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
 def test_green_kernel_matches_scipy_double_integral(grid, n, seed, c):
     # the fused kernel against the same double integral through scipy's
-    # CubicSpline. Sources stay above 0.2, so neither integral cancels;
-    # rough ones only from the origin, where no power-law head is fitted
-    # to the first two values
+    # CubicSpline. Sources stay above 0.2, so neither integral cancels
     r, R = grid.nodes, grid.r_max
-    vals = 1.5 + 0.5 * (c[0] * np.cos(3.0 * r / R) + c[1] * (r / R) ** 2)
-    if grid.r0 == 0.0:
-        vals += 0.3 * c[2] * np.random.default_rng(seed).uniform(
-            -1.0, 1.0, r.size)
-    head = _origin_head(r, r ** (n - 1) * vals, n) if grid.r0 else 0.0
-    want = _reference_solve(r, vals, n, head)
+    vals = 1.5 + 0.5 * (c[0] * np.cos(3.0 * r / R) + c[1] * (r / R) ** 2) \
+        + 0.3 * c[2] * np.random.default_rng(seed).uniform(-1.0, 1.0, r.size)
+    want = _reference_solve(r, vals, n)
     got = poisson_solve_ball(RadialField(grid, vals), R, n).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     total = weighted_cumulative(r, vals, n)[-1]
@@ -414,111 +383,6 @@ class TestIteratedGreen:
             err = np.abs(lap.values - layers[i + 1].values)[inner]
             scale = np.max(np.abs(layers[i + 1].values))
             assert err.max() < 1e-6 * max(scale, 1e-30)
-
-
-class TestRecenterAverage:
-    def test_constant(self):
-        g = RadialGrid.uniform(0.0, 5.0, 301)
-        f = RadialField.constant(g, 3.0)
-        for d, r, n in ((0.0, 1.0, 4), (1.0, 2.0, 5), (0.7, 1.3, 3)):
-            assert recenter_average(f, d, r, n) == pytest.approx(3.0,
-                                                                 abs=1e-12)
-
-    def test_concentric_reduces_to_value(self):
-        g = RadialGrid.uniform(0.0, 5.0, 1001)
-        f = RadialField.from_function(g, lambda r: np.exp(-r))
-        assert recenter_average(f, 0.0, 2.0, 4) == pytest.approx(
-            math.exp(-2.0), rel=1e-8)
-
-    def test_square_profile(self):
-        g = RadialGrid.uniform(0.0, 6.0, 2401)
-        f = RadialField.from_function(g, lambda r: r ** 2)
-        for n in (3, 4, 6):
-            for d, r in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
-                assert recenter_average(f, d, r, n) == pytest.approx(
-                    d * d + r * r, rel=1e-7)
-
-    def test_extrapolation_error(self):
-        g = RadialGrid.uniform(0.0, 2.0, 64)
-        f = RadialField.constant(g, 1.0)
-        with pytest.raises(ExtrapolationError):
-            recenter_average(f, 1.5, 1.0, 4)
-
-
-class TestJensen:
-    def test_constant_is_equality_case(self):
-        g = RadialGrid.uniform(0.0, 4.0, 301)
-        f = RadialField.constant(g, 2.0)
-        assert abs(jensen_gap(f, 2.0, 1.0, 1.0, 4)) < 1e-12
-
-    def test_square_profile_oracle(self):
-        # independent theta-quadrature oracle for avg(|x|^4) at d = r = 1,
-        # n = 4: the gap equals avg(|x|^4) - (d^2+r^2)^2
-        g = RadialGrid.uniform(0.0, 6.0, 4801)
-        f = RadialField.from_function(g, lambda r: r ** 2)
-        num, _ = quad(lambda t: (2.0 + 2.0 * math.cos(t)) ** 2
-                      * math.sin(t) ** 2, 0.0, math.pi)
-        den, _ = quad(lambda t: math.sin(t) ** 2, 0.0, math.pi)
-        expected = num / den - 4.0
-        gap = jensen_gap(f, 2.0, 1.0, 1.0, 4)
-        assert gap == pytest.approx(expected, rel=1e-6)
-        assert gap > 0.0
-
-    def test_gap_nonnegative_battery(self, rng):
-        g = RadialGrid.uniform(0.0, 8.0, 801)
-        profiles = [
-            RadialField.from_function(g, lambda r: np.exp(-r)),
-            RadialField.from_function(g, lambda r: 1.0 / (1.0 + r ** 2)),
-            RadialField(g, rng.uniform(0.5, 2.0, len(g))),
-        ]
-        for f in profiles:
-            for _ in range(10):
-                d = float(rng.uniform(0.0, 2.0))
-                r = float(rng.uniform(0.1, 2.0))
-                p = float(rng.uniform(1.1, 3.0))
-                assert jensen_gap(f, p, d, r, 4) >= -1e-10
-
-    def test_strict_for_nonconstant(self):
-        g = RadialGrid.uniform(0.0, 5.0, 801)
-        f = RadialField.from_function(g, lambda r: 1.0 + r)
-        assert jensen_gap(f, 2.0, 1.0, 1.0, 4) > 1e-6
-
-
-# Both averages of the Jensen gap use the same positive, normalised
-# Gauss-Legendre weights (at most 20 + 5n = 60 nodes here), so the discrete
-# gap is >= 0 exactly and only rounding of sums of that many terms, each
-# below max(f)^p, is left: a few 1e-14 max(f)^p. The floor allows 1e-12.
-JENSEN_FLOOR = 1e-12
-
-
-@settings(max_examples=80, deadline=None)
-@given(values=st.lists(st.floats(1e-2, 1e2), min_size=32, max_size=96),
-       R=st.floats(0.5, 10.0), n=st.integers(2, 8),
-       p=st.floats(1.0, 6.0, exclude_min=True),
-       d_frac=st.floats(0.0, 1.0, exclude_max=True),
-       r_frac=st.floats(0.0, 1.0, exclude_min=True))
-def test_jensen_gap_is_nonnegative(values, R, n, p, d_frac, r_frac):
-    # any positive profile and any sphere inside the field's coverage
-    f = RadialField(RadialGrid.uniform(0.0, R, len(values)), values)
-    d = d_frac * R
-    r = r_frac * (R - d)
-    assert jensen_gap(f, p, d, r, n) >= -JENSEN_FLOOR * max(values) ** p
-
-
-def test_weighted_source_lower_bound(rng):
-    # avg(f^p |x|^(-a)) >= min_sphere(|x|^(-a)) * avg(f)^p, both weight signs
-    g = RadialGrid.uniform(0.0, 8.0, 801)
-    f = RadialField.from_function(g, lambda r: 1.0 / (1.0 + r))
-    for a in (-1.5, -0.5, 0.5, 1.5):
-        for _ in range(8):
-            d = float(rng.uniform(0.5, 2.0))
-            r = float(rng.uniform(0.1, 2.0))
-            if abs(d - r) < 1e-2:
-                continue
-            avg = recenter_average(f, d, r, 4)
-            lhs = weighted_source_average(f, 2.0, a, d, r, 4)
-            bound = hardy_bound_factor(d, r, a) * avg ** 2
-            assert lhs >= bound * (1.0 - 1e-9)
 
 
 class TestSingularSolution:
