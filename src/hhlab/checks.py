@@ -62,8 +62,7 @@ def green_ball() -> list:
                   abs(edge) < GREEN_BOUNDARY_TOL)]
 
 
-def composition_sample(rng, per_n: int,
-                       budget: int = K.QUADRATURE_BUDGET) -> list:
+def composition_sample(rng, per_n: int) -> list:
     """Quadrature gaps of the composition identity at `per_n` random draws
     for each of n = 4, 5. Orders are drawn by rejection until
     1 <= alpha1 + alpha2 <= n - 0.4, then x and z in [-2, 2]^n; the draw
@@ -78,17 +77,18 @@ def composition_sample(rng, per_n: int,
                     break
             x = rng.uniform(-2.0, 2.0, n)
             z = rng.uniform(-2.0, 2.0, n)
-            lhs, rhs = K.riesz_compose_check(a1, a2, x, z, n, budget)
+            lhs, rhs = K.riesz_compose_check(a1, a2, x, z, n)
             gaps.append({"n": n, "alpha1": a1, "alpha2": a2,
                          "distance": float(np.linalg.norm(x - z)),
                          "rel_gap": abs(lhs / rhs - 1.0)})
     return gaps
 
 
-def riesz_composition(gaps: list, tol: float = COMPOSITION_TOL) -> Check:
+def riesz_composition(gaps: list) -> Check:
     """eq:2c26: R_{a1} * R_{a2} = R_{a1+a2}, worst gap of a sample."""
     worst = max(g["rel_gap"] for g in gaps)
-    return Check("riesz-composition", "eq:2c26", worst, tol, worst < tol)
+    return Check("riesz-composition", "eq:2c26", worst, COMPOSITION_TOL,
+                 worst < COMPOSITION_TOL)
 
 
 def monomial_coefficient() -> Check:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -23,7 +22,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import checks as C
-from . import kernels as K
 from . import ladder as L
 from . import liouville as LV
 from . import navier as NV
@@ -76,9 +74,9 @@ def _finish(args, command: str, checks, **fields) -> int:
 
 def cmd_kernels_selftest(args) -> int:
     gaps = C.composition_sample(np.random.default_rng(args.seed),
-                                args.n_configs // 2, args.budget)
+                                args.n_configs // 2)
     checks = [*C.riesz_constants(), *C.green_ball(),
-              C.riesz_composition(gaps, args.tol)]
+              C.riesz_composition(gaps)]
     return _finish(args, "kernels-selftest", checks, seed=args.seed,
                    composition_gaps=gaps)
 
@@ -109,10 +107,9 @@ def cmd_eigen(args) -> int:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, 2.0)
         problem = NV.NavierProblem(params, args.R)
         grid = problem.default_grid(args.nodes)
-        NV.check_tolerance("tol", args.tol)
     except ValueError as exc:
         return _config_error(str(exc))
-    eig = NV.first_eigenpair(problem, args.tol, grid)
+    eig = NV.first_eigenpair(problem, NV.EIGEN_TOL, grid)
     oracle = C.bessel_oracle(problem)
     check = C.eigenvalue_vs_bessel(eig.lambda1, oracle)
     code = _finish(args, "eigen", [check], lambda1=eig.lambda1,
@@ -128,10 +125,9 @@ def cmd_solve(args) -> int:
         problem = NV.NavierProblem(params, args.R)
         NV.check_solver_order(problem)
         grid = problem.default_grid(args.nodes)
-        NV.check_tolerance("tol", args.tol)
     except ValueError as exc:
         return _config_error(str(exc))
-    sol = NV.solve_positive(problem, grid, args.tol)
+    sol = NV.solve_positive(problem, grid)
     label = (f"u(n={args.n},m={args.m},p={args.p:g},t={args.t:g},"
              f"R={args.R:g})")
     sol.u.to_csv(str(_out_dir(args) / "solution.csv"), label)
@@ -267,18 +263,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a positive, finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Command table
 # ---------------------------------------------------------------------------
@@ -309,9 +293,6 @@ def _kernels_selftest_flags(sp):
                     help="composition checks, split over n = 4 and 5 "
                          "(at least 2)")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.add_argument("--budget", type=_int_at_least(1),
-                    default=K.QUADRATURE_BUDGET)
-    sp.add_argument("--tol", type=_positive_float, default=C.COMPOSITION_TOL)
 
 
 def _ladder_flags(sp):
@@ -327,7 +308,6 @@ def _eigen_flags(sp):
     _add_shared(sp, "n", "m")
     sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
-    sp.add_argument("--tol", type=float, default=NV.EIGEN_TOL)
 
 
 def _solve_flags(sp):
@@ -335,7 +315,6 @@ def _solve_flags(sp):
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
-    sp.add_argument("--tol", type=float, default=NV.FIXED_POINT_TOL)
 
 
 def _shoot_flags(sp):

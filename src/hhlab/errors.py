@@ -10,7 +10,8 @@ class KernelDomainError(HHLabError, ValueError):
 
 
 class QuadratureError(HHLabError, RuntimeError):
-    """A quadrature estimate failed to converge within its budget."""
+    """A quadrature estimate was not finite or disagreed between its
+    refinement levels."""
 
 
 class GridError(HHLabError, ValueError):

@@ -76,7 +76,8 @@ def green_ball(x, y, R: float, n: int) -> float:
 # Composition identity check
 # ---------------------------------------------------------------------------
 
-QUADRATURE_BUDGET = 250_000  # default evaluation budget of one check
+# (n_sing, n_theta, order) of the fine and the coarse refinement level
+_LEVELS = ((24, 26, 8), (14, 15, 6))
 _OUTER_RADIUS = 400.0        # quadrature radius at unit distance
 _ROW_BLOCK = 64              # mesh rows raised to the kernel power at once
 
@@ -143,15 +144,13 @@ def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
         d ** (alpha1 + alpha2 - n)
 
 
-def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
-                        quadrature_budget: int = QUADRATURE_BUDGET):
+def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int):
     """Numerically verify the Riesz composition identity at one point pair.
 
     Returns (lhs, rhs): the quadrature value of the convolution of the two
-    kernels evaluated at (x, z), and the closed-form right-hand side. The
-    budget, an integer count of quadrature points, fixes the two refinement
-    levels. Raises QuadratureError when the two levels disagree by more
-    than 0.5%.
+    kernels evaluated at (x, z), and the closed-form right-hand side, the
+    former on the fine of the two fixed refinement levels `_LEVELS`.
+    Raises QuadratureError when the two levels disagree by more than 0.5%.
     """
     if not isinstance(n, numbers.Integral) or n < 2:
         raise KernelDomainError(
@@ -183,40 +182,14 @@ def riesz_compose_check(alpha1: float, alpha2: float, x, z, n: int,
         raise KernelDomainError(
             f"|x-z|^(alpha1+alpha2-n) leaves the float range at "
             f"|x-z| = {d}")
-    # the budget picks the cached refinement levels, so it must be a count
-    if (not isinstance(quadrature_budget, numbers.Integral)
-            or quadrature_budget < 1):
-        raise KernelDomainError(
-            f"quadrature budget must be an integer >= 1, "
-            f"got {quadrature_budget!r}")
-
-    order = 8
-    n_sing, n_theta = 24, 26
-    base_cost = _mesh_cost(n_sing, n_theta, order)
-    coarse_cost = _mesh_cost(int(n_sing * 0.6), int(n_theta * 0.6), order - 2)
-    if base_cost + coarse_cost > quadrature_budget:
-        scale = (quadrature_budget / (base_cost + coarse_cost)) ** 0.5
-        order = max(4, int(order * scale))
-        n_sing = max(8, int(n_sing * scale))
-        n_theta = max(8, int(n_theta * scale))
-        if _mesh_cost(n_sing, n_theta, order) > quadrature_budget:
-            raise QuadratureError(
-                "quadrature budget too small for the composition check")
-
-    fine = _composition_integral(alpha1, alpha2, d, n, n_sing, n_theta, order)
-    coarse = _composition_integral(alpha1, alpha2, d, n,
-                                   max(8, int(n_sing * 0.6)),
-                                   max(8, int(n_theta * 0.6)),
-                                   max(4, order - 2))
+    fine, coarse = (_composition_integral(alpha1, alpha2, d, n, *level)
+                    for level in _LEVELS)
     if not (np.isfinite(fine) and np.isfinite(coarse)):
         raise QuadratureError("composition integral produced non-finite data")
     if abs(fine - coarse) > 5e-3 * abs(fine):
         raise QuadratureError(
-            f"composition integral did not converge within budget "
+            "composition integral did not converge "
             f"(levels {coarse:.6e} vs {fine:.6e})")
 
     return fine, riesz_constant(alpha1 + alpha2, n) * power
 
-
-def _mesh_cost(n_sing: int, n_theta: int, order: int) -> int:
-    return (3 * n_sing + 14) * order * n_theta * order

@@ -60,8 +60,9 @@ class LadderState:
     @classmethod
     def initial(cls, l0: float, params: HardyHenonParams, M: float = 0.0,
                 alpha0: float | None = None) -> "LadderState":
-        if l0 <= 0.0:
-            raise ValueError("starting amplitude must be positive")
+        if not (math.isfinite(l0) and l0 > 0.0):
+            raise ValueError(f"starting amplitude l0 must be positive and "
+                             f"finite, got {l0!r}")
         a0 = default_alpha0(params) if alpha0 is None else float(alpha0)
         return cls(0, math.log(l0), a0, geometry_constant(params, M), M,
                    params)
@@ -133,6 +134,7 @@ def divergence_threshold(params: HardyHenonParams, M: float = 0.0) -> float:
 
     with alpha0 = max{1, 2n/p}.
     """
+    geometry_constant(params, M)   # rejects a bad M before log1p reads it
     n, p, a = params.n, params.p, params.a
     alpha0 = default_alpha0(params)
     log_t = max(a / (p - 1.0) * math.log1p(M), 0.0) \

@@ -44,6 +44,8 @@ DEFAULT_NODES = 513
 FIXED_POINT_TOL = 1e-8
 # sup-norm change at which the eigenfunction's inverse power iteration stops
 EIGEN_TOL = 1e-10
+# inverse power iterations before the eigenpair is declared stalled
+_MAX_EIGEN_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,6 @@ class NavierProblem:
     def default_grid(self, n_nodes: int = DEFAULT_NODES) -> RadialGrid:
         """The graded grid on [0, R] every solver uses unless given one."""
         return RadialGrid.graded(0.0, self.R, n_nodes)
-
-
-def check_tolerance(name: str, tol: float) -> None:
-    """Raise ValueError unless tol is positive and finite."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -177,20 +173,19 @@ def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
 
 
 def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
-                    grid: Optional[RadialGrid] = None,
-                    max_iter: int = 200) -> EigenPair:
+                    grid: Optional[RadialGrid] = None) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
-    iteration on the m-fold Green operator; phi is normalized to sup 1."""
-    check_tolerance("tol", tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    iteration on the m-fold Green operator, stopped once the sup-norm
+    change falls below `tol`; phi is normalized to sup 1."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n, m = problem.params.n, problem.params.m
     if grid is None:
         grid = problem.default_grid()
     r = grid.nodes
     phi = RadialField(grid, 1.0 - (r / problem.R) ** 2)
     lam = math.nan
-    for _ in range(max_iter):
+    for _ in range(_MAX_EIGEN_ITER):
         w = phi
         for _ in range(m):
             w = poisson_solve_ball(w, problem.R, n)
@@ -422,11 +417,11 @@ class _FixedPointSolve:
         return dx
 
 
-def solve_positive(problem: NavierProblem, grid: Optional[RadialGrid] = None,
-                   tol: float = FIXED_POINT_TOL) -> NavierSolution:
+def solve_positive(problem: NavierProblem,
+                   grid: Optional[RadialGrid] = None) -> NavierSolution:
     """Find a positive fixed point of K with amplitude at least rho, on
     `grid` (default `problem.default_grid()`, and it must run from 0 to R)
-    with certified residual max|u - K(u)| / sup u below `tol`.
+    with certified residual max|u - K(u)| / sup u below FIXED_POINT_TOL.
 
     For a trial amplitude s the normalized Picard map converges to a
     shape; g(s) = ||K(s shape)|| - s changes sign across the nontrivial
@@ -442,7 +437,6 @@ def solve_positive(problem: NavierProblem, grid: Optional[RadialGrid] = None,
     the one this homotopy finds and makes no minimality claim.
     """
     check_solver_order(problem)
-    check_tolerance("tol", tol)
     if grid is None:
         grid = problem.default_grid()
     elif grid.r0 != 0.0 or grid.r_max != problem.R:
@@ -452,23 +446,23 @@ def solve_positive(problem: NavierProblem, grid: Optional[RadialGrid] = None,
     u, layers = solver.run()
     residual = float(np.max(np.abs(u.values - layers[0].values))) \
         / float(np.max(u.values))
-    if residual > tol:
+    if residual > FIXED_POINT_TOL:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} above tolerance")
 
     eig = first_eigenpair(problem, EIGEN_TOL, grid)
     return NavierSolution(layers, residual, layers[0].sup_norm,
-                          build_certificates(layers, residual, eig, problem,
-                                             tol),
+                          build_certificates(layers, residual, eig, problem),
                           eig, solver.stats())
 
 
 def build_certificates(layers: tuple, residual: float, eig: EigenPair,
-                       problem: NavierProblem, tol: float) -> tuple:
+                       problem: NavierProblem) -> tuple:
     """The certificates of the layer stack `layers` (u first) with
-    fixed-point residual `residual`, as `Check`s: the residual below `tol`,
-    positive layers, Navier boundary values, the amplitude lower bound rho,
-    the eigenvalue energy bound against `eig` and radial monotonicity."""
+    fixed-point residual `residual`, as `Check`s: the residual below
+    FIXED_POINT_TOL, positive layers, Navier boundary values, the amplitude
+    lower bound rho, the eigenvalue energy bound against `eig` and radial
+    monotonicity."""
     u = layers[0]
     sup = u.sup_norm
     positive = all(bool(np.all(layer.values[:-1] > 0.0)) for layer in layers)
@@ -482,8 +476,8 @@ def build_certificates(layers: tuple, residual: float, eig: EigenPair,
         else u.with_values(np.maximum(u.values, 0.0) ** p + t)
     monotone = radial_monotonicity_check(u, u1, problem.params.n)
     return (
-        Check("fixed-point-residual", "eq:4-30", residual, tol,
-              residual < tol),
+        Check("fixed-point-residual", "eq:4-30", residual, FIXED_POINT_TOL,
+              residual < FIXED_POINT_TOL),
         Check("positive-layers", "eq:3-3", positive, True, positive),
         Check("boundary-values", "eq:Navier", boundary, True, boundary),
         Check("amplitude-lower-bound", "eq:1.8", sup, rho,

@@ -147,16 +147,13 @@ def hermite_crossing(rec: StepRecord, j: int, level: float) -> float:
 
 
 class _DormandPrince:
-    """Right-hand side, tolerances and step limits of either stepper."""
+    """Right-hand side and tolerances of either stepper. Both read the
+    module's step limits MAX_STEPS and H_MIN_FACTOR as they integrate."""
 
-    def __init__(self, rhs: Callable, rtol: float = 1e-8, atol: float = 1e-10,
-                 max_steps: int = MAX_STEPS,
-                 h_min_factor: float = H_MIN_FACTOR):
+    def __init__(self, rhs: Callable, rtol: float = 1e-8, atol: float = 1e-10):
         self.rhs = rhs
         self.rtol = rtol
         self.atol = atol
-        self.max_steps = max_steps
-        self.h_min_factor = h_min_factor
 
 
 class AdaptiveRK(_DormandPrince):
@@ -208,12 +205,12 @@ class AdaptiveRK(_DormandPrince):
         steps = 0
         while t < t_end:
             h = min(h, t_end - t)
-            if h < self.h_min_factor * max(abs(t), 1e-30):
+            if h < H_MIN_FACTOR * max(abs(t), 1e-30):
                 raise _integrator_error(f"step size underflow at r={t:.6g}",
                                         t, y)
             y1, f1, err = self._step(t, y, h, f)
             steps += 1
-            if steps > self.max_steps:
+            if steps > MAX_STEPS:
                 raise _integrator_error("step budget exhausted", t, y)
             if not all(map(isfinite, y1)):
                 h *= _RETRY
@@ -281,13 +278,13 @@ class LaneRK(_DormandPrince):
                 h = np.minimum(h, t_end - t)
                 # an underflowing lane fails before its step: the step is
                 # taken with the others but neither counted nor accepted
-                failed = h < self.h_min_factor * np.maximum(np.abs(t), 1e-30)
+                failed = h < H_MIN_FACTOR * np.maximum(np.abs(t), 1e-30)
                 for i in np.flatnonzero(failed):
                     results[lane[i]] = _integrator_error(
                         f"step size underflow at r={t[i]:.6g}", t[i], y[i])
                 y1, f1, err = self._step(t, y, h, f)
                 steps += 1
-                over = (steps > self.max_steps) & ~failed
+                over = (steps > MAX_STEPS) & ~failed
                 for i in np.flatnonzero(over):
                     results[lane[i]] = _integrator_error(
                         "step budget exhausted", t[i], y[i])

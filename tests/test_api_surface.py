@@ -1,13 +1,16 @@
 """Every name the package exports has a caller outside the unit tests: a
 module of the package, the acceptance battery or the benchmark harness.
 A name that only unit tests reach is either a test oracle, listed with its
-reason, or dead API to delete."""
+reason, or dead API to delete. The flags of every subcommand are pinned, so
+a flag is added or dropped only together with its table entry."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from hhlab.cli import _COMMANDS, command_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hhlab"
@@ -52,3 +55,28 @@ def test_export_has_a_caller(name):
     else:
         assert referenced, (f"{name} is exported but nothing outside the "
                             f"unit tests uses it")
+
+
+# each subcommand's own flags in parser order; every parser starts with
+# -h/--help and ends with the common flags
+CLI_FLAGS = {
+    "kernels-selftest": ["--n-configs", "--seed"],
+    "ladder": ["--n", "--p", "--a", "--M", "--l0", "--alpha0", "--k-max"],
+    "eigen": ["--n", "--m", "--R", "--nodes"],
+    "solve": ["--n", "--m", "--p", "--t", "--R", "--nodes"],
+    "shoot": ["--n", "--m", "--p", "--a", "--init", "--r-max", "--rtol",
+              "--atol"],
+    "scan": ["--n", "--m", "--p", "--a", "--u0", "--u1", "--higher",
+             "--r-max", "--rtol", "--atol"],
+    "singular": ["--n", "--m", "--a", "--p"],
+    "report": ["--seed"],
+}
+COMMON_FLAGS = ["--output-dir", "--config", "--quiet"]
+
+
+def test_cli_flags_are_pinned():
+    surface = {name: [opt for action in command_parser(name)._actions
+                      for opt in action.option_strings]
+               for name in _COMMANDS}
+    assert surface == {name: ["-h", "--help", *flags, *COMMON_FLAGS]
+                       for name, flags in CLI_FLAGS.items()}

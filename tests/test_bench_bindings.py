@@ -62,11 +62,12 @@ def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
     assert len(calls) == 4
     assert [end for end, _ in calls] == pytest.approx(
         [400.0, math.pi, 400.0, math.pi])
-    # the fine and the coarse level at the default budget
-    levels = [(24, 26, 8), (14, 15, 6)]
-    for (_, n_r), (_, n_theta), level in zip(calls[::2], calls[1::2],
-                                             levels):
-        assert n_r * n_theta <= kernels._mesh_cost(*level)
+    # the fine then the coarse level: the radial mesh has at most
+    # 3 n_sing + 14 panels, the angular one exactly n_theta
+    for (_, n_r), (_, n_theta), (n_sing, theta_panels, order) in zip(
+            calls[::2], calls[1::2], kernels._LEVELS):
+        assert n_r <= (3 * n_sing + 14) * order
+        assert n_theta == theta_panels * order
     kernels.riesz_compose_check(1.2, 1.7, np.zeros(4),
                                 np.array([0.0, 0.3, 0.0, 0.0]), 4)
     assert len(calls) == 4

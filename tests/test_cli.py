@@ -93,9 +93,7 @@ class TestSolve:
     @pytest.mark.parametrize("args", [
         ["solve", "--t", "nan"], ["solve", "--R", "nan"],
         ["solve", "--p", "inf"], ["solve", "--nodes", "10"],
-        ["eigen", "--nodes", "10"], ["eigen", "--R", "inf"],
-        ["solve", "--tol", "nan"], ["solve", "--tol", "0"],
-        ["eigen", "--tol", "nan"], ["eigen", "--tol", "-1"]])
+        ["eigen", "--nodes", "10"], ["eigen", "--R", "inf"]])
     def test_bad_input_exits_2(self, args, tmp_path, capsys):
         out_dir = tmp_path / "x"
         code = main(args + ["--output-dir", str(out_dir), "--quiet"])
@@ -122,7 +120,7 @@ class TestSolve:
 
 class TestErrorClasses:
     @pytest.mark.parametrize("args,numerics", [
-        (["eigen", "--tol", "nan"], "hhlab.navier.first_eigenpair"),
+        (["eigen", "--R", "nan"], "hhlab.navier.first_eigenpair"),
         (["solve", "--n", "6", "--m", "2"], "hhlab.navier.solve_positive"),
         (["shoot", "--init=-1,1"], "hhlab.liouville.shoot"),
         (["shoot", "--init", "1,1", "--r-max", "nan"],
@@ -142,6 +140,24 @@ class TestErrorClasses:
         code = main(args + ["--output-dir", str(out_dir), "--quiet"])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["code"] == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("args,field", [
+        (["ladder", "--M=-2"], "path length M"),
+        (["ladder", "--l0", "nan"], "amplitude l0"),
+        (["ladder", "--l0", "inf"], "amplitude l0")],
+        ids=["M-negative", "l0-nan", "l0-inf"])
+    def test_ladder_error_names_the_field(self, args, field, tmp_path,
+                                          capsys, monkeypatch):
+        def no_numerics(*a, **k):
+            raise AssertionError("numerics ran on invalid input")
+
+        monkeypatch.setattr("hhlab.ladder.ladder_table", no_numerics)
+        out_dir = tmp_path / "x"
+        code = main(args + ["--output-dir", str(out_dir), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and field in err["error"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["kernels-selftest", "report"])
@@ -183,6 +199,28 @@ class TestConfigAndFlags:
             main(["solve", "--does-not-exist", "1",
                   "--output-dir", str(out_dir)])
         assert exc.value.code == 2
+        assert not out_dir.exists()
+
+    # certificate bounds and numerical budgets are constants, not flags
+    @pytest.mark.parametrize("args,ini,flag", [
+        (["kernels-selftest", "--tol=0.5"], None, "--tol"),
+        (["kernels-selftest", "--budget=1000"], None, "--budget"),
+        (["solve", "--tol=1e-6"], None, "--tol"),
+        (["eigen", "--tol=1e-6"], None, "--tol"),
+        (["solve"], "[solve]\ntol = 1e-6\n", "--tol")],
+        ids=["selftest-tol", "selftest-budget", "solve-tol", "eigen-tol",
+             "config-tol"])
+    def test_removed_flag_exits_2(self, args, ini, flag, tmp_path, capsys):
+        if ini is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(ini)
+            args = args + ["--config", str(cfg)]
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--output-dir", str(out_dir), "--quiet"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and flag in err["error"]
         assert not out_dir.exists()
 
     def test_config_file_defaults_and_override(self, tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhlab.errors import KernelDomainError, QuadratureError
-from hhlab.kernels import (_composition_integral, _composition_mesh,
-                           _unit_mesh, green_ball, riesz_compose_check,
-                           riesz_constant)
+from hhlab.errors import KernelDomainError
+from hhlab.kernels import (_LEVELS, _composition_integral,
+                           _composition_mesh, _unit_mesh, green_ball,
+                           riesz_compose_check, riesz_constant)
 from hhlab.numerics import (graded_breaks, panel_quadrature,
                             sin_power_integral, surface_area)
 from hhlab.liouville import representation_check
@@ -173,25 +173,10 @@ class TestComposition:
         with pytest.raises(KernelDomainError):
             riesz_compose_check(1.0, 1.0, x, z, 4)
 
-    @pytest.mark.parametrize("budget", [
-        math.nan, math.inf, -math.inf, 2.5e5, 1000.5, 0, -5])
-    def test_rejects_bad_budget_before_meshing(self, budget, monkeypatch):
-        _forbid_meshing(monkeypatch)
-        with pytest.raises(KernelDomainError):
-            riesz_compose_check(1.0, 1.0, np.zeros(4),
-                                np.array([1.0, 0, 0, 0]), 4,
-                                quadrature_budget=budget)
-
     def test_accepts_numpy_integer_dimension(self):
         lhs, rhs = riesz_compose_check(1.0, 1.0, np.zeros(4),
                                        np.array([1.0, 0, 0, 0]), np.int64(4))
         assert abs(lhs / rhs - 1.0) < 1e-2
-
-    def test_budget_too_small(self):
-        with pytest.raises(QuadratureError):
-            riesz_compose_check(2.0, 1.5, np.zeros(4),
-                                np.array([1.0, 0, 0, 0]), 4,
-                                quadrature_budget=100)
 
 
 def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
@@ -217,10 +202,6 @@ def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
     return c * surface_area(n - 1) * (core + tail) * \
         d ** (alpha1 + alpha2 - n)
 
-
-# the fine and coarse levels riesz_compose_check evaluates at the default
-# budget: (n_sing, n_theta, order)
-_LEVELS = [(24, 26, 8), (14, 15, 6)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -59,6 +59,12 @@ class TestAdvance:
         with pytest.raises(ValueError):
             LadderState(0, 0.0, 1.0, 1.5, 0.0, params)
 
+    @pytest.mark.parametrize("l0", [math.nan, math.inf])
+    def test_rejects_non_finite_l0(self, l0):
+        params = HardyHenonParams(4, 2, 0.0, 2.0)
+        with pytest.raises(ValueError, match="amplitude l0"):
+            LadderState.initial(l0, params)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_rejects_non_finite_alpha(self, alpha):
         params = HardyHenonParams(4, 2, 0.0, 2.0)
@@ -126,6 +132,13 @@ class TestThreshold:
         params = HardyHenonParams(4, 2, 1.0, 2.0)
         with pytest.raises(ValueError, match="M must be finite"):
             geometry_constant(params, M)
+
+    @pytest.mark.parametrize("M", [-2.0, -1.0, -0.5, math.nan])
+    def test_threshold_rejects_bad_M(self, M):
+        # a hardy weight, so that M enters the threshold through log1p
+        params = HardyHenonParams(4, 2, 1.0, 2.0)
+        with pytest.raises(ValueError, match="path length M"):
+            divergence_threshold(params, M)
 
     def test_divergence_above_threshold(self):
         params = HardyHenonParams(4, 2, 0.0, 2.0)

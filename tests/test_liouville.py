@@ -299,13 +299,7 @@ class TestScanLanes:
     def test_integrator_failure_lane(self, monkeypatch):
         # a step budget of 40 ends the long lanes below the amplitude floor:
         # recorded as IntegratorFailure, with the error shoot raises
-        def budget(cls):
-            return lambda *args, **kw: cls(*args, max_steps=40, **kw)
-
-        monkeypatch.setattr(hhlab.liouville, "AdaptiveRK",
-                            budget(hhlab.rk.AdaptiveRK))
-        monkeypatch.setattr(hhlab.liouville, "LaneRK",
-                            budget(hhlab.rk.LaneRK))
+        monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 40)
         axes = [np.array([0.5, 5.0]), np.array([-1.0, 0.0, 8.0])]
         res = scan(axes, CRITICAL, 30.0)
         _assert_agrees(res.records, _cells(axes), CRITICAL, 30.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hhlab.rk
 from hhlab.errors import IntegratorError
 from hhlab.rk import AdaptiveRK, LaneRK, StepRecord, hermite_crossing
 
@@ -81,8 +82,9 @@ class TestControl:
         assert abs(t - 1.0) < 1e-6
         assert y[0] > 1e6
 
-    def test_exhausted_step_budget_raises_with_state(self):
-        integ = AdaptiveRK(lambda t, y: [-y[0]], rtol=1e-10, max_steps=10)
+    def test_exhausted_step_budget_raises_with_state(self, monkeypatch):
+        monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 10)
+        integ = AdaptiveRK(lambda t, y: [-y[0]], rtol=1e-10)
         with pytest.raises(IntegratorError, match="budget") as info:
             integ.integrate(0.0, [1.0], 10.0)
         t, y = info.value.state
@@ -279,17 +281,16 @@ class TestLaneRK:
         steps = [rec.t1 - rec.t0 for rec in retried]
         assert steps[3] == pytest.approx(0.25 * 5 * steps[2], rel=1e-9)
 
-    def test_exhausted_budget_per_lane(self):
+    def test_exhausted_budget_per_lane(self, monkeypatch):
         def rhs(t, y):
             return [-y[1] * y[0], 0.0]
 
+        monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 20)
         starts = [[1.0, 0.0], [1.0, 50.0]]
-        (results, t, y), _ = self.lane_run(rhs, starts, 10.0, rtol=1e-10,
-                                           max_steps=20)
+        (results, t, y), _ = self.lane_run(rhs, starts, 10.0, rtol=1e-10)
         # a zero rate has zero error, so the step grows fivefold each time
         assert results[0] is None and t[0] == 10.0
-        out, _ = self.float_run(rhs, starts[1], 10.0, rtol=1e-10,
-                                max_steps=20)
+        out, _ = self.float_run(rhs, starts[1], 10.0, rtol=1e-10)
         assert isinstance(results[1], IntegratorError)
         assert "budget" in str(results[1])
         assert results[1].state == out.state
