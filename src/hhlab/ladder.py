@@ -23,10 +23,15 @@ def default_alpha0(params: HardyHenonParams) -> float:
 
 
 def geometry_constant(params: HardyHenonParams, M: float) -> float:
-    """C0 = min{(1+M)^(-a), 1}, the re-center path geometry factor."""
+    """C0 = min{(1+M)^(-a), 1}, the re-center path geometry factor.
+
+    For a <= 0 (no weight, or a Henon weight) (1+M)^(-a) >= 1, so C0 is
+    exactly 1; the power is not formed, since it overflows for large M."""
     if not (math.isfinite(M) and M >= 0.0):
         raise ValueError(f"re-center path length M must be finite and "
                          f"nonnegative, got {M!r}")
+    if params.a <= 0.0:
+        return 1.0
     return min((1.0 + M) ** (-params.a), 1.0)
 
 

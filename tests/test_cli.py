@@ -355,6 +355,16 @@ class TestLadderCommand:
         assert err["code"] == 2 and "--k-max" in err["error"]
         assert not out_dir.exists()
 
+    def test_henon_weight_with_huge_M(self, tmp_path):
+        # C0 = 1 for a <= 0, where the float (1 + M)^2 would overflow
+        code, out = run_cli(["ladder", "--a", "-2", "--M", "1e200",
+                             "--k-max", "12"], tmp_path)
+        report = read_json(out, "ladder.json")
+        assert code == (0 if report["pass"] else 1)
+        assert report["pass"]
+        lines = (out / "ladder.csv").read_text().splitlines()
+        assert lines[0] == "k,log_l,alpha" and len(lines) == 14
+
     @pytest.mark.parametrize("flag,field", [
         ("--alpha0", "exponent alpha"), ("--M", "path length M")])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,42 @@ def test_composition_scaling_law(n, u1, u2, k, lam, seed):
         factor = scale ** (alpha1 + alpha2 - n)
         assert lhs_s == pytest.approx(factor * lhs, rel=1e-12)
         assert rhs_s == pytest.approx(factor * rhs, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8),
+       u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       level=st.sampled_from(_LEVELS))
+def test_cached_log_kernel_power_matches_power(n, u, level):
+    """exp(e ln Q) on the cached ln Q against Q**e on Q recomputed from the
+    cached nodes: exp amplifies the rounding of e ln Q by |e ln Q|, and the
+    log, the product and the two powers each add about one rounding."""
+    mesh = _unit_mesh(*level)
+    for a in mesh:
+        assert not a.flags.writeable
+        assert np.isfinite(a).all()
+    r_nodes, _, t_nodes, _, log_q = mesh
+    q = np.multiply.outer(4.0 * r_nodes, np.sin(0.5 * t_nodes) ** 2)
+    q += ((r_nodes - 1.0) ** 2)[:, None]
+    e = 0.5 * (u * n - n)    # alpha2 = u n in (0, n)
+    rel = np.abs(np.exp(e * log_q) / q ** e - 1.0)
+    bound = (np.abs(e * log_q) + 4.0) * np.finfo(float).eps
+    assert (rel <= bound).all()
+
+
+def test_mesh_build_holds_no_second_mesh_array():
+    """Building both levels peaks within 1.2x the cached arrays' bytes: the
+    log is taken in place, where an out-of-place log holds a second
+    mesh-sized array and peaks at about 1.65x."""
+    _unit_mesh.cache_clear()
+    tracemalloc.start()
+    try:
+        meshes = [_unit_mesh(*level) for level in _LEVELS]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(a.nbytes for mesh in meshes for a in mesh)
+    assert peak <= 1.2 * nbytes
 
 
 def test_representation_consistency_cross_module():

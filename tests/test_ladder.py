@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hhlab.ladder import (LadderState, default_alpha0, divergence_threshold,
                           geometry_constant, ladder_advance,
@@ -103,6 +105,34 @@ class TestClosedForm:
                 cur = ladder_advance(cur)
 
 
+@st.composite
+def _ladder_starts(draw):
+    """(params, M, l0, k): a start l0 = threshold * e^s with s in [0.05, 10],
+    so it lies clear of the divergence threshold on its growing side."""
+    n = draw(st.sampled_from([4, 6, 8, 10]))
+    p = draw(st.floats(1.1, 6.0))
+    a = draw(st.floats(-3.0, 1.9))
+    # a Henon weight leaves C0 = 1 for every M, however large
+    M = draw(st.floats(0.0, 1e200) if a < 0.0 else st.floats(0.0, 50.0))
+    params = HardyHenonParams(n, max(1, n // 2), a, p)
+    threshold = divergence_threshold(params, M)
+    assume(math.isfinite(threshold))
+    log_l0 = math.log(threshold) + draw(st.floats(0.05, 10.0))
+    assume(log_l0 < math.log(np.finfo(float).max))
+    return params, M, math.exp(log_l0), draw(st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=_ladder_starts())
+def test_recurrence_matches_closed_form(start):
+    params, M, l0, k_max = start
+    s0 = LadderState.initial(l0, params, M)
+    for k, log_l, _ in ladder_table(s0, k_max):
+        cf = ladder_closed_form(k, l0, s0)
+        assert abs(cf.log_exact - log_l) <= 1e-12 * max(1.0, abs(log_l))
+        assert cf.log_lower_bound <= log_l
+
+
 class TestThreshold:
     def test_reference_value(self):
         params = HardyHenonParams(4, 2, 0.0, 2.0)
@@ -126,6 +156,15 @@ class TestThreshold:
         assert geometry_constant(params, 1.0) == pytest.approx(0.5)
         neg = HardyHenonParams(4, 2, -1.0, 2.0)
         assert geometry_constant(neg, 5.0) == 1.0
+
+    @pytest.mark.parametrize("a", [0.0, -2.0])
+    @pytest.mark.parametrize("M", [50.0, 1e200, 1e300])
+    def test_geometry_constant_is_one_without_hardy_weight(self, a, M):
+        # (1 + M)^(-a) >= 1 for a <= 0, and it overflows at M = 1e200
+        params = HardyHenonParams(4, 2, a, 2.0)
+        assert geometry_constant(params, M) == 1.0
+        assert divergence_threshold(params, M) == divergence_threshold(
+            HardyHenonParams(4, 2, 0.0, 2.0), 0.0)
 
     @pytest.mark.parametrize("M", [math.nan, math.inf])
     def test_geometry_constant_rejects_non_finite_M(self, M):
