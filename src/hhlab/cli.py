@@ -86,7 +86,14 @@ def cmd_ladder(args) -> int:
         params = RD.HardyHenonParams(args.n, max(1, args.n // 2), args.a,
                                      args.p)
         threshold = L.divergence_threshold(params, args.M)
-        l0 = args.l0 if args.l0 is not None else threshold
+        l0 = args.l0
+        if l0 is None:
+            # the closed form's log base is 1 at e times the threshold; on
+            # the threshold it is 0 up to a rounding that p^k amplifies
+            l0 = np.e * threshold
+            if not np.isfinite(l0):
+                raise ValueError(f"divergence threshold {threshold!r} at p = "
+                                 f"{args.p!r} has no finite default start")
         state = L.LadderState.initial(l0, params, args.M, args.alpha0)
     except ValueError as exc:
         return _config_error(str(exc))
@@ -143,11 +150,10 @@ def cmd_shoot(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
         init = [float(v) for v in args.init.split(",")]
-        LV.shoot_start(init, params, args.r_max, rtol=args.rtol,
-                       atol=args.atol)
+        LV.shoot_start(init, params, args.r_max)
     except ValueError as exc:
         return _config_error(str(exc))
-    out = LV.shoot(init, params, args.r_max, rtol=args.rtol, atol=args.atol)
+    out = LV.shoot(init, params, args.r_max)
     payload = {"command": "shoot", "init": init, "kind": out.kind.value,
                "layer_index": out.layer_index, "r_star": out.r_star,
                "growth_fit": out.growth_fit(), "tag": "eq:PDES"}
@@ -158,17 +164,16 @@ def cmd_shoot(args) -> int:
 def cmd_scan(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
-        axes = [np.linspace(*_triple(args.u0))]
-        if args.m > 1:
-            axes.append(np.linspace(*_triple(args.u1)))
-        for _ in range(2, args.m):
-            axes.append(np.array([args.higher]))
-        LV.scan_cells(axes, params, args.r_max, rtol=args.rtol,
-                      atol=args.atol)
+        axes = LV.reference_axes(params)   # each axis flag replaces its axis
+        for i, spec in enumerate([args.u0, args.u1][:args.m]):
+            if spec is not None:
+                axes[i] = np.linspace(*_triple(spec))
+        if args.higher is not None:
+            axes[2:] = [np.array([args.higher])] * (args.m - 2)
+        LV.scan_cells(axes, params, args.r_max)
     except ValueError as exc:
         return _config_error(str(exc))
-    result = LV.scan(axes, params, args.r_max, rtol=args.rtol,
-                     atol=args.atol)
+    result = LV.scan(axes, params, args.r_max)
     with open(_out_dir(args) / "scan.csv", "w") as fh:
         result.to_csv(fh)
     return _finish(args, "scan", C.scan_survivors(result),
@@ -278,8 +283,7 @@ def _add_common(sp):
 
 # (type, default) of the flags several subcommands share
 _SHARED = {"n": (int, 4), "m": (int, 2), "p": (float, 2.0),
-           "a": (float, 0.0), "r-max": (float, 50.0),
-           "rtol": (float, 1e-10), "atol": (float, 1e-12)}
+           "a": (float, 0.0), "r-max": (float, 50.0)}
 
 
 def _add_shared(sp, *names):
@@ -299,7 +303,8 @@ def _ladder_flags(sp):
     _add_shared(sp, "n", "p", "a")
     sp.add_argument("--M", type=float, default=0.0)
     sp.add_argument("--l0", type=float, default=None,
-                    help="starting amplitude (default: divergence threshold)")
+                    help="starting amplitude (default: e times the "
+                         "divergence threshold)")
     sp.add_argument("--alpha0", type=float, default=None)
     sp.add_argument("--k-max", type=_int_at_least(0), default=40)
 
@@ -321,16 +326,16 @@ def _shoot_flags(sp):
     _add_shared(sp, "n", "m", "p", "a")
     sp.add_argument("--init", required=True,
                     help="comma-separated origin layer values")
-    _add_shared(sp, "r-max", "rtol", "atol")
+    _add_shared(sp, "r-max")
 
 
 def _scan_flags(sp):
     _add_shared(sp, "n", "m", "p", "a")
-    sp.add_argument("--u0", default="0.1,10,21", help="min,max,count")
-    sp.add_argument("--u1", default="-10,10,21", help="min,max,count")
-    sp.add_argument("--higher", type=float, default=1.0,
+    sp.add_argument("--u0", help="min,max,count (default: reference axis)")
+    sp.add_argument("--u1", help="min,max,count (default: reference axis)")
+    sp.add_argument("--higher", type=float,
                     help="fixed origin value for layers above the first two")
-    _add_shared(sp, "r-max", "rtol", "atol")
+    _add_shared(sp, "r-max")
 
 
 def _singular_flags(sp):

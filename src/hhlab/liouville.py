@@ -35,6 +35,9 @@ DEFAULT_BLOW_THRESHOLD = 1e8
 DEFAULT_SIGN_TOL = 1e-10
 # shooting from origin data starts at this radius, off the r = 0 singularity
 DEFAULT_R0 = 1e-6
+# DP5(4) error control of `shoot` and `scan`
+DEFAULT_RTOL = 1e-10
+DEFAULT_ATOL = 1e-12
 # below this amplitude a step-size underflow is an integrator fault, not a
 # finite-radius blow-up
 BLOWUP_AMPLITUDE_FLOOR = 1e6
@@ -166,31 +169,28 @@ def _check_run(r0: float, r_max: float, rtol: float, atol: float) -> None:
 # An event is (r*, kind, layer): where and how a trajectory ends. Single
 # shoots (`_classify`) and scan lanes (`_scan_lanes`) share these rules.
 
-def _start_event(r0: float, y0, m: int, blow_threshold: float,
-                 sign_tol: float):
+def _start_event(r0: float, y0, m: int):
     """The event of a classified start state that ends at r0, or None."""
     for j in range(0, 2 * m, 2):
-        if y0[j] < -sign_tol:
+        if y0[j] < -DEFAULT_SIGN_TOL:
             return r0, OutcomeKind.SIGN_LOSS, j // 2
-    if abs(y0[0]) >= blow_threshold:
+    if abs(y0[0]) >= DEFAULT_BLOW_THRESHOLD:
         return r0, OutcomeKind.BLOW_UP, None
     return None
 
 
-def _step_event(rec: StepRecord, sign_rows, blow_threshold: float,
-                sign_tol: float):
-    """The event inside the accepted step `rec`, or None: a required-positive
-    layer (rows `sign_rows`) below -sign_tol, or u above blow_threshold,
-    each located on the step's Hermite interpolant."""
+def _step_event(rec: StepRecord, sign_rows):
+    """The event inside the accepted step `rec`, or None: a sign loss in a
+    row of `sign_rows` or a blow-up of u, on the step's Hermite interpolant."""
     y1 = rec.y1
     events = []
     for j in sign_rows:
-        if y1[j] < -sign_tol:
-            t_star = hermite_crossing(rec, j, -sign_tol)
+        if y1[j] < -DEFAULT_SIGN_TOL:
+            t_star = hermite_crossing(rec, j, -DEFAULT_SIGN_TOL)
             events.append((t_star, OutcomeKind.SIGN_LOSS, j // 2))
     # amplitude blow-up terminates even in pure tracking mode
-    if y1[0] > blow_threshold:
-        t_star = hermite_crossing(rec, 0, blow_threshold)
+    if y1[0] > DEFAULT_BLOW_THRESHOLD:
+        t_star = hermite_crossing(rec, 0, DEFAULT_BLOW_THRESHOLD)
         events.append((t_star, OutcomeKind.BLOW_UP, None))
     # the earliest event wins; ties go to the lowest layer
     return min(events, key=lambda e: e[0]) if events else None
@@ -215,8 +215,7 @@ def _outcome(event, r_max: float, end: tuple, trace_r=None,
 
 
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
-              r_max: float, rtol: float, atol: float, blow_threshold: float,
-              sign_tol: float, keep_trace: bool,
+              r_max: float, rtol: float, atol: float, keep_trace: bool,
               classify: bool = True) -> ShootingOutcome:
     y0 = [float(v) for v in y0]
     sign_rows = range(0, 2 * params.m, 2) if classify else ()
@@ -234,7 +233,7 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
         return _outcome(event, r_max, end, tr, ty)
 
     if classify:
-        event = _start_event(r0, y0, params.m, blow_threshold, sign_tol)
+        event = _start_event(r0, y0, params.m)
         if event is not None:
             return outcome(event)
 
@@ -244,7 +243,7 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
         if keep_trace:
             trace_r.append(rec.t1)
             trace_y.append(rec.y1)
-        return _step_event(rec, sign_rows, blow_threshold, sign_tol)
+        return _step_event(rec, sign_rows)
 
     integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
     try:
@@ -255,33 +254,29 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
 
 
 def shoot_start(init: Sequence[float], params: HardyHenonParams,
-                r_max: float, r0: float = DEFAULT_R0, rtol: float = 1e-10,
-                atol: float = 1e-12) -> np.ndarray:
-    """The Taylor start state of `shoot`, after its input checks: a finite
-    span and positive tolerances, m finite origin values, u(0) > 0."""
-    _check_run(r0, r_max, rtol, atol)
+                r_max: float) -> np.ndarray:
+    """The Taylor start state of `shoot` at DEFAULT_R0, after its input
+    checks: a finite span, m finite origin values, u(0) > 0."""
+    _check_run(DEFAULT_R0, r_max, DEFAULT_RTOL, DEFAULT_ATOL)
     init = np.asarray(init, dtype=float)
-    y0 = taylor_start(init, params, r0)
+    y0 = taylor_start(init, params, DEFAULT_R0)
     if init[0] <= 0.0:
         raise ValueError("origin value u(0) must be positive")
     return y0
 
 
 def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
-          r0: float = DEFAULT_R0, rtol: float = 1e-10, atol: float = 1e-12,
-          blow_threshold: float = DEFAULT_BLOW_THRESHOLD,
-          sign_tol: float = DEFAULT_SIGN_TOL,
+          rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
           keep_trace: bool = True) -> ShootingOutcome:
     """Integrate outward from origin layer values and classify the fate."""
-    y0 = shoot_start(init, params, r_max, r0, rtol, atol)
-    return _classify(params, r0, y0, r_max, rtol, atol, blow_threshold,
-                     sign_tol, keep_trace)
+    _check_run(DEFAULT_R0, r_max, rtol, atol)
+    y0 = shoot_start(init, params, r_max)
+    return _classify(params, DEFAULT_R0, y0, r_max, rtol, atol, keep_trace)
 
 
 def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
-               r_max: float, rtol: float = 1e-10, atol: float = 1e-12,
-               blow_threshold: float = DEFAULT_BLOW_THRESHOLD,
-               sign_tol: float = DEFAULT_SIGN_TOL, keep_trace: bool = True,
+               r_max: float, rtol: float = DEFAULT_RTOL,
+               atol: float = DEFAULT_ATOL, keep_trace: bool = True,
                classify: bool = True) -> ShootingOutcome:
     """Integrate from an explicit full state (u_i, u_i') at r0 > 0.
 
@@ -295,8 +290,8 @@ def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
         raise ValueError(f"state must have length {2 * params.m}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("state must be finite")
-    return _classify(params, r0, y0, r_max, rtol, atol, blow_threshold,
-                     sign_tol, keep_trace, classify=classify)
+    return _classify(params, r0, y0, r_max, rtol, atol, keep_trace,
+                     classify=classify)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +352,7 @@ def _scan_record(init, out: ShootingOutcome) -> ScanRecord:
 
 
 def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
-                rtol: float, atol: float,
-                blow_threshold: float = DEFAULT_BLOW_THRESHOLD,
-                sign_tol: float = DEFAULT_SIGN_TOL) -> list:
+                rtol: float, atol: float) -> list:
     """The ScanRecord of every cell, as `shoot` would classify it alone.
 
     Cells whose Taylor start ends at r0 are recorded at once; the others
@@ -370,7 +363,7 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
     lanes, starts = [], []
     for i, init in enumerate(cells):
         y0 = taylor_start(init, params, r0)
-        event = _start_event(r0, y0, params.m, blow_threshold, sign_tol)
+        event = _start_event(r0, y0, params.m)
         if event is None:
             lanes.append(i)
             starts.append(y0)
@@ -385,12 +378,12 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
     def callback(t0, t1, y0, y1, f0, f1):
         # screen every lane at once; build a StepRecord only for those
         # where _step_event finds an event
-        hit = np.flatnonzero((y1[:, 0::2] < -sign_tol).any(axis=1)
-                             | (y1[:, 0] > blow_threshold))
+        hit = np.flatnonzero((y1[:, 0::2] < -DEFAULT_SIGN_TOL).any(axis=1)
+                             | (y1[:, 0] > DEFAULT_BLOW_THRESHOLD))
         return {k: _step_event(StepRecord(float(t0[k]), float(t1[k]),
                                           y0[k].tolist(), y1[k].tolist(),
                                           f0[k].tolist(), f1[k].tolist()),
-                               sign_rows, blow_threshold, sign_tol)
+                               sign_rows)
                 for k in hit}
 
     integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
@@ -410,12 +403,10 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
 
 
 def scan_cells(init_axes: Sequence[Sequence[float]],
-               params: HardyHenonParams, r_max: float, rtol: float = 1e-10,
-               atol: float = 1e-12) -> np.ndarray:
+               params: HardyHenonParams, r_max: float) -> np.ndarray:
     """The (cells, m) origin data of `scan`, after its input checks: a
-    finite span and positive tolerances, m finite axes, u(0) > 0 in every
-    cell."""
-    _check_run(DEFAULT_R0, r_max, rtol, atol)
+    finite span, m finite axes, u(0) > 0 in every cell."""
+    _check_run(DEFAULT_R0, r_max, DEFAULT_RTOL, DEFAULT_ATOL)
     axes = [np.asarray(ax, dtype=float) for ax in init_axes]
     if len(axes) != params.m:
         raise ValueError(f"need {params.m} axes, got {len(axes)}")
@@ -429,28 +420,28 @@ def scan_cells(init_axes: Sequence[Sequence[float]],
 
 
 def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
-         r_max: float, rtol: float = 1e-10,
-         atol: float = 1e-12) -> ScanResult:
+         r_max: float, rtol: float = DEFAULT_RTOL,
+         atol: float = DEFAULT_ATOL) -> ScanResult:
     """Classify every cell of the Cartesian grid of origin data.
 
     `init_axes` gives one array of origin values per layer; the inputs are
     checked up front (`scan_cells`). Each cell is classified as `shoot`
-    would classify it, with the default thresholds; the cells that leave
-    r0 are integrated together as lanes of one array (`_scan_lanes`).
-    Individual integrator failures are recorded per cell, not raised.
+    would classify it; the cells that leave r0 are integrated together as
+    lanes of one array (`_scan_lanes`). Individual integrator failures are
+    recorded per cell, not raised.
     """
-    cells = scan_cells(init_axes, params, r_max, rtol, atol)
+    _check_run(DEFAULT_R0, r_max, rtol, atol)
+    cells = scan_cells(init_axes, params, r_max)
     return ScanResult(params, r_max,
                       tuple(_scan_lanes(cells, params, r_max, rtol, atol)))
 
 
-def reference_axes(params: HardyHenonParams,
-                   n_u: int = 21, n_u1: int = 21) -> list:
-    """The reference scan grid: u(0) in [0.1, 10], u1(0) in [-10, 10],
-    higher layers pinned at 1."""
-    axes = [np.linspace(0.1, 10.0, n_u)]
+def reference_axes(params: HardyHenonParams) -> list:
+    """The reference scan grid, the CLI scan's default: u(0) in [0.1, 10],
+    u1(0) in [-10, 10], 21 points each, higher layers pinned at 1."""
+    axes = [np.linspace(0.1, 10.0, 21)]
     if params.m > 1:
-        axes.append(np.linspace(-10.0, 10.0, n_u1))
+        axes.append(np.linspace(-10.0, 10.0, 21))
     for _ in range(2, params.m):
         axes.append(np.array([1.0]))
     return axes

@@ -46,6 +46,9 @@ FIXED_POINT_TOL = 1e-8
 EIGEN_TOL = 1e-10
 # inverse power iterations before the eigenpair is declared stalled
 _MAX_EIGEN_ITER = 200
+# scipy RK45 error control of the shooting oracle
+SHOOTING_RTOL = 1e-11
+SHOOTING_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -587,9 +590,7 @@ def blowup_normalize(u: RadialField, params: HardyHenonParams):
 # Shooting cross-oracle
 # ---------------------------------------------------------------------------
 
-def shooting_oracle_sup_norm(problem: NavierProblem, init_guess,
-                             rtol: float = 1e-11, atol: float = 1e-12
-                             ) -> float:
+def shooting_oracle_sup_norm(problem: NavierProblem, init_guess) -> float:
     """Independent amplitude estimate by shooting on the radial BVP.
 
     Unknowns are the m origin values (u(0), u_1(0), ...); conditions are the
@@ -620,8 +621,8 @@ def shooting_oracle_sup_norm(problem: NavierProblem, init_guess,
             nxt = init[i + 1] if i < m - 1 else f_top
             y0[2 * i] = init[i] - nxt * r0 ** 2 / (2.0 * n)
             y0[2 * i + 1] = -nxt * r0 / n
-        sol = solve_ivp(rhs, (r0, R), y0, method="RK45", rtol=rtol, atol=atol,
-                        dense_output=False)
+        sol = solve_ivp(rhs, (r0, R), y0, method="RK45", rtol=SHOOTING_RTOL,
+                        atol=SHOOTING_ATOL, dense_output=False)
         if not sol.success:
             return np.full(m, 1e6)
         return sol.y[0::2, -1]

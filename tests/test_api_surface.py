@@ -2,11 +2,16 @@
 module of the package, the acceptance battery or the benchmark harness.
 A name that only unit tests reach is either a test oracle, listed with its
 reason, or dead API to delete. The flags of every subcommand are pinned, so
-a flag is added or dropped only together with its table entry."""
+a flag is added or dropped only together with its table entry. No public
+function takes a tolerance, threshold or budget as a keyword unless a
+caller outside the unit tests sets it."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -64,10 +69,9 @@ CLI_FLAGS = {
     "ladder": ["--n", "--p", "--a", "--M", "--l0", "--alpha0", "--k-max"],
     "eigen": ["--n", "--m", "--R", "--nodes"],
     "solve": ["--n", "--m", "--p", "--t", "--R", "--nodes"],
-    "shoot": ["--n", "--m", "--p", "--a", "--init", "--r-max", "--rtol",
-              "--atol"],
+    "shoot": ["--n", "--m", "--p", "--a", "--init", "--r-max"],
     "scan": ["--n", "--m", "--p", "--a", "--u0", "--u1", "--higher",
-             "--r-max", "--rtol", "--atol"],
+             "--r-max"],
     "singular": ["--n", "--m", "--a", "--p"],
     "report": ["--seed"],
 }
@@ -80,3 +84,59 @@ def test_cli_flags_are_pinned():
                for name in _COMMANDS}
     assert surface == {name: ["-h", "--help", *flags, *COMMON_FLAGS]
                        for name, flags in CLI_FLAGS.items()}
+
+
+# a keyword named like a tolerance, threshold or budget
+SETTING = re.compile(r"(r|a|sign_)?tol|(\w+_)?budget|max_\w+|\w+_threshold")
+
+# the keywords of that kind that stay, each with the caller outside the unit
+# tests that sets it
+SETTING_CALLERS = {
+    ("liouville.shoot", "rtol"): "test_acceptance test_08: the bubble shot",
+    ("liouville.shoot", "atol"): "test_acceptance test_08: the bubble shot",
+    ("liouville.scan", "rtol"): "test_acceptance test_08 halves it",
+    ("liouville.scan", "atol"): "test_acceptance test_08 halves it",
+    ("liouville.shoot_from", "rtol"): "the test oracle for singular profiles",
+    ("liouville.shoot_from", "atol"): "the test oracle for singular profiles",
+    ("navier.first_eigenpair", "tol"): "test_acceptance test_05",
+    ("rk.AdaptiveRK", "rtol"): "liouville: the tolerances of a shoot",
+    ("rk.AdaptiveRK", "atol"): "liouville: the tolerances of a shoot",
+    ("rk.LaneRK", "rtol"): "liouville: the tolerances of a scan",
+    ("rk.LaneRK", "atol"): "liouville: the tolerances of a scan",
+    ("numerics.fd_weights_batch", "max_order"):
+        "a derivative order, not a budget: numerics.DerivativeStencils and "
+        "radial.radial_laplacian ask for 2",
+}
+
+
+def _signatures():
+    """(module.name, parameter names) of every public function, class
+    constructor and method the package's modules define."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"hhlab.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or \
+                    getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", getattr(obj, attr))
+                            for attr, member in vars(obj).items()
+                            if not attr.startswith("_") and isinstance(
+                                member, (FunctionType, classmethod,
+                                         staticmethod))]
+            for qualname, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except ValueError:   # an exception class: no signature
+                    continue
+                yield f"{path.stem}.{qualname}", list(params)
+
+
+def test_no_keyword_restates_a_setting():
+    found = {(fn, param) for fn, params in _signatures() for param in params
+             if SETTING.fullmatch(param)}
+    unlisted = sorted(found - set(SETTING_CALLERS))
+    assert not unlisted, f"no caller outside the unit tests sets {unlisted}"
+    stale = sorted(set(SETTING_CALLERS) - found)
+    assert not stale, f"listed keywords that are gone: {stale}"

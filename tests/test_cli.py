@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -8,9 +9,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hhlab.liouville as LV
 from hhlab.cli import _COMMANDS, command_parser, main
+from hhlab.radial import HardyHenonParams
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -126,7 +130,7 @@ class TestErrorClasses:
         (["shoot", "--init", "1,1", "--r-max", "nan"],
          "hhlab.liouville.shoot"),
         (["scan", "--u0", "0,1,3"], "hhlab.liouville.scan"),
-        (["scan", "--rtol", "0"], "hhlab.liouville.scan"),
+        (["scan", "--r-max", "nan"], "hhlab.liouville.scan"),
         (["ladder", "--l0=-3"], "hhlab.ladder.ladder_table"),
         (["ladder", "--alpha0", "0.5"], "hhlab.ladder.ladder_table"),
         (["ladder", "--M=-0.5"], "hhlab.ladder.ladder_table")])
@@ -201,15 +205,19 @@ class TestConfigAndFlags:
         assert exc.value.code == 2
         assert not out_dir.exists()
 
-    # certificate bounds and numerical budgets are constants, not flags
+    # certificate bounds, numerical budgets and the classifier's tolerances
+    # are constants, not flags
     @pytest.mark.parametrize("args,ini,flag", [
         (["kernels-selftest", "--tol=0.5"], None, "--tol"),
         (["kernels-selftest", "--budget=1000"], None, "--budget"),
         (["solve", "--tol=1e-6"], None, "--tol"),
         (["eigen", "--tol=1e-6"], None, "--tol"),
-        (["solve"], "[solve]\ntol = 1e-6\n", "--tol")],
+        (["solve"], "[solve]\ntol = 1e-6\n", "--tol"),
+        (["shoot", "--init", "2,1", "--rtol=1e-9"], None, "--rtol"),
+        (["scan", "--atol=1e-13"], None, "--atol"),
+        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol")],
         ids=["selftest-tol", "selftest-budget", "solve-tol", "eigen-tol",
-             "config-tol"])
+             "config-tol", "shoot-rtol", "scan-atol", "config-rtol"])
     def test_removed_flag_exits_2(self, args, ini, flag, tmp_path, capsys):
         if ini is not None:
             cfg = tmp_path / "run.ini"
@@ -345,6 +353,31 @@ class TestLadderCommand:
         assert lines[0] == "k,log_l,alpha"
         assert len(lines) == 14
 
+    @pytest.mark.parametrize("k_max", ["60", "100"])
+    def test_default_start_diverges_past_k_60(self, k_max, tmp_path):
+        # the default start lies e above the threshold, not on it, where
+        # p^k amplified the rounding of a base of 1 into a failure
+        code, out = run_cli(["ladder", "--k-max", k_max], tmp_path)
+        report = read_json(out, "ladder.json")
+        assert code == 0 and report["pass"]
+        assert report["l0"] == pytest.approx(math.e * report["threshold"],
+                                             rel=1e-15)
+
+    def test_default_start_past_the_float_range_exits_2(self, tmp_path,
+                                                        capsys):
+        # at p = 1.0000001 the threshold is inf: the error names p and the
+        # threshold, not an l0 that was never given
+        out_dir = tmp_path / "l"
+        code = main(["ladder", "--p", "1.0000001", "--output-dir",
+                     str(out_dir), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2
+        assert "p = 1.0000001" in err["error"]
+        assert "threshold inf" in err["error"]
+        assert "l0" not in err["error"]
+        assert not out_dir.exists()
+
     def test_negative_k_max_exits_2(self, tmp_path, capsys):
         out_dir = tmp_path / "l"
         with pytest.raises(SystemExit) as exc:
@@ -390,6 +423,27 @@ class TestScanCommand:
         code, out2 = run_cli(args, tmp_path, "s2")
         assert (out1 / "scan.csv").read_bytes() == \
             (out2 / "scan.csv").read_bytes()
+
+    @pytest.mark.parametrize("m,flags,replaced", [
+        (2, [], {}),
+        (3, ["--u0", "1,2,2", "--higher", "0.5"], {0: [1.0, 2.0], 2: [0.5]}),
+        (3, ["--u1=-1,1,3"], {1: [-1.0, 0.0, 1.0]})],
+        ids=["m2-default", "m3-u0-higher", "m3-u1"])
+    def test_axis_flags_replace_reference_axes(self, m, flags, replaced,
+                                               tmp_path, monkeypatch):
+        # with no axis flag the scan is the reference grid, and each flag
+        # replaces only its own axis
+        seen, real_scan = [], LV.scan
+
+        def recording(axes, params, r_max):
+            seen.append([np.asarray(ax).tolist() for ax in axes])
+            return real_scan(axes, params, r_max)
+
+        monkeypatch.setattr(LV, "scan", recording)
+        run_cli(["scan", "--m", str(m), "--r-max", "2", *flags], tmp_path)
+        reference = LV.reference_axes(HardyHenonParams(4, m, 0.0, 2.0))
+        assert seen == [[replaced.get(i, ax.tolist())
+                         for i, ax in enumerate(reference)]]
 
     @pytest.mark.parametrize("workers", [
         "0", "-3", "nan", str((os.cpu_count() or 1) + 1)])

@@ -68,8 +68,8 @@ class TestShoot:
         ([1.0, math.inf], {}),
         ([1.0, 0.5], {"r_max": math.nan}),
         ([1.0, 0.5], {"r_max": math.inf}),
-        ([1.0, 0.5], {"r0": math.nan}),
-        ([1.0, 0.5], {"r0": 0.0}),
+        ([1.0, 0.5], {"r_max": DEFAULT_R0}),    # an empty span
+        ([1.0, 0.5], {"r_max": -1.0}),
         ([1.0, 0.5], {"rtol": 0.0}),
         ([1.0, 0.5], {"atol": -1e-12}),
         ([1.0, 0.5], {"rtol": math.nan}),
@@ -110,11 +110,12 @@ class TestShoot:
         assert y[0] == pytest.approx(2.0 - 3.0 * 1e-12 / 8.0)
         assert y[1] == pytest.approx(-3.0 * 1e-6 / 4.0)
 
-    def test_blow_up_detection(self):
+    def test_blow_up_detection(self, monkeypatch):
         # with the sign classification disabled (huge tolerance), a negative
         # second layer pumps quadratic growth into u and the source feeds
         # back: the trajectory crosses the blow-up threshold at finite radius
-        out = shoot([1.0, -1.0], CRITICAL, 100.0, sign_tol=1e30)
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", 1e30)
+        out = shoot([1.0, -1.0], CRITICAL, 100.0)
         assert out.kind is OutcomeKind.BLOW_UP
         assert out.r_star < 100.0
         assert out.trace_y[-1, 0] > 1e7
@@ -183,11 +184,11 @@ class TestScan:
         assert len(lines) == 5
 
 
-def _shoot_record(init, params, r_max, **kwargs):
+def _shoot_record(init, params, r_max):
     """What `shoot` says about one cell, in ScanRecord terms: kind, layer,
     r*, growth_fit (survivors only), or the IntegratorError message."""
     try:
-        out = shoot(init, params, r_max, keep_trace=False, **kwargs)
+        out = shoot(init, params, r_max, keep_trace=False)
     except IntegratorError as exc:
         return "IntegratorFailure", None, None, None, str(exc)
     growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
@@ -199,13 +200,13 @@ def _cells(axes):
                     axis=1)
 
 
-def _assert_agrees(records, cells, params, r_max, **kwargs):
+def _assert_agrees(records, cells, params, r_max):
     """Cell by cell, the lane records match the float stepper's shoot: kind,
     layer and error exactly, r* and growth_fit to 1e-9 relative."""
     assert len(records) == len(cells)
     for rec, init in zip(records, cells):
-        kind, layer, r_star, growth, error = _shoot_record(
-            init, params, r_max, **kwargs)
+        kind, layer, r_star, growth, error = _shoot_record(init, params,
+                                                           r_max)
         assert rec.init == tuple(init)
         assert (rec.kind, rec.layer, rec.error) == (kind, layer, error), init
         if error is not None:
@@ -263,14 +264,15 @@ class TestScanLanes:
                 assert res.records[2].kind == "Survived"
         assert kinds == {"Survived", "SignLoss"}
 
-    def test_blow_up_lanes(self):
+    def test_blow_up_lanes(self, monkeypatch):
         # with the sign rule switched off, a negative second layer drives u
         # through the blow-up threshold, located on the Hermite step
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", 1e30)
         params = HardyHenonParams(4, 2, 0.0, 4.0)
         cells = _cells([np.array([0.5, 1.0]), np.array([-1.0, -1e10])])
         records = hhlab.liouville._scan_lanes(cells, params, 20.0, 1e-10,
-                                              1e-12, sign_tol=1e30)
-        _assert_agrees(records, cells, params, 20.0, sign_tol=1e30)
+                                              1e-12)
+        _assert_agrees(records, cells, params, 20.0)
         assert {rec.kind for rec in records} == {"BlowUp"}
         assert all(DEFAULT_R0 < rec.r_star < 20.0 for rec in records)
 
@@ -287,12 +289,14 @@ class TestScanLanes:
             return y1, f1, err
 
         monkeypatch.setattr(hhlab.rk.LaneRK, "_step", counting)
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_BLOW_THRESHOLD",
+                            math.inf)
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", math.inf)
         params = HardyHenonParams(4, 2, 0.0, 4.0)
         cells = _cells([np.array([1.0, 1e30]), np.array([-1.0, -1e10])])
-        kwargs = dict(blow_threshold=math.inf, sign_tol=math.inf)
         records = hhlab.liouville._scan_lanes(cells, params, 20.0, 1e-10,
-                                              1e-12, **kwargs)
-        _assert_agrees(records, cells, params, 20.0, **kwargs)
+                                              1e-12)
+        _assert_agrees(records, cells, params, 20.0)
         assert {rec.kind for rec in records} == {"BlowUp"}
         assert sum(non_finite) > 0
 

@@ -427,12 +427,14 @@ class TestSingularSolutionSuperCritical:
             5.0 / 1.5)
 
     @pytest.mark.parametrize("n,m,a,p", SUPER_CRITICAL_SINGULAR)
-    def test_ode_tracks_the_profile(self, n, m, a, p):
+    def test_ode_tracks_the_profile(self, n, m, a, p, monkeypatch):
         # integrate the layer system outward from the exact layers of
         # C r^(-sigma), u_i = C P_i r^(-sigma-2i), with the package's own
         # stepper: the trajectory stays on the profile only if sigma and C
         # solve the top equation -Lap u_{m-1} = r^(-a) u^p
         from hhlab.liouville import shoot_from
+        monkeypatch.setattr("hhlab.liouville.DEFAULT_BLOW_THRESHOLD",
+                            math.inf)
         params = HardyHenonParams(n, m, a, p)
         sigma, amplitude = singular_solution(params)
         r0, state, coef = 1.0, [], amplitude
@@ -441,7 +443,7 @@ class TestSingularSolutionSuperCritical:
             state += [coef * r0 ** -s, -s * coef * r0 ** (-s - 1)]
             coef *= s * (n - 2 - s)
         out = shoot_from(state, r0, params, 3.0, rtol=1e-12, atol=1e-14,
-                         classify=False, blow_threshold=math.inf)
+                         classify=False)
         exact = amplitude * out.trace_r ** -sigma
         assert np.max(np.abs(out.trace_y[:, 0] - exact) / exact) < 1e-8
 
