@@ -95,6 +95,14 @@ def cmd_ladder(args) -> int:
                 raise ValueError(f"divergence threshold {threshold!r} at p = "
                                  f"{args.p!r} has no finite default start")
         state = L.LadderState.initial(l0, params, args.M, args.alpha0)
+        # the recurrence check evaluates the closed form up to this row;
+        # its terms grow like p^k and (p-1)^-2
+        k_check = min(args.k_max, C.LADDER_ROWS - 1)
+        try:
+            L.ladder_closed_form(k_check, l0, state)
+        except OverflowError:
+            raise ValueError(f"the ladder's closed form leaves the float "
+                             f"range by k = {k_check} at p = {args.p!r}")
     except ValueError as exc:
         return _config_error(str(exc))
     rows = L.ladder_table(state, args.k_max)

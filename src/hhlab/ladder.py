@@ -35,11 +35,20 @@ def geometry_constant(params: HardyHenonParams, M: float) -> float:
     return min((1.0 + M) ** (-params.a), 1.0)
 
 
+def _log_2p(p: float) -> float:
+    """log(2p) as a sum of logs, finite where the product 2p overflows."""
+    return math.log(2.0) + math.log(p)
+
+
 @dataclass(frozen=True)
 class LadderState:
     """State (k, l_k, alpha_k) of the iteration plus its fixed data.
 
     The amplitude is stored as log l_k; `l` materializes it (possibly inf).
+    The exponent is kept twice: `alpha` is the float product
+    alpha_0 (2p)^k, which turns inf once it leaves the float range (after
+    about 510 steps at p = 2), and `log_alpha` is log alpha_k, which stays
+    finite. log_alpha defaults to log(alpha).
     """
 
     k: int
@@ -48,15 +57,20 @@ class LadderState:
     C0: float
     M: float
     params: HardyHenonParams
+    log_alpha: float | None = None
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("step index must be nonnegative")
         if not math.isfinite(self.log_l):
             raise ValueError("log amplitude must be finite")
-        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
-            raise ValueError(f"exponent alpha must be finite and >= 1, got "
-                             f"{self.alpha!r}")
+        if self.log_alpha is None:
+            object.__setattr__(self, "log_alpha", math.log(self.alpha)
+                               if self.alpha > 0.0 else math.nan)
+        if not (self.alpha >= 1.0 and 0.0 <= self.log_alpha < math.inf):
+            raise ValueError(f"exponent alpha must be >= 1 with a finite "
+                             f"log, got {self.alpha!r} (log "
+                             f"{self.log_alpha!r})")
         if not 0.0 < self.C0 <= 1.0:
             raise ValueError("C0 must lie in (0, 1]")
         if self.M < 0.0:
@@ -81,10 +95,16 @@ class LadderState:
 
 
 def ladder_advance(s: LadderState) -> LadderState:
-    """One ladder step, in log space."""
+    """One ladder step, in log space. log alpha_{k+1} is the log of the
+    product 2 alpha_k p while that is finite, and log alpha_k + log(2p)
+    once it overflows."""
     n, p = s.params.n, s.params.p
-    log_next = math.log(s.C0) + p * s.log_l - n * math.log(2.0 * s.alpha * p)
-    return replace(s, k=s.k + 1, log_l=log_next, alpha=2.0 * s.alpha * p)
+    alpha = 2.0 * s.alpha * p
+    log_alpha = math.log(alpha) if alpha < math.inf \
+        else s.log_alpha + _log_2p(p)
+    log_next = math.log(s.C0) + p * s.log_l - n * log_alpha
+    return replace(s, k=s.k + 1, log_l=log_next, alpha=alpha,
+                   log_alpha=log_alpha)
 
 
 def ladder_advance_direct(s: LadderState) -> float:
@@ -142,8 +162,11 @@ def divergence_threshold(params: HardyHenonParams, M: float = 0.0) -> float:
     geometry_constant(params, M)   # rejects a bad M before log1p reads it
     n, p, a = params.n, params.p, params.a
     alpha0 = default_alpha0(params)
-    log_t = max(a / (p - 1.0) * math.log1p(M), 0.0) \
-        + n * p / (p - 1.0) ** 2 * math.log(2.0 * p) \
+    try:
+        growth = n * p / (p - 1.0) ** 2 * math.log(2.0 * p)
+    except OverflowError:   # (p-1)^2 leaves the float range, p > ~1.3e154
+        growth = n / (p - 1.0) * (p / (p - 1.0)) * _log_2p(p)
+    log_t = max(a / (p - 1.0) * math.log1p(M), 0.0) + growth \
         + n / (p - 1.0) * math.log(alpha0)
     try:
         return math.exp(log_t)

@@ -75,28 +75,53 @@ class ShootingOutcome:
         return u / r ** 2 if r > 0 else None
 
 
+def _radial_rhs_source(m: int) -> str:
+    """Source of `_radial_rhs`'s factory for m layers.
+
+    y = (u_0, u_0', ..., u_{m-1}, u_{m-1}'): u_i' = y[2i+1] and
+    u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as r^(-a) u^p. The
+    factory `build(nm1, p, a)` binds n - 1, p and a in a closure and
+    returns the right-hand side with the weight term r^(-a), or without it
+    when a = 0; the state is unpacked into locals `y_i` and the slope is
+    one list display."""
+    dim = 2 * m
+    state = ", ".join(f"y_{i}" for i in range(dim))
+    slope = []
+    for i in range(0, dim - 2, 2):
+        slope += [f"y_{i + 1}", f"-y_{i + 2} - c * y_{i + 1}"]
+    slope += [f"y_{dim - 1}", f"-top - c * y_{dim - 1}"]
+    lines = ["def build(nm1, p, a):"]
+    for name, weight in (("rhs", ()), ("weighted_rhs", ("top *= r ** (-a)",))):
+        lines += [f"    def {name}(r, y):",
+                  f"        [{state}] = y",
+                  "        c = nm1 / r",
+                  "        try:",
+                  "            top = (0.0 if y_0 < 0.0 else y_0) ** p",
+                  "        except OverflowError:"
+                  "   # float ** raises where numpy gives inf",
+                  "            top = math.inf",
+                  *(f"        {line}" for line in weight),
+                  f"        return [{', '.join(slope)}]",
+                  ""]
+    lines.append("    return rhs if a == 0.0 else weighted_rhs")
+    return "\n".join(lines) + "\n"
+
+
+_RADIAL_RHS: dict = {}     # m -> factory compiled from _radial_rhs_source
+
+
 def _radial_rhs(params: HardyHenonParams):
-    n, m, p, a = params.n, params.m, params.p, params.a
-    nm1 = n - 1.0
-    top_row = 2 * m - 1
-
-    def rhs(r, y):
-        # y = (u_0, u_0', ..., u_{m-1}, u_{m-1}'): u_i' = y[2i+1] and
-        # u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as r^(-a) u^p
-        c = nm1 / r
-        try:
-            top = max(y[0], 0.0) ** p
-        except OverflowError:   # float ** raises where numpy gives inf
-            top = math.inf
-        if a != 0.0:
-            top *= r ** (-a)
-        dy = y[1:]
-        dy.append(-top - c * y[top_row])
-        for i in range(1, top_row, 2):
-            dy[i] = -dy[i] - c * y[i]
-        return dy
-
-    return rhs
+    """The right-hand side `rhs(r, y)` of the first-order radial system on
+    lists of 2m floats. Its factory is compiled once per m; building the
+    right-hand side for other (n, p, a) compiles nothing."""
+    build = _RADIAL_RHS.get(params.m)
+    if build is None:
+        namespace = {}
+        exec(compile(_radial_rhs_source(params.m),
+                     f"<radial rhs, m {params.m}>", "exec"),
+             globals(), namespace)
+        build = _RADIAL_RHS[params.m] = namespace["build"]
+    return build(params.n - 1.0, params.p, params.a)
 
 
 def _lane_rhs(params: HardyHenonParams):
@@ -121,6 +146,13 @@ def _lane_rhs(params: HardyHenonParams):
     return rhs
 
 
+def _check_origin_weight(params: HardyHenonParams) -> None:
+    """Origin data needs an integrable source r^(-a) u(0)^p: a < 2."""
+    if params.a >= 2.0:
+        raise ValueError("origin data requires a < 2; start from r0 > 0 "
+                         "with an explicit state instead")
+
+
 def taylor_start(init: Sequence[float], params: HardyHenonParams,
                  r0: float) -> np.ndarray:
     """Second-order Taylor state at r0 from origin values of the layers.
@@ -130,9 +162,7 @@ def taylor_start(init: Sequence[float], params: HardyHenonParams,
     a < 2 (for a >= 2 the source is not integrable at the origin).
     """
     n, m, p, a = params.n, params.m, params.p, params.a
-    if a >= 2.0:
-        raise ValueError("origin data requires a < 2; start from r0 > 0 "
-                         "with an explicit state instead")
+    _check_origin_weight(params)
     init = np.asarray(init, dtype=float)
     if init.shape != (m,):
         raise ValueError(f"need {m} origin values, got shape {init.shape}")
@@ -405,8 +435,9 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
 def scan_cells(init_axes: Sequence[Sequence[float]],
                params: HardyHenonParams, r_max: float) -> np.ndarray:
     """The (cells, m) origin data of `scan`, after its input checks: a
-    finite span, m finite axes, u(0) > 0 in every cell."""
+    finite span, a weight a < 2, m finite axes, u(0) > 0 in every cell."""
     _check_run(DEFAULT_R0, r_max, DEFAULT_RTOL, DEFAULT_ATOL)
+    _check_origin_weight(params)
     axes = [np.asarray(ax, dtype=float) for ax in init_axes]
     if len(axes) != params.m:
         raise ValueError(f"need {params.m} axes, got {len(axes)}")

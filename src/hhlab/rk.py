@@ -12,7 +12,12 @@ Two steppers share the tableau and the step controller:
   Python floats (2m = 2 to 8 components for the shooting problems), and
   every stage is written out as scalar arithmetic: at that size numpy's
   fixed cost per array operation is far larger than the floating-point
-  work. `rhs(t, y)` takes and returns such lists.
+  work. `rhs(t, y)` takes and returns such lists. The trial step is
+  generated as straight-line code once per state dimension
+  (`_float_step`): the components are unpacked into locals, each stage
+  state is one list display and the error norm is unrolled, so a step
+  pays no per-component `zip` or loop. Every entry is the expression a
+  loop over the components would evaluate, in the same order.
 * `LaneRK` integrates many trajectories in lockstep, one row ("lane") of a
   (lanes, dim) array each. Every lane keeps its own t, h, step count and
   accept or reject decision, so each row follows the steps `AdaptiveRK`
@@ -20,7 +25,8 @@ Two steppers share the tableau and the step controller:
   lanes. `rhs(t, y)` takes the lanes' times (lanes,) and states
   (lanes, dim) and returns the slopes as a (lanes, dim) array. Powers are
   taken in Python floats (`float_powers`), so a lane's arithmetic is the
-  same as `AdaptiveRK`'s, operation for operation.
+  same as that of `AdaptiveRK`'s generated step, operation for operation,
+  and a lane ends exactly where `AdaptiveRK` ends alone.
 """
 
 from __future__ import annotations
@@ -156,38 +162,85 @@ class _DormandPrince:
         self.atol = atol
 
 
+def _float_step_source(dim: int) -> str:
+    """Source of the trial step of `AdaptiveRK` for states of `dim` floats.
+
+    Each stage state is a list display over the unpacked components, each
+    entry the expression the stage applies to one component, and the error
+    norm is unrolled. Components are locals `s_i` (state), `a_i`..`g_i`
+    (slopes k1..k6), `z_i` (new state) and `k_i` (slope k7); no whole
+    vector's name has an underscore, so none can collide with a component
+    at any dimension."""
+    idx = range(dim)
+
+    def names(letter):
+        return "[" + ", ".join(f"{letter}_{i}" for i in idx) + "]"
+
+    def combo(terms, i):
+        # `C1 * x_i + C2 * y_i + ...` of (coefficient, letter) pairs
+        return " + ".join(f"{coef} * {letter}_{i}" for coef, letter in terms)
+
+    def stage(terms):
+        return "[" + ", ".join(f"s_{i} + h * ({combo(terms, i)})"
+                               for i in idx) + "]"
+
+    lines = ["def step(self, t, y, h, f0):",
+             "    rhs = self.rhs",
+             f"    {names('s')} = y",
+             f"    {names('a')} = f0"]
+    stages = (("k2", "_C2 * h", "b", [("_A21", "a")]),
+              ("k3", "_C3 * h", "c", [("_A31", "a"), ("_A32", "b")]),
+              ("k4", "_C4 * h", "d", [("_A41", "a"), ("_A42", "b"),
+                                      ("_A43", "c")]),
+              ("k5", "_C5 * h", "e", [("_A51", "a"), ("_A52", "b"),
+                                      ("_A53", "c"), ("_A54", "d")]),
+              ("k6", "h", "g", [("_A61", "a"), ("_A62", "b"), ("_A63", "c"),
+                                ("_A64", "d"), ("_A65", "e")]))
+    for k, dt, letter, terms in stages:
+        lines += [f"    {k} = rhs(t + {dt}, {stage(terms)})",
+                  f"    {names(letter)} = {k}"]
+    new_state = [("_B1", "a"), ("_B3", "c"), ("_B4", "d"), ("_B5", "e"),
+                 ("_B6", "g")]
+    lines += [f"    z_{i} = s_{i} + h * ({combo(new_state, i)})" for i in idx]
+    lines += [f"    y1 = {names('z')}",
+              "    k7 = rhs(t + h, y1)",
+              f"    {names('k')} = k7",
+              "    atol, rtol = self.atol, self.rtol",
+              "    err = 0.0"]
+    error = [("_E1", "a"), ("_E3", "c"), ("_E4", "d"), ("_E5", "e"),
+             ("_E6", "g"), ("_E7", "k")]
+    for i in idx:
+        lines += [f"    ratio = abs(h * ({combo(error, i)}))",
+                  f"    v, z = abs(s_{i}), abs(z_{i})",
+                  "    ratio /= atol + rtol * (v if v > z else z)",
+                  "    if ratio > err or ratio != ratio:"
+                  "   # a NaN sticks, and rejects",
+                  "        err = ratio"]
+    lines.append("    return y1, k7, err")
+    return "\n".join(lines) + "\n"
+
+
+_FLOAT_STEPS: dict = {}    # state dimension -> generated trial step
+
+
+def _float_step(dim: int) -> Callable:
+    """The trial step of `AdaptiveRK` for states of `dim` floats, compiled
+    from `_float_step_source` on first use and cached by dimension.
+
+    `step(self, t, y, h, f0)` returns the new state, its slope and the
+    max-norm of the scaled error (NaN when any error component is NaN). It
+    reads `self.rhs`, `self.atol` and `self.rtol` at every call."""
+    step = _FLOAT_STEPS.get(dim)
+    if step is None:
+        namespace = {}
+        exec(compile(_float_step_source(dim), f"<AdaptiveRK step, dim {dim}>",
+                     "exec"), globals(), namespace)
+        step = _FLOAT_STEPS[dim] = namespace["step"]
+    return step
+
+
 class AdaptiveRK(_DormandPrince):
     """Adaptive Dormand-Prince 5(4) integrator with step rejection."""
-
-    def _step(self, t, y, h, f0):
-        """One trial step: the new state, its slope and the max-norm of the
-        scaled error (NaN when any error component is NaN)."""
-        rhs = self.rhs
-        k1 = f0
-        k2 = rhs(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
-        k3 = rhs(t + _C3 * h, [v + h * (_A31 * a + _A32 * b)
-                               for v, a, b in zip(y, k1, k2)])
-        k4 = rhs(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
-                               for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = rhs(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c
-                                         + _A54 * d)
-                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-        k6 = rhs(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                   + _A65 * e)
-                         for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y1 = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-              for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        k7 = rhs(t + h, y1)
-        atol, rtol = self.atol, self.rtol
-        err = 0.0
-        for v, z, a, c, d, e, g, k in zip(y, y1, k1, k3, k4, k5, k6, k7):
-            ratio = abs(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g
-                             + _E7 * k))
-            v, z = abs(v), abs(z)
-            ratio /= atol + rtol * (v if v > z else z)
-            if ratio > err or ratio != ratio:   # a NaN sticks, and rejects
-                err = ratio
-        return y1, k7, err
 
     def integrate(self, t0: float, y0, t_end: float,
                   step_callback: Optional[Callable] = None):
@@ -200,6 +253,7 @@ class AdaptiveRK(_DormandPrince):
         """
         t = float(t0)
         y = [float(v) for v in y0]
+        step = _float_step(len(y))
         f = self.rhs(t, y)
         h = _first_step(t, t_end)
         steps = 0
@@ -208,7 +262,7 @@ class AdaptiveRK(_DormandPrince):
             if h < H_MIN_FACTOR * max(abs(t), 1e-30):
                 raise _integrator_error(f"step size underflow at r={t:.6g}",
                                         t, y)
-            y1, f1, err = self._step(t, y, h, f)
+            y1, f1, err = step(self, t, y, h, f)
             steps += 1
             if steps > MAX_STEPS:
                 raise _integrator_error("step budget exhausted", t, y)

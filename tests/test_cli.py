@@ -131,6 +131,7 @@ class TestErrorClasses:
          "hhlab.liouville.shoot"),
         (["scan", "--u0", "0,1,3"], "hhlab.liouville.scan"),
         (["scan", "--r-max", "nan"], "hhlab.liouville.scan"),
+        (["scan", "--a", "2.5"], "hhlab.liouville.scan"),
         (["ladder", "--l0=-3"], "hhlab.ladder.ladder_table"),
         (["ladder", "--alpha0", "0.5"], "hhlab.ladder.ladder_table"),
         (["ladder", "--M=-0.5"], "hhlab.ladder.ladder_table")])
@@ -163,6 +164,19 @@ class TestErrorClasses:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 2 and field in err["error"]
         assert not out_dir.exists()
+
+    def test_strong_weight_is_the_same_error_for_scan_and_shoot(
+            self, tmp_path, capsys):
+        # origin data needs a < 2; scan reports it as shoot does
+        errors = []
+        for args in (["scan", "--a", "2.5"],
+                     ["shoot", "--a", "2.5", "--init", "1,0"]):
+            code = main(args + ["--output-dir", str(tmp_path / "x"),
+                                "--quiet"])
+            assert code == 2
+            errors.append(json.loads(capsys.readouterr().err.strip()))
+        assert errors[0] == errors[1]
+        assert "a < 2" in errors[0]["error"]
 
     @pytest.mark.parametrize("command", ["kernels-selftest", "report"])
     def test_negative_seed_exits_2(self, command, tmp_path, capsys):
@@ -377,6 +391,41 @@ class TestLadderCommand:
         assert "threshold inf" in err["error"]
         assert "l0" not in err["error"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("k_max", ["520", "1000"])
+    def test_table_past_the_float_range_of_alpha(self, k_max, tmp_path):
+        # alpha_k = 4^(k+1) overflows at k = 511; the table goes on with
+        # log alpha_k, and the last rows read alpha inf
+        code, out = run_cli(["ladder", "--k-max", k_max], tmp_path)
+        report = read_json(out, "ladder.json")
+        assert code == 0 and report["pass"]
+        assert [c["name"] for c in report["checks"]] == [
+            "recurrence-vs-closed-form", "threshold-divergence"]
+        lines = (out / "ladder.csv").read_text().splitlines()
+        assert len(lines) == int(k_max) + 2
+        k, log_l, alpha = lines[-1].split(",")
+        assert k == k_max and math.isfinite(float(log_l)) and alpha == "inf"
+
+    @pytest.mark.parametrize("p", ["1e100", "1.4e154", "1e308"])
+    def test_closed_form_past_the_float_range_exits_2(self, p, tmp_path,
+                                                      capsys):
+        # the threshold is finite (about 1) at every huge p, but the
+        # closed form the recurrence check needs overflows: an input the
+        # command cannot certify, reported before any table is built
+        out_dir = tmp_path / "l"
+        code = main(["ladder", "--p", p, "--output-dir", str(out_dir),
+                     "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "closed form" in err["error"]
+        assert not out_dir.exists()
+
+    def test_huge_p_with_a_short_table(self, tmp_path):
+        code, out = run_cli(["ladder", "--p", "1e100", "--k-max", "2"],
+                            tmp_path)
+        report = read_json(out, "ladder.json")
+        assert code == 0 and report["pass"]
+        assert report["threshold"] == pytest.approx(1.0, abs=1e-90)
 
     def test_negative_k_max_exits_2(self, tmp_path, capsys):
         out_dir = tmp_path / "l"

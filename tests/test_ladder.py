@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ class TestAdvance:
                     assert nxt.log_l == pytest.approx(math.log(direct),
                                                       abs=1e-12)
                 cur = nxt
+
+    def test_exponent_carried_in_log_space_past_overflow(self):
+        # alpha_k = 4^(k+1) leaves the float range at k = 511; its log
+        # goes on, and so does the amplitude
+        params = HardyHenonParams(4, 2, 0.0, 2.0)
+        s0 = LadderState.initial(math.e * divergence_threshold(params),
+                                 params)
+        rows = ladder_table(s0, 1000)
+        assert rows[-1][0] == 1000 and math.isfinite(rows[-1][1])
+        cur = s0
+        for k in range(1001):
+            if k <= 510:
+                assert math.isfinite(cur.alpha)
+                assert cur.log_alpha == math.log(cur.alpha)
+            else:
+                assert cur.alpha == math.inf
+                assert cur.log_alpha == pytest.approx((k + 1) * math.log(4.0),
+                                                      rel=1e-13)
+            assert cur.log_l == rows[k][1]
+            cur = ladder_advance(cur)
+
+    def test_log_alpha_is_checked(self):
+        params = HardyHenonParams(4, 2, 0.0, 2.0)
+        for log_alpha in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="exponent alpha"):
+                LadderState(0, 0.0, math.inf, 1.0, 0.0, params, log_alpha)
+        s = LadderState(0, 0.0, math.inf, 1.0, 0.0, params, 900.0)
+        assert s.log_alpha == 900.0
 
     def test_state_validation(self):
         params = HardyHenonParams(4, 2, 0.0, 2.0)
@@ -178,6 +207,35 @@ class TestThreshold:
         params = HardyHenonParams(4, 2, 1.0, 2.0)
         with pytest.raises(ValueError, match="path length M"):
             divergence_threshold(params, M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 10), a=st.floats(-3.0, 1.9),
+           M=st.floats(0.0, 50.0),
+           p=st.one_of(st.floats(1.0, 1e6, exclude_min=True),
+                       st.floats(1e6, sys.float_info.max),
+                       st.sampled_from([1.3e154, 1.4e154, 9e307,
+                                        sys.float_info.max])))
+    def test_threshold_is_defined_for_every_finite_p(self, n, a, M, p):
+        # (p-1)^2 overflows above p ~ 1.3e154, though the threshold tends
+        # to 1 there; near p = 1 only its log is finite, and it reads inf
+        params = HardyHenonParams(n, max(1, n // 2), min(a, n - 1.0), p)
+        thr = divergence_threshold(params, M)
+        assert thr >= 1.0
+        if p >= 1.5:
+            assert math.isfinite(thr)
+        if p >= 1e6:
+            assert thr == pytest.approx(1.0, abs=1e-3)
+
+    def test_threshold_is_continuous_where_its_form_switches(self):
+        # the log-space form of (2p)^(np/(p-1)^2) takes over where the
+        # float (p-1)^2 overflows; both sides agree to rounding
+        params = HardyHenonParams(4, 2, 1.0, 2.0)
+        below = divergence_threshold(
+            HardyHenonParams(4, 2, 1.0, 1.3407807929942596e154), 3.0)
+        above = divergence_threshold(
+            HardyHenonParams(4, 2, 1.0, 1.3407807929942598e154), 3.0)
+        assert below == pytest.approx(above, rel=1e-15)
+        assert divergence_threshold(params, 3.0) > below
 
     def test_divergence_above_threshold(self):
         params = HardyHenonParams(4, 2, 0.0, 2.0)

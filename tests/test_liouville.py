@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,87 @@ class TestScanLanes:
         assert "IntegratorFailure" in kinds and "SignLoss" in kinds
         assert res.tally["IntegratorFailure"] == kinds.count(
             "IntegratorFailure")
+
+
+def reference_radial_rhs(params):
+    """The radial right-hand side as a loop over the rows: the formula the
+    generated `_radial_rhs` unrolls, operation for operation."""
+    n, m, p, a = params.n, params.m, params.p, params.a
+    nm1 = n - 1.0
+    top_row = 2 * m - 1
+
+    def rhs(r, y):
+        c = nm1 / r
+        try:
+            top = max(y[0], 0.0) ** p
+        except OverflowError:
+            top = math.inf
+        if a != 0.0:
+            top *= r ** (-a)
+        dy = y[1:]
+        dy.append(-top - c * y[top_row])
+        for i in range(1, top_row, 2):
+            dy[i] = -dy[i] - c * y[i]
+        return dy
+
+    return rhs
+
+
+def _bits(values):
+    # IEEE bit patterns, so signed zeros compare; any NaN reads "nan"
+    return [b"nan" if v != v else struct.pack("<d", v) for v in values]
+
+
+# u(0) negative, zero, tiny, ordinary or huge enough for u^p to overflow
+_U0 = st.one_of(st.floats(-1e3, -1e-300), st.sampled_from([0.0, -0.0]),
+                st.floats(5e-324, 1e-300), st.floats(1e-3, 1e3),
+                st.floats(1e150, 1e308))
+
+
+class TestGeneratedRhs:
+    """`_radial_rhs` is generated once per m; it must compute what the
+    loop of `reference_radial_rhs` computes, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(1, 4),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9)),
+           p=st.floats(1.0, 8.0, exclude_min=True),
+           r=st.floats(1e-8, 1e3), u0=_U0, seed=st.integers(0, 2 ** 32 - 1))
+    def test_rhs_matches_the_row_loop(self, n, m, a, p, r, u0, seed):
+        params = HardyHenonParams(n, m, a, p)
+        rng = np.random.default_rng(seed)
+        y = [u0] + (rng.standard_normal(2 * m - 1)
+                    * 10.0 ** rng.uniform(-3.0, 3.0, 2 * m - 1)).tolist()
+        got = hhlab.liouville._radial_rhs(params)(r, list(y))
+        want = reference_radial_rhs(params)(r, list(y))
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [0.0, 1.5])
+    def test_overflowing_power_reads_inf(self, m, a):
+        # float ** raises OverflowError where u^p leaves the float range;
+        # the top slope is then -inf, with or without the weight
+        params = HardyHenonParams(4, m, a, 3.0)
+        y = [1e200] + [1.0] * (2 * m - 1)
+        got = hhlab.liouville._radial_rhs(params)(0.5, y)
+        assert got[-1] == -math.inf
+        assert _bits(got) == _bits(reference_radial_rhs(params)(0.5, y))
+
+    def test_one_source_per_shape(self, monkeypatch):
+        # 50 shoots at different (n, p, a) and m = 2 compile one step
+        # (dimension 4) and one right-hand side factory (m = 2)
+        monkeypatch.setattr(hhlab.rk, "_FLOAT_STEPS", {})
+        monkeypatch.setattr(hhlab.liouville, "_RADIAL_RHS", {})
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            params = HardyHenonParams(int(rng.integers(3, 9)), 2,
+                                      float(rng.uniform(-1.0, 1.5)),
+                                      float(rng.uniform(1.2, 5.0)))
+            shoot([float(rng.uniform(0.5, 5.0)),
+                   float(rng.uniform(-3.0, 3.0))], params, 2.0,
+                  keep_trace=False)
+        assert list(hhlab.rk._FLOAT_STEPS) == [4]
+        assert list(hhlab.liouville._RADIAL_RHS) == [2]
 
 
 class TestClassificationStability:

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hhlab.rk
 from hhlab.errors import IntegratorError
@@ -299,3 +302,121 @@ class TestLaneRK:
         results, t, y = LaneRK(lanes_of(lambda t, y: y)).integrate(
             0.0, np.empty((0, 2)), 1.0)
         assert results == [] and t.shape == (0,) and y.shape == (0, 2)
+
+
+def reference_step(integ, t, y, h, f0):
+    """The trial step written as loops over the components: the formula
+    the generated step unrolls, operation for operation."""
+    c, rhs = hhlab.rk, integ.rhs
+    k1 = f0
+    k2 = rhs(t + c._C2 * h, [v + h * (c._A21 * a) for v, a in zip(y, k1)])
+    k3 = rhs(t + c._C3 * h, [v + h * (c._A31 * a + c._A32 * b)
+                             for v, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + c._C4 * h, [v + h * (c._A41 * a + c._A42 * b + c._A43 * d)
+                             for v, a, b, d in zip(y, k1, k2, k3)])
+    k5 = rhs(t + c._C5 * h, [v + h * (c._A51 * a + c._A52 * b + c._A53 * d
+                                      + c._A54 * e)
+                             for v, a, b, d, e in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [v + h * (c._A61 * a + c._A62 * b + c._A63 * d
+                              + c._A64 * e + c._A65 * g)
+                     for v, a, b, d, e, g in zip(y, k1, k2, k3, k4, k5)])
+    y1 = [v + h * (c._B1 * a + c._B3 * d + c._B4 * e + c._B5 * g + c._B6 * q)
+          for v, a, d, e, g, q in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y1)
+    err = 0.0
+    for v, z, a, d, e, g, q, k in zip(y, y1, k1, k3, k4, k5, k6, k7):
+        ratio = abs(h * (c._E1 * a + c._E3 * d + c._E4 * e + c._E5 * g
+                         + c._E6 * q + c._E7 * k))
+        v, z = abs(v), abs(z)
+        ratio /= integ.atol + integ.rtol * (v if v > z else z)
+        if ratio > err or ratio != ratio:
+            err = ratio
+    return y1, k7, err
+
+
+def bits(values):
+    """The IEEE bit patterns of a float or a list of floats, so signed
+    zeros compare too; every NaN reads "nan", since the payload a NaN
+    operand passes on is not fixed by the operation order in CPython."""
+    if isinstance(values, float):
+        values = [values]
+    return [b"nan" if v != v else struct.pack("<d", v) for v in values]
+
+
+_EDGE = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308,
+                         -1e308, 5e-324])
+
+
+@st.composite
+def _trial_steps(draw):
+    """A dimension 1-8, a trial step (t, y, h, f0), tolerances, the six
+    slopes the right-hand side returns in call order, and a component whose
+    last slope is NaN (or None). Values are generic floats of random sign
+    and magnitude (so a reordered sum rounds differently), with edge values
+    written over some of them."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = (rng.standard_normal((8, dim))
+              * 10.0 ** rng.uniform(-3.0, 3.0, (8, dim))).tolist()
+    for row, col, edge in draw(st.lists(st.tuples(
+            st.integers(0, 7), st.integers(0, dim - 1), _EDGE),
+            max_size=4)):
+        values[row][col] = edge
+    y, f0, slopes = values[0], values[1], values[2:]
+    nan_at = draw(st.one_of(st.none(), st.integers(0, dim - 1)))
+    if nan_at is not None:
+        slopes[-1][nan_at] = math.nan
+    h = draw(st.one_of(st.floats(1e-12, 10.0), _EDGE))
+    return (dim, draw(st.floats(-1e3, 1e3)), y, h, f0, slopes,
+            draw(st.floats(1e-14, 1e-2)), draw(st.floats(1e-14, 1e-2)),
+            nan_at)
+
+
+class TestGeneratedStep:
+    """AdaptiveRK's trial step is generated per dimension; it must compute
+    what the component loops of `reference_step` compute, bit for bit."""
+
+    @staticmethod
+    def taped(slopes, calls):
+        # returns the drawn slopes in call order and records every stage
+        def rhs(t, y):
+            calls.append((t, list(y)))
+            return list(slopes[len(calls) - 1])
+        return rhs
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_trial_steps())
+    def test_step_matches_the_component_loops(self, case):
+        dim, t, y, h, f0, slopes, rtol, atol, nan_at = case
+        runs = []
+        for step in (hhlab.rk._float_step(dim), reference_step):
+            calls = []
+            integ = AdaptiveRK(self.taped(slopes, calls), rtol=rtol,
+                               atol=atol)
+            y1, f1, err = step(integ, t, list(y), h, list(f0))
+            runs.append(([bits(ti) + bits(yi) for ti, yi in calls],
+                         bits(y1), bits(f1), bits(err)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 6
+        if nan_at is not None:
+            # a NaN in any component's error sticks, whatever follows it
+            assert runs[0][3] == [b"nan"]
+
+    def test_integrate_compiles_one_step_per_dimension(self, monkeypatch):
+        monkeypatch.setattr(hhlab.rk, "_FLOAT_STEPS", {})
+        for dim in (1, 2, 2, 5, 1):
+            AdaptiveRK(lambda t, y: [-v for v in y]).integrate(
+                0.0, [1.0] * dim, 1.0)
+        assert sorted(hhlab.rk._FLOAT_STEPS) == [1, 2, 5]
+
+    def test_rhs_is_read_at_every_step(self):
+        # a right-hand side replaced after construction is the one called
+        calls = []
+        integ = AdaptiveRK(lambda t, y: [0.0])
+
+        def counted(t, y):
+            calls.append(t)
+            return [0.0]
+        integ.rhs = counted
+        integ.integrate(0.0, [1.0], 1.0)
+        assert len(calls) % 6 == 1 and len(calls) > 6
