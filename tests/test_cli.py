@@ -131,10 +131,10 @@ class TestErrorClasses:
          "hhlab.liouville.shoot"),
         (["scan", "--u0", "0,1,3"], "hhlab.liouville.scan"),
         (["scan", "--r-max", "nan"], "hhlab.liouville.scan"),
-        (["scan", "--a", "2.5"], "hhlab.liouville.scan"),
         (["ladder", "--l0=-3"], "hhlab.ladder.ladder_table"),
         (["ladder", "--alpha0", "0.5"], "hhlab.ladder.ladder_table"),
-        (["ladder", "--M=-0.5"], "hhlab.ladder.ladder_table")])
+        (["ladder", "--M=-0.5"], "hhlab.ladder.ladder_table"),
+        (["scan", "--a", "2.5"], "hhlab.liouville.scan")])
     def test_input_checked_before_numerics(self, args, numerics, tmp_path,
                                            capsys, monkeypatch):
         def no_numerics(*a, **k):
