@@ -103,6 +103,9 @@ def cmd_ladder(args) -> int:
         except OverflowError:
             raise ValueError(f"the ladder's closed form leaves the float "
                              f"range by k = {k_check} at p = {args.p!r}")
+        if not np.isfinite(L.log_amplitude_bound(state, args.k_max)):
+            raise ValueError(f"log l_k can leave the float range by "
+                             f"k_max = {args.k_max} at p = {args.p!r}")
     except ValueError as exc:
         return _config_error(str(exc))
     rows = L.ladder_table(state, args.k_max)

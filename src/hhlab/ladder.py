@@ -117,6 +117,30 @@ def ladder_advance_direct(s: LadderState) -> float:
         return math.inf
 
 
+def log_amplitude_bound(s0: LadderState, k: int) -> float:
+    """A bound on |log l_j| for j = 0..k from s0, and on every partial sum
+    `ladder_advance` forms on the way, in O(1) work:
+
+        p^k (|log l_0| + (|log C0| + n log alpha_0) / (p - 1)
+             + n p log(2p) / (p - 1)^2),
+
+    the triangle inequality on each term of `ladder_closed_form`'s exact
+    sum, whose geometric sums are at most p^k/(p - 1) and p^(k+1)/(p - 1)^2.
+    inf where it leaves the float range. It holds to the rounding the
+    recurrence amplifies, about k eps relative, and overestimates
+    |log l_k| by the terms the sum cancels: from the default start at
+    n = 4, p = 2, by a factor of about 34, or 5 steps of k."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    n, p = s0.params.n, s0.params.p
+    size = abs(s0.log_l) + (abs(math.log(s0.C0)) + n * s0.log_alpha
+                            + n * (p / (p - 1.0)) * _log_2p(p)) / (p - 1.0)
+    try:
+        return p ** k * size
+    except OverflowError:
+        return math.inf
+
+
 class ClosedFormBound(NamedTuple):
     """Closed-form amplitude after k steps: exact product and lower bound."""
 

@@ -420,6 +420,32 @@ class TestLadderCommand:
         assert err["code"] == 2 and "closed form" in err["error"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("args,p,k_max", [
+        (["--k-max", "1100"], "2.0", "1100"),
+        (["--p", "1e20"], "1e+20", "40")], ids=["k-max-1100", "p-1e20"])
+    def test_log_amplitude_past_the_float_range_exits_2(self, args, p, k_max,
+                                                        tmp_path, capsys):
+        # log l_k grows like p^k: a bound on it over k <= k_max reports the
+        # input before any table is built, naming p and k_max
+        out_dir = tmp_path / "l"
+        code = main(["ladder", *args, "--output-dir", str(out_dir),
+                     "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "float range" in err["error"]
+        assert f"k_max = {k_max}" in err["error"]
+        assert f"p = {p}" in err["error"]
+        assert not out_dir.exists()
+
+    def test_huge_p_inside_the_float_range(self, tmp_path):
+        code, out = run_cli(["ladder", "--p", "1e20", "--k-max", "10"],
+                            tmp_path)
+        report = read_json(out, "ladder.json")
+        assert code == 0 and report["pass"]
+        lines = (out / "ladder.csv").read_text().splitlines()
+        assert len(lines) == 12 and math.isfinite(float(
+            lines[-1].split(",")[1]))
+
     def test_huge_p_with_a_short_table(self, tmp_path):
         code, out = run_cli(["ladder", "--p", "1e100", "--k-max", "2"],
                             tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhlab.errors import KernelDomainError
-from hhlab.kernels import (_LEVELS, _composition_integral,
+from hhlab.kernels import (_LEVELS, _MERGE_FRACTION, _composition_integral,
                            _composition_mesh, _unit_mesh, green_ball,
                            riesz_compose_check, riesz_constant)
 from hhlab.numerics import (graded_breaks, panel_quadrature,
@@ -248,6 +248,74 @@ def test_composition_scaling_law(n, u1, u2, k, lam, seed):
         assert rhs_s == pytest.approx(factor * rhs, rel=1e-12)
 
 
+def _mesh_blocks(mesh):
+    """(rows, angular nodes, angular weights, ln Q) of each row block of a
+    cached unit mesh, in row order."""
+    r_nodes, _, blocks = mesh
+    start = 0
+    for t_nodes, t_weights, log_q in blocks:
+        yield r_nodes[start:start + len(log_q)], t_nodes, t_weights, log_q
+        start += len(log_q)
+    assert start == r_nodes.size
+
+
+def _mesh_arrays(mesh):
+    """Every array a cached unit mesh holds."""
+    r_nodes, r_weights, blocks = mesh
+    return [r_nodes, r_weights, *(a for block in blocks for a in block)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8),
+       u1=st.floats(1e-6, 1.0 - 1e-6), u2=st.floats(1e-6, 1.0 - 1e-6))
+def test_blocked_angular_rules_match_full_mesh(n, u1, u2):
+    """Each row block's merged angular panel integrates to rounding: on
+    both levels the blocked integral equals the untrimmed full-mesh
+    broadcast formula within 1e-13, for alpha1, alpha2 anywhere in (0, n)
+    with their sum in (0, n)."""
+    alpha1, alpha2 = u1 * u2 * n, u1 * (1.0 - u2) * n
+    for level in _LEVELS:
+        blocked = _composition_integral(alpha1, alpha2, 1.0, n, *level)
+        oracle = _broadcast_composition_integral(alpha1, alpha2, 1.0, n,
+                                                 *level)
+        assert blocked == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_merged_angular_panel_stays_below_the_singular_distance(level):
+    """A block merges the graded angular panels below its largest break b
+    at or below c min(1, delta(rho)) over its rows into one Gauss panel,
+    where Q vanishes at theta = +-i delta(rho), and keeps the full mesh
+    above b: its remaining nodes and weights are exactly a suffix of the
+    full angular mesh. A block whose reach lies below the first break keeps
+    the full mesh."""
+    n_sing, n_theta, order = level
+    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
+    full_nodes, full_weights = panel_quadrature(theta_breaks, order)
+    merged_blocks = 0
+    for rows, t_nodes, t_weights, _ in _mesh_blocks(_unit_mesh(*level)):
+        kept = t_nodes.size - order
+        assert kept % order == 0
+        j = n_theta - kept // order
+        np.testing.assert_array_equal(t_nodes[order:], full_nodes[j * order:])
+        np.testing.assert_array_equal(t_weights[order:],
+                                      full_weights[j * order:])
+        b = theta_breaks[j]
+        assert 0.0 < t_nodes[:order].min() and t_nodes[:order].max() < b
+        assert t_weights[:order].sum() == pytest.approx(b, rel=1e-14, abs=0.0)
+        delta = 2.0 * np.arcsinh(np.abs(rows - 1.0) / (2.0 * np.sqrt(rows)))
+        reach = _MERGE_FRACTION * np.minimum(1.0, delta).min()
+        # b is the largest graded break at or below the reach
+        assert theta_breaks[j + 1] > reach
+        if j > 1:
+            assert b <= reach
+            merged_blocks += 1
+        else:
+            np.testing.assert_array_equal(t_nodes, full_nodes)
+            np.testing.assert_array_equal(t_weights, full_weights)
+    assert merged_blocks > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 8),
        u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -257,22 +325,22 @@ def test_cached_log_kernel_power_matches_power(n, u, level):
     cached nodes: exp amplifies the rounding of e ln Q by |e ln Q|, and the
     log, the product and the two powers each add about one rounding."""
     mesh = _unit_mesh(*level)
-    for a in mesh:
+    for a in _mesh_arrays(mesh):
         assert not a.flags.writeable
         assert np.isfinite(a).all()
-    r_nodes, _, t_nodes, _, log_q = mesh
-    q = np.multiply.outer(4.0 * r_nodes, np.sin(0.5 * t_nodes) ** 2)
-    q += ((r_nodes - 1.0) ** 2)[:, None]
     e = 0.5 * (u * n - n)    # alpha2 = u n in (0, n)
-    rel = np.abs(np.exp(e * log_q) / q ** e - 1.0)
-    bound = (np.abs(e * log_q) + 4.0) * np.finfo(float).eps
-    assert (rel <= bound).all()
+    for rows, t_nodes, _, log_q in _mesh_blocks(mesh):
+        q = np.multiply.outer(4.0 * rows, np.sin(0.5 * t_nodes) ** 2)
+        q += ((rows - 1.0) ** 2)[:, None]
+        rel = np.abs(np.exp(e * log_q) / q ** e - 1.0)
+        bound = (np.abs(e * log_q) + 4.0) * np.finfo(float).eps
+        assert (rel <= bound).all()
 
 
 def test_mesh_build_holds_no_second_mesh_array():
-    """Building both levels peaks within 1.2x the cached arrays' bytes: the
-    log is taken in place, where an out-of-place log holds a second
-    mesh-sized array and peaks at about 1.65x."""
+    """Building both levels peaks within 1.2x the cached arrays' bytes:
+    each row block's ln Q is formed and logged in place, so the build holds
+    no array of the mesh's size besides the cache."""
     _unit_mesh.cache_clear()
     tracemalloc.start()
     try:
@@ -280,7 +348,7 @@ def test_mesh_build_holds_no_second_mesh_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nbytes = sum(a.nbytes for mesh in meshes for a in mesh)
+    nbytes = sum(a.nbytes for mesh in meshes for a in _mesh_arrays(mesh))
     assert peak <= 1.2 * nbytes
 
 

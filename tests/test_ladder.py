@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hhlab.ladder import (LadderState, default_alpha0, divergence_threshold,
                           geometry_constant, ladder_advance,
                           ladder_advance_direct, ladder_closed_form,
-                          ladder_table, monomial_poisson_coefficient)
+                          ladder_table, log_amplitude_bound,
+                          monomial_poisson_coefficient)
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           poisson_solve_ball)
 
@@ -160,6 +161,36 @@ def test_recurrence_matches_closed_form(start):
         cf = ladder_closed_form(k, l0, s0)
         assert abs(cf.log_exact - log_l) <= 1e-12 * max(1.0, abs(log_l))
         assert cf.log_lower_bound <= log_l
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 10), p=st.floats(1.05, 1e3), a=st.floats(-3.0, 1.9),
+       M=st.floats(0.0, 50.0), log_l0=st.floats(-50.0, 50.0),
+       alpha0=st.floats(1.0, 10.0), k_max=st.integers(0, 60))
+def test_log_amplitude_bound_holds_on_every_row(n, p, a, M, log_l0, alpha0,
+                                                k_max):
+    """The O(1) bound the ladder command guards with lies above |log l_k|
+    on every row, above or below the threshold, and grows with k. Where
+    every term has one sign the bound is |log l_k| itself, so each row
+    carries the rounding the recurrence amplifies, about k eps relative."""
+    params = HardyHenonParams(n, max(1, n // 2), a, p)
+    s0 = LadderState.initial(math.exp(log_l0), params, M, alpha0)
+    bound = log_amplitude_bound(s0, k_max)
+    assume(math.isfinite(bound))
+    eps = np.finfo(float).eps
+    for k, log_l, _ in ladder_table(s0, k_max):
+        row_bound = log_amplitude_bound(s0, k)
+        assert abs(log_l) <= row_bound * (1.0 + 4.0 * (k + 1) * eps)
+        assert row_bound <= bound
+
+
+def test_log_amplitude_bound_overflows_to_inf():
+    params = HardyHenonParams(4, 2, 0.0, 2.0)
+    s0 = LadderState.initial(1.0, params)
+    assert math.isfinite(log_amplitude_bound(s0, 1000))
+    assert log_amplitude_bound(s0, 1100) == math.inf
+    with pytest.raises(ValueError):
+        log_amplitude_bound(s0, -1)
 
 
 class TestThreshold:

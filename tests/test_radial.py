@@ -250,6 +250,29 @@ def _reference_solve(r, vals, n):
     return u
 
 
+_CUBIC_GRIDS = {"graded-513": RadialGrid.graded(0.0, 1.0, 513).nodes,
+                "uniform-257": RadialGrid.uniform(0.0, 1.0, 257).nodes,
+                "graded-20-2049": RadialGrid.graded(0.0, 20.0, 2049).nodes}
+
+
+@pytest.mark.parametrize("grid", list(_CUBIC_GRIDS))
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=8, deadline=None)
+@given(c=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_weighted_cumulative_is_exact_on_cubics(n, grid, c):
+    """The not-a-knot spline reproduces a cubic f, and the weight t^(n-1)
+    is integrated exactly per panel, so F(r) = sum_k c_k r^(n+k)/(n+k) up
+    to the rounding of a running sum over N panels: N eps times the size
+    of those terms at the grid's end. A wrong panel integral leaves an
+    O(h^4) error, orders above that."""
+    r = _CUBIC_GRIDS[grid]
+    vals = sum(ck * r ** k for k, ck in enumerate(c))
+    exact = sum(ck * r ** (n + k) / (n + k) for k, ck in enumerate(c))
+    size = sum(abs(ck) * r[-1] ** (n + k) / (n + k) for k, ck in enumerate(c))
+    F = weighted_cumulative(r, vals, n)
+    assert np.abs(F - exact).max() <= r.size * np.finfo(float).eps * size
+
+
 def _grids(sizes):
     for N in sizes:
         yield pytest.param(RadialGrid.uniform(0.0, 1.0, N), id=f"uniform-{N}")
