@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -30,6 +31,15 @@ from .errors import HHLabError
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports errors as JSON. A token that starts
+    with `-` then a digit or `.` is a value, never a flag (no hhlab flag
+    looks like that): `--u1 -10,10,21` and `--a -1e-3` parse, where
+    argparse's own pattern takes only -3 or -.5 as negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):
         json.dump({"error": message, "code": 2}, sys.stderr)
         sys.stderr.write("\n")

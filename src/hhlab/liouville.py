@@ -127,10 +127,10 @@ def _radial_rhs(params: HardyHenonParams):
 def _lane_rhs(params: HardyHenonParams):
     """`_radial_rhs` for LaneRK: r holds one radius per lane and each row
     of y one lane's state, in the column layout of `_radial_rhs`. Each
-    entry is computed by the same operations in the same order."""
-    n, m, p, a = params.n, params.m, params.p, params.a
-    nm1 = n - 1.0
-    top_row = 2 * m - 1
+    entry is computed by the same operations in the same order, and the
+    slopes keep y's memory layout."""
+    nm1 = params.n - 1.0
+    p, a = params.p, params.a
 
     def rhs(r, y):
         c = nm1 / r
@@ -139,8 +139,10 @@ def _lane_rhs(params: HardyHenonParams):
             top *= float_powers(r, -a)
         dy = np.empty_like(y)
         dy[:, 0::2] = y[:, 1::2]
-        dy[:, 1:top_row:2] = -y[:, 2::2] - c[:, None] * y[:, 1:top_row:2]
-        dy[:, top_row] = -top - c * y[:, top_row]
+        # u_i'' = -u_{i+1} - c u_i', with r^(-a) u^p in the place of u_m
+        second = np.multiply(c[:, None], y[:, 1::2], out=dy[:, 1::2])
+        np.subtract(-y[:, 2::2], second[:, :-1], out=second[:, :-1])
+        np.subtract(-top, second[:, -1], out=second[:, -1])
         return dy
 
     return rhs
@@ -181,6 +183,35 @@ def taylor_start(init: Sequence[float], params: HardyHenonParams,
     return y
 
 
+def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
+    """`taylor_start` of every row of `cells` (cells, m), as one
+    (cells, 2m) array built column by column, with the same checks.
+
+    Each entry is computed by the same operations in the same order, and
+    u(0)^p is taken by `float_powers`, so every row is bit for bit the
+    state `taylor_start` gives for that cell. A single shoot keeps
+    `taylor_start`, which is faster for one cell."""
+    n, m, p, a = params.n, params.m, params.p, params.a
+    _check_origin_weight(params)
+    cells = np.asarray(cells, dtype=float)
+    if cells.ndim != 2 or cells.shape[1] != m:
+        raise ValueError(f"need {m} origin values per cell, got shape "
+                         f"{cells.shape}")
+    if not np.isfinite(cells).all():
+        raise ValueError("origin values must be finite")
+    y = np.empty((len(cells), 2 * m))
+    below, above, top = cells[:, :-1], cells[:, 1:], cells[:, -1]
+    y[:, 0:-2:2] = below - above * r0 ** 2 / (2.0 * n)
+    y[:, 1:-2:2] = -above * r0 / n
+    # max(u0, 0.0) as taylor_start takes it, keeping u0 = -0.0
+    u0 = cells[:, 0]
+    f0 = float_powers(np.where(u0 < 0.0, 0.0, u0), p)
+    with np.errstate(over="ignore"):
+        y[:, -2] = top - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
+        y[:, -1] = -f0 * r0 ** (1.0 - a) / (n - a)
+    return y
+
+
 def _check_run(r0: float, r_max: float, rtol: float, atol: float) -> None:
     """Reject a non-finite or empty radius span and non-positive
     tolerances before any integration starts."""
@@ -207,6 +238,17 @@ def _start_event(r0: float, y0, m: int):
     if abs(y0[0]) >= DEFAULT_BLOW_THRESHOLD:
         return r0, OutcomeKind.BLOW_UP, None
     return None
+
+
+def _start_events(r0: float, starts: np.ndarray, m: int) -> list:
+    """`_start_event` of every row of `starts`: all rows are screened at
+    once, and `_start_event` decides only for those the screen flags."""
+    flagged = ((starts[:, 0::2] < -DEFAULT_SIGN_TOL).any(axis=1)
+               | (np.abs(starts[:, 0]) >= DEFAULT_BLOW_THRESHOLD))
+    events = [None] * len(starts)
+    for i in np.flatnonzero(flagged):
+        events[i] = _start_event(r0, starts[i], m)
+    return events
 
 
 def _step_event(rec: StepRecord, sign_rows):
@@ -389,17 +431,15 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
     are integrated together as the lanes of one LaneRK run, with the event
     rules of `_classify` applied to each lane."""
     r0 = DEFAULT_R0
+    starts = taylor_starts(cells, params, r0)
     records = [None] * len(cells)
-    lanes, starts = [], []
-    for i, init in enumerate(cells):
-        y0 = taylor_start(init, params, r0)
-        event = _start_event(r0, y0, params.m)
+    lanes = []
+    for i, event in enumerate(_start_events(r0, starts, params.m)):
         if event is None:
             lanes.append(i)
-            starts.append(y0)
         else:
-            records[i] = _scan_record(init, _outcome(event, r_max,
-                                                     (r0, y0[0])))
+            records[i] = _scan_record(cells[i], _outcome(
+                event, r_max, (r0, starts[i, 0])))
     if not lanes:
         return records
 
@@ -417,7 +457,7 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
                 for k in hit}
 
     integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
-    results, t, y = integ.integrate(r0, np.array(starts), r_max, callback)
+    results, t, y = integ.integrate(r0, starts[lanes], r_max, callback)
     for k, i in enumerate(lanes):
         event = results[k]
         if isinstance(event, IntegratorError):

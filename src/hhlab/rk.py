@@ -23,10 +23,18 @@ Two steppers share the tableau and the step controller:
   accept or reject decision, so each row follows the steps `AdaptiveRK`
   would take for it alone; one pass pays numpy's fixed costs once for all
   lanes. `rhs(t, y)` takes the lanes' times (lanes,) and states
-  (lanes, dim) and returns the slopes as a (lanes, dim) array. Powers are
-  taken in Python floats (`float_powers`), so a lane's arithmetic is the
-  same as that of `AdaptiveRK`'s generated step, operation for operation,
-  and a lane ends exactly where `AdaptiveRK` ends alone.
+  (lanes, dim) and returns the slopes as a new (lanes, dim) array. A pass
+  allocates little: each stage state and the error norm are accumulated
+  in place in two reused buffers, term by term in the tableau's order,
+  then scaled by h and added to y, which float `+` and `*` commuting
+  makes the same value as `y + h * (sum)`. The arrays are column-major,
+  so the reductions over a row run down contiguous columns, and a pass in
+  which every lane accepts takes the trial arrays as the new state
+  instead of copying rows. Powers are `math.pow` of Python floats
+  (`float_powers`), the libm `pow` that float `**` calls, never numpy's
+  vector power. So a lane's arithmetic is that of `AdaptiveRK`'s
+  generated step, operation for operation, and a lane ends exactly where
+  `AdaptiveRK` ends alone.
 """
 
 from __future__ import annotations
@@ -90,16 +98,22 @@ def float_powers(base: np.ndarray, exponent: float) -> np.ndarray:
     """base ** exponent elementwise, taken in Python floats (inf where that
     overflows). numpy's vector power rounds differently from float `**` in
     a few percent of cases; lanes that must compute what the float stepper
-    computes take their powers here."""
+    computes take their powers here.
+
+    Each power is `math.pow`, the libm `pow` that float `**` also calls.
+    The two agree bit for bit on the domain used here: bases >= 0 (-0.0
+    included) or NaN, and a positive exponent wherever a base is 0. A
+    negative base or 0 to a negative power raises where `**` does not, or
+    raises another error."""
     values = base.tolist()
     try:
-        return np.fromiter(map(pow, values, repeat(exponent)), float,
+        return np.fromiter(map(math.pow, values, repeat(exponent)), float,
                            len(values))
     except OverflowError:
         out = []
         for v in values:
             try:
-                out.append(v ** exponent)
+                out.append(math.pow(v, exponent))
             except OverflowError:
                 out.append(math.inf)
         return np.array(out)
@@ -110,6 +124,16 @@ def _integrator_error(message: str, t, y) -> IntegratorError:
     exc = IntegratorError(message)
     exc.state = (float(t), [float(v) for v in y])
     return exc
+
+
+def _cubic_hermite(s, h, y0, y1, f0, f1):
+    """The cubic Hermite interpolant of one component on a step of length h
+    with endpoint values y0, y1 and slopes f0, f1, at s = (t - t0) / h."""
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
 
 
 @dataclass(slots=True)
@@ -126,27 +150,27 @@ class StepRecord:
     def eval(self, t, j: int) -> float:
         """Component j of the cubic Hermite interpolant on [t0, t1]."""
         h = self.t1 - self.t0
-        s = (t - self.t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * self.y0[j] + h01 * self.y1[j] \
-            + h * (h10 * self.f0[j] + h11 * self.f1[j])
+        return _cubic_hermite((t - self.t0) / h, h, self.y0[j], self.y1[j],
+                              self.f0[j], self.f1[j])
 
 
 def hermite_crossing(rec: StepRecord, j: int, level: float) -> float:
     """Locate where component j of y(t) crosses `level` inside a step, by
     bisection on the Hermite interpolant of that component alone."""
-    lo, hi = rec.t0, rec.t1
-    glo = rec.y0[j] - level
+    # the step and the component's endpoint data, bound once per crossing
+    t0 = lo = rec.t0
+    hi = rec.t1
+    h = hi - t0
+    y0, y1, f0, f1 = rec.y0[j], rec.y1[j], rec.f0[j], rec.f1[j]
+    # the bracket's low end keeps the side of `level` it starts on
+    low_side = y0 - level <= 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= CROSSING_TOL * max(1.0, abs(mid)):
             return mid
-        gm = rec.eval(mid, j) - level
-        if (glo <= 0.0) == (gm <= 0.0):
-            lo, glo = mid, gm
+        g = _cubic_hermite((mid - t0) / h, h, y0, y1, f0, f1) - level
+        if (g <= 0.0) == low_side:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -280,92 +304,145 @@ class AdaptiveRK(_DormandPrince):
         return None
 
 
+# The tableau as LaneRK reads it: each sum is a tuple of (coefficient,
+# index into the slopes k1, k2, ...), in the order the float step adds the
+# terms; the stages k2..k6 are taken at t + c h.
+_LANE_STAGES = ((_C2, ((_A21, 0),)),
+                (_C3, ((_A31, 0), (_A32, 1))),
+                (_C4, ((_A41, 0), (_A42, 1), (_A43, 2))),
+                (_C5, ((_A51, 0), (_A52, 1), (_A53, 2), (_A54, 3))),
+                (1.0, ((_A61, 0), (_A62, 1), (_A63, 2), (_A64, 3),
+                       (_A65, 4))))
+_LANE_NEW_STATE = ((_B1, 0), (_B3, 2), (_B4, 3), (_B5, 4), (_B6, 5))
+_LANE_ERROR = ((_E1, 0), (_E3, 2), (_E4, 3), (_E5, 4), (_E6, 5), (_E7, 6))
+
+
+def _lane_increment(out, tmp, terms, k, hc):
+    """out = hc * (c k[i] + c' k[i'] + ...) for the (c, i) of `terms`,
+    accumulated in place left to right; tmp is scratch of out's shape."""
+    (c, i), *rest = terms
+    np.multiply(c, k[i], out=out)
+    for c, i in rest:
+        out += np.multiply(c, k[i], out=tmp)
+    out *= hc
+    return out
+
+
 class LaneRK(_DormandPrince):
     """The Dormand-Prince 5(4) stepper of `AdaptiveRK`, advancing the rows
-    of a (lanes, dim) array in lockstep."""
+    of a (lanes, dim) array in lockstep.
+
+    The lane arrays are column-major (order "F"): each component's lanes
+    are contiguous, so the reductions over a row (the error norm, the
+    finiteness test) run down a few contiguous columns. `rhs(t, y)` must
+    return a new array and keep no reference to y, since the stage states
+    it is given are scratch that the next stage overwrites; returning
+    `np.empty_like(y)` filled in keeps the layout."""
 
     def _step(self, t, y, h, f0):
         """One trial step of every lane: new states, their slopes and each
-        lane's max-norm of the scaled error (NaN when any component is)."""
+        lane's max-norm of the scaled error (NaN when any component is).
+
+        Every sum is accumulated in place in reused (lanes, dim) buffers,
+        then scaled by h and added to y. Float `+` and `*` commute exactly,
+        so `(sum) * h + y` is the value `y + h * (sum)` takes, element for
+        element, and the error norm is `AdaptiveRK`'s to the last bit."""
         rhs = self.rhs
         hc = h[:, None]
-        k1 = f0
-        k2 = rhs(t + _C2 * h, y + hc * (_A21 * k1))
-        k3 = rhs(t + _C3 * h, y + hc * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + _C4 * h, y + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * h, y + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                        + _A54 * k4))
-        k6 = rhs(t + h, y + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                  + _A64 * k4 + _A65 * k5))
-        y1 = y + hc * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = rhs(t + h, y1)
-        ratio = np.abs(hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
-                             + _E6 * k6 + _E7 * k7))
-        ratio /= self.atol + self.rtol * np.maximum(np.abs(y), np.abs(y1))
-        return y1, k7, ratio.max(axis=1)
+        acc, tmp = np.empty_like(y), np.empty_like(y)
+        k = [f0]
+        for c, terms in _LANE_STAGES:
+            _lane_increment(acc, tmp, terms, k, hc)
+            acc += y
+            k.append(rhs(t + c * h, acc))
+        y1 = _lane_increment(np.empty_like(y), tmp, _LANE_NEW_STATE, k, hc)
+        y1 += y
+        k.append(rhs(t + h, y1))
+        ratio = _lane_increment(acc, tmp, _LANE_ERROR, k, hc)
+        np.abs(ratio, out=ratio)
+        scale = np.maximum(np.abs(y, out=tmp), np.abs(y1), out=tmp)
+        scale *= self.rtol
+        scale += self.atol
+        ratio /= scale
+        return y1, k[6], ratio.max(axis=1)
 
     def integrate(self, t0: float, y0, t_end: float,
                   step_callback: Optional[Callable] = None):
         """Integrate every row of y0 from t0 to t_end.
 
         `step_callback(t0, t1, y0, y1, f0, f1)` is invoked after every pass
-        with the steps accepted in it, one row per accepted lane. It returns
-        a dict from row index to a stop value for the lanes that stop
-        there, or None when none does. Lanes that stop, reach t_end or fail
-        are dropped from the arrays.
+        with the steps accepted in it, one row per accepted lane; the arrays
+        are valid only during the call. It returns a dict from row index to
+        a stop value for the lanes that stop there, or None when none does.
+        Lanes that stop, reach t_end or fail are dropped from the arrays.
 
         Returns (results, t, y). results[i] is lane i's stop value, None
         when it reached t_end, or the IntegratorError (step-size underflow
         or budget exhaustion, with `.state`) that ended it; t[i] and y[i]
         are its time and state after its last accepted step.
         """
-        y = np.array(y0, dtype=float, ndmin=2)
+        y = np.array(y0, dtype=float, ndmin=2, order="F")
         t = np.full(y.shape[0], float(t0))
         results = [None] * y.shape[0]
         t_out, y_out = t.copy(), y.copy()
         lane = np.arange(y.shape[0])
         h = np.full(lane.size, _first_step(float(t0), t_end))
-        steps = np.zeros(lane.size, dtype=int)
+        steps = 0     # every live lane takes one trial step per pass
         with np.errstate(all="ignore"):
             f = self.rhs(t, y) if lane.size else y
             while lane.size:
                 h = np.minimum(h, t_end - t)
                 # an underflowing lane fails before its step: the step is
                 # taken with the others but neither counted nor accepted
-                failed = h < H_MIN_FACTOR * np.maximum(np.abs(t), 1e-30)
-                for i in np.flatnonzero(failed):
+                done = h < H_MIN_FACTOR * np.maximum(np.abs(t), 1e-30)
+                for i in np.flatnonzero(done):
                     results[lane[i]] = _integrator_error(
                         f"step size underflow at r={t[i]:.6g}", t[i], y[i])
                 y1, f1, err = self._step(t, y, h, f)
                 steps += 1
-                over = (steps > MAX_STEPS) & ~failed
-                for i in np.flatnonzero(over):
-                    results[lane[i]] = _integrator_error(
-                        "step budget exhausted", t[i], y[i])
-                done = failed | over
+                if steps > MAX_STEPS:
+                    for i in np.flatnonzero(~done):
+                        results[lane[i]] = _integrator_error(
+                            "step budget exhausted", t[i], y[i])
+                    done[:] = True
                 finite = np.isfinite(y1).all(axis=1)
-                rows = np.flatnonzero(finite & (err <= 1.0) & ~done)
-                t0_ok, t1_ok = t[rows], t[rows] + h[rows]
-                y0_ok, f0_ok = y[rows], f[rows]
-                t[rows], y[rows], f[rows] = t1_ok, y1[rows], f1[rows]
+                accept = finite & (err <= 1.0) & ~done
+                if accept.all():
+                    # every lane accepts: the step's arrays become the state
+                    rows = np.arange(lane.size)
+                    accepted = (t, t + h, y, y1, f, f1)
+                    t, y, f = accepted[1], y1, f1
+                else:
+                    rows = np.flatnonzero(accept)
+                    t_ok = t[rows]
+                    accepted = (t_ok, t_ok + h[rows], y[rows], y1[rows],
+                                f[rows], f1[rows])
+                    t[rows], y[rows], f[rows] = accepted[1::2]
                 if step_callback is not None and rows.size:
-                    stops = step_callback(t0_ok, t1_ok, y0_ok, y[rows],
-                                          f0_ok, f[rows])
+                    stops = step_callback(*accepted)
                     for k, value in (stops or {}).items():
                         results[lane[rows[k]]] = value
                         done[rows[k]] = True
                 done |= t >= t_end
-                # _step_factor of every lane (0 ** EXPONENT divides by zero)
-                grow = err > 0.0
-                factor = np.where(np.isnan(err), _SHRINK_MIN, _GROW_MAX)
-                factor[grow] = np.clip(
-                    _SAFETY * float_powers(err[grow], _EXPONENT),
-                    _SHRINK_MIN, _GROW_MAX)
-                h = h * np.where(finite, factor, _RETRY)
+                h = h * _lane_factors(err, finite)
                 if done.any():
                     ended = lane[done]
                     t_out[ended], y_out[ended] = t[done], y[done]
                     keep = ~done
-                    lane, t, y, f, h, steps = (lane[keep], t[keep], y[keep],
-                                               f[keep], h[keep], steps[keep])
+                    lane, t, h = lane[keep], t[keep], h[keep]
+                    y = np.asfortranarray(y[keep])
+                    f = np.asfortranarray(f[keep])
         return results, t_out, y_out
+
+
+def _lane_factors(err, finite):
+    """`_step_factor` of every lane's scaled error, or RETRY where the trial
+    state is not finite. A NaN error shrinks the step by SHRINK_MIN and an
+    error of 0 grows it by GROW_MAX (0 ** EXPONENT would divide by zero);
+    the clamp leaves both as they are."""
+    grow = err > 0.0
+    factor = np.where(np.isnan(err), _SHRINK_MIN, _GROW_MAX)
+    factor[grow] = _SAFETY * float_powers(err[grow], _EXPONENT)
+    np.minimum(np.maximum(factor, _SHRINK_MIN, out=factor), _GROW_MAX,
+               out=factor)
+    return np.where(finite, factor, _RETRY)

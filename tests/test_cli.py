@@ -178,6 +178,34 @@ class TestErrorClasses:
         assert errors[0] == errors[1]
         assert "a < 2" in errors[0]["error"]
 
+    @pytest.mark.parametrize("args", [
+        ["scan", "--u1", "-10,10,21"],
+        ["scan", "--a", "-1e-3", "--u0", "1,2,2", "--u1", "-1,1,2"],
+        ["ladder", "--a", "-1e-3", "--k-max", "5"]],
+        ids=["scan-u1", "scan-a", "ladder-a"])
+    def test_value_starting_with_minus_is_a_value(self, args, tmp_path):
+        # a flag's value may begin with `-` and a digit, spelled with a
+        # space as well as with `=`
+        code, out = run_cli(args, tmp_path)
+        assert code == 0
+        name = f"{args[0]}.json"
+        spaced = read_json(out, name)
+        joined = [args[0]] + [f"{flag}={value}" for flag, value
+                              in zip(args[1::2], args[2::2])]
+        code, out = run_cli(joined, tmp_path, "joined")
+        assert code == 0
+        equals = read_json(out, name)
+        assert spaced == equals
+
+    def test_negative_origin_value_with_a_space(self, tmp_path, capsys):
+        # `--init -1,2` is the value -1,2, rejected as u(0) <= 0
+        code = main(["shoot", "--init", "-1,2", "--output-dir",
+                     str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "u(0) must be positive" in err["error"]
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["kernels-selftest", "report"])
     def test_negative_seed_exits_2(self, command, tmp_path, capsys):
         out_dir = tmp_path / "s"

@@ -214,7 +214,7 @@ def test_composition_integral_matches_broadcast_formula(n, u1, u2, d, level):
     alpha1, alpha2 = u1 * u2 * n, u1 * (1.0 - u2) * n
     blocked = _composition_integral(alpha1, alpha2, d, n, *level)
     oracle = _broadcast_composition_integral(alpha1, alpha2, d, n, *level)
-    assert blocked == pytest.approx(oracle, rel=1e-12)
+    assert blocked == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def _selftest_orders(n, u1, u2):
@@ -244,8 +244,8 @@ def test_composition_scaling_law(n, u1, u2, k, lam, seed):
         lhs_s, rhs_s = riesz_compose_check(alpha1, alpha2, scale * x,
                                            scale * z, n)
         factor = scale ** (alpha1 + alpha2 - n)
-        assert lhs_s == pytest.approx(factor * lhs, rel=1e-12)
-        assert rhs_s == pytest.approx(factor * rhs, rel=1e-12)
+        assert lhs_s == pytest.approx(factor * lhs, rel=1e-12, abs=0.0)
+        assert rhs_s == pytest.approx(factor * rhs, rel=1e-12, abs=0.0)
 
 
 def _mesh_blocks(mesh):

@@ -395,6 +395,104 @@ class TestGeneratedRhs:
         assert list(hhlab.liouville._RADIAL_RHS) == [2]
 
 
+def _lane_bits(a):
+    # NaN positions and the IEEE bit patterns of the rest of an array
+    a = np.array(a, dtype=float)
+    nan = np.isnan(a)
+    return nan.tolist(), np.where(nan, 0.0, a).view(np.uint64).tolist()
+
+
+class TestLaneRhs:
+    """`_lane_rhs` must compute, for every lane, what the row loop of
+    `reference_radial_rhs` computes, bit for bit, in either memory layout.
+    It clamps u with np.maximum, which reads -0.0 as +0.0 where the float
+    right-hand side keeps -0.0, so u = -0.0 is left out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(1, 4),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9)),
+           p=st.floats(1.0, 8.0, exclude_min=True),
+           u0=st.lists(_U0.filter(lambda u: math.copysign(1.0, u) > 0.0
+                                  or u != 0.0), min_size=1, max_size=40),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lanes_match_the_row_loop(self, n, m, a, p, u0, order, seed):
+        params = HardyHenonParams(n, m, a, p)
+        rng = np.random.default_rng(seed)
+        lanes = len(u0)
+        r = 10.0 ** rng.uniform(-8.0, 3.0, lanes)
+        y = np.empty((lanes, 2 * m), order=order)
+        y[:, 0] = u0
+        y[:, 1:] = (rng.standard_normal((lanes, 2 * m - 1))
+                    * 10.0 ** rng.uniform(-3.0, 3.0, (lanes, 2 * m - 1)))
+        # signed zeros in some entries, where a reordered sign would show
+        zeros = rng.random((lanes, 2 * m - 1)) < 0.2
+        y[:, 1:][zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        with np.errstate(all="ignore"):    # as inside LaneRK.integrate
+            got = hhlab.liouville._lane_rhs(params)(r, y)
+        row = reference_radial_rhs(params)
+        want = [row(ri, yi) for ri, yi in zip(r.tolist(), y.tolist())]
+        assert _lane_bits(got) == _lane_bits(want)
+        assert got.flags["F_CONTIGUOUS"] == y.flags["F_CONTIGUOUS"]
+
+
+class TestTaylorStarts:
+    """`taylor_starts` builds every cell's start at once and
+    `_start_events` screens them at once; cell by cell they must give
+    `taylor_start` and `_start_event`, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 8), m=st.integers(1, 4),
+           a=st.one_of(st.just(0.0), st.floats(-2.0, 1.9)),
+           p=st.one_of(st.floats(1.0, 6.0, exclude_min=True),
+                       st.sampled_from([2.0, 3.0, 5.0]),
+                       st.floats(300.0, 1000.0)),
+           r0=st.sampled_from([DEFAULT_R0, 1e-3, 0.1]),
+           cells=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_cells_match_the_one_cell_formula(self, n, m, a, p, r0, cells,
+                                              seed):
+        params = HardyHenonParams(n, m, a, p)
+        rng = np.random.default_rng(seed)
+        init = rng.uniform(-10.0, 10.0, (cells, m))
+        init[:, 0] = rng.uniform(0.1, 10.0, cells) \
+            * rng.choice([-1.0, 1.0, 1.0, 1.0], cells)
+        # signed zeros, also in u(0), and zero higher layers, so that no
+        # larger term absorbs the rounding of the correction from above
+        zeros = rng.random((cells, m)) < 0.2
+        init[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        starts = hhlab.liouville.taylor_starts(init, params, r0)
+        assert starts.shape == (cells, 2 * m)
+        events = hhlab.liouville._start_events(r0, starts, m)
+        for cell, start, event in zip(init, starts, events):
+            want = taylor_start(cell, params, r0)
+            assert _bits(start.tolist()) == _bits(want.tolist())
+            assert event == hhlab.liouville._start_event(r0, want, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflowing_power_is_a_sign_loss_at_r0(self, m):
+        # u(0)^p leaves the float range: the top layer starts at -inf, a
+        # sign loss at r0 in scan and shoot alike
+        params = HardyHenonParams(4, m, 0.5, 400.0)
+        axes = [np.array([10.0, 0.5])] + [np.array([1.0])] * (m - 1)
+        starts = hhlab.liouville.taylor_starts(_cells(axes), params,
+                                               DEFAULT_R0)
+        assert starts[0, -2] == -math.inf and starts[0, -1] == -math.inf
+        assert np.isfinite(starts[1]).all()
+        res = scan(axes, params, 10.0)
+        assert (res.records[0].kind, res.records[0].layer,
+                res.records[0].r_star) == ("SignLoss", m - 1, DEFAULT_R0)
+        _assert_agrees(res.records, _cells(axes), params, 10.0)
+
+    @pytest.mark.parametrize("cells,params,message", [
+        (np.ones((3, 3)), CRITICAL, "2 origin values per cell"),
+        (np.ones(2), CRITICAL, "2 origin values per cell"),
+        (np.array([[1.0, math.nan]]), CRITICAL, "finite"),
+        (np.array([[1.0, 2.0], [math.inf, 1.0]]), CRITICAL, "finite"),
+        (np.ones((1, 2)), HardyHenonParams(4, 2, 2.0, 2.0), "a < 2")])
+    def test_checks(self, cells, params, message):
+        with pytest.raises(ValueError, match=message):
+            hhlab.liouville.taylor_starts(cells, params, DEFAULT_R0)
+
+
 class TestClassificationStability:
     def test_tolerance_halving_preserves_kinds(self):
         axes = [np.linspace(0.5, 8.0, 5), np.linspace(-8.0, 8.0, 5)]

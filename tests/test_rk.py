@@ -142,6 +142,57 @@ class TestHermite:
         assert abs(root - 0.6) < 1e-12
 
 
+def reference_hermite(rec, t, j):
+    """Component j of the cubic Hermite interpolant of `rec` at t, every
+    input read from the record at every call."""
+    h = rec.t1 - rec.t0
+    s = (t - rec.t0) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * rec.y0[j] + h01 * rec.y1[j] \
+        + h * (h10 * rec.f0[j] + h11 * rec.f1[j])
+
+
+def reference_crossing(rec, j, level):
+    """Bisection on `reference_hermite`, carrying the low end's value: the
+    formula `hermite_crossing` takes with the step's data bound once."""
+    lo, hi = rec.t0, rec.t1
+    glo = rec.y0[j] - level
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= hhlab.rk.CROSSING_TOL * max(1.0, abs(mid)):
+            return mid
+        gm = reference_hermite(rec, mid, j) - level
+        if (glo <= 0.0) == (gm <= 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=st.floats(1e-7, 1e3), h=st.floats(1e-12, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 8),
+       where=st.floats(-0.5, 1.5))
+def test_interpolant_and_crossing_match_the_reference(t0, h, seed, dim,
+                                                      where):
+    # any level, crossed inside the step or not; NaN slopes included
+    rng = np.random.default_rng(seed)
+    y0, y1, f0, f1 = (rng.standard_normal((4, dim))
+                      * 10.0 ** rng.uniform(-3.0, 3.0, (4, dim))).tolist()
+    if rng.random() < 0.1:
+        f1[rng.integers(dim)] = math.nan
+    rec = StepRecord(t0, t0 + h, y0, y1, f0, f1)
+    t = t0 + where * h
+    for j in range(dim):
+        assert bits(rec.eval(t, j)) == bits(reference_hermite(rec, t, j))
+        level = y0[j] + where * (y1[j] - y0[j])
+        assert bits(hermite_crossing(rec, j, level)) == \
+            bits(reference_crossing(rec, j, level))
+
+
 def lanes_of(rhs):
     """A LaneRK right-hand side that applies the float `rhs` row by row."""
     def lane_rhs(t, y):
@@ -420,3 +471,151 @@ class TestGeneratedStep:
         integ.rhs = counted
         integ.integrate(0.0, [1.0], 1.0)
         assert len(calls) % 6 == 1 and len(calls) > 6
+
+
+def reference_lane_step(integ, t, y, h, f0):
+    """The lane trial step as one broadcast expression per stage: the
+    formula `LaneRK._step` accumulates in place, operation for operation."""
+    c, rhs = hhlab.rk, integ.rhs
+    hc = h[:, None]
+    k1 = f0
+    k2 = rhs(t + c._C2 * h, y + hc * (c._A21 * k1))
+    k3 = rhs(t + c._C3 * h, y + hc * (c._A31 * k1 + c._A32 * k2))
+    k4 = rhs(t + c._C4 * h, y + hc * (c._A41 * k1 + c._A42 * k2
+                                      + c._A43 * k3))
+    k5 = rhs(t + c._C5 * h, y + hc * (c._A51 * k1 + c._A52 * k2
+                                      + c._A53 * k3 + c._A54 * k4))
+    k6 = rhs(t + h, y + hc * (c._A61 * k1 + c._A62 * k2 + c._A63 * k3
+                              + c._A64 * k4 + c._A65 * k5))
+    y1 = y + hc * (c._B1 * k1 + c._B3 * k3 + c._B4 * k4 + c._B5 * k5
+                   + c._B6 * k6)
+    k7 = rhs(t + h, y1)
+    ratio = np.abs(hc * (c._E1 * k1 + c._E3 * k3 + c._E4 * k4 + c._E5 * k5
+                         + c._E6 * k6 + c._E7 * k7))
+    ratio /= integ.atol + integ.rtol * np.maximum(np.abs(y), np.abs(y1))
+    return y1, k7, ratio.max(axis=1)
+
+
+def array_bits(a):
+    """The NaN positions of an array and the IEEE bit patterns of the rest
+    (signed zeros compare; a NaN's payload does not)."""
+    a = np.array(a, dtype=float)
+    nan = np.isnan(a)
+    return nan.tolist(), np.where(nan, 0.0, a).view(np.uint64).tolist()
+
+
+_LANE_EDGE = [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324,
+              -2e-310, 0.0, -0.0]
+
+
+@st.composite
+def _lane_steps(draw):
+    """A lane trial step: 1, 2, 7 or 300 lanes of dimension 2-8 in C or F
+    order, per-lane t and h, tolerances, and the six slopes the right-hand
+    side returns in call order. Values are generic floats of random sign
+    and magnitude, and some rows hold inf, NaN, huge or denormal entries."""
+    lanes = draw(st.sampled_from([1, 2, 7, 300]))
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = (rng.standard_normal((8, lanes, dim))
+              * 10.0 ** rng.uniform(-3.0, 3.0, (8, lanes, dim)))
+    for _ in range(draw(st.integers(0, 6))):
+        values[rng.integers(8), rng.integers(lanes), rng.integers(dim)] = \
+            _LANE_EDGE[rng.integers(len(_LANE_EDGE))]
+    h = 10.0 ** rng.uniform(-12.0, 1.0, lanes)
+    if draw(st.booleans()):
+        h[rng.integers(lanes)] = _LANE_EDGE[rng.integers(len(_LANE_EDGE))]
+    t = rng.uniform(-1e3, 1e3, lanes)
+    order = draw(st.sampled_from("CF"))
+    values = [np.array(v, order=order) for v in values]
+    return (t, values[0], h, values[1], values[2:],
+            draw(st.floats(1e-14, 1e-2)), draw(st.floats(1e-14, 1e-2)))
+
+
+class TestLaneStep:
+    """`LaneRK._step` accumulates every stage in place; it must compute
+    what the broadcast formula of `reference_lane_step` computes, bit for
+    bit, and give the right-hand side the same stage states."""
+
+    @staticmethod
+    def taped(slopes, calls):
+        # returns a fresh copy of the drawn slopes in call order and
+        # records a copy of every stage (the stage buffer is scratch)
+        def rhs(t, y):
+            calls.append((t.copy(), np.array(y)))
+            return slopes[len(calls) - 1].copy(order="K")
+        return rhs
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_lane_steps())
+    def test_step_matches_the_broadcast_formula(self, case):
+        t, y, h, f0, slopes, rtol, atol = case
+        runs = []
+        with np.errstate(all="ignore"):
+            for step in (LaneRK._step, reference_lane_step):
+                calls = []
+                integ = LaneRK(self.taped(slopes, calls), rtol=rtol,
+                               atol=atol)
+                y1, k7, err = step(integ, t, y.copy(order="K"), h,
+                                   f0.copy(order="K"))
+                runs.append(([array_bits(ti) + array_bits(yi)
+                              for ti, yi in calls], array_bits(y1),
+                             array_bits(k7), array_bits(err)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 6
+
+    @pytest.mark.parametrize("errors", [
+        [0.0, math.nan, 5e-324, 1e-30, 1e-4, 0.5, 1.0, 3.0, 1845.0, 1e5,
+         math.inf],
+        [5e-324, 1e-4, 0.5, 1.0, 3.0, 1845.0, 1e5, math.inf]],
+        ids=["mixed", "all-positive"])
+    def test_factors_are_the_float_step_factor(self, errors):
+        # each lane's factor on h is `_step_factor` of its error, clamped
+        # to [0.2, 5], or the 0.25 retry where its trial state is not finite
+        err = np.array(errors)
+        for finite in (np.ones(err.size, bool), np.arange(err.size) % 3 > 0):
+            got = hhlab.rk._lane_factors(err, finite)
+            want = [hhlab.rk._step_factor(e) if ok else hhlab.rk._RETRY
+                    for e, ok in zip(errors, finite)]
+            assert bits(got.tolist()) == bits(want)
+
+
+def _power_or_inf(base, exponent):
+    # float ** with its OverflowError read as inf, as float_powers reads it
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+class TestFloatPowers:
+    BASES = [0.0, -0.0, 1.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+             0.5, 3.7, 1e154, 1e200, 1e308, math.inf, math.nan]
+
+    @pytest.mark.parametrize("exponent", [2.0, 3.0, 1.5, 4.7, 0.5, 1e-3,
+                                          1.0000001, 400.0])
+    def test_equals_float_power_bit_for_bit(self, exponent):
+        got = hhlab.rk.float_powers(np.array(self.BASES), exponent)
+        want = [_power_or_inf(b, exponent) for b in self.BASES]
+        assert bits(got.tolist()) == bits(want)
+        if exponent >= 2.0:
+            # (1e200) ** 2 and up leave the float range
+            assert got[self.BASES.index(1e200)] == math.inf
+
+    @pytest.mark.parametrize("exponent", [-0.2, -1.5, -3.0])
+    def test_negative_exponent_on_positive_bases(self, exponent):
+        # the step factor takes err ** -0.2 of positive errors only; a
+        # denormal base overflows
+        bases = [b for b in self.BASES if not b == 0.0]
+        got = hhlab.rk.float_powers(np.array(bases), exponent)
+        assert bits(got.tolist()) == bits([_power_or_inf(b, exponent)
+                                           for b in bases])
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent=st.floats(-3.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_generic_bases(self, exponent, seed):
+        rng = np.random.default_rng(seed)
+        bases = 10.0 ** rng.uniform(-300.0, 300.0, 50)
+        got = hhlab.rk.float_powers(bases, exponent)
+        assert bits(got.tolist()) == bits([_power_or_inf(b, exponent)
+                                           for b in bases.tolist()])
