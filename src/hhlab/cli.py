@@ -38,6 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # argparse internals: `_ActionsContainer.__init__` sets this pattern
+        # and `_parse_optional` reads it to take a token that starts with
+        # `-` as a value (checked against CPython 3.11's argparse). Were a
+        # later argparse to stop reading it, the argv tests in
+        # tests/test_cli.py that pass such values with a space would fail.
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):

@@ -127,14 +127,16 @@ def _radial_rhs(params: HardyHenonParams):
 def _lane_rhs(params: HardyHenonParams):
     """`_radial_rhs` for LaneRK: r holds one radius per lane and each row
     of y one lane's state, in the column layout of `_radial_rhs`. Each
-    entry is computed by the same operations in the same order, and the
-    slopes keep y's memory layout."""
+    entry is computed by the same operations in the same order, u < 0
+    reads as 0 with u = -0.0 kept, and the slopes keep y's memory
+    layout."""
     nm1 = params.n - 1.0
     p, a = params.p, params.a
 
     def rhs(r, y):
         c = nm1 / r
-        top = float_powers(np.maximum(y[:, 0], 0.0), p)
+        u = y[:, 0]
+        top = float_powers(np.where(u < 0.0, 0.0, u), p)
         if a != 0.0:
             top *= float_powers(r, -a)
         dy = np.empty_like(y)
@@ -157,40 +159,24 @@ def _check_origin_weight(params: HardyHenonParams) -> None:
 
 def taylor_start(init: Sequence[float], params: HardyHenonParams,
                  r0: float) -> np.ndarray:
-    """Second-order Taylor state at r0 from origin values of the layers.
-
-    Uses u_i''(0) = -u_{i+1}(0)/n from the regularized Laplacian; the top
-    layer integrates its source r^(-a) u(0)^p explicitly, which requires
-    a < 2 (for a >= 2 the source is not integrable at the origin).
-    """
-    n, m, p, a = params.n, params.m, params.p, params.a
-    _check_origin_weight(params)
+    """Second-order Taylor state at r0 from origin values of the layers:
+    `taylor_starts` of the one cell `init`."""
     init = np.asarray(init, dtype=float)
-    if init.shape != (m,):
-        raise ValueError(f"need {m} origin values, got shape {init.shape}")
-    if not np.all(np.isfinite(init)):
-        raise ValueError("origin values must be finite")
-    y = np.empty(2 * m)
-    for i in range(m - 1):
-        y[2 * i] = init[i] - init[i + 1] * r0 ** 2 / (2.0 * n)
-        y[2 * i + 1] = -init[i + 1] * r0 / n
-    # at a huge p, u(0)^p overflows to inf and the top layer's start to
-    # -inf: a sign loss at r0, not a fault
-    with np.errstate(over="ignore"):
-        f0 = max(init[0], 0.0) ** p
-    y[2 * m - 2] = init[m - 1] - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
-    y[2 * m - 1] = -f0 * r0 ** (1.0 - a) / (n - a)
-    return y
+    if init.shape != (params.m,):
+        raise ValueError(f"need {params.m} origin values, got shape "
+                         f"{init.shape}")
+    return taylor_starts(init[None], params, r0)[0]
 
 
 def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
-    """`taylor_start` of every row of `cells` (cells, m), as one
-    (cells, 2m) array built column by column, with the same checks.
+    """Second-order Taylor states at r0 of every row of `cells` (cells,
+    m) of origin values, as one (cells, 2m) array.
 
-    Each entry is computed by the same operations in the same order, and
-    u(0)^p is taken by `float_powers`, so every row is bit for bit the
-    state `taylor_start` gives for that cell. A single shoot keeps
-    `taylor_start`, which is faster for one cell."""
+    Uses u_i''(0) = -u_{i+1}(0)/n from the regularized Laplacian; the top
+    layer integrates its source r^(-a) u(0)^p explicitly, which requires
+    a < 2 (for a >= 2 the source is not integrable at the origin). u(0)^p
+    is taken by `float_powers`, as the float right-hand side takes it.
+    """
     n, m, p, a = params.n, params.m, params.p, params.a
     _check_origin_weight(params)
     cells = np.asarray(cells, dtype=float)
@@ -203,9 +189,11 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     below, above, top = cells[:, :-1], cells[:, 1:], cells[:, -1]
     y[:, 0:-2:2] = below - above * r0 ** 2 / (2.0 * n)
     y[:, 1:-2:2] = -above * r0 / n
-    # max(u0, 0.0) as taylor_start takes it, keeping u0 = -0.0
+    # u(0) < 0 reads as 0, keeping u(0) = -0.0 as `_radial_rhs` does
     u0 = cells[:, 0]
     f0 = float_powers(np.where(u0 < 0.0, 0.0, u0), p)
+    # at a huge p, u(0)^p overflows to inf and the top layer's start to
+    # -inf: a sign loss at r0, not a fault
     with np.errstate(over="ignore"):
         y[:, -2] = top - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
         y[:, -1] = -f0 * r0 ** (1.0 - a) / (n - a)
@@ -238,17 +226,6 @@ def _start_event(r0: float, y0, m: int):
     if abs(y0[0]) >= DEFAULT_BLOW_THRESHOLD:
         return r0, OutcomeKind.BLOW_UP, None
     return None
-
-
-def _start_events(r0: float, starts: np.ndarray, m: int) -> list:
-    """`_start_event` of every row of `starts`: all rows are screened at
-    once, and `_start_event` decides only for those the screen flags."""
-    flagged = ((starts[:, 0::2] < -DEFAULT_SIGN_TOL).any(axis=1)
-               | (np.abs(starts[:, 0]) >= DEFAULT_BLOW_THRESHOLD))
-    events = [None] * len(starts)
-    for i in np.flatnonzero(flagged):
-        events[i] = _start_event(r0, starts[i], m)
-    return events
 
 
 def _step_event(rec: StepRecord, sign_rows):
@@ -434,12 +411,13 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
     starts = taylor_starts(cells, params, r0)
     records = [None] * len(cells)
     lanes = []
-    for i, event in enumerate(_start_events(r0, starts, params.m)):
+    for i, start in enumerate(starts.tolist()):
+        event = _start_event(r0, start, params.m)
         if event is None:
             lanes.append(i)
         else:
             records[i] = _scan_record(cells[i], _outcome(
-                event, r_max, (r0, starts[i, 0])))
+                event, r_max, (r0, start[0])))
     if not lanes:
         return records
 

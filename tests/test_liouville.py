@@ -404,16 +404,14 @@ def _lane_bits(a):
 
 class TestLaneRhs:
     """`_lane_rhs` must compute, for every lane, what the row loop of
-    `reference_radial_rhs` computes, bit for bit, in either memory layout.
-    It clamps u with np.maximum, which reads -0.0 as +0.0 where the float
-    right-hand side keeps -0.0, so u = -0.0 is left out."""
+    `reference_radial_rhs` computes, bit for bit, in either memory layout,
+    u = -0.0 included."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 8), m=st.integers(1, 4),
            a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9)),
            p=st.floats(1.0, 8.0, exclude_min=True),
-           u0=st.lists(_U0.filter(lambda u: math.copysign(1.0, u) > 0.0
-                                  or u != 0.0), min_size=1, max_size=40),
+           u0=st.lists(_U0, min_size=1, max_size=40),
            order=st.sampled_from("CF"), seed=st.integers(0, 2 ** 32 - 1))
     def test_lanes_match_the_row_loop(self, n, m, a, p, u0, order, seed):
         params = HardyHenonParams(n, m, a, p)
@@ -435,10 +433,26 @@ class TestLaneRhs:
         assert got.flags["F_CONTIGUOUS"] == y.flags["F_CONTIGUOUS"]
 
 
+def reference_taylor_start(init, params, r0):
+    """The Taylor start of one cell as a loop over the layers: the formula
+    `taylor_starts` computes column by column, operation for operation."""
+    n, m, p, a = params.n, params.m, params.p, params.a
+    init = np.asarray(init, dtype=float)
+    y = np.empty(2 * m)
+    for i in range(m - 1):
+        y[2 * i] = init[i] - init[i + 1] * r0 ** 2 / (2.0 * n)
+        y[2 * i + 1] = -init[i + 1] * r0 / n
+    with np.errstate(over="ignore"):
+        f0 = max(init[0], 0.0) ** p
+    y[2 * m - 2] = init[m - 1] - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
+    y[2 * m - 1] = -f0 * r0 ** (1.0 - a) / (n - a)
+    return y
+
+
 class TestTaylorStarts:
-    """`taylor_starts` builds every cell's start at once and
-    `_start_events` screens them at once; cell by cell they must give
-    `taylor_start` and `_start_event`, bit for bit."""
+    """`taylor_starts` builds every cell's start at once; cell by cell it
+    must give the layer loop of `reference_taylor_start`, bit for bit, and
+    `taylor_start` must give the same for one cell."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 8), m=st.integers(1, 4),
@@ -461,11 +475,10 @@ class TestTaylorStarts:
         init[zeros] = rng.choice([0.0, -0.0], zeros.sum())
         starts = hhlab.liouville.taylor_starts(init, params, r0)
         assert starts.shape == (cells, 2 * m)
-        events = hhlab.liouville._start_events(r0, starts, m)
-        for cell, start, event in zip(init, starts, events):
-            want = taylor_start(cell, params, r0)
-            assert _bits(start.tolist()) == _bits(want.tolist())
-            assert event == hhlab.liouville._start_event(r0, want, m)
+        for cell, start in zip(init, starts):
+            want = _bits(reference_taylor_start(cell, params, r0).tolist())
+            assert _bits(start.tolist()) == want
+            assert _bits(taylor_start(cell, params, r0).tolist()) == want
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_overflowing_power_is_a_sign_loss_at_r0(self, m):
@@ -491,6 +504,15 @@ class TestTaylorStarts:
     def test_checks(self, cells, params, message):
         with pytest.raises(ValueError, match=message):
             hhlab.liouville.taylor_starts(cells, params, DEFAULT_R0)
+
+    @pytest.mark.parametrize("init,params,message", [
+        ([1.0, 2.0, 3.0], CRITICAL, "need 2 origin values, got shape"),
+        ([[1.0, 2.0]], CRITICAL, "need 2 origin values, got shape"),
+        ([1.0, math.inf], CRITICAL, "finite"),
+        ([1.0, 1.0], HardyHenonParams(4, 2, 2.0, 2.0), "a < 2")])
+    def test_one_cell_checks(self, init, params, message):
+        with pytest.raises(ValueError, match=message):
+            taylor_start(init, params, DEFAULT_R0)
 
 
 class TestClassificationStability:
