@@ -467,8 +467,11 @@ def main(argv=None) -> int:
     argv = _apply_config(argv)
     args = command_parser(argv[0]).parse_args(argv[1:])
     try:
-        return _COMMANDS[argv[0]].run(args)
-    except (HHLabError, ValueError, ArithmeticError) as exc:
+        # a floating-point fault surfaces through the finiteness checks as
+        # a JSON error, never as a numpy warning on stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[argv[0]].run(args)
+    except (HHLabError, ValueError, ArithmeticError, MemoryError) as exc:
         # inputs were checked in the command's guard: this is numerical
         json.dump({"error": str(exc), "code": 1,
                    "type": type(exc).__name__}, sys.stderr)

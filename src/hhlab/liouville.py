@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import IntegratorError
 from .kernels import riesz_constant
@@ -264,21 +263,19 @@ def _outcome(event, r_max: float, end: tuple, trace_r=None,
 
 
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
-              r_max: float, rtol: float, atol: float, keep_trace: bool,
+              r_max: float, rtol: float, atol: float,
               classify: bool = True) -> ShootingOutcome:
     y0 = [float(v) for v in y0]
     sign_rows = range(0, 2 * params.m, 2) if classify else ()
+    # the start and every accepted step
     trace_r, trace_y = [r0], [y0]
-    last = None     # the last accepted StepRecord
 
     def outcome(event):
-        tr = ty = None
-        if keep_trace:
-            tr, ty = np.asarray(trace_r), np.asarray(trace_y)
-            if tr.size > 600:
-                keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
-                tr, ty = tr[keep], ty[keep]
-        end = (r0, y0[0]) if last is None else (last.t1, last.y1[0])
+        end = (trace_r[-1], trace_y[-1][0])
+        tr, ty = np.asarray(trace_r), np.asarray(trace_y)
+        if tr.size > 600:
+            keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
+            tr, ty = tr[keep], ty[keep]
         return _outcome(event, r_max, end, tr, ty)
 
     if classify:
@@ -287,11 +284,8 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
             return outcome(event)
 
     def callback(rec: StepRecord):
-        nonlocal last
-        last = rec
-        if keep_trace:
-            trace_r.append(rec.t1)
-            trace_y.append(rec.y1)
+        trace_r.append(rec.t1)
+        trace_y.append(rec.y1)
         return _step_event(rec, sign_rows)
 
     integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
@@ -315,17 +309,17 @@ def shoot_start(init: Sequence[float], params: HardyHenonParams,
 
 
 def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
-          rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-          keep_trace: bool = True) -> ShootingOutcome:
+          rtol: float = DEFAULT_RTOL,
+          atol: float = DEFAULT_ATOL) -> ShootingOutcome:
     """Integrate outward from origin layer values and classify the fate."""
     _check_run(DEFAULT_R0, r_max, rtol, atol)
     y0 = shoot_start(init, params, r_max)
-    return _classify(params, DEFAULT_R0, y0, r_max, rtol, atol, keep_trace)
+    return _classify(params, DEFAULT_R0, y0, r_max, rtol, atol)
 
 
 def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
                r_max: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL, keep_trace: bool = True,
+               atol: float = DEFAULT_ATOL,
                classify: bool = True) -> ShootingOutcome:
     """Integrate from an explicit full state (u_i, u_i') at r0 > 0.
 
@@ -339,8 +333,7 @@ def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
         raise ValueError(f"state must have length {2 * params.m}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("state must be finite")
-    return _classify(params, r0, y0, r_max, rtol, atol, keep_trace,
-                     classify=classify)
+    return _classify(params, r0, y0, r_max, rtol, atol, classify=classify)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +557,8 @@ def representation_check(f: RadialField, n: int) -> RepresentationCheck:
     integrand = np.empty_like(F)
     integrand[0] = 0.0
     integrand[1:] = F[1:] * r[1:] ** (1 - n)
-    outer = CubicSpline(r, integrand).antiderivative()
+    direct = float(weighted_cumulative(r, integrand, 1)[-1])
     R_g = r[-1]
-    direct = float(outer(R_g) - outer(r[0]))
     # exact remainder for a source supported inside the grid
     direct += float(F[-1]) * R_g ** (2 - n) / (n - 2)
 

@@ -6,7 +6,9 @@ localization. Self-contained and independent of scipy, so the shooting
 classifier does not share an integration path with the solver-side oracles
 or with the scipy cross-check in the tests.
 
-Two steppers share the tableau and the step controller:
+Two steppers share the step controller and read one statement of the
+tableau, the rows `_STAGES`, `_NEW_STATE` and `_ERROR`, so both add the
+same terms in the same order:
 
 * `AdaptiveRK` integrates one trajectory. Its state is a short list of
   Python floats (2m = 2 to 8 components for the shooting problems), and
@@ -16,8 +18,9 @@ Two steppers share the tableau and the step controller:
   generated as straight-line code once per state dimension
   (`_float_step`): the components are unpacked into locals, each stage
   state is one list display and the error norm is unrolled, so a step
-  pays no per-component `zip` or loop. Every entry is the expression a
-  loop over the components would evaluate, in the same order.
+  pays no per-component `zip` or loop. The source is written by walking
+  the tableau's rows, each coefficient a float literal. Every entry is the
+  expression a loop over the components would evaluate, in the same order.
 * `LaneRK` integrates many trajectories in lockstep, one row ("lane") of a
   (lanes, dim) array each. Every lane keeps its own t, h, step count and
   accept or reject decision, so each row follows the steps `AdaptiveRK`
@@ -49,26 +52,26 @@ import numpy as np
 
 from .errors import IntegratorError
 
-# Dormand-Prince coefficients (Hairer, Norsett & Wanner, Table II.5.2)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
-                          -212 / 729)
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-# fifth-order weights; they are also row 7 of A, so the last stage is
-# evaluated at the new state and reused as the next step's first (FSAL)
-_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
-                           11 / 84)
-# fifth- minus fourth-order weights
-_E1 = _B1 - 5179 / 57600
-_E3 = _B3 - 7571 / 16695
-_E4 = _B4 - 393 / 640
-_E5 = _B5 - -92097 / 339200
-_E6 = _B6 - 187 / 2100
-_E7 = -1 / 40
+# The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Table II.5.2),
+# stated once for both steppers. Each sum is a tuple of (coefficient, index
+# into the slopes k1, k2, ...) in the order the terms are added; the stages
+# k2..k6 are taken at t + c h, c the first entry of their row.
+_STAGES = ((1 / 5, ((1 / 5, 0),)),
+           (3 / 10, ((3 / 40, 0), (9 / 40, 1))),
+           (4 / 5, ((44 / 45, 0), (-56 / 15, 1), (32 / 9, 2))),
+           (8 / 9, ((19372 / 6561, 0), (-25360 / 2187, 1),
+                    (64448 / 6561, 2), (-212 / 729, 3))),
+           (1.0, ((9017 / 3168, 0), (-355 / 33, 1), (46732 / 5247, 2),
+                  (49 / 176, 3), (-5103 / 18656, 4))))
+# the fifth-order weights give the new state; they are also row 7 of A, so
+# the last slope k7 is taken at the new state and reused as the next step's
+# first (FSAL)
+_NEW_STATE = ((35 / 384, 0), (500 / 1113, 2), (125 / 192, 3),
+              (-2187 / 6784, 4), (11 / 84, 5))
+# the error weights: fifth- minus fourth-order weight of each slope
+_ERROR = tuple((b - b4, i) for (b, i), b4 in zip(
+    _NEW_STATE, (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200,
+                 187 / 2100))) + ((-1 / 40, 6),)
 
 # Step controller: h *= SAFETY err^EXPONENT after a step with scaled error
 # err, clamped to [SHRINK_MIN, GROW_MAX]; a trial state that is not finite
@@ -147,12 +150,6 @@ class StepRecord:
     f0: list
     f1: list
 
-    def eval(self, t, j: int) -> float:
-        """Component j of the cubic Hermite interpolant on [t0, t1]."""
-        h = self.t1 - self.t0
-        return _cubic_hermite((t - self.t0) / h, h, self.y0[j], self.y1[j],
-                              self.f0[j], self.f1[j])
-
 
 def hermite_crossing(rec: StepRecord, j: int, level: float) -> float:
     """Locate where component j of y(t) crosses `level` inside a step, by
@@ -189,52 +186,43 @@ class _DormandPrince:
 def _float_step_source(dim: int) -> str:
     """Source of the trial step of `AdaptiveRK` for states of `dim` floats.
 
-    Each stage state is a list display over the unpacked components, each
-    entry the expression the stage applies to one component, and the error
-    norm is unrolled. Components are locals `s_i` (state), `a_i`..`g_i`
-    (slopes k1..k6), `z_i` (new state) and `k_i` (slope k7); no whole
+    The stage sums, the new state and the error norm are written by
+    walking the rows of `_STAGES`, `_NEW_STATE` and `_ERROR`, each
+    coefficient as its `repr`, which parses back to the same float. Each
+    stage state is a list display over the unpacked components, each entry
+    the expression the stage applies to one component, and the error norm
+    is unrolled. Components are locals `s_i` (state), `z_i` (new state) and
+    `a_i`..`g_i`, `k_i` (slopes k1..k7, lettered by index); no whole
     vector's name has an underscore, so none can collide with a component
     at any dimension."""
     idx = range(dim)
+    letters = "abcdegk"
 
     def names(letter):
         return "[" + ", ".join(f"{letter}_{i}" for i in idx) + "]"
 
     def combo(terms, i):
-        # `C1 * x_i + C2 * y_i + ...` of (coefficient, letter) pairs
-        return " + ".join(f"{coef} * {letter}_{i}" for coef, letter in terms)
-
-    def stage(terms):
-        return "[" + ", ".join(f"s_{i} + h * ({combo(terms, i)})"
-                               for i in idx) + "]"
+        # `c * x_i + c' * y_i + ...` of the (coefficient, slope) terms
+        return " + ".join(f"{coef!r} * {letters[j]}_{i}"
+                          for coef, j in terms)
 
     lines = ["def step(self, t, y, h, f0):",
              "    rhs = self.rhs",
              f"    {names('s')} = y",
-             f"    {names('a')} = f0"]
-    stages = (("k2", "_C2 * h", "b", [("_A21", "a")]),
-              ("k3", "_C3 * h", "c", [("_A31", "a"), ("_A32", "b")]),
-              ("k4", "_C4 * h", "d", [("_A41", "a"), ("_A42", "b"),
-                                      ("_A43", "c")]),
-              ("k5", "_C5 * h", "e", [("_A51", "a"), ("_A52", "b"),
-                                      ("_A53", "c"), ("_A54", "d")]),
-              ("k6", "h", "g", [("_A61", "a"), ("_A62", "b"), ("_A63", "c"),
-                                ("_A64", "d"), ("_A65", "e")]))
-    for k, dt, letter, terms in stages:
-        lines += [f"    {k} = rhs(t + {dt}, {stage(terms)})",
-                  f"    {names(letter)} = {k}"]
-    new_state = [("_B1", "a"), ("_B3", "c"), ("_B4", "d"), ("_B5", "e"),
-                 ("_B6", "g")]
-    lines += [f"    z_{i} = s_{i} + h * ({combo(new_state, i)})" for i in idx]
+             f"    {names(letters[0])} = f0"]
+    for j, (c, terms) in enumerate(_STAGES, start=1):
+        at = "h" if c == 1.0 else f"{c!r} * h"
+        stage = ", ".join(f"s_{i} + h * ({combo(terms, i)})" for i in idx)
+        lines.append(f"    {names(letters[j])} = rhs(t + {at}, "
+                     f"[{stage}])")
+    lines += [f"    z_{i} = s_{i} + h * ({combo(_NEW_STATE, i)})" for i in idx]
     lines += [f"    y1 = {names('z')}",
               "    k7 = rhs(t + h, y1)",
-              f"    {names('k')} = k7",
+              f"    {names(letters[6])} = k7",
               "    atol, rtol = self.atol, self.rtol",
               "    err = 0.0"]
-    error = [("_E1", "a"), ("_E3", "c"), ("_E4", "d"), ("_E5", "e"),
-             ("_E6", "g"), ("_E7", "k")]
     for i in idx:
-        lines += [f"    ratio = abs(h * ({combo(error, i)}))",
+        lines += [f"    ratio = abs(h * ({combo(_ERROR, i)}))",
                   f"    v, z = abs(s_{i}), abs(z_{i})",
                   "    ratio /= atol + rtol * (v if v > z else z)",
                   "    if ratio > err or ratio != ratio:"
@@ -304,19 +292,6 @@ class AdaptiveRK(_DormandPrince):
         return None
 
 
-# The tableau as LaneRK reads it: each sum is a tuple of (coefficient,
-# index into the slopes k1, k2, ...), in the order the float step adds the
-# terms; the stages k2..k6 are taken at t + c h.
-_LANE_STAGES = ((_C2, ((_A21, 0),)),
-                (_C3, ((_A31, 0), (_A32, 1))),
-                (_C4, ((_A41, 0), (_A42, 1), (_A43, 2))),
-                (_C5, ((_A51, 0), (_A52, 1), (_A53, 2), (_A54, 3))),
-                (1.0, ((_A61, 0), (_A62, 1), (_A63, 2), (_A64, 3),
-                       (_A65, 4))))
-_LANE_NEW_STATE = ((_B1, 0), (_B3, 2), (_B4, 3), (_B5, 4), (_B6, 5))
-_LANE_ERROR = ((_E1, 0), (_E3, 2), (_E4, 3), (_E5, 4), (_E6, 5), (_E7, 6))
-
-
 def _lane_increment(out, tmp, terms, k, hc):
     """out = hc * (c k[i] + c' k[i'] + ...) for the (c, i) of `terms`,
     accumulated in place left to right; tmp is scratch of out's shape."""
@@ -351,14 +326,14 @@ class LaneRK(_DormandPrince):
         hc = h[:, None]
         acc, tmp = np.empty_like(y), np.empty_like(y)
         k = [f0]
-        for c, terms in _LANE_STAGES:
+        for c, terms in _STAGES:
             _lane_increment(acc, tmp, terms, k, hc)
             acc += y
             k.append(rhs(t + c * h, acc))
-        y1 = _lane_increment(np.empty_like(y), tmp, _LANE_NEW_STATE, k, hc)
+        y1 = _lane_increment(np.empty_like(y), tmp, _NEW_STATE, k, hc)
         y1 += y
         k.append(rhs(t + h, y1))
-        ratio = _lane_increment(acc, tmp, _LANE_ERROR, k, hc)
+        ratio = _lane_increment(acc, tmp, _ERROR, k, hc)
         np.abs(ratio, out=ratio)
         scale = np.maximum(np.abs(y, out=tmp), np.abs(y1), out=tmp)
         scale *= self.rtol

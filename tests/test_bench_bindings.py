@@ -200,5 +200,5 @@ def test_scan_events_are_located_through_liouvilles_binding(monkeypatch):
     assert integrated and in_scan >= len(integrated)
     calls.clear()
     for rec in res.records:
-        liouville.shoot(list(rec.init), params, 30.0, keep_trace=False)
+        liouville.shoot(list(rec.init), params, 30.0)
     assert in_scan == len(calls)

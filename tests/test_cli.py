@@ -2,8 +2,6 @@ import contextlib
 import io
 import json
 import math
-import multiprocessing
-import os
 import subprocess
 import sys
 import warnings
@@ -14,7 +12,7 @@ import pytest
 
 import hhlab.liouville as LV
 from hhlab.cli import _COMMANDS, command_parser, main
-from hhlab.radial import HardyHenonParams
+from hhlab.radial import HardyHenonParams, RadialGrid
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -237,6 +235,41 @@ class TestErrorClasses:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 1 and err["type"] == "BracketError"
 
+    @pytest.mark.parametrize("command", ["eigen", "solve"])
+    def test_failed_allocation_exits_1(self, command, tmp_path, capsys,
+                                       monkeypatch):
+        # a grid too large to allocate is a numerical fault; the failed
+        # allocation is simulated, never made
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(RadialGrid, "graded", no_memory)
+        out_dir = tmp_path / "x"
+        code = main([command, "--nodes", "100000000000", "--output-dir",
+                     str(out_dir), "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 1 and err["type"] == "MemoryError"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["eigen", "--R", "1e60"],
+        ["solve", "--R", "1e60"],
+        ["eigen", "--n", "8", "--m", "4", "--R", "1e30"]],
+        ids=["eigen-R1e60", "solve-R1e60", "eigen-n8-m4-R1e30"])
+    def test_overflowing_grid_writes_only_json_to_stderr(self, args,
+                                                         tmp_path, capsys):
+        # the Green solve's weights overflow; the fault is one JSON line,
+        # with no numpy warning before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--output-dir", str(tmp_path / "x"),
+                                "--quiet"])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line)["type"] for line in lines] == ["GridError"]
+
 
 class TestConfigAndFlags:
     def test_unknown_flag_exits_2_without_outputs(self, tmp_path):
@@ -248,7 +281,7 @@ class TestConfigAndFlags:
         assert not out_dir.exists()
 
     # certificate bounds, numerical budgets and the classifier's tolerances
-    # are constants, not flags
+    # are constants, not flags; scans run in one process, with no --workers
     @pytest.mark.parametrize("args,ini,flag", [
         (["kernels-selftest", "--tol=0.5"], None, "--tol"),
         (["kernels-selftest", "--budget=1000"], None, "--budget"),
@@ -257,9 +290,11 @@ class TestConfigAndFlags:
         (["solve"], "[solve]\ntol = 1e-6\n", "--tol"),
         (["shoot", "--init", "2,1", "--rtol=1e-9"], None, "--rtol"),
         (["scan", "--atol=1e-13"], None, "--atol"),
-        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol")],
+        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol"),
+        (["scan", "--workers=1"], None, "--workers")],
         ids=["selftest-tol", "selftest-budget", "solve-tol", "eigen-tol",
-             "config-tol", "shoot-rtol", "scan-atol", "config-rtol"])
+             "config-tol", "shoot-rtol", "scan-atol", "config-rtol",
+             "scan-workers"])
     def test_removed_flag_exits_2(self, args, ini, flag, tmp_path, capsys):
         if ini is not None:
             cfg = tmp_path / "run.ini"
@@ -547,23 +582,6 @@ class TestScanCommand:
         reference = LV.reference_axes(HardyHenonParams(4, m, 0.0, 2.0))
         assert seen == [[replaced.get(i, ax.tolist())
                          for i, ax in enumerate(reference)]]
-
-    @pytest.mark.parametrize("workers", [
-        "0", "-3", "nan", str((os.cpu_count() or 1) + 1)])
-    def test_workers_out_of_range_exits_2(self, workers, tmp_path, capsys,
-                                          monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        out_dir = tmp_path / "w"
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", f"--workers={workers}", "--u0", "1,2,2",
-                  "--u1=-1,1,2", "--output-dir", str(out_dir), "--quiet"])
-        assert exc.value.code == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["code"] == 2 and "--workers" in err["error"]
-        assert not out_dir.exists()
 
     @pytest.mark.parametrize("axis", [["--u0", "0.1,10,0"],
                                       ["--u1=-10,10,0"]])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import struct
@@ -153,10 +154,10 @@ class TestScan:
             scan([np.array(ax) for ax in axes], CRITICAL, r_max, **kwargs)
 
     def test_growth_fit_without_trace(self):
+        # growth_fit reads `end`, the last accepted step, not the trace
         params = HardyHenonParams(4, 1, 0.0, 3.0)
         kept = shoot([bubble_amplitude(4)], params, 50.0)
-        bare = shoot([bubble_amplitude(4)], params, 50.0, keep_trace=False)
-        assert bare.trace_r is None and bare.trace_y is None
+        bare = dataclasses.replace(kept, trace_r=None, trace_y=None)
         assert bare.growth_fit() == kept.growth_fit()
         assert kept.growth_fit() == kept.trace_y[-1, 0] / kept.trace_r[-1] ** 2
 
@@ -189,7 +190,7 @@ def _shoot_record(init, params, r_max):
     """What `shoot` says about one cell, in ScanRecord terms: kind, layer,
     r*, growth_fit (survivors only), or the IntegratorError message."""
     try:
-        out = shoot(init, params, r_max, keep_trace=False)
+        out = shoot(init, params, r_max)
     except IntegratorError as exc:
         return "IntegratorFailure", None, None, None, str(exc)
     growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
@@ -389,8 +390,7 @@ class TestGeneratedRhs:
                                       float(rng.uniform(-1.0, 1.5)),
                                       float(rng.uniform(1.2, 5.0)))
             shoot([float(rng.uniform(0.5, 5.0)),
-                   float(rng.uniform(-3.0, 3.0))], params, 2.0,
-                  keep_trace=False)
+                   float(rng.uniform(-3.0, 3.0))], params, 2.0)
         assert list(hhlab.rk._FLOAT_STEPS) == [4]
         assert list(hhlab.liouville._RADIAL_RHS) == [2]
 
@@ -573,7 +573,7 @@ class TestScipyCrossOracle:
         axes = reference_axes(params)
         for i, j in itertools.product((0, 5, 10, 15, 20), (10, 15, 20)):
             init = [axes[0][i], axes[1][j]] + [1.0] * (m - 2)
-            out = shoot(init, params, 50.0, keep_trace=False)
+            out = shoot(init, params, 50.0)
             assert out.r_star > DEFAULT_R0
             kind, layer, r_star = _scipy_classify(init, params, 50.0)
             assert (out.kind, out.layer_index) == (kind, layer), init

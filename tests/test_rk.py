@@ -124,13 +124,22 @@ def cubic_slope(t):
     return 3 * t * t - 2.6 * t - 1.7
 
 
+def hermite_at(rec, t, j):
+    """Component j of `rec`'s cubic Hermite interpolant at t, through the
+    `_cubic_hermite` that `hermite_crossing` bisects."""
+    h = rec.t1 - rec.t0
+    return hhlab.rk._cubic_hermite((t - rec.t0) / h, h, rec.y0[j], rec.y1[j],
+                                   rec.f0[j], rec.f1[j])
+
+
 class TestHermite:
     REC = StepRecord(0.0, 1.0, [cubic(0.0)], [cubic(1.0)],
                      [cubic_slope(0.0)], [cubic_slope(1.0)])
 
     def test_interpolant_reproduces_a_cubic(self):
         for t in (0.0, 0.125, 0.3, 0.77, 1.0):
-            assert self.REC.eval(t, 0) == pytest.approx(cubic(t), abs=1e-15)
+            assert hermite_at(self.REC, t, 0) == pytest.approx(cubic(t),
+                                                               abs=1e-15)
 
     def test_crossing_finds_the_cubic_root(self):
         root = hermite_crossing(self.REC, 0, 0.0)
@@ -187,7 +196,8 @@ def test_interpolant_and_crossing_match_the_reference(t0, h, seed, dim,
     rec = StepRecord(t0, t0 + h, y0, y1, f0, f1)
     t = t0 + where * h
     for j in range(dim):
-        assert bits(rec.eval(t, j)) == bits(reference_hermite(rec, t, j))
+        assert bits(hermite_at(rec, t, j)) == \
+            bits(reference_hermite(rec, t, j))
         level = y0[j] + where * (y1[j] - y0[j])
         assert bits(hermite_crossing(rec, j, level)) == \
             bits(reference_crossing(rec, j, level))
@@ -357,32 +367,107 @@ class TestLaneRK:
 
 def reference_step(integ, t, y, h, f0):
     """The trial step written as loops over the components: the formula
-    the generated step unrolls, operation for operation."""
-    c, rhs = hhlab.rk, integ.rhs
+    the generated step unrolls, operation for operation, with its own copy
+    of the Dormand-Prince coefficients (Hairer, Norsett & Wanner, Table
+    II.5.2) written as literals."""
+    rhs = integ.rhs
     k1 = f0
-    k2 = rhs(t + c._C2 * h, [v + h * (c._A21 * a) for v, a in zip(y, k1)])
-    k3 = rhs(t + c._C3 * h, [v + h * (c._A31 * a + c._A32 * b)
-                             for v, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + c._C4 * h, [v + h * (c._A41 * a + c._A42 * b + c._A43 * d)
+    k2 = rhs(t + 1 / 5 * h, [v + h * (1 / 5 * a) for v, a in zip(y, k1)])
+    k3 = rhs(t + 3 / 10 * h, [v + h * (3 / 40 * a + 9 / 40 * b)
+                              for v, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + 4 / 5 * h, [v + h * (44 / 45 * a + -56 / 15 * b
+                                      + 32 / 9 * d)
                              for v, a, b, d in zip(y, k1, k2, k3)])
-    k5 = rhs(t + c._C5 * h, [v + h * (c._A51 * a + c._A52 * b + c._A53 * d
-                                      + c._A54 * e)
+    k5 = rhs(t + 8 / 9 * h, [v + h * (19372 / 6561 * a + -25360 / 2187 * b
+                                      + 64448 / 6561 * d + -212 / 729 * e)
                              for v, a, b, d, e in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [v + h * (c._A61 * a + c._A62 * b + c._A63 * d
-                              + c._A64 * e + c._A65 * g)
+    k6 = rhs(t + h, [v + h * (9017 / 3168 * a + -355 / 33 * b
+                              + 46732 / 5247 * d + 49 / 176 * e
+                              + -5103 / 18656 * g)
                      for v, a, b, d, e, g in zip(y, k1, k2, k3, k4, k5)])
-    y1 = [v + h * (c._B1 * a + c._B3 * d + c._B4 * e + c._B5 * g + c._B6 * q)
+    y1 = [v + h * (35 / 384 * a + 500 / 1113 * d + 125 / 192 * e
+                   + -2187 / 6784 * g + 11 / 84 * q)
           for v, a, d, e, g, q in zip(y, k1, k3, k4, k5, k6)]
     k7 = rhs(t + h, y1)
     err = 0.0
     for v, z, a, d, e, g, q, k in zip(y, y1, k1, k3, k4, k5, k6, k7):
-        ratio = abs(h * (c._E1 * a + c._E3 * d + c._E4 * e + c._E5 * g
-                         + c._E6 * q + c._E7 * k))
+        # fifth- minus fourth-order weights
+        ratio = abs(h * ((35 / 384 - 5179 / 57600) * a
+                         + (500 / 1113 - 7571 / 16695) * d
+                         + (125 / 192 - 393 / 640) * e
+                         + (-2187 / 6784 - -92097 / 339200) * g
+                         + (11 / 84 - 187 / 2100) * q + -1 / 40 * k))
         v, z = abs(v), abs(z)
         ratio /= integ.atol + integ.rtol * (v if v > z else z)
         if ratio > err or ratio != ratio:
             err = ratio
     return y1, k7, err
+
+
+def tableau():
+    """The Butcher tableau (A, c, b, b_hat) of the seven stages, read from
+    the rows both steppers walk: `_STAGES` gives rows 2-6 of A and c,
+    `_NEW_STATE` the fifth-order weights b, which are also row 7 (FSAL,
+    c_7 = 1), and `_ERROR` the weights b - b_hat."""
+    A, c = np.zeros((7, 7)), np.zeros(7)
+    for row, (c_row, terms) in enumerate(hhlab.rk._STAGES, start=1):
+        c[row] = c_row
+        for coef, j in terms:
+            A[row, j] = coef
+    for coef, j in hhlab.rk._NEW_STATE:
+        A[6, j] = coef
+    c[6] = 1.0
+    e = np.zeros(7)
+    for coef, j in hhlab.rk._ERROR:
+        e[j] = coef
+    return A, c, A[6].copy(), A[6] - e
+
+
+def order_conditions(A, c, w, order):
+    """(sum, exact value) of the order conditions of the weights w up to
+    `order` (<= 5), one per rooted tree (Hairer, Norsett & Wanner, Table
+    II.2.2), with the row-sum simplification c = A 1."""
+    Ac = A @ c
+    trees = [(w.sum(), 1), (w @ c, 1 / 2), (w @ c ** 2, 1 / 3),
+             (w @ Ac, 1 / 6), (w @ c ** 3, 1 / 4), (w @ (c * Ac), 1 / 8),
+             (w @ (A @ c ** 2), 1 / 12), (w @ (A @ Ac), 1 / 24)]
+    if order == 5:
+        trees += [(w @ c ** 4, 1 / 5), (w @ (c ** 2 * Ac), 1 / 10),
+                  (w @ (c * (A @ c ** 2)), 1 / 15),
+                  (w @ (c * (A @ Ac)), 1 / 30), (w @ Ac ** 2, 1 / 20),
+                  (w @ (A @ c ** 3), 1 / 20), (w @ (A @ (c * Ac)), 1 / 40),
+                  (w @ (A @ (A @ c ** 2)), 1 / 60),
+                  (w @ (A @ (A @ Ac)), 1 / 120)]
+    return trees
+
+
+class TestTableau:
+    """The one statement of the pair meets the order conditions, to
+    1e-14: a wrong coefficient in it fails here, whichever stepper reads
+    it."""
+
+    def test_rows_are_explicit_and_sum_to_their_node(self):
+        # the new state's weights b are row 7 of A (FSAL): k7 is taken at
+        # t + h, so they sum to 1
+        rows = [*hhlab.rk._STAGES, (1.0, hhlab.rk._NEW_STATE)]
+        for i, (c, terms) in enumerate(rows, start=1):
+            assert [j for _, j in terms] == sorted({j for _, j in terms})
+            assert all(j < i for _, j in terms)
+            assert abs(math.fsum(coef for coef, _ in terms) - c) <= 1e-14
+        assert rows[4][0] == 1.0    # k6 is taken at t + h
+        assert all(j <= 6 for _, j in hhlab.rk._ERROR)
+
+    def test_fifth_order_weights(self):
+        A, c, b, _ = tableau()
+        for value, exact in order_conditions(A, c, b, 5):
+            assert abs(value - exact) <= 1e-14
+
+    def test_embedded_weights_are_fourth_order_only(self):
+        A, c, _, b_hat = tableau()
+        for value, exact in order_conditions(A, c, b_hat, 4):
+            assert abs(value - exact) <= 1e-14
+        # not fifth order, or the error estimate would miss the h^5 term
+        assert abs(b_hat @ c ** 4 - 1 / 5) > 1e-4
 
 
 def bits(values):
@@ -475,23 +560,30 @@ class TestGeneratedStep:
 
 def reference_lane_step(integ, t, y, h, f0):
     """The lane trial step as one broadcast expression per stage: the
-    formula `LaneRK._step` accumulates in place, operation for operation."""
-    c, rhs = hhlab.rk, integ.rhs
+    formula `LaneRK._step` accumulates in place, operation for operation,
+    with its own literal copy of the coefficients of Table II.5.2."""
+    rhs = integ.rhs
     hc = h[:, None]
     k1 = f0
-    k2 = rhs(t + c._C2 * h, y + hc * (c._A21 * k1))
-    k3 = rhs(t + c._C3 * h, y + hc * (c._A31 * k1 + c._A32 * k2))
-    k4 = rhs(t + c._C4 * h, y + hc * (c._A41 * k1 + c._A42 * k2
-                                      + c._A43 * k3))
-    k5 = rhs(t + c._C5 * h, y + hc * (c._A51 * k1 + c._A52 * k2
-                                      + c._A53 * k3 + c._A54 * k4))
-    k6 = rhs(t + h, y + hc * (c._A61 * k1 + c._A62 * k2 + c._A63 * k3
-                              + c._A64 * k4 + c._A65 * k5))
-    y1 = y + hc * (c._B1 * k1 + c._B3 * k3 + c._B4 * k4 + c._B5 * k5
-                   + c._B6 * k6)
+    k2 = rhs(t + 1 / 5 * h, y + hc * (1 / 5 * k1))
+    k3 = rhs(t + 3 / 10 * h, y + hc * (3 / 40 * k1 + 9 / 40 * k2))
+    k4 = rhs(t + 4 / 5 * h, y + hc * (44 / 45 * k1 + -56 / 15 * k2
+                                      + 32 / 9 * k3))
+    k5 = rhs(t + 8 / 9 * h, y + hc * (19372 / 6561 * k1
+                                      + -25360 / 2187 * k2
+                                      + 64448 / 6561 * k3
+                                      + -212 / 729 * k4))
+    k6 = rhs(t + h, y + hc * (9017 / 3168 * k1 + -355 / 33 * k2
+                              + 46732 / 5247 * k3 + 49 / 176 * k4
+                              + -5103 / 18656 * k5))
+    y1 = y + hc * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                   + -2187 / 6784 * k5 + 11 / 84 * k6)
     k7 = rhs(t + h, y1)
-    ratio = np.abs(hc * (c._E1 * k1 + c._E3 * k3 + c._E4 * k4 + c._E5 * k5
-                         + c._E6 * k6 + c._E7 * k7))
+    ratio = np.abs(hc * ((35 / 384 - 5179 / 57600) * k1
+                         + (500 / 1113 - 7571 / 16695) * k3
+                         + (125 / 192 - 393 / 640) * k4
+                         + (-2187 / 6784 - -92097 / 339200) * k5
+                         + (11 / 84 - 187 / 2100) * k6 + -1 / 40 * k7))
     ratio /= integ.atol + integ.rtol * np.maximum(np.abs(y), np.abs(y1))
     return y1, k7, ratio.max(axis=1)
 
