@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import warnings
@@ -281,7 +282,7 @@ class TestConfigAndFlags:
         assert not out_dir.exists()
 
     # certificate bounds, numerical budgets and the classifier's tolerances
-    # are constants, not flags; scans run in one process, with no --workers
+    # are constants, not flags
     @pytest.mark.parametrize("args,ini,flag", [
         (["kernels-selftest", "--tol=0.5"], None, "--tol"),
         (["kernels-selftest", "--budget=1000"], None, "--budget"),
@@ -290,11 +291,9 @@ class TestConfigAndFlags:
         (["solve"], "[solve]\ntol = 1e-6\n", "--tol"),
         (["shoot", "--init", "2,1", "--rtol=1e-9"], None, "--rtol"),
         (["scan", "--atol=1e-13"], None, "--atol"),
-        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol"),
-        (["scan", "--workers=1"], None, "--workers")],
+        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol")],
         ids=["selftest-tol", "selftest-budget", "solve-tol", "eigen-tol",
-             "config-tol", "shoot-rtol", "scan-atol", "config-rtol",
-             "scan-workers"])
+             "config-tol", "shoot-rtol", "scan-atol", "config-rtol"])
     def test_removed_flag_exits_2(self, args, ini, flag, tmp_path, capsys):
         if ini is not None:
             cfg = tmp_path / "run.ini"
@@ -582,6 +581,25 @@ class TestScanCommand:
         reference = LV.reference_axes(HardyHenonParams(4, m, 0.0, 2.0))
         assert seen == [[replaced.get(i, ax.tolist())
                          for i, ax in enumerate(reference)]]
+
+    # scans run in one process and --workers is gone: every value, the
+    # former out-of-range ones included, exits 2 naming the flag, and no
+    # worker pool is started
+    @pytest.mark.parametrize("workers", ["0", "-3", "nan", "3"])
+    def test_workers_out_of_range_exits_2(self, workers, tmp_path, capsys,
+                                          monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        out_dir = tmp_path / "w"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", f"--workers={workers}", "--u0", "1,2,2",
+                  "--u1=-1,1,2", "--output-dir", str(out_dir), "--quiet"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 2 and "--workers" in err["error"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("axis", [["--u0", "0.1,10,0"],
                                       ["--u1=-10,10,0"]])
