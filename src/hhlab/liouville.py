@@ -174,7 +174,8 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     Uses u_i''(0) = -u_{i+1}(0)/n from the regularized Laplacian; the top
     layer integrates its source r^(-a) u(0)^p explicitly, which requires
     a < 2 (for a >= 2 the source is not integrable at the origin). u(0)^p
-    is taken by `float_powers`, as the float right-hand side takes it.
+    is taken by `float_powers` (libm `pow` per cell, as float `**` takes
+    it in the float right-hand side).
     """
     n, m, p, a = params.n, params.m, params.p, params.a
     _check_origin_weight(params)
@@ -190,10 +191,10 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     y[:, 1:-2:2] = -above * r0 / n
     # u(0) < 0 reads as 0, keeping u(0) = -0.0 as `_radial_rhs` does
     u0 = cells[:, 0]
-    f0 = float_powers(np.where(u0 < 0.0, 0.0, u0), p)
     # at a huge p, u(0)^p overflows to inf and the top layer's start to
     # -inf: a sign loss at r0, not a fault
     with np.errstate(over="ignore"):
+        f0 = float_powers(np.where(u0 < 0.0, 0.0, u0), p)
         y[:, -2] = top - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
         y[:, -1] = -f0 * r0 ** (1.0 - a) / (n - a)
     return y

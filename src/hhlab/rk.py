@@ -33,18 +33,16 @@ same terms in the same order:
   makes the same value as `y + h * (sum)`. The arrays are column-major,
   so the reductions over a row run down contiguous columns, and a pass in
   which every lane accepts takes the trial arrays as the new state
-  instead of copying rows. Powers are `math.pow` of Python floats
-  (`float_powers`), the libm `pow` that float `**` calls, never numpy's
-  vector power. So a lane's arithmetic is that of `AdaptiveRK`'s
-  generated step, operation for operation, and a lane ends exactly where
-  `AdaptiveRK` ends alone.
+  instead of copying rows. Powers are `np.float_power` (`float_powers`),
+  whose float64 loop calls the libm `pow` that float `**` calls, never
+  numpy's vectorised `np.power`. So a lane's arithmetic is that of
+  `AdaptiveRK`'s generated step, operation for operation, and a lane ends
+  exactly where `AdaptiveRK` ends alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 from math import isfinite
 from typing import Callable, Optional
 
@@ -98,28 +96,19 @@ def _step_factor(err: float) -> float:
 
 
 def float_powers(base: np.ndarray, exponent: float) -> np.ndarray:
-    """base ** exponent elementwise, taken in Python floats (inf where that
-    overflows). numpy's vector power rounds differently from float `**` in
-    a few percent of cases; lanes that must compute what the float stepper
-    computes take their powers here.
+    """base ** exponent elementwise, as float `**` takes each one (inf where
+    that overflows).
 
-    Each power is `math.pow`, the libm `pow` that float `**` also calls.
-    The two agree bit for bit on the domain used here: bases >= 0 (-0.0
-    included) or NaN, and a positive exponent wherever a base is 0. A
-    negative base or 0 to a negative power raises where `**` does not, or
-    raises another error."""
-    values = base.tolist()
-    try:
-        return np.fromiter(map(math.pow, values, repeat(exponent)), float,
-                           len(values))
-    except OverflowError:
-        out = []
-        for v in values:
-            try:
-                out.append(math.pow(v, exponent))
-            except OverflowError:
-                out.append(math.inf)
-        return np.array(out)
+    `np.float_power`'s float64 loop calls libm `pow` on every element, the
+    function float `**` and `math.pow` call. `np.power` is not used: its
+    float64 loop is vectorised and rounds differently from `pow` in a few
+    percent of cases, and lanes must compute what the float stepper
+    computes. The two agree bit for bit on the domain used here: bases
+    >= 0 (-0.0 included), inf or NaN, and a positive exponent wherever a
+    base is 0. A negative base gives NaN where `**` gives a complex number,
+    and 0 to a negative power gives inf where `**` raises. Floating-point
+    warnings are left to the caller's `np.errstate`."""
+    return np.float_power(base, exponent)
 
 
 def _integrator_error(message: str, t, y) -> IntegratorError:
@@ -127,16 +116,6 @@ def _integrator_error(message: str, t, y) -> IntegratorError:
     exc = IntegratorError(message)
     exc.state = (float(t), [float(v) for v in y])
     return exc
-
-
-def _cubic_hermite(s, h, y0, y1, f0, f1):
-    """The cubic Hermite interpolant of one component on a step of length h
-    with endpoint values y0, y1 and slopes f0, f1, at s = (t - t0) / h."""
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
 
 
 @dataclass(slots=True)
@@ -153,19 +132,29 @@ class StepRecord:
 
 def hermite_crossing(rec: StepRecord, j: int, level: float) -> float:
     """Locate where component j of y(t) crosses `level` inside a step, by
-    bisection on the Hermite interpolant of that component alone."""
+    bisection on the cubic Hermite interpolant of that component alone."""
     # the step and the component's endpoint data, bound once per crossing
     t0 = lo = rec.t0
     hi = rec.t1
     h = hi - t0
     y0, y1, f0, f1 = rec.y0[j], rec.y1[j], rec.f0[j], rec.f1[j]
+    tol = CROSSING_TOL
     # the bracket's low end keeps the side of `level` it starts on
     low_side = y0 - level <= 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= CROSSING_TOL * max(1.0, abs(mid)):
+        # the bracket is narrow relative to max(1, |mid|)
+        if hi - lo <= (tol * mid if mid > 1.0 else
+                       tol * -mid if mid < -1.0 else tol):
             return mid
-        g = _cubic_hermite((mid - t0) / h, h, y0, y1, f0, f1) - level
+        # the Hermite basis at s = (mid - t0) / h:
+        # h00 = (1 + 2s)(1 - s)^2, h10 = s(1 - s)^2, h01 = s^2 (3 - 2s) and
+        # h11 = s^2 (s - 1), and g = h00 y0 + h01 y1 + h (h10 f0 + h11 f1)
+        s = (mid - t0) / h
+        q = (1 - s) ** 2
+        ss = s * s
+        g = (1 + 2 * s) * q * y0 + ss * (3 - 2 * s) * y1 \
+            + h * (s * q * f0 + ss * (s - 1) * f1) - level
         if (g <= 0.0) == low_side:
             lo = mid
         else:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,23 @@ class TestTaylorStarts:
         assert (res.records[0].kind, res.records[0].layer,
                 res.records[0].r_star) == ("SignLoss", m - 1, DEFAULT_R0)
         _assert_agrees(res.records, _cells(axes), params, 10.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflowing_power_warns_nothing(self, m):
+        # the library API keeps its own floating-point state: where u(0)^p
+        # overflows, scan, taylor_starts and shoot raise no RuntimeWarning
+        # under numpy's default error handling, outside the CLI's errstate
+        params = HardyHenonParams(4, m, 0.5, 400.0)
+        axes = [np.array([10.0, 0.5])] + [np.array([1.0])] * (m - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = scan(axes, params, 10.0)
+            starts = hhlab.liouville.taylor_starts(_cells(axes), params,
+                                                   DEFAULT_R0)
+            outs = [shoot(cell, params, 10.0) for cell in _cells(axes)]
+        assert starts[0, -1] == -math.inf
+        assert [(rec.kind, rec.layer) for rec in res.records] == \
+            [(out.kind.value, out.layer_index) for out in outs]
 
     @pytest.mark.parametrize("cells,params,message", [
         (np.ones((3, 3)), CRITICAL, "2 origin values per cell"),

@@ -124,12 +124,24 @@ def cubic_slope(t):
     return 3 * t * t - 2.6 * t - 1.7
 
 
+def cubic_hermite(s, h, y0, y1, f0, f1):
+    """The cubic Hermite interpolant of one component on a step of length h
+    with endpoint values y0, y1 and slopes f0, f1, at s = (t - t0) / h:
+    the expression `hermite_crossing` evaluates inline, operation for
+    operation."""
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
+
+
 def hermite_at(rec, t, j):
-    """Component j of `rec`'s cubic Hermite interpolant at t, through the
-    `_cubic_hermite` that `hermite_crossing` bisects."""
+    """Component j of `rec`'s cubic Hermite interpolant at t, through
+    `cubic_hermite` with the step's data."""
     h = rec.t1 - rec.t0
-    return hhlab.rk._cubic_hermite((t - rec.t0) / h, h, rec.y0[j], rec.y1[j],
-                                   rec.f0[j], rec.f1[j])
+    return cubic_hermite((t - rec.t0) / h, h, rec.y0[j], rec.y1[j],
+                         rec.f0[j], rec.f1[j])
 
 
 class TestHermite:
@@ -680,6 +692,16 @@ def _power_or_inf(base, exponent):
         return math.inf
 
 
+def lane_powers(base, exponent):
+    # float_powers under the errstate its callers run it in
+    with np.errstate(all="ignore"):
+        return hhlab.rk.float_powers(base, exponent)
+
+
+_POWER_EDGE = [0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1.0,
+               1e154, 1e300, 1.7976931348623157e308, math.inf, math.nan]
+
+
 class TestFloatPowers:
     BASES = [0.0, -0.0, 1.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
              0.5, 3.7, 1e154, 1e200, 1e308, math.inf, math.nan]
@@ -687,7 +709,7 @@ class TestFloatPowers:
     @pytest.mark.parametrize("exponent", [2.0, 3.0, 1.5, 4.7, 0.5, 1e-3,
                                           1.0000001, 400.0])
     def test_equals_float_power_bit_for_bit(self, exponent):
-        got = hhlab.rk.float_powers(np.array(self.BASES), exponent)
+        got = lane_powers(np.array(self.BASES), exponent)
         want = [_power_or_inf(b, exponent) for b in self.BASES]
         assert bits(got.tolist()) == bits(want)
         if exponent >= 2.0:
@@ -699,7 +721,7 @@ class TestFloatPowers:
         # the step factor takes err ** -0.2 of positive errors only; a
         # denormal base overflows
         bases = [b for b in self.BASES if not b == 0.0]
-        got = hhlab.rk.float_powers(np.array(bases), exponent)
+        got = lane_powers(np.array(bases), exponent)
         assert bits(got.tolist()) == bits([_power_or_inf(b, exponent)
                                            for b in bases])
 
@@ -708,6 +730,28 @@ class TestFloatPowers:
     def test_generic_bases(self, exponent, seed):
         rng = np.random.default_rng(seed)
         bases = 10.0 ** rng.uniform(-300.0, 300.0, 50)
-        got = hhlab.rk.float_powers(bases, exponent)
+        got = lane_powers(bases, exponent)
+        assert bits(got.tolist()) == bits([_power_or_inf(b, exponent)
+                                           for b in bases.tolist()])
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent=st.one_of(
+               st.floats(1.0, 1e3, exclude_min=True),         # u^p
+               st.integers(1, 499).map(lambda k: 2.0 * k + 1),  # odd p
+               st.floats(-3.0, 2.0, exclude_max=True).map(lambda a: -a),
+               st.just(-0.2)),                                 # err^-0.2
+           edges=st.lists(st.sampled_from(_POWER_EDGE), max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lane_exponents(self, exponent, edges, seed):
+        # the powers lanes take: u^p with u >= 0 (-0.0 kept), r^(-a) of
+        # radii r > 0 and err^-0.2 of errors > 0, over bases from
+        # denormal to the top of the float range, where u^p and a
+        # denormal's negative power overflow; inf and NaN pass through
+        rng = np.random.default_rng(seed)
+        bases = np.concatenate([10.0 ** rng.uniform(-323.0, 308.0, 60),
+                                rng.uniform(0.0, 4.0, 20), edges])
+        if exponent < 0.0:
+            bases = bases[bases != 0.0]
+        got = lane_powers(bases, exponent)
         assert bits(got.tolist()) == bits([_power_or_inf(b, exponent)
                                            for b in bases.tolist()])
