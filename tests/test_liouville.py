@@ -446,8 +446,9 @@ def reference_taylor_start(init, params, r0):
         y[2 * i + 1] = -init[i + 1] * r0 / n
     with np.errstate(over="ignore"):
         f0 = max(init[0], 0.0) ** p
-    y[2 * m - 2] = init[m - 1] - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
-    y[2 * m - 1] = -f0 * r0 ** (1.0 - a) / (n - a)
+        y[2 * m - 2] = init[m - 1] \
+            - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
+        y[2 * m - 1] = -f0 * r0 ** (1.0 - a) / (n - a)
     return y
 
 
