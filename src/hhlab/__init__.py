@@ -3,7 +3,7 @@ equations: Riesz/Green kernels, the radial poly-harmonic machinery, the
 blow-up iteration ladder, a Navier fixed-point solver on balls, and a
 shooting classifier for whole-space Liouville evidence."""
 
-from .errors import (BracketError, ConvergenceError, GridError, HHLabError,
+from .errors import (ConvergenceError, GridError, HHLabError,
                      IntegratorError, KernelDomainError,
                      NonIntegrableSourceError, QuadratureError)
 from .kernels import green_ball, riesz_compose_check, riesz_constant

@@ -26,10 +26,6 @@ class ConvergenceError(HHLabError, RuntimeError):
     """An iterative solver did not converge within its iteration budget."""
 
 
-class BracketError(HHLabError, RuntimeError):
-    """Amplitude bisection could not bracket a nontrivial fixed point."""
-
-
 class IntegratorError(HHLabError, RuntimeError):
     """Adaptive ODE integration failed (step-size underflow or budget)."""
 

@@ -4,13 +4,13 @@ boundary conditions, plus its quantitative certificates.
 The nonlinear operator K(u) = G^m(u^p + t) composes the radial Dirichlet
 Green solve m times, so fixed points of K solve the Navier problem. The
 topological existence argument behind the solver is non-constructive; the
-solver brackets the fixed point's amplitude with normalized Picard shapes
-(small amplitudes contract toward zero, large ones escape, and the crossing
-is the nontrivial solution), then converges to it by Newton-GMRES on
-F(u) = u - K(u), safeguarded by the bracket. Every returned solution carries
-its certificates as `Check`s (`build_certificates`): fixed-point residual,
-positivity, boundary values, the amplitude lower bound, the eigenvalue
-energy bound, radial monotonicity.
+solver starts from the first eigenfunction at the amplitude that solves the
+equation tested against it, and converges by damped Newton-GMRES on
+F(u) = u - K(u), backtracking along each Newton direction until max|F|
+falls. Every returned solution carries its certificates as `Check`s
+(`build_certificates`): fixed-point residual, positivity, boundary values,
+the amplitude lower bound, the eigenvalue energy bound, radial
+monotonicity.
 
 A shooting cross-oracle on the radial boundary-value problem, built on
 scipy's integrator and root finder, provides an independent route to the
@@ -32,8 +32,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import jv
 
 from . import radial
-from .errors import (AmplitudeRangeError, BracketError, ConvergenceError,
-                     GridError)
+from .errors import AmplitudeRangeError, ConvergenceError, GridError
 from .numerics import Check, ball_volume, surface_area
 from .radial import (LOG_HUGE, LOG_TINY, HardyHenonParams, RadialField,
                      RadialGrid, iterated_green, poisson_solve_ball)
@@ -88,14 +87,13 @@ class NavierProblem:
 class SolverStats:
     """What one `solve_positive` call did.
 
-    picard_iterations: normalized Picard steps of the amplitude bracket,
-    one per doubling trial plus those of each converged shape;
-    newton_steps: Newton steps taken, rejected ones included;
+    backtracks: step fractions the Newton line search rejected;
+    newton_steps: Newton steps taken;
     gmres_products: Jacobian-vector products, each an m-fold Green solve;
     newton_residuals: max|u - K(u)| / sup u at each iterate of the Newton
     run that converged, starting point first."""
 
-    picard_iterations: int
+    backtracks: int
     newton_steps: int
     gmres_products: int
     newton_residuals: tuple
@@ -207,17 +205,12 @@ def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
 # Fixed-point solver
 # ---------------------------------------------------------------------------
 
-# relative bracket width at which Newton takes over from bisection
-_NEWTON_WIDTH = 1e-2
-# relative bracket width at which the solve gives up. Newton converges
-# from brackets a million times wider; failing in one this narrow means the
-# linear solves are broken. Bisection alone would not meet _PICARD_TOL here.
-_MIN_WIDTH = 1e-8
-# inner tolerance: on the shape change of the bracket's Picard iterations
-# (at most _MAX_PICARD per amplitude) and on the relative residual at which
-# Newton stops
-_PICARD_TOL = 1e-12
-_MAX_PICARD = 400
+# relative residual max|u - K(u)| / sup u at which Newton stops
+_NEWTON_TOL = 1e-12
+# Newton steps, and the smallest step fraction of the line search, before
+# the solve gives up
+_MAX_NEWTON_STEPS = 50
+_MIN_STEP = 2.0 ** -10
 # GMRES restart length; the Krylov basis holds this many grid vectors
 _GMRES_RESTART = 20
 # relative tolerance of each GMRES solve (the inexact-Newton forcing term)
@@ -250,8 +243,8 @@ def check_solver_order(problem: NavierProblem) -> None:
 
 
 class _FixedPointSolve:
-    """One solve of u = K(u): the amplitude bracket, the safeguarded
-    Newton-GMRES iteration, and the counts they accumulate."""
+    """One solve of u = K(u): damped Newton-GMRES from the eigenfunction
+    projection, and the counts it accumulates."""
 
     def __init__(self, problem: NavierProblem, grid: RadialGrid):
         self.problem = problem
@@ -266,139 +259,95 @@ class _FixedPointSolve:
                            + (n + 2 * m) * max(0.0, math.log(problem.R))
                            - 3.0 * math.log(float(np.min(np.diff(
                                grid.nodes)))))
-        self.picard_iterations = 0
+        self.backtracks = 0
         self.newton_steps = 0
         self.gmres_products = 0
         self.newton_residuals = ()
 
     def stats(self) -> SolverStats:
-        return SolverStats(self.picard_iterations, self.newton_steps,
+        return SolverStats(self.backtracks, self.newton_steps,
                            self.gmres_products, self.newton_residuals)
 
-    def in_range(self, s: float) -> bool:
+    def in_range(self, log_s: float) -> bool:
         """Whether K(s v), sup v <= 1, stays inside the normal floats."""
         p, t = self.problem.params.p, self.problem.params.t
-        log_source = max(p * math.log(s),
-                         math.log(t) if t > 0.0 else -math.inf)
+        log_source = max(p * log_s, math.log(t) if t > 0.0 else -math.inf)
         return log_source + self.log_growth <= LOG_HUGE
 
-    def doubled(self, s: float) -> float:
-        """2s, or BracketError once K(2s v) would leave the float range."""
-        s *= 2.0
-        if not self.in_range(s):
-            raise BracketError("no sign change before the amplitude leaves "
-                               "the float range")
-        return s
-
-    def picard_step(self, s: float, v: RadialField):
-        """One normalized Picard step at amplitude s: returns
-        (K(s v)/||K(s v)||, ||K(s v)||)."""
-        self.picard_iterations += 1
-        w = apply_K(RadialField.adopt(self.grid, s * v.values), self.problem)
-        nw = float(np.max(w.values))
-        if nw <= 0.0:
-            raise BracketError("operator collapsed to zero at this amplitude")
-        return RadialField.adopt(self.grid, w.values / nw), nw
-
-    def g(self, s: float, v: RadialField):
-        """g(s) = ||K(s shape)|| - s at the shape (sup 1) the normalized
-        Picard map converges to from v; returns (g(s), shape)."""
-        for _ in range(_MAX_PICARD):
-            new, nw = self.picard_step(s, v)
-            delta = float(np.max(np.abs(new.values - v.values)))
-            v = new
-            if delta < _PICARD_TOL:
-                return nw - s, v
-        raise ConvergenceError("normalized Picard iteration did not converge")
-
-    def run(self):
-        """Bracket the nontrivial fixed point's amplitude, then converge to
-        it by Newton; returns (u, K(u) layers)."""
-        rho = rho_radius(self.problem)
-        if not self.in_range(rho):
+    def check_range(self, log_s: float, what: str) -> None:
+        """AmplitudeRangeError, naming `what`, unless `in_range(log_s)`."""
+        if not self.in_range(log_s):
             raise AmplitudeRangeError(
-                f"K overflows the float range at the amplitude lower bound "
-                f"{rho:.6g}")
-        v = RadialField(self.grid,
-                        1.0 - (self.grid.nodes / self.problem.R) ** 2)
-        g_rho, v = self.g(rho, v)
-        if g_rho >= 0.0:
-            raise BracketError(
-                "operator does not contract at the certified lower radius")
-        # cheap doubling: one Picard step per trial amplitude
-        lo = s = rho
-        while True:
-            s = self.doubled(s)
-            v, nw = self.picard_step(s, v)
-            if nw >= s:
-                break
-        # certify the upper end with a converged shape, doubling on while
-        # its sign is wrong, then the lower end s/2
-        while True:
-            g_s, v = self.g(s, v)
-            if g_s >= 0.0:
-                break
-            lo, s = s, self.doubled(s)
-        hi = s
-        if hi / 2.0 > lo:
-            g_half, v = self.g(hi / 2.0, v)
-            if g_half < 0.0:
-                lo = hi / 2.0
-            else:
-                hi = hi / 2.0
-        # narrow the bracket geometrically; once it is narrow, try Newton
-        # from the midpoint, and narrow further whenever Newton fails
-        while True:
-            mid = lo * math.sqrt(hi / lo)
-            g_mid, v = self.g(mid, v)
-            if g_mid >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= _NEWTON_WIDTH * hi:
-                found = self.newton(
-                    RadialField.adopt(self.grid, mid * v.values), lo, hi)
-                if found is not None:
-                    return found
-            if hi - lo <= _MIN_WIDTH * hi:
-                raise ConvergenceError(
-                    "Newton-GMRES did not converge inside the narrowest "
-                    "amplitude bracket")
+                f"K overflows the float range at the {what} "
+                f"exp({log_s:.6g})")
 
-    def newton(self, u: RadialField, lo: float, hi: float):
-        """Newton-GMRES on F(u) = u - K(u), iterates projected onto u >= 0.
+    def start(self, eig: EigenPair) -> RadialField:
+        """s phi1 with log s = (log lambda1 + log int phi1^2 r^(n-1)
+        - log int phi1^(p+1) r^(n-1)) / (p - 1): the equation tested against
+        phi1 (sup 1) with u = s phi1. As phi1 <= 1, s^(p-1) >= lambda1."""
+        n, p = self.problem.params.n, self.problem.params.p
+        phi = eig.phi.values
+        green = self.grid.green(n)
+        log_s = (math.log(eig.lambda1) + math.log(green.integral(phi * phi))
+                 - math.log(green.integral(phi ** (p + 1.0)))) / (p - 1.0)
+        self.check_range(log_s, "projected amplitude")
+        return RadialField.adopt(self.grid, math.exp(log_s) * phi)
 
-        Returns (u, K(u) layers) once max|F| <= _PICARD_TOL sup u, or None
-        as soon as a step fails to halve max|F| or moves sup u out of
-        [lo, hi]."""
+    def evaluate(self, u: RadialField):
+        """(u, K(u) layers, F = u - K(u), max|F|, sup u)."""
         layers = apply_K(u, self.problem, with_layers=True)
         F = u.values - layers[0].values
-        res, sup = float(np.max(np.abs(F))), float(np.max(u.values))
+        return (u, layers, F, float(np.max(np.abs(F))),
+                float(np.max(u.values)))
+
+    def trial(self, u: RadialField, dx):
+        """`evaluate` at u + dx projected onto u >= 0, or None when that is
+        zero, not finite, or outside the range where K stays finite."""
+        vals = np.maximum(u.values + dx, 0.0)
+        sup = float(np.max(vals))
+        if not (0.0 < sup < math.inf and self.in_range(math.log(sup))):
+            return None
+        return self.evaluate(RadialField.adopt(self.grid, vals))
+
+    def run(self, eig: EigenPair):
+        """Newton-GMRES on F(u) = u - K(u) from `start`, iterates projected
+        onto u >= 0, until max|F| <= _NEWTON_TOL sup u; returns (u, K(u)
+        layers).
+
+        Each step backtracks over the fractions 1, 1/2, 1/4, ... of the
+        Newton direction and takes the first whose max|F| is at most
+        (1 - fraction/2) times the last; past _MIN_STEP, or past
+        _MAX_NEWTON_STEPS steps, it raises ConvergenceError."""
+        u, layers, F, res, sup = self.evaluate(self.start(eig))
         history = [res / sup]
-        while res > _PICARD_TOL * sup:
+        while res > _NEWTON_TOL * sup:
+            if self.newton_steps == _MAX_NEWTON_STEPS:
+                raise ConvergenceError(
+                    f"Newton-GMRES did not converge in {_MAX_NEWTON_STEPS} "
+                    f"steps (relative residual {res / sup:.3e})")
             self.newton_steps += 1
             dx = self.newton_direction(u, F)
-            if dx is None:
-                return None
-            new = RadialField.adopt(self.grid,
-                                    np.maximum(u.values + dx, 0.0))
-            sup_new = float(np.max(new.values))
-            if not lo <= sup_new <= hi:
-                return None
-            new_layers = apply_K(new, self.problem, with_layers=True)
-            F_new = new.values - new_layers[0].values
-            res_new = float(np.max(np.abs(F_new)))
-            if not res_new <= 0.5 * res:
-                return None
-            u, layers, F, res, sup = new, new_layers, F_new, res_new, sup_new
+            step = 1.0
+            while True:
+                found = self.trial(u, step * dx)
+                # found[3] is the trial's max|F|
+                if found is not None and found[3] <= (1.0 - 0.5 * step) * res:
+                    break
+                self.backtracks += 1
+                step *= 0.5
+                if step < _MIN_STEP:
+                    raise ConvergenceError(
+                        f"Newton line search stalled at relative residual "
+                        f"{res / sup:.3e}")
+            u, layers, F, res, sup = found
             history.append(res / sup)
         self.newton_residuals = tuple(history)
         return u, layers
 
     def newton_direction(self, u: RadialField, F):
         """GMRES solution of J dx = -F with J x = x - G^m(p u^(p-1) x), or
-        None when GMRES returns no finite vector. Each product is one pass
-        through the module's `iterated_green`."""
+        ConvergenceError when GMRES returns no finite vector. Each product
+        is one pass through the module's `iterated_green`."""
         params, R = self.problem.params, self.problem.R
         slope = params.p * u.values ** (params.p - 1.0)
 
@@ -416,28 +365,31 @@ class _FixedPointSolve:
                         restart=_GMRES_RESTART, maxiter=1)
         dx = scale * y
         if info < 0 or not np.all(np.isfinite(dx)):
-            return None
+            raise ConvergenceError("GMRES returned no finite Newton direction")
         return dx
 
 
 def solve_positive(problem: NavierProblem,
                    grid: Optional[RadialGrid] = None) -> NavierSolution:
-    """Find a positive fixed point of K with amplitude at least rho, on
-    `grid` (default `problem.default_grid()`, and it must run from 0 to R)
-    with certified residual max|u - K(u)| / sup u below FIXED_POINT_TOL.
+    """Find a positive fixed point of K on `grid` (default
+    `problem.default_grid()`, and it must run from 0 to R) with certified
+    residual max|u - K(u)| / sup u below FIXED_POINT_TOL.
 
-    For a trial amplitude s the normalized Picard map converges to a
-    shape; g(s) = ||K(s shape)|| - s changes sign across the nontrivial
-    fixed point. The solver certifies g(rho) < 0 (the contraction at rho,
-    so the result has sup >= rho), brackets the sign change by doubling
-    the amplitude, and bisects the bracket to 1e-2 relative width. From
-    the midpoint it runs Newton-GMRES on F(u) = u - K(u); a step must
-    halve max|F| and keep sup u inside the bracket, and when one does not
-    the bracket is bisected further and Newton restarted. The trivial
-    fixed point u = 0 is never returned, and for t > 0 the bracket above
-    rho selects the upper (mountain-pass) branch, not the minimal
-    solution. When several positive solutions exist the solver returns
-    the one this homotopy finds and makes no minimality claim.
+    The first eigenpair (lambda1, phi1) is computed first and carried to
+    the certificates. Damped Newton-GMRES on F(u) = u - K(u) starts from
+    the projection s phi1, the amplitude at which u = s phi1 satisfies the
+    equation tested against phi1, and backtracks along each Newton
+    direction until max|F| falls (`_FixedPointSolve.run`). The trivial
+    fixed point u = 0 is never returned.
+
+    For t > 0 there are two positive solutions below the fold in t; the
+    solver returns the upper (mountain-pass) one, not the minimal
+    solution. That is checked, not assumed: at a fixed point
+    p G^m(u^(p-1) u) = p (u - t G^m 1), so by Collatz-Wielandt
+    min_{r<R} p (1 - t G^m(1)/u) bounds the spectral radius of the
+    linearisation p G^m(u^(p-1) .) from below, and tests/test_navier.py
+    asserts that bound exceeds 1 (the minimal solution's is below 1)
+    from t = 0.5 to t = 8500 at (n, m, p) = (4, 2, 2).
     """
     check_solver_order(problem)
     if grid is None:
@@ -446,14 +398,18 @@ def solve_positive(problem: NavierProblem,
         raise GridError(f"solver grid must run from 0 to R={problem.R:g}, "
                         f"got [{grid.r0:g}, {grid.r_max:g}]")
     solver = _FixedPointSolve(problem, grid)
-    u, layers = solver.run()
+    # the start s has s^(p-1) >= lambda1 >= (2n/R^2)^m > rho^(p-1), so K
+    # overflowing at rho overflows at s; checked before the eigenpair,
+    # whose Green solves break down at such scales of R
+    solver.check_range(math.log(rho_radius(problem)),
+                       "amplitude lower bound")
+    eig = first_eigenpair(problem, EIGEN_TOL, grid)
+    u, layers = solver.run(eig)
     residual = float(np.max(np.abs(u.values - layers[0].values))) \
         / float(np.max(u.values))
     if residual > FIXED_POINT_TOL:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} above tolerance")
-
-    eig = first_eigenpair(problem, EIGEN_TOL, grid)
     return NavierSolution(layers, residual, layers[0].sup_norm,
                           build_certificates(layers, residual, eig, problem),
                           eig, solver.stats())
@@ -465,7 +421,12 @@ def build_certificates(layers: tuple, residual: float, eig: EigenPair,
     fixed-point residual `residual`, as `Check`s: the residual below
     FIXED_POINT_TOL, positive layers, Navier boundary values, the amplitude
     lower bound rho, the eigenvalue energy bound against `eig` and radial
-    monotonicity."""
+    monotonicity.
+
+    sup u >= rho is a theorem for t = 0: u = G^m(u^p) and sup G^m 1 is at
+    most (diam^2/(2n))^m give sup u <= (diam^2/(2n))^m (sup u)^p. For t > 0
+    it is not derived; there the check tests that the solve stayed on the
+    large-amplitude branch it starts toward."""
     u = layers[0]
     sup = u.sup_norm
     positive = all(bool(np.all(layer.values[:-1] > 0.0)) for layer in layers)

@@ -209,18 +209,19 @@ class RadialField:
     def to_csv(self, path_or_buf, label: str = "value") -> None:
         """Two-column CSV (r, value); the single header row names the field.
 
-        Rows are formatted from Python floats and written _CSV_BLOCK at a
-        time, so a large field's text is never held whole."""
+        Rows are formatted from Python floats, one `%` operation per block
+        of _CSV_BLOCK rows, and written a block at a time, so a large
+        field's text is never held whole."""
         nodes, values = self.grid.nodes, self.values
         own = isinstance(path_or_buf, (str, bytes))
         fh = open(path_or_buf, "w") if own else path_or_buf
         try:
             fh.write(f"r,{label}\n")
             for k in range(0, nodes.size, _CSV_BLOCK):
-                block = slice(k, k + _CSV_BLOCK)
-                fh.write("".join(
-                    f"{r:.17g},{v:.17g}\n" for r, v in
-                    zip(nodes[block].tolist(), values[block].tolist())))
+                pairs = np.column_stack((nodes[k:k + _CSV_BLOCK],
+                                         values[k:k + _CSV_BLOCK]))
+                fh.write(("%.17g,%.17g\n" * len(pairs))
+                         % tuple(pairs.ravel().tolist()))
         finally:
             if own:
                 fh.close()

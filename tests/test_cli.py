@@ -111,6 +111,25 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
 
+    @pytest.mark.parametrize("t,sup_norm", [
+        ("380", 429.56), ("3000", 388.28), ("8500", 246.98)])
+    def test_large_forcing_below_the_fold(self, t, sup_norm, tmp_path):
+        code, out = run_cli(["solve", "--t", t], tmp_path)
+        assert code == 0
+        payload = read_json(out, "solve.json")
+        assert payload["pass"] and len(payload["checks"]) == 6
+        assert all(c["pass"] for c in payload["checks"])
+        assert payload["sup_norm"] == pytest.approx(sup_norm, abs=0.005)
+
+    def test_forcing_past_the_fold_exits_1(self, tmp_path, capsys):
+        # no positive solution exists for t beyond the fold t* in
+        # (8500, 9000)
+        code = main(["solve", "--t", "9000", "--output-dir",
+                     str(tmp_path / "x"), "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == 1 and err["type"] == "ConvergenceError"
+
     def test_lambda1_is_the_solver_eigenpair(self, tmp_path):
         from hhlab.navier import NavierProblem, first_eigenpair
         from hhlab.radial import HardyHenonParams
@@ -229,12 +248,12 @@ class TestErrorClasses:
         assert err == {"error": "apply_K requires a nonnegative field",
                        "code": 1, "type": "ValueError"}
 
-    def test_bracket_failure_exits_1(self, tmp_path, capsys):
+    def test_projected_amplitude_out_of_range_exits_1(self, tmp_path, capsys):
         code = main(["solve", "--p", "1.005", "--nodes", "65",
                      "--output-dir", str(tmp_path / "x"), "--quiet"])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["code"] == 1 and err["type"] == "BracketError"
+        assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
 
     @pytest.mark.parametrize("command", ["eigen", "solve"])
     def test_failed_allocation_exits_1(self, command, tmp_path, capsys,

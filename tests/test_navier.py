@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hhlab.navier as navier
-from hhlab.errors import (AmplitudeRangeError, BracketError, ConvergenceError,
-                          GridError)
+from hhlab.errors import AmplitudeRangeError, ConvergenceError, GridError
 from hhlab.liouville import bubble_amplitude
 from hhlab.navier import (NavierProblem, apply_K,
                           blowup_normalize, energy_bound_check,
@@ -16,7 +15,19 @@ from hhlab.navier import (NavierProblem, apply_K,
                           rho_radius,
                           shooting_oracle_sup_norm, solve_positive,
                           torsion_bound_check, torsion_function)
-from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid, rescale)
+from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
+                          iterated_green, rescale)
+
+
+def linearisation_ratios(u: RadialField, prob: NavierProblem):
+    """p (1 - t G^m(1)/u) on r < R. At a fixed point it equals
+    p G^m(u^(p-1) u) / u, so by Collatz-Wielandt its min and max bound the
+    spectral radius of the linearisation p G^m(u^(p-1) .) below and above."""
+    n, m, p, t = (prob.params.n, prob.params.m, prob.params.p,
+                  prob.params.t)
+    ones = RadialField.constant(u.grid, 1.0)
+    gm1 = iterated_green(ones, prob.R, n, m)[0].values
+    return p * (1.0 - t * gm1[:-1] / u.values[:-1])
 
 
 class TestProblem:
@@ -237,14 +248,15 @@ class TestSolve:
 
 
 class TestNewtonSolver:
-    """The bracket-safeguarded Newton-GMRES fixed-point solve."""
+    """The damped Newton-GMRES fixed-point solve from the eigenfunction
+    projection."""
 
     @pytest.mark.parametrize("n,m,p,t", [
         (3, 2, 5.0, 0.0), (4, 3, 5.0, 0.5), (4, 2, 2.0, 0.5),
         (4, 2, 5.0, 0.5)])
     def test_shooting_oracle_agreement(self, n, m, p, t):
-        # p = 5 is where Newton from an unnarrowed bracket stalls off the
-        # solution; t > 0 is where the branch choice matters
+        # p = 5 is where a full Newton step can overshoot; t > 0 is where
+        # the branch choice matters
         prob = NavierProblem(HardyHenonParams(n, m, 0.0, p, t), 1.0)
         sol = solve_positive(prob, prob.default_grid(513))
         init = [float(layer.values[0]) for layer in sol.layers]
@@ -270,26 +282,45 @@ class TestNewtonSolver:
         assert sol.sup_norm >= rho_radius(prob)
         assert sol.sup_norm > 100.0 * float(np.max(u.values))
         assert np.all(sol.u.values[:-1] > u.values[:-1])
+        # the minimal solution's linearisation has spectral radius below 1
+        assert float(np.max(linearisation_ratios(u, prob))) < 1.0
 
-    @pytest.mark.parametrize("n,m,t", [(3, 2, 0.0), (3, 2, 2.0)])
-    def test_safeguard_rescues_newton_from_a_wide_bracket(self, n, m, t,
-                                                          monkeypatch):
-        # handed over right after the doubling, Newton meets steps that
-        # fail the safeguard at p = 5; each one narrows the bracket, and
-        # the restarted Newton reaches the same solution
+    @pytest.mark.parametrize("t,radius_bound", [
+        (0.5, 1.99996), (3000.0, 1.77), (8500.0, 1.105)])
+    def test_solution_is_on_the_upper_branch(self, t, radius_bound):
+        # a lower bound above 1 on the linearisation's spectral radius
+        # certifies the upper branch, up to t = 8500 below the fold
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, t), 1.0)
+        sol = solve_positive(prob, prob.default_grid(513))
+        lower = float(np.min(linearisation_ratios(sol.u, prob)))
+        assert lower > 1.0
+        assert lower == pytest.approx(radius_bound, rel=1e-3)
+        assert all(c.ok for c in sol.certificates)
+
+    @pytest.mark.parametrize("n,m,t,sup_norm", [
+        (3, 2, 0.0, 4.745228708676507), (3, 2, 2.0, 4.729416582894615)],
+        ids=["3-2-0.0", "3-2-2.0"])
+    def test_line_search_backtracks_to_the_same_solution(self, n, m, t,
+                                                         sup_norm,
+                                                         monkeypatch):
+        # started at twice the projected amplitude, full Newton steps at
+        # p = 5 overshoot; the line search shortens them and reaches the
+        # solution the amplitude-bracket solver found (sup_norm)
+        real = navier._FixedPointSolve.start
+
+        def doubled_start(self, eig):
+            u = real(self, eig)
+            return u.with_values(2.0 * u.values)
+
+        monkeypatch.setattr(navier._FixedPointSolve, "start", doubled_start)
         prob = NavierProblem(HardyHenonParams(n, m, 0.0, 5.0, t), 1.0)
-        grid = prob.default_grid(257)
-        ref = solve_positive(prob, grid)
-        monkeypatch.setattr(navier, "_NEWTON_WIDTH", 1.0)
-        sol = solve_positive(prob, grid)
-        stats = sol.stats
-        assert stats.newton_steps > len(stats.newton_residuals) - 1
-        assert sol.sup_norm == pytest.approx(ref.sup_norm, rel=1e-10)
+        sol = solve_positive(prob, prob.default_grid(257))
+        assert sol.stats.backtracks >= 1
+        assert sol.sup_norm == pytest.approx(sup_norm, rel=1e-10)
         assert sol.residual < 1e-8 and all(c.ok for c in sol.certificates)
 
     def test_large_amplitude_solves(self):
-        # the solution sits about 2^69 rho above the contraction radius,
-        # beyond a fixed budget of 60 bracket doublings
+        # the solution sits about 2^69 rho above the contraction radius
         prob = NavierProblem(HardyHenonParams(8, 4, 0.0, 1.2), 1.0)
         sol = solve_positive(prob, prob.default_grid(129))
         ratio = math.log2(sol.sup_norm / rho_radius(prob))
@@ -297,11 +328,11 @@ class TestNewtonSolver:
         assert sol.sup_norm == pytest.approx(6.4405e32, rel=1e-3)
         assert sol.residual < 1e-8 and all(c.ok for c in sol.certificates)
 
-    def test_no_sign_change_in_float_range(self):
-        # the crossing lies near 215^200 (lambda1^(1/(p-1))), past the
-        # largest float: the doubling must stop with a BracketError
+    def test_projected_amplitude_outside_float_range(self):
+        # the projected amplitude lies near 215^200 (lambda1^(1/(p-1))),
+        # past the largest float, though rho = 2^400 is inside it
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 1.005), 1.0)
-        with pytest.raises(BracketError, match="float range"):
+        with pytest.raises(AmplitudeRangeError, match="projected amplitude"):
             solve_positive(prob, prob.default_grid(65))
 
     def test_operator_overflow_at_rho(self):
@@ -312,12 +343,13 @@ class TestNewtonSolver:
 
     def test_stats(self, unit_solution):
         stats = unit_solution.stats
-        assert stats.picard_iterations > 0
+        # every full Newton step of the reference solve is taken
+        assert stats.backtracks == 0
         assert stats.newton_steps == len(stats.newton_residuals) - 1
         assert stats.gmres_products >= stats.newton_steps
         hist = stats.newton_residuals
-        assert all(b <= 0.5 * a for a, b in zip(hist, hist[1:]))
-        assert hist[-1] <= navier._PICARD_TOL
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+        assert hist[-1] <= navier._NEWTON_TOL
         assert hist[-1] == pytest.approx(unit_solution.residual, rel=1e-6)
 
     @pytest.mark.parametrize("garbage", ["nan", "random", "failure"])
@@ -336,6 +368,32 @@ class TestNewtonSolver:
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, 0.5), 1.0)
         with pytest.raises(ConvergenceError):
             solve_positive(prob, prob.default_grid(65))
+
+
+class TestPinnedSolutions:
+    """sup u against the amplitude-bracket solver the Newton start
+    replaced, to 1e-10 relative."""
+
+    @pytest.mark.parametrize("n,m,p,t,nodes,sup_norm", [
+        (4, 2, 1.05, 0.0, 513, 9.850524584498393e46),
+        (4, 2, 1.2, 0.0, 513, 970081538118.8959),
+        (4, 2, 2.0, 0.0, 513, 435.0788483916181),
+        (4, 2, 3.0, 0.0, 513, 28.753683796872767),
+        (4, 2, 5.0, 0.0, 513, 7.197983022411247),
+        (4, 2, 9.0, 0.0, 513, 3.50380961485588),
+        (3, 2, 2.0, 0.0, 513, 162.42645870868037),
+        (3, 2, 5.0, 0.0, 513, 4.745228710643813),
+        (6, 3, 2.0, 0.0, 513, 50363.88623966708),
+        (6, 3, 7.0, 0.0, 513, 11.408236431646305),
+        (8, 4, 1.5, 0.0, 513, 29818548414962.11),
+        (8, 4, 1.2, 0.0, 129, 6.440507199197821e32),
+        (4, 3, 5.0, 0.5, 513, 12.360790443293862),
+        (3, 2, 5.0, 2.0, 257, 4.729416582894615)])
+    def test_sup_norm(self, n, m, p, t, nodes, sup_norm):
+        prob = NavierProblem(HardyHenonParams(n, m, 0.0, p, t), 1.0)
+        sol = solve_positive(prob, prob.default_grid(nodes))
+        assert sol.sup_norm == pytest.approx(sup_norm, rel=1e-10)
+        assert all(c.ok for c in sol.certificates)
 
 
 class TestTorsion:

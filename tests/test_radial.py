@@ -1,5 +1,6 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           iterated_green, poisson_solve_ball,
                           polyharmonic_apply, radial_laplacian, rescale,
                           singular_solution, weighted_cumulative)
+
+# every float, with the signed zeros, infinities, NaN, denormals and the
+# extremes drawn often
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]))
 
 
 class TestParams:
@@ -132,6 +140,24 @@ class TestGridAndField:
                                  for r, v in zip(g.nodes, f.values))
         assert buf.getvalue() == want
         assert want.splitlines()[1] == "0,-0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS), min_size=1,
+                    max_size=600))
+    def test_csv_blocks_match_the_row_formula(self, rows):
+        # one % operation per block of rows gives the bytes of an f-string
+        # per row; RadialField rejects inf and NaN, so the writer runs on
+        # a stand-in that carries them
+        nodes = np.array([r for r, _ in rows])
+        values = np.array([v for _, v in rows])
+        stand_in = SimpleNamespace(grid=SimpleNamespace(nodes=nodes),
+                                   values=values)
+        buf = io.StringIO()
+        RadialField.to_csv(stand_in, buf, "u")
+        want = "r,u\n" + "".join(f"{r:.17g},{v:.17g}\n"
+                                 for r, v in zip(nodes.tolist(),
+                                                 values.tolist()))
+        assert buf.getvalue() == want
 
 class TestRadialLaplacian:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
