@@ -90,8 +90,8 @@ class SolverStats:
     backtracks: step fractions the Newton line search rejected;
     newton_steps: Newton steps taken;
     gmres_products: Jacobian-vector products, each an m-fold Green solve;
-    newton_residuals: max|u - K(u)| / sup u at each iterate of the Newton
-    run that converged, starting point first."""
+    newton_residuals: max|u - K(u)| / sup u at each Newton iterate, the
+    start first."""
 
     backtracks: int
     newton_steps: int
@@ -388,8 +388,8 @@ def solve_positive(problem: NavierProblem,
     p G^m(u^(p-1) u) = p (u - t G^m 1), so by Collatz-Wielandt
     min_{r<R} p (1 - t G^m(1)/u) bounds the spectral radius of the
     linearisation p G^m(u^(p-1) .) from below, and tests/test_navier.py
-    asserts that bound exceeds 1 (the minimal solution's is below 1)
-    from t = 0.5 to t = 8500 at (n, m, p) = (4, 2, 2).
+    asserts that bound exceeds 1 at t = 0.5, 3000 and 8500, (n, m, p) =
+    (4, 2, 2), while the minimal solution's largest ratio is below 1.
     """
     check_solver_order(problem)
     if grid is None:
