@@ -159,6 +159,7 @@ class TestGridAndField:
                                                  values.tolist()))
         assert buf.getvalue() == want
 
+
 class TestRadialLaplacian:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_quadratic(self, n):
