@@ -7,7 +7,8 @@ topological existence argument behind the solver is non-constructive; the
 solver starts from the first eigenfunction at the amplitude that solves the
 equation tested against it, and converges by damped Newton-GMRES on
 F(u) = u - K(u), backtracking along each Newton direction until max|F|
-falls. Every returned solution carries its certificates as `Check`s
+falls. Each Newton direction is one cycle of the module's own GMRES
+(`gmres`). Every returned solution carries its certificates as `Check`s
 (`build_certificates`): fixed-point residual, positivity, boundary values,
 the amplitude lower bound, the eigenvalue energy bound, radial
 monotonicity.
@@ -28,10 +29,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, root
-from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import jv
 
-from . import radial
 from .errors import AmplitudeRangeError, ConvergenceError, GridError
 from .numerics import Check, ball_volume, surface_area
 from .radial import (LOG_HUGE, LOG_TINY, HardyHenonParams, RadialField,
@@ -89,7 +88,8 @@ class SolverStats:
 
     backtracks: step fractions the Newton line search rejected;
     newton_steps: Newton steps taken;
-    gmres_products: Jacobian-vector products, each an m-fold Green solve;
+    gmres_products: Jacobian-vector products of the `gmres` cycles, each
+    an m-fold Green solve;
     newton_residuals: max|u - K(u)| / sup u at each Newton iterate, the
     start first."""
 
@@ -177,7 +177,9 @@ def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
                     grid: Optional[RadialGrid] = None) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
     iteration on the m-fold Green operator, stopped once the sup-norm
-    change falls below `tol`; phi is normalized to sup 1."""
+    change falls below `tol`; phi is normalized to sup 1. A maximum of
+    G^m phi that underflows to 0 (a ball far below unit radius) raises
+    ConvergenceError."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n, m = problem.params.n, problem.params.m
@@ -191,6 +193,10 @@ def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
         for _ in range(m):
             w = poisson_solve_ball(w, problem.R, n)
         s = float(np.max(w.values))
+        if not 0.0 < s < math.inf:
+            raise ConvergenceError(
+                f"inverse power iteration lost G^m phi at R={problem.R:g}: "
+                f"its maximum {s!r} is not a positive finite float")
         lam = 1.0 / s
         new = RadialField.adopt(grid, w.values / s)
         delta = float(np.max(np.abs(new.values - phi.values)))
@@ -215,6 +221,68 @@ _MIN_STEP = 2.0 ** -10
 _GMRES_RESTART = 20
 # relative tolerance of each GMRES solve (the inexact-Newton forcing term)
 _GMRES_RTOL = 1e-4
+
+
+def gmres(matvec, b):
+    """One GMRES cycle (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986) for J x = b from x0 = 0, with J x = matvec(x); returns (x, info).
+
+    It takes at most _GMRES_RESTART Arnoldi steps (at most len(b)), each
+    orthogonalised by classical Gram-Schmidt applied twice, so the basis
+    enters as two matrix products per pass. The Hessenberg columns are
+    reduced by Givens rotations and the triangular system back-substituted
+    in Python floats. It stops once the rotated residual, ||b - J x|| in
+    exact arithmetic, falls to _GMRES_RTOL ||b||, scipy's rule. No product
+    follows the last Krylov step, so the true residual of x is not formed.
+
+    info is 0 when converged, the number of steps taken when not (also
+    when J is singular on the Krylov space), and -1, with x = 0, when a
+    Krylov vector is not finite. b = 0 returns x = 0 with no product."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(b.shape), 0
+    if not math.isfinite(beta):
+        return np.zeros(b.shape), -1
+    tol = _GMRES_RTOL * beta
+    basis = np.empty((min(_GMRES_RESTART, b.size) + 1, b.size))
+    np.multiply(b, 1.0 / beta, out=basis[0])
+    # columns[k][i] = R[i, k] of the rotated Hessenberg matrix; g is the
+    # rotated right-hand side beta e_1
+    columns, rotations, g = [], [], [beta]
+    for k in range(len(basis) - 1):
+        w = matvec(basis[k])
+        v = basis[:k + 1]
+        h = v @ w
+        w = w - h @ v
+        again = v @ w
+        w -= again @ v
+        h += again
+        norm = float(np.linalg.norm(w))
+        if not math.isfinite(norm):
+            return np.zeros(b.shape), -1
+        col = h.tolist()
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], \
+                c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[k], norm)
+        if rho == 0.0:
+            break
+        c, s = col[k] / rho, norm / rho
+        col[k] = rho
+        columns.append(col)
+        rotations.append((c, s))
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= tol:
+            break
+        np.multiply(w, 1.0 / norm, out=basis[k + 1])
+    y = g[:len(columns)]
+    for i in range(len(y) - 1, -1, -1):
+        acc = y[i]
+        for j in range(i + 1, len(y)):
+            acc -= columns[j][i] * y[j]
+        y[i] = acc / columns[i][i]
+    return np.array(y) @ basis[:len(y)], 0 if abs(g[-1]) <= tol else k + 1
 
 
 def rho_radius(problem: NavierProblem) -> float:
@@ -345,8 +413,8 @@ class _FixedPointSolve:
         return u, layers
 
     def newton_direction(self, u: RadialField, F):
-        """GMRES solution of J dx = -F with J x = x - G^m(p u^(p-1) x), or
-        ConvergenceError when GMRES returns no finite vector. Each product
+        """One `gmres` cycle for J dx = -F with J x = x - G^m(p u^(p-1) x),
+        or ConvergenceError when it returns no finite vector. Each product
         is one pass through the module's `iterated_green`."""
         params, R = self.problem.params, self.problem.R
         slope = params.p * u.values ** (params.p - 1.0)
@@ -359,10 +427,7 @@ class _FixedPointSolve:
 
         # solve for dx / sup u, so that GMRES's 2-norms cannot overflow
         scale = float(np.max(u.values))
-        size = len(u.values)
-        op = LinearOperator((size, size), matvec=jacobian, dtype=float)
-        y, info = gmres(op, -F / scale, rtol=_GMRES_RTOL,
-                        restart=_GMRES_RESTART, maxiter=1)
+        y, info = gmres(jacobian, -F / scale)
         dx = scale * y
         if info < 0 or not np.all(np.isfinite(dx)):
             raise ConvergenceError("GMRES returned no finite Newton direction")
@@ -499,16 +564,15 @@ def radial_monotonicity_check(u: RadialField, u1: RadialField,
 
     u' is taken from the Navier chain, not from a difference stencil:
     u'(r) = -r^(1-n) int_0^r s^(n-1) u_1(s) ds with u_1 = -Lap u on the
-    same grid, which must start at the origin (u'(0) = 0). On graded grids
+    same grid, which must start at the origin (u'(0) = 0), integrated by
+    the grid's cached Green solve (`RadialGrid.green`). On graded grids
     adjacent values of u near r = 0 agree to the last bit, and a stencil
     there reads round-off."""
     r = u.grid.nodes
     if r[0] != 0.0:
         raise GridError("monotonicity check needs a grid from the origin")
     d1 = np.zeros_like(r)
-    # reached through its module, where a tracer that rebinds it sees it
-    d1[1:] = -r[1:] ** (1 - n) * radial.weighted_cumulative(
-        r, u1.values, n)[1:]
+    d1[1:] = -r[1:] ** (1 - n) * u.grid.green(n).cumulative(u1.values)[1:]
     scale = float(np.max(np.abs(u.values)))
     span = u.grid.r_max - u.grid.r0
     tol = 1e-8 * scale / max(span, 1e-30) + 1e-12

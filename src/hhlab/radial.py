@@ -425,9 +425,15 @@ class _GreenSolve:
         np.add.accumulate(panel, out=out[1:])
         return out
 
+    def cumulative(self, f):
+        """int_{r_0}^{r_j} t^(n-1) f dt at every node r_j, with f the
+        spline of its values: `weighted_cumulative` without a fresh
+        spline."""
+        return self._running(self._inner, f)
+
     def integral(self, f) -> float:
-        """int_{r_0}^{r_N} t^(n-1) f dt, with f the spline of its values."""
-        return float(self._running(self._inner, f)[-1])
+        """int_{r_0}^{r_N} t^(n-1) f dt, the last entry of `cumulative`."""
+        return float(self.cumulative(f)[-1])
 
     def solve(self, f):
         """u(r_j) = int_{r_j}^R s^(1-n) int_0^s t^(n-1) f dt ds on a grid

@@ -141,16 +141,21 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
 
 def test_every_weighted_cumulative_of_a_solve_is_traced(monkeypatch):
     """radial.weighted_cumulative counts the calls the tracer sees at the
-    bindings it wraps. Every call solve_positive makes (the monotonicity
-    certificate's chain derivative) must go through hhlab.radial's."""
+    bindings it wraps under that span name. Every call the Liouville
+    representation check makes (`checks.bubble_representation`) must go
+    through one of them; solve_positive takes its integrals from the grid's
+    cached Green solve and makes none."""
     import sys
 
+    import hhlab.checks as checks
     import hhlab.navier as navier
     import hhlab.radial as radial
     from hhlab.radial import HardyHenonParams
 
-    assert ("hhlab.radial", "weighted_cumulative") in {
-        (module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
+    bindings = [(module, attr) for module, attr, span
+                in _tracer().FUNCTION_BINDINGS
+                if span == "radial.weighted_cumulative"]
+    assert ("hhlab.radial", "weighted_cumulative") in bindings
     real = radial.weighted_cumulative
     through_binding = [0]
     executed = [0]
@@ -163,15 +168,25 @@ def test_every_weighted_cumulative_of_a_solve_is_traced(monkeypatch):
         if event == "call" and frame.f_code is real.__code__:
             executed[0] += 1
 
-    monkeypatch.setattr(radial, "weighted_cumulative", counting)
+    for module, attr in bindings:
+        assert getattr(importlib.import_module(module), attr) is real
+        monkeypatch.setattr(importlib.import_module(module), attr, counting)
+
+    def run(call):
+        through_binding[0] = executed[0] = 0
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return executed[0], through_binding[0]
+
     problem = navier.NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0, 0.5))
-    sys.setprofile(profile)
-    try:
-        navier.solve_positive(problem, problem.default_grid(129))
-    finally:
-        sys.setprofile(None)
-    assert executed[0] > 0
-    assert through_binding[0] == executed[0]
+    assert run(lambda: navier.solve_positive(
+        problem, problem.default_grid(129))) == (0, 0)
+    executed_calls, traced_calls = run(checks.bubble_representation)
+    assert executed_calls > 0
+    assert traced_calls == executed_calls
 
 
 def test_scan_events_are_located_through_liouvilles_binding(monkeypatch):

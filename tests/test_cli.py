@@ -290,6 +290,23 @@ class TestErrorClasses:
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line)["type"] for line in lines] == ["GridError"]
 
+    @pytest.mark.parametrize("R,kind", [
+        ("1e-60", "ConvergenceError"), ("1e-150", None)],
+        ids=["R1e-60", "R1e-150"])
+    def test_underflowing_ball_is_one_json_error(self, R, kind, tmp_path,
+                                                 capsys):
+        # G^m phi underflows to 0 at R = 1e-60, and its weights leave the
+        # float range at 1e-150; either way the fault is one JSON line
+        code = main(["eigen", "--R", R, "--output-dir", str(tmp_path / "x"),
+                     "--quiet"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 1
+        if kind is not None:
+            assert err["type"] == kind and f"R={R}" in err["error"]
+
 
 class TestConfigAndFlags:
     def test_unknown_flag_exits_2_without_outputs(self, tmp_path):

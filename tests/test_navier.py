@@ -16,7 +16,7 @@ from hhlab.navier import (NavierProblem, apply_K,
                           shooting_oracle_sup_norm, solve_positive,
                           torsion_bound_check, torsion_function)
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
-                          iterated_green, rescale)
+                          iterated_green, rescale, weighted_cumulative)
 
 
 def linearisation_ratios(u: RadialField, prob: NavierProblem):
@@ -370,6 +370,79 @@ class TestNewtonSolver:
             solve_positive(prob, prob.default_grid(65))
 
 
+class TestGmres:
+    """navier.gmres: one GMRES cycle from x0 = 0, checked against
+    numpy.linalg.solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 40), norm=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_meets_its_tolerance_on_perturbed_identities(self, size, norm,
+                                                         seed):
+        # J = I - A with ||A||_2 = norm <= 0.6: the polynomial (1 - z)^k
+        # bounds the residual of step k by 0.6^k ||b||, so the cycle of at
+        # most 20 steps (0.6^20 < 1e-4) converges, or ends exactly on a
+        # Krylov space that fills R^size
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((size, size))
+        A *= norm / max(np.linalg.norm(A, 2), 1e-300)
+        J = np.eye(size) - A
+        b = rng.standard_normal(size)
+        x, info = navier.gmres(lambda v: J @ v, b)
+        assert info == 0
+        scale = np.linalg.norm(b)
+        rounding = 100.0 * size * np.finfo(float).eps * scale
+        assert np.linalg.norm(b - J @ x) <= navier._GMRES_RTOL * scale \
+            + rounding
+        exact = np.linalg.solve(J, b)
+        assert np.linalg.norm(x - exact) <= (
+            navier._GMRES_RTOL * scale + rounding) / (1.0 - norm)
+
+    @pytest.mark.parametrize("rank", [1, 3, 7, 12])
+    def test_rank_r_update_is_exact_after_r_plus_one_products(self, rank):
+        # the Krylov space of I + U V^T holds b and the range of U, so it
+        # stops growing at dimension r + 1, where the solution is exact
+        rng = np.random.default_rng(rank)
+        size = 60
+        U = rng.standard_normal((size, rank)) / math.sqrt(size)
+        V = rng.standard_normal((size, rank))
+        J = np.eye(size) + U @ V.T
+        b = rng.standard_normal(size)
+        products = [0]
+
+        def matvec(v):
+            products[0] += 1
+            return J @ v
+
+        x, info = navier.gmres(matvec, b)
+        assert info == 0
+        assert products[0] == rank + 1
+        np.testing.assert_allclose(x, np.linalg.solve(J, b), rtol=0,
+                                   atol=1e-10 * np.linalg.norm(x))
+
+    def test_zero_right_hand_side_makes_no_product(self):
+        def matvec(v):
+            raise AssertionError("a product was made")
+
+        x, info = navier.gmres(matvec, np.zeros(7))
+        assert info == 0
+        np.testing.assert_array_equal(x, np.zeros(7))
+
+    def test_non_finite_krylov_vector(self):
+        x, info = navier.gmres(lambda v: np.full(v.shape, np.nan),
+                               np.ones(5))
+        assert info < 0
+        assert np.all(np.isfinite(x))
+
+    def test_unconverged_cycle_reports_its_steps(self):
+        # a cyclic shift: b = e_0 has residual 1 until step size, past
+        # the restart length
+        size = 30
+        x, info = navier.gmres(lambda v: np.roll(v, 1), np.eye(size)[0])
+        assert info == navier._GMRES_RESTART
+        assert np.all(np.isfinite(x))
+
+
 class TestPinnedSolutions:
     """sup u against the amplitude-bracket solver the Newton start
     replaced, to 1e-10 relative."""
@@ -566,6 +639,23 @@ class TestMonotonicity:
         u = RadialField.from_function(g, lambda r: 1.0 - r ** 2)
         with pytest.raises(GridError):
             radial_monotonicity_check(u, RadialField.constant(g, 8.0), 4)
+
+    @pytest.mark.parametrize("n,m,p,t,nodes", [
+        (4, 2, p, t, 513) for p in (1.5, 2.0, 3.0) for t in (0.0, 0.5)]
+        + [(n, m, 2.0, 0.0, 513) for n, m in ((3, 2), (5, 3), (6, 3), (8, 4))]
+        + [(4, 2, 2.0, 0.0, k) for k in (257, 1025, 2049)])
+    def test_chain_derivative_matches_the_spline_route(self, n, m, p, t,
+                                                       nodes):
+        # the check's running integral of r^(n-1) u_1, from the grid's
+        # cached Green solve, against a fresh scipy spline of u_1
+        prob = NavierProblem(HardyHenonParams(n, m, 0.0, p, t), 1.0)
+        sol = solve_positive(prob, prob.default_grid(nodes))
+        u, u1 = sol.layers[:2]
+        cached = u.grid.green(n).cumulative(u1.values)
+        spline = weighted_cumulative(u.grid.nodes, u1.values, n)
+        assert np.max(np.abs(cached - spline)) \
+            <= 1e-15 * np.max(np.abs(spline))
+        assert radial_monotonicity_check(u, u1, n)
 
     @pytest.mark.parametrize("n_nodes", [1025, 2049])
     def test_fine_graded_grids_pass(self, unit_problem, n_nodes):
