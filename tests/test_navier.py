@@ -434,6 +434,12 @@ class TestGmres:
         assert info < 0
         assert np.all(np.isfinite(x))
 
+    def test_singular_operator_reports_its_steps(self):
+        # J = 0: the first Hessenberg column vanishes and x stays 0
+        x, info = navier.gmres(lambda v: 0.0 * v, np.ones(5))
+        assert info == 1
+        np.testing.assert_array_equal(x, np.zeros(5))
+
     def test_unconverged_cycle_reports_its_steps(self):
         # a cyclic shift: b = e_0 has residual 1 until step size, past
         # the restart length
