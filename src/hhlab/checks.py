@@ -1,10 +1,11 @@
 """Certificate registry: one function per claim of the paper.
 
 Each function computes the evidence for one claim and returns `Check`s
-(name, equation tag, value, bound, verdict). This module is the only place a
-check's bound or tag is written; the subcommands and `report` call these
-functions and serialise what they return. The Navier solver's certificates
-are `navier.build_certificates`, carried by every solution.
+(name, equation tag, value, bound, verdict). Apart from
+`navier.build_certificates`, which writes the six certificates every Navier
+solution carries (`fixed-point-residual` to `radial-monotonicity`), this
+module is the only place a check's bound or tag is written; the subcommands
+and `report` call these functions and serialise what they return.
 
 Package functions are reached through their modules (`K.riesz_compose_check`,
 not an imported name), so that a tracer which rebinds them sees every call.

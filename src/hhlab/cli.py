@@ -46,9 +46,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
-        json.dump({"error": message, "code": 2}, sys.stderr)
-        sys.stderr.write("\n")
-        raise SystemExit(2)
+        raise SystemExit(_config_error(message))
 
 
 def _config_error(message: str) -> int:
@@ -276,22 +274,26 @@ def cmd_report(args) -> int:
     return _finish(args, "report", rows)
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than `low`."""
     def parse(text: str) -> int:
-        value = _parse_int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+def _config_count(text: str) -> int:
+    """argparse type of --n-configs: even, half for each of n = 4 and 5."""
+    value = _int_at_least(2)(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +321,9 @@ def _add_shared(sp, *names):
 
 
 def _kernels_selftest_flags(sp):
-    sp.add_argument("--n-configs", type=_int_at_least(2), default=20,
+    sp.add_argument("--n-configs", type=_config_count, default=20,
                     help="composition checks, split over n = 4 and 5 "
-                         "(at least 2)")
+                         "(even, at least 2)")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
 
 

@@ -90,16 +90,14 @@ _ROW_BLOCK = 64              # mesh rows raised to the kernel power at once
 _MERGE_FRACTION = 0.1
 
 
-def _composition_mesh(n_sing: int, n_far: int):
+def _composition_mesh(n_sing: int):
     """Radial panel breakpoints at unit distance: graded into rho = 0 and
-    rho = 1, then growing geometrically to 400."""
+    rho = 1, then 10 panels growing geometrically to exactly 400."""
     ratio = 0.4
     inner = graded_breaks(0.0, 0.5, n_sing, ratio, toward="start")
     into_d = graded_breaks(0.5, 1.0, n_sing, ratio, toward="end")
     out_of_d = graded_breaks(1.0, 2.0, n_sing, ratio, toward="start")
-    far = geometric_breaks(2.0, _OUTER_RADIUS, 1.7)[:n_far + 1]
-    if far[-1] < _OUTER_RADIUS:
-        far = np.append(far, _OUTER_RADIUS)
+    far = geometric_breaks(2.0, _OUTER_RADIUS, 1.7)
     return np.concatenate([inner, into_d[1:], out_of_d[1:], far[1:]])
 
 
@@ -147,7 +145,7 @@ def _unit_mesh(n_sing: int, n_theta: int, order: int):
     below b add nothing. c = 0.125 would put it at 5.2e-16. The radial and
     the full angular mesh come from `panel_quadrature`, radial first; the
     merged panel maps `gauss_legendre` onto [0, b]."""
-    r_nodes, r_weights = panel_quadrature(_composition_mesh(n_sing, 12),
+    r_nodes, r_weights = panel_quadrature(_composition_mesh(n_sing),
                                           order)
     theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
     t_nodes, t_weights = panel_quadrature(theta_breaks, order)

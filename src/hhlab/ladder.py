@@ -48,33 +48,27 @@ class LadderState:
     The exponent is kept twice: `alpha` is the float product
     alpha_0 (2p)^k, which turns inf once it leaves the float range (after
     about 510 steps at p = 2), and `log_alpha` is log alpha_k, which stays
-    finite. log_alpha defaults to log(alpha).
+    finite.
     """
 
     k: int
     log_l: float
     alpha: float
     C0: float
-    M: float
     params: HardyHenonParams
-    log_alpha: float | None = None
+    log_alpha: float
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("step index must be nonnegative")
         if not math.isfinite(self.log_l):
             raise ValueError("log amplitude must be finite")
-        if self.log_alpha is None:
-            object.__setattr__(self, "log_alpha", math.log(self.alpha)
-                               if self.alpha > 0.0 else math.nan)
         if not (self.alpha >= 1.0 and 0.0 <= self.log_alpha < math.inf):
             raise ValueError(f"exponent alpha must be >= 1 with a finite "
                              f"log, got {self.alpha!r} (log "
                              f"{self.log_alpha!r})")
         if not 0.0 < self.C0 <= 1.0:
             raise ValueError("C0 must lie in (0, 1]")
-        if self.M < 0.0:
-            raise ValueError("M must be nonnegative")
 
     @classmethod
     def initial(cls, l0: float, params: HardyHenonParams, M: float = 0.0,
@@ -83,8 +77,9 @@ class LadderState:
             raise ValueError(f"starting amplitude l0 must be positive and "
                              f"finite, got {l0!r}")
         a0 = default_alpha0(params) if alpha0 is None else float(alpha0)
-        return cls(0, math.log(l0), a0, geometry_constant(params, M), M,
-                   params)
+        log_a0 = math.log(a0) if a0 > 0.0 else math.nan   # NaN is rejected
+        return cls(0, math.log(l0), a0, geometry_constant(params, M), params,
+                   log_a0)
 
     @property
     def l(self) -> float:

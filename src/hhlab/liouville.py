@@ -366,14 +366,8 @@ class ScanResult:
             else:
                 counts[rec.kind] += 1
         counts["cells"] = len(self.records)
-        counts["all_positive_survivors"] = self.survivor_count
+        counts["all_positive_survivors"] = counts[OutcomeKind.SURVIVED.value]
         return counts
-
-    @property
-    def survivor_count(self) -> int:
-        return sum(1 for rec in self.records
-                   if rec.kind == OutcomeKind.SURVIVED.value
-                   and rec.error is None)
 
     def to_csv(self, fh) -> None:
         m = self.params.m

@@ -176,10 +176,10 @@ def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
 def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
                     grid: Optional[RadialGrid] = None) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
-    iteration on the m-fold Green operator, stopped once the sup-norm
-    change falls below `tol`; phi is normalized to sup 1. A maximum of
-    G^m phi that underflows to 0 (a ball far below unit radius) raises
-    ConvergenceError."""
+    iteration on the m-fold Green operator (`iterated_green`), stopped once
+    the sup-norm change falls below `tol`; phi is normalized to sup 1. A
+    maximum of G^m phi that underflows to 0 (a ball far below unit radius)
+    raises ConvergenceError."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n, m = problem.params.n, problem.params.m
@@ -189,9 +189,7 @@ def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
     phi = RadialField(grid, 1.0 - (r / problem.R) ** 2)
     lam = math.nan
     for _ in range(_MAX_EIGEN_ITER):
-        w = phi
-        for _ in range(m):
-            w = poisson_solve_ball(w, problem.R, n)
+        w = iterated_green(phi, problem.R, n, m)[0]
         s = float(np.max(w.values))
         if not 0.0 < s < math.inf:
             raise ConvergenceError(
@@ -330,11 +328,6 @@ class _FixedPointSolve:
         self.backtracks = 0
         self.newton_steps = 0
         self.gmres_products = 0
-        self.newton_residuals = ()
-
-    def stats(self) -> SolverStats:
-        return SolverStats(self.backtracks, self.newton_steps,
-                           self.gmres_products, self.newton_residuals)
 
     def in_range(self, log_s: float) -> bool:
         """Whether K(s v), sup v <= 1, stays inside the normal floats."""
@@ -379,8 +372,8 @@ class _FixedPointSolve:
 
     def run(self, eig: EigenPair):
         """Newton-GMRES on F(u) = u - K(u) from `start`, iterates projected
-        onto u >= 0, until max|F| <= _NEWTON_TOL sup u; returns (u, K(u)
-        layers).
+        onto u >= 0, until max|F| <= _NEWTON_TOL sup u; returns the K(u)
+        layers and the `SolverStats` of the solve.
 
         Each step backtracks over the fractions 1, 1/2, 1/4, ... of the
         Newton direction and takes the first whose max|F| is at most
@@ -409,8 +402,8 @@ class _FixedPointSolve:
                         f"{res / sup:.3e}")
             u, layers, F, res, sup = found
             history.append(res / sup)
-        self.newton_residuals = tuple(history)
-        return u, layers
+        return layers, SolverStats(self.backtracks, self.newton_steps,
+                                   self.gmres_products, tuple(history))
 
     def newton_direction(self, u: RadialField, F):
         """One `gmres` cycle for J dx = -F with J x = x - G^m(p u^(p-1) x),
@@ -469,15 +462,12 @@ def solve_positive(problem: NavierProblem,
     solver.check_range(math.log(rho_radius(problem)),
                        "amplitude lower bound")
     eig = first_eigenpair(problem, EIGEN_TOL, grid)
-    u, layers = solver.run(eig)
-    residual = float(np.max(np.abs(u.values - layers[0].values))) \
-        / float(np.max(u.values))
-    if residual > FIXED_POINT_TOL:
-        raise ConvergenceError(
-            f"fixed-point residual {residual:.3e} above tolerance")
+    layers, stats = solver.run(eig)
+    # run stops at a residual of at most _NEWTON_TOL < FIXED_POINT_TOL
+    residual = stats.newton_residuals[-1]
     return NavierSolution(layers, residual, layers[0].sup_norm,
                           build_certificates(layers, residual, eig, problem),
-                          eig, solver.stats())
+                          eig, stats)
 
 
 def build_certificates(layers: tuple, residual: float, eig: EigenPair,

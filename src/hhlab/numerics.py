@@ -79,22 +79,22 @@ def geometric_breaks(a: float, b: float, growth: float):
     return np.asarray(pts)
 
 
-def fd_weights_batch(windows, x0, max_order: int = 2):
-    """Fornberg weights for derivatives 0..max_order at many points at once.
+def fd_weights_batch(windows, x0):
+    """Fornberg weights for derivatives 0, 1 and 2 at many points at once.
 
     `windows` has shape (N, s): the stencil nodes for each evaluation point
-    `x0[i]`. Returns an array (N, s, max_order+1) of weights. The recurrence
-    is the classical one, vectorized over the N points.
+    `x0[i]`. Returns an array (N, s, 3) of weights. The recurrence is the
+    classical one, vectorized over the N points.
     """
     X = np.asarray(windows, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     npts, s = X.shape
-    c = np.zeros((npts, s, max_order + 1))
+    c = np.zeros((npts, s, 3))
     c1 = np.ones(npts)
     c4 = X[:, 0] - x0
     c[:, 0, 0] = 1.0
     for i in range(1, s):
-        mn = min(i, max_order)
+        mn = min(i, 2)
         c2 = np.ones(npts)
         c5 = c4
         c4 = X[:, i] - x0
@@ -139,7 +139,7 @@ class DerivativeStencils:
         windows = r[self.idx]
         scale = (windows[:, -1] - windows[:, 0]) / (width - 1)
         xi = (windows - r[:, None]) / scale[:, None]
-        w = fd_weights_batch(xi, np.zeros(n), max_order=2)
+        w = fd_weights_batch(xi, np.zeros(n))
         self.w1 = w[:, :, 1] / scale[:, None]
         self.w2 = w[:, :, 2] / scale[:, None] ** 2
 

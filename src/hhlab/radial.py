@@ -110,7 +110,7 @@ class RadialGrid:
         nodes = nodes.copy()
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_stencils", None)
+        object.__setattr__(self, "_stencils", {})
         object.__setattr__(self, "_green", {})
 
     @classmethod
@@ -148,13 +148,9 @@ class RadialGrid:
         return self.nodes.size
 
     def stencils(self, width: int = 5) -> DerivativeStencils:
-        cache = self._stencils
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_stencils", cache)
-        if width not in cache:
-            cache[width] = DerivativeStencils(self.nodes, width)
-        return cache[width]
+        if width not in self._stencils:
+            self._stencils[width] = DerivativeStencils(self.nodes, width)
+        return self._stencils[width]
 
     def green(self, n: int) -> "_GreenSolve":
         """The ball Green solve in dimension n, factorised once per grid."""
@@ -250,7 +246,7 @@ def radial_laplacian(f: RadialField, n: int, width: int = 5) -> RadialField:
         half = width // 2
         nodes = np.concatenate([-r[half:0:-1], r[:half + 1]])
         vals = np.concatenate([f.values[half:0:-1], f.values[:half + 1]])
-        w2 = fd_weights_batch(nodes[None, :], np.zeros(1), 2)[0, :, 2]
+        w2 = fd_weights_batch(nodes[None, :], np.zeros(1))[0, :, 2]
         out[0] = n * float(w2 @ (vals - f.values[0]))
         out[1:] = d2[1:] + (n - 1) / r[1:] * d1[1:]
     else:

@@ -103,9 +103,6 @@ SETTING_CALLERS = {
     ("rk.AdaptiveRK", "atol"): "liouville: the tolerances of a shoot",
     ("rk.LaneRK", "rtol"): "liouville: the tolerances of a scan",
     ("rk.LaneRK", "atol"): "liouville: the tolerances of a scan",
-    ("numerics.fd_weights_batch", "max_order"):
-        "a derivative order, not a budget: numerics.DerivativeStencils and "
-        "radial.radial_laplacian ask for 2",
 }
 
 

@@ -76,39 +76,43 @@ def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
 def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     """navier.green_solves_per_solve counts the Green solves the tracer sees
     under `hhlab solve`. Each one that solve_positive makes must pass
-    through a navier binding the tracer wraps: iterated_green (reached by
-    apply_K and by the Newton Jacobian products) or poisson_solve_ball (the
-    eigenpair). Inside, each iterated_green reaches its m layers through
-    radial's poisson_solve_ball, which the tracer also wraps, so
-    radial.poisson_solve_ball.calls counts every Green solve as well."""
+    through navier's iterated_green binding, which the tracer wraps; it is
+    reached by apply_K, by the Newton Jacobian products and by the
+    eigenpair's inverse power iteration (first_eigenpair). Inside, each
+    iterated_green reaches its m layers through radial's poisson_solve_ball,
+    which the tracer also wraps, so radial.poisson_solve_ball.calls counts
+    every Green solve as well. navier's own poisson_solve_ball binding
+    (torsion_function's) is not reached."""
     import hhlab.navier as navier
     import hhlab.radial as radial
     from hhlab.radial import HardyHenonParams
 
-    names = ("apply_K", "iterated_green", "poisson_solve_ball")
+    names = ("apply_K", "iterated_green", "poisson_solve_ball",
+             "first_eigenpair")
     traced = {(module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
     assert {("hhlab.navier", name) for name in names} <= traced
     assert ("hhlab.radial", "poisson_solve_ball") in traced
 
     calls = dict.fromkeys(names, 0)
     solves = {"inside": 0, "outside": 0}
-    depth = [0]
-    # depth inside navier's iterated_green, and the radial poisson_solve_ball
-    # calls made there
-    chain = {"depth": 0, "layers": 0}
+    # open calls of each wrapped navier binding
+    depth = dict.fromkeys(names, 0)
+    # radial poisson_solve_ball calls made inside navier's iterated_green,
+    # and the iterated_green calls made inside first_eigenpair
+    chain = {"layers": 0, "eigen": 0}
 
     def counting(name):
         real = getattr(navier, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            depth[0] += 1
-            chain["depth"] += name == "iterated_green"
+            chain["eigen"] += (name == "iterated_green"
+                               and depth["first_eigenpair"] > 0)
+            depth[name] += 1
             try:
                 return real(*args, **kwargs)
             finally:
-                depth[0] -= 1
-                chain["depth"] -= name == "iterated_green"
+                depth[name] -= 1
         return wrapper
 
     for name in names:
@@ -116,27 +120,30 @@ def test_every_green_solve_of_a_solve_is_traced(monkeypatch):
     real_layer = radial.poisson_solve_ball
 
     def counted_layer(*args, **kwargs):
-        chain["layers"] += chain["depth"] > 0
+        chain["layers"] += depth["iterated_green"] > 0
         return real_layer(*args, **kwargs)
 
     monkeypatch.setattr(radial, "poisson_solve_ball", counted_layer)
     real_solve = radial._GreenSolve.solve
 
     def counted_solve(self, *args, **kwargs):
-        solves["inside" if depth[0] else "outside"] += 1
+        solves["inside" if any(depth.values()) else "outside"] += 1
         return real_solve(self, *args, **kwargs)
 
     monkeypatch.setattr(radial._GreenSolve, "solve", counted_solve)
     m = 2
     problem = navier.NavierProblem(HardyHenonParams(4, m, 0.0, 2.0, 0.5))
     sol = navier.solve_positive(problem, problem.default_grid(129))
+    assert calls["poisson_solve_ball"] == 0
     assert solves["outside"] == 0
     assert solves["inside"] == (m * calls["iterated_green"]
                                 + calls["poisson_solve_ball"])
     assert chain["layers"] == m * calls["iterated_green"]
     assert sol.stats.gmres_products > 0
+    assert chain["eigen"] > 0
     assert calls["iterated_green"] == (calls["apply_K"]
-                                       + sol.stats.gmres_products)
+                                       + sol.stats.gmres_products
+                                       + chain["eigen"])
 
 
 def test_every_weighted_cumulative_of_a_solve_is_traced(monkeypatch):

@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 import math
-import multiprocessing
+import os
 import subprocess
 import sys
 import warnings
@@ -47,7 +47,8 @@ class TestKernelsSelftest:
     @pytest.mark.parametrize("flag,value", [
         ("--n-configs", "0"), ("--n-configs", "1"), ("--n-configs", "-4"),
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
-        ("--tol", "-0.01"), ("--budget", "0"), ("--budget", "-5")])
+        ("--tol", "-0.01"), ("--budget", "0"), ("--budget", "-5"),
+        ("--n-configs", "3"), ("--n-configs", "201")])
     def test_bad_input_exits_2(self, flag, value, tmp_path, capsys,
                                monkeypatch):
         def no_quadrature(*args, **kwargs):
@@ -318,7 +319,8 @@ class TestConfigAndFlags:
         assert not out_dir.exists()
 
     # certificate bounds, numerical budgets and the classifier's tolerances
-    # are constants, not flags
+    # are constants, not flags; scans run in one process, so --workers is
+    # gone too
     @pytest.mark.parametrize("args,ini,flag", [
         (["kernels-selftest", "--tol=0.5"], None, "--tol"),
         (["kernels-selftest", "--budget=1000"], None, "--budget"),
@@ -327,9 +329,11 @@ class TestConfigAndFlags:
         (["solve"], "[solve]\ntol = 1e-6\n", "--tol"),
         (["shoot", "--init", "2,1", "--rtol=1e-9"], None, "--rtol"),
         (["scan", "--atol=1e-13"], None, "--atol"),
-        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol")],
+        (["scan"], "[scan]\nrtol = 1e-9\n", "--rtol"),
+        (["scan", "--workers=3"], None, "--workers")],
         ids=["selftest-tol", "selftest-budget", "solve-tol", "eigen-tol",
-             "config-tol", "shoot-rtol", "scan-atol", "config-rtol"])
+             "config-tol", "shoot-rtol", "scan-atol", "config-rtol",
+             "scan-workers"])
     def test_removed_flag_exits_2(self, args, ini, flag, tmp_path, capsys):
         if ini is not None:
             cfg = tmp_path / "run.ini"
@@ -618,25 +622,6 @@ class TestScanCommand:
         assert seen == [[replaced.get(i, ax.tolist())
                          for i, ax in enumerate(reference)]]
 
-    # scans run in one process and --workers is gone: every value, the
-    # former out-of-range ones included, exits 2 naming the flag, and no
-    # worker pool is started
-    @pytest.mark.parametrize("workers", ["0", "-3", "nan", "3"])
-    def test_workers_out_of_range_exits_2(self, workers, tmp_path, capsys,
-                                          monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        out_dir = tmp_path / "w"
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", f"--workers={workers}", "--u0", "1,2,2",
-                  "--u1=-1,1,2", "--output-dir", str(out_dir), "--quiet"])
-        assert exc.value.code == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["code"] == 2 and "--workers" in err["error"]
-        assert not out_dir.exists()
-
     @pytest.mark.parametrize("axis", [["--u0", "0.1,10,0"],
                                       ["--u1=-10,10,0"]])
     def test_empty_axis_exits_2(self, axis, tmp_path, capsys, monkeypatch):
@@ -793,9 +778,15 @@ def test_fuzzed_flags_exit_cleanly(command, tmp_path):
     assert not faults
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(tmp_path):
+    # the child imports the package the suite imported, whether that came
+    # from an install, PYTHONPATH or pytest's pythonpath setting
+    import hhlab
+    paths = [str(Path(hhlab.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "hhlab.cli", "ladder", "--k-max", "3",
-         "--quiet", "--output-dir", "/tmp/hhlab-entry-test"],
-        capture_output=True, text=True)
+         "--quiet", "--output-dir", str(tmp_path / "entry")],
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0

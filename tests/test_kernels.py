@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhlab.errors import KernelDomainError
-from hhlab.kernels import (_LEVELS, _MERGE_FRACTION, _composition_integral,
-                           _composition_mesh, _unit_mesh, green_ball,
-                           riesz_compose_check, riesz_constant)
-from hhlab.numerics import (graded_breaks, panel_quadrature,
-                            sin_power_integral, surface_area)
+from hhlab.kernels import (_LEVELS, _MERGE_FRACTION, _OUTER_RADIUS,
+                           _composition_integral, _composition_mesh,
+                           _unit_mesh, green_ball, riesz_compose_check,
+                           riesz_constant)
+from hhlab.numerics import (geometric_breaks, graded_breaks,
+                            panel_quadrature, sin_power_integral,
+                            surface_area)
 from hhlab.liouville import representation_check
 from hhlab.radial import RadialField, RadialGrid
 
@@ -185,7 +187,7 @@ def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
     """The composition integral with its full-size broadcast integrand on a
     mesh built afresh at unit distance, times d^(alpha1+alpha2-n); the
     oracle for the blocked evaluation on the cached mesh."""
-    r_breaks = _composition_mesh(n_sing, 12)
+    r_breaks = _composition_mesh(n_sing)
     r_nodes, r_weights = panel_quadrature(r_breaks, order)
     theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
     t_nodes, t_weights = panel_quadrature(theta_breaks, order)
@@ -279,6 +281,17 @@ def test_blocked_angular_rules_match_full_mesh(n, u1, u2):
         oracle = _broadcast_composition_integral(alpha1, alpha2, 1.0, n,
                                                  *level)
         assert blocked == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_far_breaks_end_exactly_at_the_outer_radius(level):
+    # past the 3 n_sing graded panels the mesh is geometric_breaks to 400,
+    # whose last break is the outer radius itself
+    n_sing = level[0]
+    far = geometric_breaks(2.0, 400.0, 1.7)
+    breaks = _composition_mesh(n_sing)
+    np.testing.assert_array_equal(breaks[3 * n_sing:], far)
+    assert breaks[-1] == _OUTER_RADIUS
 
 
 @pytest.mark.parametrize("level", _LEVELS)

@@ -78,8 +78,8 @@ class TestAdvance:
         params = HardyHenonParams(4, 2, 0.0, 2.0)
         for log_alpha in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError, match="exponent alpha"):
-                LadderState(0, 0.0, math.inf, 1.0, 0.0, params, log_alpha)
-        s = LadderState(0, 0.0, math.inf, 1.0, 0.0, params, 900.0)
+                LadderState(0, 0.0, math.inf, 1.0, params, log_alpha)
+        s = LadderState(0, 0.0, math.inf, 1.0, params, 900.0)
         assert s.log_alpha == 900.0
 
     def test_state_validation(self):
@@ -87,9 +87,9 @@ class TestAdvance:
         with pytest.raises(ValueError):
             LadderState.initial(-1.0, params)
         with pytest.raises(ValueError):
-            LadderState(0, 0.0, 0.5, 1.0, 0.0, params)
+            LadderState(0, 0.0, 0.5, 1.0, params, math.log(0.5))
         with pytest.raises(ValueError):
-            LadderState(0, 0.0, 1.0, 1.5, 0.0, params)
+            LadderState(0, 0.0, 1.0, 1.5, params, 0.0)
 
     @pytest.mark.parametrize("l0", [math.nan, math.inf])
     def test_rejects_non_finite_l0(self, l0):

@@ -19,6 +19,13 @@ from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           iterated_green, rescale, weighted_cumulative)
 
 
+# (n, m, p, t, nodes) of the 13 solve commands of perfbench's navier-sweep
+PERFBENCH_SOLVES = (
+    [(4, 2, p, t, 513) for p in (1.5, 2.0, 3.0) for t in (0.0, 0.5)]
+    + [(n, m, 2.0, 0.0, 513) for n, m in ((3, 2), (5, 3), (6, 3), (8, 4))]
+    + [(4, 2, 2.0, 0.0, k) for k in (257, 1025, 2049)])
+
+
 def linearisation_ratios(u: RadialField, prob: NavierProblem):
     """p (1 - t G^m(1)/u) on r < R. At a fixed point it equals
     p G^m(u^(p-1) u) / u, so by Collatz-Wielandt its min and max bound the
@@ -352,6 +359,18 @@ class TestNewtonSolver:
         assert hist[-1] <= navier._NEWTON_TOL
         assert hist[-1] == pytest.approx(unit_solution.residual, rel=1e-6)
 
+    def test_newton_stops_below_the_certified_residual(self):
+        # solve_positive reports the residual Newton stopped at and makes no
+        # check of its own against FIXED_POINT_TOL
+        assert navier._NEWTON_TOL < navier.FIXED_POINT_TOL
+
+    @pytest.mark.parametrize("n,m,p,t,nodes", PERFBENCH_SOLVES)
+    def test_residual_is_the_last_newton_residual(self, n, m, p, t, nodes):
+        prob = NavierProblem(HardyHenonParams(n, m, 0.0, p, t), 1.0)
+        sol = solve_positive(prob, prob.default_grid(nodes))
+        assert sol.residual == sol.stats.newton_residuals[-1]
+        assert sol.residual <= navier._NEWTON_TOL
+
     @pytest.mark.parametrize("garbage", ["nan", "random", "failure"])
     def test_garbage_gmres_raises_convergence_error(self, garbage,
                                                     monkeypatch):
@@ -646,10 +665,7 @@ class TestMonotonicity:
         with pytest.raises(GridError):
             radial_monotonicity_check(u, RadialField.constant(g, 8.0), 4)
 
-    @pytest.mark.parametrize("n,m,p,t,nodes", [
-        (4, 2, p, t, 513) for p in (1.5, 2.0, 3.0) for t in (0.0, 0.5)]
-        + [(n, m, 2.0, 0.0, 513) for n, m in ((3, 2), (5, 3), (6, 3), (8, 4))]
-        + [(4, 2, 2.0, 0.0, k) for k in (257, 1025, 2049)])
+    @pytest.mark.parametrize("n,m,p,t,nodes", PERFBENCH_SOLVES)
     def test_chain_derivative_matches_the_spline_route(self, n, m, p, t,
                                                        nodes):
         # the check's running integral of r^(n-1) u_1, from the grid's
