@@ -1,11 +1,10 @@
 """Certificate registry: one function per claim of the paper.
 
 Each function computes the evidence for one claim and returns `Check`s
-(name, equation tag, value, bound, verdict). Apart from
-`navier.build_certificates`, which writes the six certificates every Navier
-solution carries (`fixed-point-residual` to `radial-monotonicity`), this
-module is the only place a check's bound or tag is written; the subcommands
-and `report` call these functions and serialise what they return.
+(name, equation tag, value, bound, verdict). A check's bound or tag is
+written only here and in `navier.build_certificates`, whose six checks
+(`fixed-point-residual` to `radial-monotonicity`) every Navier solution
+carries; the subcommands and `report` call these and serialise the result.
 
 Package functions are reached through their modules (`K.riesz_compose_check`,
 not an imported name), so that a tracer which rebinds them sees every call.
