@@ -63,12 +63,10 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(args, name: str, payload: dict) -> None:
-    path = _out_dir(args) / name
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    (_out_dir(args) / name).write_text(text)
     if not args.quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(text)
 
 
 def _finish(args, command: str, checks, **fields) -> int:
@@ -188,6 +186,10 @@ def cmd_shoot(args) -> int:
 def cmd_scan(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
+        for layer, flag in enumerate(("u0", "u1", "higher")):
+            if getattr(args, flag) is not None and layer >= args.m:
+                raise ValueError(f"--{flag} sets an origin layer that "
+                                 f"m = {args.m} does not have")
         axes = LV.reference_axes(params)   # each axis flag replaces its axis
         for i, spec in enumerate([args.u0, args.u1][:args.m]):
             if spec is not None:
@@ -428,11 +430,13 @@ def _dispatch_parser(argv: list) -> _Parser:
     return parser
 
 
-def _apply_config(argv: list) -> list:
+def _apply_config(argv: list, parser: _Parser) -> list:
     """Load INI defaults for the subcommand argv[0]; flags still override.
     The file is named by `--config PATH` or `--config=PATH`. A key is its
     flag's name without the dashes, `_` standing for `-`, and keeps its
-    case as on the command line: `R = 2` sets `--R`."""
+    case as on the command line: `R = 2` sets `--R`. The key of a flag
+    that takes no value in `parser` (`--quiet`) is a boolean in
+    `ConfigParser.getboolean`'s words: true adds the bare flag."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -457,8 +461,18 @@ def _apply_config(argv: list) -> list:
     injected = []
     for key, value in items:
         flag = "--" + key.replace("_", "-")
+        # argparse internals: the parser's map from option string to action
+        action = parser._option_string_actions.get(flag)
+        tokens = [flag, value]
+        if action is not None and action.nargs == 0:
+            on = cp.BOOLEAN_STATES.get(value.lower())
+            if on is None:
+                raise SystemExit(_config_error(
+                    f"config key {key!r} takes a boolean (true/false, "
+                    f"yes/no, on/off, 1/0), got {value!r}"))
+            tokens = [flag] if on else []
         if flag not in argv:
-            injected.extend([flag, value])
+            injected.extend(tokens)
     return [command] + injected + argv[1:]
 
 
@@ -466,8 +480,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] not in _COMMANDS:
         _dispatch_parser(argv).parse_args(argv)   # exits: help or a JSON error
-    argv = _apply_config(argv)
-    args = command_parser(argv[0]).parse_args(argv[1:])
+    parser = command_parser(argv[0])
+    args = parser.parse_args(_apply_config(argv, parser)[1:])
     try:
         # a floating-point fault surfaces through the finiteness checks as
         # a JSON error, never as a numpy warning on stderr

@@ -158,7 +158,7 @@ def ladder_closed_form(k: int, l0: float, s0: LadderState) -> ClosedFormBound:
     log_l0 = math.log(l0)
     log_c0 = math.log(s0.C0)
     log_2p = math.log(2.0 * p)
-    log_a0 = math.log(s0.alpha)
+    log_a0 = s0.log_alpha
     pk = p ** k
     geom = (pk - 1.0) / (p - 1.0)
     # sum_{j=1..k} j p^(k-j) = (p^(k+1) - p - k(p-1)) / (p-1)^2

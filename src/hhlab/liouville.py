@@ -156,17 +156,6 @@ def _check_origin_weight(params: HardyHenonParams) -> None:
                          "with an explicit state instead")
 
 
-def taylor_start(init: Sequence[float], params: HardyHenonParams,
-                 r0: float) -> np.ndarray:
-    """Second-order Taylor state at r0 from origin values of the layers:
-    `taylor_starts` of the one cell `init`."""
-    init = np.asarray(init, dtype=float)
-    if init.shape != (params.m,):
-        raise ValueError(f"need {params.m} origin values, got shape "
-                         f"{init.shape}")
-    return taylor_starts(init[None], params, r0)[0]
-
-
 def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     """Second-order Taylor states at r0 of every row of `cells` (cells,
     m) of origin values, as one (cells, 2m) array.
@@ -303,7 +292,10 @@ def shoot_start(init: Sequence[float], params: HardyHenonParams,
     checks: a finite span, m finite origin values, u(0) > 0."""
     _check_run(DEFAULT_R0, r_max, DEFAULT_RTOL, DEFAULT_ATOL)
     init = np.asarray(init, dtype=float)
-    y0 = taylor_start(init, params, DEFAULT_R0)
+    if init.shape != (params.m,):
+        raise ValueError(f"need {params.m} origin values, got shape "
+                         f"{init.shape}")
+    y0 = taylor_starts(init[None], params, DEFAULT_R0)[0]
     if init[0] <= 0.0:
         raise ValueError("origin value u(0) must be positive")
     return y0
@@ -320,12 +312,11 @@ def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
 
 def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
                r_max: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL,
-               classify: bool = True) -> ShootingOutcome:
+               atol: float = DEFAULT_ATOL) -> ShootingOutcome:
     """Integrate from an explicit full state (u_i, u_i') at r0 > 0.
 
-    With classify=False the trajectory runs to r_max regardless of sign
-    changes (used to track reference profiles such as the singular
+    The trajectory runs to r_max regardless of sign changes, ending only on
+    a blow-up (used to track reference profiles such as the singular
     power-law solution, which has sign-changing layers).
     """
     _check_run(r0, r_max, rtol, atol)
@@ -334,7 +325,7 @@ def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
         raise ValueError(f"state must have length {2 * params.m}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("state must be finite")
-    return _classify(params, r0, y0, r_max, rtol, atol, classify=classify)
+    return _classify(params, r0, y0, r_max, rtol, atol, classify=False)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,6 @@ class ScanRecord(NamedTuple):
 @dataclass(frozen=True)
 class ScanResult:
     params: HardyHenonParams
-    r_max: float
     records: tuple
 
     @property
@@ -361,10 +351,7 @@ class ScanResult:
         counts: dict = {k.value: 0 for k in OutcomeKind}
         counts["IntegratorFailure"] = 0
         for rec in self.records:
-            if rec.error is not None:
-                counts["IntegratorFailure"] += 1
-            else:
-                counts[rec.kind] += 1
+            counts[rec.kind] += 1
         counts["cells"] = len(self.records)
         counts["all_positive_survivors"] = counts[OutcomeKind.SURVIVED.value]
         return counts
@@ -378,8 +365,8 @@ class ScanResult:
             layer = "" if rec.layer is None else str(rec.layer)
             growth = "" if rec.growth_fit is None \
                 else f"{rec.growth_fit:.17g}"
-            kind = rec.kind if rec.error is None else "IntegratorFailure"
-            fh.write(f"{vals},{kind},{layer},{rec.r_star:.17g},{growth}\n")
+            fh.write(f"{vals},{rec.kind},{layer},{rec.r_star:.17g},"
+                     f"{growth}\n")
 
 
 def _scan_record(init, out: ShootingOutcome) -> ScanRecord:
@@ -469,7 +456,7 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
     """
     _check_run(DEFAULT_R0, r_max, rtol, atol)
     cells = scan_cells(init_axes, params, r_max)
-    return ScanResult(params, r_max,
+    return ScanResult(params,
                       tuple(_scan_lanes(cells, params, r_max, rtol, atol)))
 
 
@@ -492,13 +479,11 @@ def bubble_amplitude(n: int) -> float:
     return (n * (n - 2.0)) ** ((n - 2.0) / 4.0)
 
 
-def bubble_oracle(n: int, grid: Optional[RadialGrid] = None) -> RadialField:
+def bubble_oracle(n: int, grid: RadialGrid) -> RadialField:
     """The explicit entire profile (n(n-2))^((n-2)/4) (1+r^2)^(-(n-2)/2),
-    solving -Lap u = u^((n+2)/(n-2)) in R^n."""
+    solving -Lap u = u^((n+2)/(n-2)) in R^n, on `grid`."""
     if n < 3:
         raise ValueError("bubble profile requires n >= 3")
-    if grid is None:
-        grid = RadialGrid.uniform(0.0, 10.0, 10001)
     amp = bubble_amplitude(n)
     return RadialField(grid, amp * (1.0 + grid.nodes ** 2)
                        ** (-(n - 2.0) / 2.0))

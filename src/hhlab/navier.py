@@ -510,12 +510,10 @@ def build_certificates(layers: tuple, residual: float, eig: EigenPair,
 # Certificates
 # ---------------------------------------------------------------------------
 
-def torsion_function(problem: NavierProblem,
-                     grid: Optional[RadialGrid] = None) -> RadialField:
-    """Solution of -Lap h = 1 on the ball with zero boundary data."""
-    if grid is None:
-        grid = problem.default_grid()
-    ones = RadialField.constant(grid, 1.0)
+def torsion_function(problem: NavierProblem) -> RadialField:
+    """Solution of -Lap h = 1 on the ball with zero boundary data, on the
+    problem's default grid."""
+    ones = RadialField.constant(problem.default_grid(), 1.0)
     return poisson_solve_ball(ones, problem.R, problem.params.n)
 
 

@@ -282,14 +282,6 @@ def _panel_weights(r, n: int):
     return weights
 
 
-def _integrate_panels(c, weights):
-    """Running integral from r_0 to every node, from the spline coefficients
-    of each panel and their exact panel weights."""
-    panel = c[0] * weights[0] + c[1] * weights[1] + c[2] * weights[2] \
-        + c[3] * weights[3]
-    return np.concatenate([[0.0], np.cumsum(panel)])
-
-
 def _slope_weights(r, n: int):
     """(A, B, C / h, D) of `_GreenSolve`: the integral of t^(n-1) times the
     spline over panel j is A_j s_j + B_j s_{j+1} + C_j m_j + D_j y_j."""
@@ -305,7 +297,10 @@ def weighted_cumulative(r, vals, n: int):
     panel (binomial expansion about each panel's left node, so no
     cancellation). Uniformly fourth-order accurate; exact when the spline
     reproduces f."""
-    return _integrate_panels(CubicSpline(r, vals).c, _panel_weights(r, n))
+    c = CubicSpline(r, vals).c
+    w = _panel_weights(r, n)
+    panel = c[0] * w[0] + c[1] * w[1] + c[2] * w[2] + c[3] * w[3]
+    return np.concatenate([[0.0], np.cumsum(panel)])
 
 
 class _GreenSolve:

@@ -166,7 +166,7 @@ class _DormandPrince:
     """Right-hand side and tolerances of either stepper. Both read the
     module's step limits MAX_STEPS and H_MIN_FACTOR as they integrate."""
 
-    def __init__(self, rhs: Callable, rtol: float = 1e-8, atol: float = 1e-10):
+    def __init__(self, rhs: Callable, rtol: float, atol: float):
         self.rhs = rhs
         self.rtol = rtol
         self.atol = atol

@@ -153,7 +153,11 @@ class TestErrorClasses:
         (["ladder", "--l0=-3"], "hhlab.ladder.ladder_table"),
         (["ladder", "--alpha0", "0.5"], "hhlab.ladder.ladder_table"),
         (["ladder", "--M=-0.5"], "hhlab.ladder.ladder_table"),
-        (["scan", "--a", "2.5"], "hhlab.liouville.scan")])
+        (["scan", "--a", "2.5"], "hhlab.liouville.scan"),
+        (["scan", "--n", "2", "--m", "1", "--p", "3", "--u0", "0.5,2,3",
+          "--u1", "1,2,3", "--r-max", "5"], "hhlab.liouville.scan"),
+        (["scan", "--m", "2", "--u0", "0.5,2,2", "--u1", "1,2,2",
+          "--higher", "7", "--r-max", "5"], "hhlab.liouville.scan")])
     def test_input_checked_before_numerics(self, args, numerics, tmp_path,
                                            capsys, monkeypatch):
         def no_numerics(*a, **k):
@@ -386,6 +390,39 @@ class TestConfigAndFlags:
         code, out = run_cli([command, "--config", str(cfg)], tmp_path)
         assert code == 0
         assert read_json(out, f"{command}.json")[field] == value
+
+    @pytest.mark.parametrize("word,quiet", [
+        ("true", True), ("Yes", True), ("1", True), ("off", False),
+        ("false", False)])
+    def test_config_sets_a_flag_that_takes_no_value(self, word, quiet,
+                                                    tmp_path, capsys):
+        # `quiet = <boolean>` adds the bare --quiet or nothing
+        cfg = tmp_path / "q.ini"
+        cfg.write_text(f"[eigen]\nnodes = 257\nquiet = {word}\n")
+        out_dir = tmp_path / "out"
+        code = main(["eigen", "--config", str(cfg), "--output-dir",
+                     str(out_dir)])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        if quiet:
+            assert stdout == ""
+        else:
+            assert json.loads(stdout) == read_json(out_dir, "eigen.json")
+
+    def test_config_flag_that_takes_no_value_needs_a_boolean(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "q.ini"
+        cfg.write_text("[eigen]\nquiet = maybe\n")
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--config", str(cfg), "--output-dir",
+                  str(out_dir)])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 2 and "'quiet'" in err["error"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("content", [
         b"n = 4\n",                          # no section header
@@ -621,6 +658,19 @@ class TestScanCommand:
         reference = LV.reference_axes(HardyHenonParams(4, m, 0.0, 2.0))
         assert seen == [[replaced.get(i, ax.tolist())
                          for i, ax in enumerate(reference)]]
+
+    @pytest.mark.parametrize("m,flag", [("1", "--u1"), ("2", "--higher")])
+    def test_axis_flag_without_its_layer_exits_2(self, m, flag, tmp_path,
+                                                 capsys):
+        value = "1,2,2" if flag == "--u1" else "7"
+        code = main(["scan", "--m", m, flag, value, "--output-dir",
+                     str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 2
+        assert flag in err["error"] and f"m = {m}" in err["error"]
 
     @pytest.mark.parametrize("axis", [["--u0", "0.1,10,0"],
                                       ["--u1=-10,10,0"]])

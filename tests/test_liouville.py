@@ -17,7 +17,7 @@ from hhlab.liouville import (DEFAULT_BLOW_THRESHOLD, DEFAULT_R0,
                              DEFAULT_SIGN_TOL, OutcomeKind, bubble_amplitude,
                              bubble_oracle, reference_axes,
                              representation_check, scan, shoot, shoot_from,
-                             taylor_start)
+                             shoot_start)
 from hhlab.navier import kelvin_transform
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           radial_laplacian, singular_solution)
@@ -46,13 +46,13 @@ class TestShoot:
 
     def test_singular_solution_tracking(self):
         # start exactly on C r^(-sigma); layers alternate sign so the run
-        # uses classify=False; the trajectory must follow the profile
+        # with shoot_from, which tracks through sign changes; the trajectory
+        # must follow the profile
         sigma, C = singular_solution(CRITICAL)
         r0, r_max = 0.5, 6.0
         state = [C * r0 ** -sigma, -sigma * C * r0 ** (-sigma - 1),
                  -8.0 * C * r0 ** -6.0, 48.0 * C * r0 ** -7.0]
-        out = shoot_from(state, r0, CRITICAL, r_max, rtol=1e-12, atol=1e-14,
-                         classify=False)
+        out = shoot_from(state, r0, CRITICAL, r_max, rtol=1e-12, atol=1e-14)
         assert out.kind is OutcomeKind.SURVIVED
         exact = C * out.trace_r ** -sigma
         rel = np.max(np.abs(out.trace_y[:, 0] - exact) / exact)
@@ -108,7 +108,7 @@ class TestShoot:
             shoot([1.0, 1.0], params, 10.0)
 
     def test_taylor_start_consistency(self):
-        y = taylor_start([2.0, 3.0], CRITICAL, 1e-6)
+        y = hhlab.liouville.taylor_starts([[2.0, 3.0]], CRITICAL, 1e-6)[0]
         # u(r0) = u(0) - u1(0) r0^2 / (2n)
         assert y[0] == pytest.approx(2.0 - 3.0 * 1e-12 / 8.0)
         assert y[1] == pytest.approx(-3.0 * 1e-6 / 4.0)
@@ -454,8 +454,7 @@ def reference_taylor_start(init, params, r0):
 
 class TestTaylorStarts:
     """`taylor_starts` builds every cell's start at once; cell by cell it
-    must give the layer loop of `reference_taylor_start`, bit for bit, and
-    `taylor_start` must give the same for one cell."""
+    must give the layer loop of `reference_taylor_start`, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 8), m=st.integers(1, 4),
@@ -481,7 +480,6 @@ class TestTaylorStarts:
         for cell, start in zip(init, starts):
             want = _bits(reference_taylor_start(cell, params, r0).tolist())
             assert _bits(start.tolist()) == want
-            assert _bits(taylor_start(cell, params, r0).tolist()) == want
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_overflowing_power_is_a_sign_loss_at_r0(self, m):
@@ -532,7 +530,7 @@ class TestTaylorStarts:
         ([1.0, 1.0], HardyHenonParams(4, 2, 2.0, 2.0), "a < 2")])
     def test_one_cell_checks(self, init, params, message):
         with pytest.raises(ValueError, match=message):
-            taylor_start(init, params, DEFAULT_R0)
+            shoot_start(init, params, 10.0)
 
 
 class TestClassificationStability:
@@ -571,7 +569,9 @@ def _scipy_classify(init, params, r_max):
     blow_event.terminal, blow_event.direction = True, 1
 
     sol = solve_ivp(rhs, (DEFAULT_R0, r_max),
-                    taylor_start(init, params, DEFAULT_R0), method="DOP853",
+                    hhlab.liouville.taylor_starts([init], params,
+                                                  DEFAULT_R0)[0],
+                    method="DOP853",
                     rtol=1e-12, atol=1e-14,
                     events=[sign_event(i) for i in range(m)] + [blow_event])
     hits = [(ts[0], k) for k, ts in enumerate(sol.t_events) if ts.size]
@@ -613,7 +613,7 @@ class TestBubbleOracle:
         assert u.values[0] == pytest.approx((n * (n - 2.0)) ** ((n - 2) / 4))
 
     def test_pde_residual(self):
-        u = bubble_oracle(4)  # default grid: h = 1e-3 on [0, 10]
+        u = bubble_oracle(4, RadialGrid.uniform(0.0, 10.0, 10001))
         lap = radial_laplacian(u, 4)
         residual = np.max(np.abs(lap.values - u.values ** 3))
         assert residual < 1e-8
@@ -649,6 +649,20 @@ class TestRepresentationCheck:
         check = representation_check(RadialField.constant(grid, 0.0), 5)
         assert check.potential_at_0 == 0.0
         assert check.direct == 0.0
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_registry_check_fails_a_truncated_representation(
+            self, truncated, monkeypatch):
+        # the exact potential passes `bubble-representation` only with the
+        # source's tail accounted for, as the acceptance battery requires
+        import hhlab.checks
+        target = 2.0 * math.sqrt(2.0)
+        monkeypatch.setattr(hhlab.liouville, "representation_check",
+                            lambda f, n: hhlab.liouville.RepresentationCheck(
+                                target, target, 0.0, truncated))
+        check = hhlab.checks.bubble_representation()
+        assert check.value == target
+        assert check.ok is not truncated
 
     def test_slow_decay_flagged(self):
         grid = RadialGrid.uniform(0.0, 20.0, 2049)

@@ -16,7 +16,8 @@ from hhlab.navier import (NavierProblem, apply_K,
                           shooting_oracle_sup_norm, solve_positive,
                           torsion_bound_check, torsion_function)
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
-                          iterated_green, rescale, weighted_cumulative)
+                          iterated_green, poisson_solve_ball, rescale,
+                          weighted_cumulative)
 
 
 # (n, m, p, t, nodes) of the 13 solve commands of perfbench's navier-sweep
@@ -498,7 +499,9 @@ class TestTorsion:
     @pytest.mark.parametrize("n,R", [(4, 1.0), (6, 1.0), (4, 2.5)])
     def test_exact_formula(self, n, R):
         prob = NavierProblem(HardyHenonParams(n, max(1, n // 2), 0.0, 2.0), R)
-        h = torsion_function(prob, RadialGrid.uniform(0.0, R, 1025))
+        g = RadialGrid.uniform(0.0, R, 1025)
+        # torsion_function's solve, on a uniform grid
+        h = poisson_solve_ball(RadialField.constant(g, 1.0), R, n)
         exact = (R ** 2 - h.grid.nodes ** 2) / (2.0 * n)
         np.testing.assert_allclose(h.values, exact, atol=1e-10)
         assert h.values[-1] == 0.0

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from hhlab.errors import (AmplitudeRangeError, GridError,
                           NonIntegrableSourceError)
-from hhlab.navier import NavierProblem, first_eigenpair, torsion_function
+from hhlab.navier import NavierProblem, first_eigenpair
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           iterated_green, poisson_solve_ball,
                           polyharmonic_apply, radial_laplacian, rescale,
@@ -232,8 +232,6 @@ class TestPoissonSolve:
             poisson_solve_ball(RadialField.constant(g, 1.0), 1.0, 4)
         with pytest.raises(GridError):
             first_eigenpair(problem, grid=g)
-        with pytest.raises(GridError):
-            torsion_function(problem, grid=g)
 
     def test_solve_then_laplacian_recovers_source(self):
         g = RadialGrid.uniform(0.0, 1.0, 801)
@@ -492,8 +490,7 @@ class TestSingularSolutionSuperCritical:
             s = sigma + 2 * i
             state += [coef * r0 ** -s, -s * coef * r0 ** (-s - 1)]
             coef *= s * (n - 2 - s)
-        out = shoot_from(state, r0, params, 3.0, rtol=1e-12, atol=1e-14,
-                         classify=False)
+        out = shoot_from(state, r0, params, 3.0, rtol=1e-12, atol=1e-14)
         exact = amplitude * out.trace_r ** -sigma
         assert np.max(np.abs(out.trace_y[:, 0] - exact) / exact) < 1e-8
 

@@ -10,6 +10,10 @@ import hhlab.rk
 from hhlab.errors import IntegratorError
 from hhlab.rk import AdaptiveRK, LaneRK, StepRecord, hermite_crossing
 
+# the step control most tests below were written at; the package's own
+# callers pass liouville's DEFAULT_RTOL/DEFAULT_ATOL
+TOLS = {"rtol": 1e-8, "atol": 1e-10}
+
 
 def collect(records):
     def callback(rec):
@@ -49,7 +53,7 @@ class TestAccuracy:
     def test_state_is_floats_and_input_is_not_aliased(self):
         y0 = [1.0, 2.0]
         records = []
-        AdaptiveRK(lambda t, y: [y[1], -y[0]]).integrate(
+        AdaptiveRK(lambda t, y: [y[1], -y[0]], **TOLS).integrate(
             0.0, y0, 1.0, collect(records))
         assert y0 == [1.0, 2.0]
         assert all(type(v) is float for v in records[-1].y1)
@@ -68,7 +72,7 @@ class TestControl:
             return [math.nan] if len(calls) == poisoned + 1 else [1.0]
 
         records = []
-        AdaptiveRK(rhs).integrate(0.0, [0.0], 1.0, collect(records))
+        AdaptiveRK(rhs, **TOLS).integrate(0.0, [0.0], 1.0, collect(records))
         steps = [rec.t1 - rec.t0 for rec in records]
         assert steps[:3] == pytest.approx([1e-7, 5e-7, 2.5e-6], rel=1e-9)
         assert steps[3] == pytest.approx(0.25 * 5 * steps[2], rel=1e-9)
@@ -80,14 +84,15 @@ class TestControl:
     def test_step_size_underflow_raises_with_state(self):
         # y' = y^2, y(0) = 1 blows up at t = 1
         with pytest.raises(IntegratorError, match="underflow") as info:
-            AdaptiveRK(lambda t, y: [y[0] * y[0]]).integrate(0.0, [1.0], 2.0)
+            AdaptiveRK(lambda t, y: [y[0] * y[0]], **TOLS).integrate(
+                0.0, [1.0], 2.0)
         t, y = info.value.state
         assert abs(t - 1.0) < 1e-6
         assert y[0] > 1e6
 
     def test_exhausted_step_budget_raises_with_state(self, monkeypatch):
         monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 10)
-        integ = AdaptiveRK(lambda t, y: [-y[0]], rtol=1e-10)
+        integ = AdaptiveRK(lambda t, y: [-y[0]], rtol=1e-10, atol=1e-10)
         with pytest.raises(IntegratorError, match="budget") as info:
             integ.integrate(0.0, [1.0], 10.0)
         t, y = info.value.state
@@ -105,15 +110,15 @@ class TestControl:
             seen.append(rec.t1)
             return ("stop", rec.t1) if rec.t1 >= 1.0 else None
 
-        out = AdaptiveRK(rhs).integrate(0.0, [0.0], 10.0, callback)
+        out = AdaptiveRK(rhs, **TOLS).integrate(0.0, [0.0], 10.0, callback)
         assert out == ("stop", seen[-1])
         assert seen[-2] < 1.0 <= seen[-1] < 10.0
         # the last evaluation is the FSAL stage at the end of that step
         assert times[-1] == seen[-1]
 
     def test_integration_to_the_end_returns_none(self):
-        assert AdaptiveRK(lambda t, y: [1.0]).integrate(0.0, [0.0], 1.0) \
-            is None
+        assert AdaptiveRK(lambda t, y: [1.0], **TOLS).integrate(
+            0.0, [0.0], 1.0) is None
 
 
 def cubic(t):
@@ -286,9 +291,9 @@ class TestLaneRK:
 
         rates = [1.0, 2.0, 40.0]
         (results, t, _), _ = self.lane_run(rhs, [[0.0, k] for k in rates],
-                                           3.0, stop)
+                                           3.0, stop, **TOLS)
         for i, k in enumerate(rates):
-            out, records = self.float_run(rhs, [0.0, k], 3.0, stop)
+            out, records = self.float_run(rhs, [0.0, k], 3.0, stop, **TOLS)
             assert results[i] == out
             assert t[i] == records[-1].t1
         # the fast lane never reaches 0.5 and runs to the end
@@ -304,9 +309,9 @@ class TestLaneRK:
                 return [math.inf, 0.0]
 
         starts = [[2.0, 1.0], [-1.0, 1.0], [1e150, 1e150]]
-        (results, t, y), _ = self.lane_run(rhs, starts, 2.0)
+        (results, t, y), _ = self.lane_run(rhs, starts, 2.0, **TOLS)
         for i, y0 in enumerate(starts):
-            out, records = self.float_run(rhs, y0, 2.0)
+            out, records = self.float_run(rhs, y0, 2.0, **TOLS)
             if isinstance(out, IntegratorError):
                 assert isinstance(results[i], IntegratorError)
                 assert str(results[i]) == str(out)
@@ -349,10 +354,11 @@ class TestLaneRK:
                     float(t0[k]), float(t1[k]), ya[k].tolist(),
                     yb[k].tolist(), fa[k].tolist(), fb[k].tolist()))
 
-        LaneRK(lane_rhs).integrate(0.0, [[0.0, 0.0], [0.0, 1.0]], 1.0,
-                                   callback)
-        _, clean = self.float_run(lambda t, y: [1.0, 0.0], [0.0, 0.0], 1.0)
-        _, retried = self.float_run(float_rhs(), [0.0, 1.0], 1.0)
+        LaneRK(lane_rhs, **TOLS).integrate(0.0, [[0.0, 0.0], [0.0, 1.0]], 1.0,
+                                           callback)
+        _, clean = self.float_run(lambda t, y: [1.0, 0.0], [0.0, 0.0], 1.0,
+                                  **TOLS)
+        _, retried = self.float_run(float_rhs(), [0.0, 1.0], 1.0, **TOLS)
         assert records[0.0] == clean and records[1.0] == retried
         steps = [rec.t1 - rec.t0 for rec in retried]
         assert steps[3] == pytest.approx(0.25 * 5 * steps[2], rel=1e-9)
@@ -363,16 +369,18 @@ class TestLaneRK:
 
         monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 20)
         starts = [[1.0, 0.0], [1.0, 50.0]]
-        (results, t, y), _ = self.lane_run(rhs, starts, 10.0, rtol=1e-10)
+        (results, t, y), _ = self.lane_run(rhs, starts, 10.0, rtol=1e-10,
+                                           atol=1e-10)
         # a zero rate has zero error, so the step grows fivefold each time
         assert results[0] is None and t[0] == 10.0
-        out, _ = self.float_run(rhs, starts[1], 10.0, rtol=1e-10)
+        out, _ = self.float_run(rhs, starts[1], 10.0, rtol=1e-10,
+                                atol=1e-10)
         assert isinstance(results[1], IntegratorError)
         assert "budget" in str(results[1])
         assert results[1].state == out.state
 
     def test_no_lanes(self):
-        results, t, y = LaneRK(lanes_of(lambda t, y: y)).integrate(
+        results, t, y = LaneRK(lanes_of(lambda t, y: y), **TOLS).integrate(
             0.0, np.empty((0, 2)), 1.0)
         assert results == [] and t.shape == (0,) and y.shape == (0, 2)
 
@@ -553,14 +561,14 @@ class TestGeneratedStep:
     def test_integrate_compiles_one_step_per_dimension(self, monkeypatch):
         monkeypatch.setattr(hhlab.rk, "_FLOAT_STEPS", {})
         for dim in (1, 2, 2, 5, 1):
-            AdaptiveRK(lambda t, y: [-v for v in y]).integrate(
+            AdaptiveRK(lambda t, y: [-v for v in y], **TOLS).integrate(
                 0.0, [1.0] * dim, 1.0)
         assert sorted(hhlab.rk._FLOAT_STEPS) == [1, 2, 5]
 
     def test_rhs_is_read_at_every_step(self):
         # a right-hand side replaced after construction is the one called
         calls = []
-        integ = AdaptiveRK(lambda t, y: [0.0])
+        integ = AdaptiveRK(lambda t, y: [0.0], **TOLS)
 
         def counted(t, y):
             calls.append(t)
