@@ -8,21 +8,29 @@ carries; the subcommands and `report` call these and serialise the result.
 
 Package functions are reached through their modules (`K.riesz_compose_check`,
 not an imported name), so that a tracer which rebinds them sees every call.
+Only `kernels` is imported at module level: it is all `kernels-selftest`
+needs. `ladder`, `liouville`, `navier` and `radial` each load scipy (the first
+two through `radial`), so the functions that call them import them. Such an
+import binds the module object, not its functions, so the tracer still sees
+every call.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels as K
-from . import ladder as L
-from . import liouville as LV
-from . import navier as NV
-from . import radial as RD
 from .errors import AmplitudeRangeError
 from .numerics import Check
+
+if TYPE_CHECKING:
+    from . import ladder as L
+    from . import liouville as LV
+    from . import navier as NV
+    from . import radial as RD
 
 CONSTANT_TOL = 1e-12        # Riesz constants, Green symmetry
 GREEN_BOUNDARY_TOL = 1e-9   # |G| next to the sphere
@@ -94,6 +102,9 @@ def riesz_composition(gaps: list) -> Check:
 def monomial_coefficient() -> Check:
     """eq:2-31: one radial double integration of r^beta on the unit ball
     has u(0) = 1/((beta+2)(beta+n))."""
+    from . import ladder as L
+    from . import navier as NV
+    from . import radial as RD
     grid = RD.RadialGrid.graded(0.0, 1.0, NV.DEFAULT_NODES)
     worst = 0.0
     for beta, n in ((0.0, 4), (2.5, 4), (8.0, 6)):
@@ -108,6 +119,8 @@ def monomial_coefficient() -> Check:
 def divergence_threshold() -> Check:
     """eq:2-29 at n = 4, p = 2, a = 0, M = 0: alpha0 = 4 and the threshold
     (2p)^(np/(p-1)^2) alpha0^(n/(p-1)) = 4^8 4^4 = 2^24."""
+    from . import ladder as L
+    from . import radial as RD
     thr = L.divergence_threshold(RD.HardyHenonParams(4, 2, 0.0, 2.0), 0.0)
     return Check("divergence-threshold", "eq:2-29", thr, 16777216.0,
                  abs(thr - 16777216.0) < THRESHOLD_TOL)
@@ -116,6 +129,7 @@ def divergence_threshold() -> Check:
 def ladder_recurrence(s0: L.LadderState, l0: float, rows: list) -> Check:
     """eq:2-38: the first LADDER_ROWS rows (k, log l_k, alpha_k) of the
     recurrence from s0 against the closed form started at l0."""
+    from . import ladder as L
     worst = 0.0
     for k, log_l, _ in rows[:LADDER_ROWS]:
         cf = L.ladder_closed_form(k, l0, s0)
@@ -145,6 +159,7 @@ def singular_solution(params: RD.HardyHenonParams):
     Returns None when no such solution exists, else (sigma, C, u, check).
     Raises AmplitudeRangeError when u or the right side would leave the
     float range on the grid [0.45, 2.05]."""
+    from . import radial as RD
     found = RD.singular_solution(params)
     if found is None:
         return None
@@ -172,6 +187,7 @@ def singular_solution(params: RD.HardyHenonParams):
 def bessel_oracle(problem: NV.NavierProblem) -> float:
     """First Navier eigenvalue of (-Lap)^m on the ball, (j/R)^(2m) with j
     the first zero of J_{n/2-1}."""
+    from . import navier as NV
     n, m = problem.params.n, problem.params.m
     return NV.first_dirichlet_eigenvalue_oracle(n, problem.R) ** m
 
@@ -185,6 +201,7 @@ def eigenvalue_vs_bessel(lambda1: float, oracle: float) -> Check:
 
 def torsion_bound(problem: NV.NavierProblem) -> Check:
     """eq:4-9: the torsion function stays below diam^2/(2n)."""
+    from . import navier as NV
     h = NV.torsion_function(problem)
     return Check("torsion-bound", "eq:4-9", float(np.max(h.values)),
                  problem.torsion_cap, NV.torsion_bound_check(h, problem))
@@ -205,6 +222,8 @@ def bubble_representation() -> Check:
     """eq:2c6: the Riesz potential of u^3 at the origin, u the n = 4
     bubble, is u(0) = 2 sqrt(2), with the source's tail beyond the grid
     accounted for (not truncated)."""
+    from . import liouville as LV
+    from . import radial as RD
     bubble = LV.bubble_oracle(4, RD.RadialGrid.graded(0.0, 20.0, 2049))
     rc = LV.representation_check(bubble.with_values(bubble.values ** 3), 4)
     target = 2.0 * math.sqrt(2.0)

@@ -7,6 +7,10 @@ any fails or the numerics fault, 2 for configuration errors. Every input is
 checked inside its command's configuration guard before any numerics run, so
 an error escaping a command is a numerical fault, never a configuration
 error. Errors go to standard error as machine-readable JSON.
+
+A command imports the modules it runs inside its handler, so `--help` and
+`kernels-selftest` load no scipy; only `checks` (with `kernels`), which
+every certificate goes through, is imported with this module.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import checks as C
-from . import ladder as L
-from . import liouville as LV
-from . import navier as NV
-from . import radial as RD
 from .errors import HHLabError
 
 
@@ -93,6 +93,8 @@ def cmd_kernels_selftest(args) -> int:
 
 
 def cmd_ladder(args) -> int:
+    from . import ladder as L
+    from . import radial as RD
     try:
         params = RD.HardyHenonParams(args.n, max(1, args.n // 2), args.a,
                                      args.p)
@@ -132,6 +134,8 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from . import navier as NV
+    from . import radial as RD
     try:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, 2.0)
         problem = NV.NavierProblem(params, args.R)
@@ -149,6 +153,8 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import navier as NV
+    from . import radial as RD
     try:
         params = RD.HardyHenonParams(args.n, args.m, 0.0, args.p, args.t)
         problem = NV.NavierProblem(params, args.R)
@@ -169,6 +175,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_shoot(args) -> int:
+    from . import liouville as LV
+    from . import radial as RD
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
         init = [float(v) for v in args.init.split(",")]
@@ -184,6 +192,8 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import liouville as LV
+    from . import radial as RD
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
         for layer, flag in enumerate(("u0", "u1", "higher")):
@@ -218,6 +228,7 @@ def _triple(spec: str):
 
 
 def cmd_singular(args) -> int:
+    from . import radial as RD
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
     except ValueError as exc:
@@ -243,6 +254,10 @@ _REPORT_OMITS = ("positive-layers", "boundary-values")
 
 def cmd_report(args) -> int:
     """Condensed certificate battery with one row per check."""
+    from . import ladder as L
+    from . import liouville as LV
+    from . import navier as NV
+    from . import radial as RD
     params = RD.HardyHenonParams(4, 2, 0.0, 2.0)
     problem = NV.NavierProblem(params, 1.0)
     sol = NV.solve_positive(problem, problem.default_grid(257))
@@ -340,16 +355,18 @@ def _ladder_flags(sp):
 
 
 def _eigen_flags(sp):
+    from .navier import DEFAULT_NODES
     _add_shared(sp, "n", "m")
     sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
 
 
 def _solve_flags(sp):
+    from .navier import DEFAULT_NODES
     _add_shared(sp, "n", "m", "p")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--nodes", type=int, default=NV.DEFAULT_NODES)
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
 
 
 def _shoot_flags(sp):

@@ -1,12 +1,12 @@
 """Every name the package exports has a caller outside the unit tests: a
 module of the package, the acceptance battery or the benchmark harness.
 A name that only unit tests reach is either a test oracle, listed with its
-reason, or dead API to delete. The flags of every subcommand are pinned, so
-a flag is added or dropped only together with its table entry. No public
-function takes a tolerance, threshold or budget as a keyword unless a
-caller outside the unit tests sets it."""
+reason, or dead API to delete. The exported names are pinned, so a name is
+added to or dropped from the package's export table only together with its
+entry here; so are the flags of every subcommand, each with its entry in
+CLI_FLAGS. No public function takes a tolerance, threshold or budget as a
+keyword unless a caller outside the unit tests sets it."""
 
-import ast
 import importlib
 import inspect
 import re
@@ -15,6 +15,7 @@ from types import FunctionType
 
 import pytest
 
+import hhlab
 from hhlab.cli import _COMMANDS, command_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,11 +31,34 @@ TEST_ORACLES = {
 }
 
 
+# every name `import hhlab` exports, in sorted order
+EXPORTS = [
+    "ClosedFormBound", "ConvergenceError", "EigenPair", "GridError",
+    "HHLabError", "HardyHenonParams", "IntegratorError",
+    "KernelDomainError", "LadderState", "NavierProblem", "NavierSolution",
+    "NonIntegrableSourceError", "OutcomeKind", "QuadratureError",
+    "RadialField", "RadialGrid", "RepresentationCheck", "ScanResult",
+    "ShootingOutcome", "apply_K", "blowup_normalize", "bubble_amplitude",
+    "bubble_oracle", "default_alpha0", "divergence_threshold",
+    "energy_bound_check", "first_dirichlet_eigenvalue_oracle",
+    "first_eigenpair", "geometry_constant", "green_ball", "iterated_green",
+    "kelvin_transform", "ladder_advance", "ladder_advance_direct",
+    "ladder_closed_form", "ladder_table", "monomial_poisson_coefficient",
+    "poisson_solve_ball", "polyharmonic_apply", "radial_laplacian",
+    "radial_monotonicity_check", "reference_axes", "representation_check",
+    "rescale", "rho_radius", "riesz_compose_check", "riesz_constant",
+    "scan", "shoot", "shoot_from", "shooting_oracle_sup_norm",
+    "singular_solution", "solve_positive", "torsion_bound_check",
+    "torsion_function",
+]
+
+
 def _exported():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return sorted(alias.asname or alias.name for node in tree.body
-                  if isinstance(node, ast.ImportFrom)
-                  for alias in node.names)
+    return sorted(hhlab._EXPORTS)
+
+
+def test_exports_are_pinned():
+    assert _exported() == EXPORTS
 
 
 def _sources():
