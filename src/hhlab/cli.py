@@ -4,9 +4,9 @@ Every certificate a subcommand evaluates is reported in its JSON summary
 together with the equation tag it certifies (e.g. "eq:3-41"), so reports are
 self-documenting. Exit codes: 0 when all requested certificates pass, 1 when
 any fails or the numerics fault, 2 for configuration errors. Every input is
-checked inside its command's configuration guard before any numerics run, so
-an error escaping a command is a numerical fault, never a configuration
-error. Errors go to standard error as machine-readable JSON.
+checked in its command's guard, which calls its entry's validator and does
+no numerical work, so an error escaping a command is a numerical fault,
+never a configuration error. Errors go to standard error as JSON.
 
 A command imports the modules it runs inside its handler, so `--help` and
 `kernels-selftest` load no scipy; only `checks` (with `kernels`), which
@@ -180,7 +180,7 @@ def cmd_shoot(args) -> int:
     try:
         params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
         init = [float(v) for v in args.init.split(",")]
-        LV.shoot_start(init, params, args.r_max)
+        LV.shoot_cell(init, params, args.r_max)
     except ValueError as exc:
         return _config_error(str(exc))
     out = LV.shoot(init, params, args.r_max)

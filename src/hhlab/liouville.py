@@ -158,7 +158,7 @@ def _check_origin_weight(params: HardyHenonParams) -> None:
 
 def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     """Second-order Taylor states at r0 of every row of `cells` (cells,
-    m) of origin values, as one (cells, 2m) array.
+    m) of checked origin values, as one (cells, 2m) array.
 
     Uses u_i''(0) = -u_{i+1}(0)/n from the regularized Laplacian; the top
     layer integrates its source r^(-a) u(0)^p explicitly, which requires
@@ -167,13 +167,7 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     it in the float right-hand side).
     """
     n, m, p, a = params.n, params.m, params.p, params.a
-    _check_origin_weight(params)
     cells = np.asarray(cells, dtype=float)
-    if cells.ndim != 2 or cells.shape[1] != m:
-        raise ValueError(f"need {m} origin values per cell, got shape "
-                         f"{cells.shape}")
-    if not np.isfinite(cells).all():
-        raise ValueError("origin values must be finite")
     y = np.empty((len(cells), 2 * m))
     below, above, top = cells[:, :-1], cells[:, 1:], cells[:, -1]
     y[:, 0:-2:2] = below - above * r0 ** 2 / (2.0 * n)
@@ -189,19 +183,15 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     return y
 
 
-def _check_run(r0: float, r_max: float, rtol: float, atol: float) -> None:
-    """Reject a non-finite or empty radius span and non-positive
-    tolerances before any integration starts."""
-    for name, value in (("r0", r0), ("r_max", r_max), ("rtol", rtol),
-                        ("atol", atol)):
+def _check_run(r0: float, r_max: float) -> None:
+    """Reject a radius span that is not 0 < r0 < r_max < inf."""
+    for name, value in (("r0", r0), ("r_max", r_max)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if r0 <= 0.0:
         raise ValueError("the starting radius r0 must be positive")
     if r_max <= r0:
         raise ValueError("r_max must exceed the starting radius")
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ValueError("rtol and atol must be positive")
 
 
 # An event is (r*, kind, layer): where and how a trajectory ends. Single
@@ -255,6 +245,8 @@ def _outcome(event, r_max: float, end: tuple, trace_r=None,
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
               r_max: float, rtol: float, atol: float,
               classify: bool = True) -> ShootingOutcome:
+    # built first: invalid tolerances raise even for a start that ends at r0
+    integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
     y0 = [float(v) for v in y0]
     sign_rows = range(0, 2 * params.m, 2) if classify else ()
     # the start and every accepted step
@@ -278,7 +270,6 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
         trace_y.append(rec.y1)
         return _step_event(rec, sign_rows)
 
-    integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
     try:
         event = integ.integrate(r0, y0, r_max, step_callback=callback)
     except IntegratorError as exc:
@@ -286,27 +277,29 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
     return outcome(event)
 
 
-def shoot_start(init: Sequence[float], params: HardyHenonParams,
-                r_max: float) -> np.ndarray:
-    """The Taylor start state of `shoot` at DEFAULT_R0, after its input
-    checks: a finite span, m finite origin values, u(0) > 0."""
-    _check_run(DEFAULT_R0, r_max, DEFAULT_RTOL, DEFAULT_ATOL)
+def shoot_cell(init: Sequence[float], params: HardyHenonParams,
+               r_max: float) -> np.ndarray:
+    """The (m,) origin values of `shoot`, after its input checks: a finite
+    span, m origin values, a weight a < 2, finite values, u(0) > 0."""
+    _check_run(DEFAULT_R0, r_max)
     init = np.asarray(init, dtype=float)
     if init.shape != (params.m,):
         raise ValueError(f"need {params.m} origin values, got shape "
                          f"{init.shape}")
-    y0 = taylor_starts(init[None], params, DEFAULT_R0)[0]
+    _check_origin_weight(params)
+    if not np.isfinite(init).all():
+        raise ValueError("origin values must be finite")
     if init[0] <= 0.0:
         raise ValueError("origin value u(0) must be positive")
-    return y0
+    return init
 
 
 def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
           rtol: float = DEFAULT_RTOL,
           atol: float = DEFAULT_ATOL) -> ShootingOutcome:
     """Integrate outward from origin layer values and classify the fate."""
-    _check_run(DEFAULT_R0, r_max, rtol, atol)
-    y0 = shoot_start(init, params, r_max)
+    init = shoot_cell(init, params, r_max)
+    y0 = taylor_starts(init[None], params, DEFAULT_R0)[0]
     return _classify(params, DEFAULT_R0, y0, r_max, rtol, atol)
 
 
@@ -319,7 +312,7 @@ def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
     a blow-up (used to track reference profiles such as the singular
     power-law solution, which has sign-changing layers).
     """
-    _check_run(r0, r_max, rtol, atol)
+    _check_run(r0, r_max)
     y0 = np.asarray(state, dtype=float)
     if y0.shape != (2 * params.m,):
         raise ValueError(f"state must have length {2 * params.m}")
@@ -338,7 +331,6 @@ class ScanRecord(NamedTuple):
     layer: Optional[int]
     r_star: float
     growth_fit: Optional[float]
-    error: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -372,7 +364,7 @@ class ScanResult:
 def _scan_record(init, out: ShootingOutcome) -> ScanRecord:
     growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
     return ScanRecord(tuple(init), out.kind.value, out.layer_index,
-                      out.r_star, growth, None)
+                      out.r_star, growth)
 
 
 def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
@@ -382,6 +374,8 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
     Cells whose Taylor start ends at r0 are recorded at once; the others
     are integrated together as the lanes of one LaneRK run, with the event
     rules of `_classify` applied to each lane."""
+    # built first, as in `_classify`
+    integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
     r0 = DEFAULT_R0
     starts = taylor_starts(cells, params, r0)
     records = [None] * len(cells)
@@ -409,16 +403,15 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
                                sign_rows)
                 for k in hit}
 
-    integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
     results, t, y = integ.integrate(r0, starts[lanes], r_max, callback)
     for k, i in enumerate(lanes):
         event = results[k]
         if isinstance(event, IntegratorError):
             try:
                 event = _failure_event(event)
-            except IntegratorError as exc:
+            except IntegratorError:
                 records[i] = ScanRecord(tuple(cells[i]), "IntegratorFailure",
-                                        None, math.nan, None, str(exc))
+                                        None, math.nan, None)
                 continue
         end = (float(t[k]), float(y[k, 0]))
         records[i] = _scan_record(cells[i], _outcome(event, r_max, end))
@@ -429,7 +422,7 @@ def scan_cells(init_axes: Sequence[Sequence[float]],
                params: HardyHenonParams, r_max: float) -> np.ndarray:
     """The (cells, m) origin data of `scan`, after its input checks: a
     finite span, a weight a < 2, m finite axes, u(0) > 0 in every cell."""
-    _check_run(DEFAULT_R0, r_max, DEFAULT_RTOL, DEFAULT_ATOL)
+    _check_run(DEFAULT_R0, r_max)
     _check_origin_weight(params)
     axes = [np.asarray(ax, dtype=float) for ax in init_axes]
     if len(axes) != params.m:
@@ -448,13 +441,12 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
          atol: float = DEFAULT_ATOL) -> ScanResult:
     """Classify every cell of the Cartesian grid of origin data.
 
-    `init_axes` gives one array of origin values per layer; the inputs are
-    checked up front (`scan_cells`). Each cell is classified as `shoot`
+    `init_axes` gives one array of origin values per layer, checked with
+    the span up front (`scan_cells`). Each cell is classified as `shoot`
     would classify it; the cells that leave r0 are integrated together as
     lanes of one array (`_scan_lanes`). Individual integrator failures are
     recorded per cell, not raised.
     """
-    _check_run(DEFAULT_R0, r_max, rtol, atol)
     cells = scan_cells(init_axes, params, r_max)
     return ScanResult(params,
                       tuple(_scan_lanes(cells, params, r_max, rtol, atol)))

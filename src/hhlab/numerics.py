@@ -68,7 +68,9 @@ def graded_breaks(a: float, b: float, n_panels: int, ratio: float,
 
 def geometric_breaks(a: float, b: float, growth: float):
     """Breakpoints from a to b with panel widths growing by `growth`."""
-    if growth <= 1.0:
+    if not 0.0 < a < b < np.inf:
+        raise ValueError(f"need 0 < a < b < inf, got a={a!r}, b={b!r}")
+    if not growth > 1.0:
         raise ValueError("growth must exceed 1")
     pts = [a]
     h = a * (growth - 1.0)

@@ -6,9 +6,9 @@ localization. Self-contained and independent of scipy, so the shooting
 classifier does not share an integration path with the solver-side oracles
 or with the scipy cross-check in the tests.
 
-Two steppers share the step controller and read one statement of the
-tableau, the rows `_STAGES`, `_NEW_STATE` and `_ERROR`, so both add the
-same terms in the same order:
+Two steppers share the step controller, reject an invalid rtol or atol at
+construction, and read one statement of the tableau, `_STAGES`,
+`_NEW_STATE` and `_ERROR`, so both add the same terms in the same order:
 
 * `AdaptiveRK` integrates one trajectory. Its state is a short list of
   Python floats (2m = 2 to 8 components for the shooting problems), and
@@ -163,10 +163,15 @@ def hermite_crossing(rec: StepRecord, j: int, level: float) -> float:
 
 
 class _DormandPrince:
-    """Right-hand side and tolerances of either stepper. Both read the
-    module's step limits MAX_STEPS and H_MIN_FACTOR as they integrate."""
+    """Right-hand side and checked tolerances of either stepper. Both read
+    the module's step limits MAX_STEPS and H_MIN_FACTOR as they integrate."""
 
     def __init__(self, rhs: Callable, rtol: float, atol: float):
+        for name, value in (("rtol", rtol), ("atol", atol)):
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if rtol <= 0.0 or atol <= 0.0:
+            raise ValueError("rtol and atol must be positive")
         self.rhs = rhs
         self.rtol = rtol
         self.atol = atol

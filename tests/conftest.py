@@ -19,3 +19,19 @@ def unit_solution(unit_problem):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def liouville_calls(monkeypatch):
+    """Count the calls of liouville's span check, a < 2 check and Taylor
+    starts, each wrapped in place for the test."""
+    import hhlab.liouville as LV
+    counts = {}
+    for name in ("_check_run", "_check_origin_weight", "taylor_starts"):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _real=getattr(LV, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(LV, name, counted)
+    return counts

@@ -188,6 +188,19 @@ class TestErrorClasses:
         assert err["code"] == 2 and field in err["error"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["shoot", "--init", "2,1"],
+        ["scan", "--u0", "1,3,3", "--u1=-1,1,3"]], ids=["shoot", "scan"])
+    def test_guard_validates_and_the_entry_computes_once(
+            self, args, tmp_path, liouville_calls):
+        # the guard calls the entry's validator, and the entry validates
+        # again; the Taylor starts are built once
+        code, _ = run_cli(args + ["--r-max", "10"], tmp_path)
+        assert code == 0
+        assert liouville_calls == {"_check_run": 2,
+                                   "_check_origin_weight": 2,
+                                   "taylor_starts": 1}
+
     def test_strong_weight_is_the_same_error_for_scan_and_shoot(
             self, tmp_path, capsys):
         # origin data needs a < 2; scan reports it as shoot does

@@ -294,6 +294,23 @@ def test_far_breaks_end_exactly_at_the_outer_radius(level):
     assert breaks[-1] == _OUTER_RADIUS
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 400.0), (-1.0, 400.0),
+                                 (2.0, math.inf), (2.0, 2.0), (400.0, 2.0),
+                                 (math.nan, 400.0), (2.0, math.nan)])
+def test_geometric_breaks_rejects_a_span_it_cannot_reach(a, b):
+    # with a <= 0 the widths never grow and b = inf is never reached, so
+    # the panel loop would append until memory ran out
+    with pytest.raises(ValueError, match="0 < a < b < inf"):
+        geometric_breaks(a, b, 1.7)
+
+
+@pytest.mark.parametrize("growth", [1.0, 0.5, math.nan])
+def test_geometric_breaks_rejects_growth_not_above_one(growth):
+    # a NaN growth would end the mesh after one panel, [a, b]
+    with pytest.raises(ValueError, match="growth must exceed 1"):
+        geometric_breaks(2.0, 400.0, growth)
+
+
 @pytest.mark.parametrize("level", _LEVELS)
 def test_merged_angular_panel_stays_below_the_singular_distance(level):
     """A block merges the graded angular panels below its largest break b

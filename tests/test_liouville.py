@@ -16,8 +16,8 @@ from hhlab.errors import IntegratorError
 from hhlab.liouville import (DEFAULT_BLOW_THRESHOLD, DEFAULT_R0,
                              DEFAULT_SIGN_TOL, OutcomeKind, bubble_amplitude,
                              bubble_oracle, reference_axes,
-                             representation_check, scan, shoot, shoot_from,
-                             shoot_start)
+                             representation_check, scan, shoot, shoot_cell,
+                             shoot_from)
 from hhlab.navier import kelvin_transform
 from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
                           radial_laplacian, singular_solution)
@@ -77,6 +77,7 @@ class TestShoot:
         ([1.0, 0.5], {"atol": -1e-12}),
         ([1.0, 0.5], {"rtol": math.nan}),
         ([1.0, 0.5], {"atol": math.inf}),
+        ([1e200, 1.0], {"atol": -1.0}),     # a start that ends at r0
     ])
     def test_shoot_rejects_non_finite_and_non_positive_input(self, init,
                                                              kwargs):
@@ -144,13 +145,16 @@ class TestScan:
         ([[1.0], [1.0]], math.nan, {}),
         ([[1.0], [1.0]], 10.0, {"rtol": 0.0}),
         ([[1.0], [1.0]], 10.0, {"atol": math.nan}),
+        ([[1e200], [1.0]], 10.0, {"rtol": 0.0}),    # every cell ends at r0
     ])
     def test_rejects_bad_input_before_any_cell(self, axes, r_max, kwargs,
                                                monkeypatch):
+        # the tolerances are checked as the integrator is built, before the
+        # cells' Taylor starts
         def no_cells(*args, **kw):
-            raise AssertionError("a cell was integrated")
+            raise AssertionError("a cell was started")
 
-        monkeypatch.setattr("hhlab.liouville._scan_lanes", no_cells)
+        monkeypatch.setattr("hhlab.liouville.taylor_starts", no_cells)
         with pytest.raises(ValueError):
             scan([np.array(ax) for ax in axes], CRITICAL, r_max, **kwargs)
 
@@ -187,15 +191,34 @@ class TestScan:
         assert len(lines) == 5
 
 
+class TestEachInputCheckedOnce:
+    """`shoot` and `scan` check their span and weight once, in their
+    validators `shoot_cell` and `scan_cells`, and build the Taylor starts
+    once."""
+
+    def test_shoot(self, liouville_calls):
+        shoot([2.0, 1.0], CRITICAL, 10.0)
+        assert liouville_calls == {"_check_run": 1,
+                                   "_check_origin_weight": 1,
+                                   "taylor_starts": 1}
+
+    def test_scan(self, liouville_calls):
+        scan([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]], CRITICAL, 10.0)
+        assert liouville_calls == {"_check_run": 1,
+                                   "_check_origin_weight": 1,
+                                   "taylor_starts": 1}
+
+
 def _shoot_record(init, params, r_max):
     """What `shoot` says about one cell, in ScanRecord terms: kind, layer,
-    r*, growth_fit (survivors only), or the IntegratorError message."""
+    r* and growth_fit (survivors only), or IntegratorFailure where `shoot`
+    raises IntegratorError."""
     try:
         out = shoot(init, params, r_max)
-    except IntegratorError as exc:
-        return "IntegratorFailure", None, None, None, str(exc)
+    except IntegratorError:
+        return "IntegratorFailure", None, None, None
     growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
-    return out.kind.value, out.layer_index, out.r_star, growth, None
+    return out.kind.value, out.layer_index, out.r_star, growth
 
 
 def _cells(axes):
@@ -204,15 +227,14 @@ def _cells(axes):
 
 
 def _assert_agrees(records, cells, params, r_max):
-    """Cell by cell, the lane records match the float stepper's shoot: kind,
-    layer and error exactly, r* and growth_fit to 1e-9 relative."""
+    """Cell by cell, the lane records match the float stepper's shoot: kind
+    and layer exactly, r* and growth_fit to 1e-9 relative."""
     assert len(records) == len(cells)
     for rec, init in zip(records, cells):
-        kind, layer, r_star, growth, error = _shoot_record(init, params,
-                                                           r_max)
+        kind, layer, r_star, growth = _shoot_record(init, params, r_max)
         assert rec.init == tuple(init)
-        assert (rec.kind, rec.layer, rec.error) == (kind, layer, error), init
-        if error is not None:
+        assert (rec.kind, rec.layer) == (kind, layer), init
+        if kind == "IntegratorFailure":
             assert math.isnan(rec.r_star) and rec.growth_fit is None
             continue
         assert rec.r_star == pytest.approx(r_star, rel=1e-9, abs=0.0), init
@@ -248,7 +270,7 @@ class TestScanLanes:
             axes = reference_axes(params)
             res = scan(axes, params, 50.0)
             for rec, init in zip(res.records, _cells(axes)):
-                kind, layer, r_star, _, _ = _shoot_record(init, params, 50.0)
+                kind, layer, r_star, _ = _shoot_record(init, params, 50.0)
                 assert (rec.kind, rec.layer, rec.r_star) == \
                     (kind, layer, r_star)
 
@@ -513,16 +535,6 @@ class TestTaylorStarts:
         assert [(rec.kind, rec.layer) for rec in res.records] == \
             [(out.kind.value, out.layer_index) for out in outs]
 
-    @pytest.mark.parametrize("cells,params,message", [
-        (np.ones((3, 3)), CRITICAL, "2 origin values per cell"),
-        (np.ones(2), CRITICAL, "2 origin values per cell"),
-        (np.array([[1.0, math.nan]]), CRITICAL, "finite"),
-        (np.array([[1.0, 2.0], [math.inf, 1.0]]), CRITICAL, "finite"),
-        (np.ones((1, 2)), HardyHenonParams(4, 2, 2.0, 2.0), "a < 2")])
-    def test_checks(self, cells, params, message):
-        with pytest.raises(ValueError, match=message):
-            hhlab.liouville.taylor_starts(cells, params, DEFAULT_R0)
-
     @pytest.mark.parametrize("init,params,message", [
         ([1.0, 2.0, 3.0], CRITICAL, "need 2 origin values, got shape"),
         ([[1.0, 2.0]], CRITICAL, "need 2 origin values, got shape"),
@@ -530,7 +542,7 @@ class TestTaylorStarts:
         ([1.0, 1.0], HardyHenonParams(4, 2, 2.0, 2.0), "a < 2")])
     def test_one_cell_checks(self, init, params, message):
         with pytest.raises(ValueError, match=message):
-            shoot_start(init, params, 10.0)
+            shoot_cell(init, params, 10.0)
 
 
 class TestClassificationStability:

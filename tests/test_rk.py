@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -119,6 +120,27 @@ class TestControl:
     def test_integration_to_the_end_returns_none(self):
         assert AdaptiveRK(lambda t, y: [1.0], **TOLS).integrate(
             0.0, [0.0], 1.0) is None
+
+
+@pytest.mark.parametrize("stepper", [AdaptiveRK, LaneRK])
+@pytest.mark.parametrize("tols,message", [
+    ({"rtol": math.nan}, "rtol must be finite, got nan"),
+    ({"rtol": math.inf}, "rtol must be finite, got inf"),
+    ({"atol": math.nan}, "atol must be finite, got nan"),
+    ({"atol": -math.inf}, "atol must be finite, got -inf"),
+    ({"rtol": 0.0}, "rtol and atol must be positive"),
+    ({"atol": 0.0}, "rtol and atol must be positive"),
+    ({"rtol": 0.0, "atol": 0.0}, "rtol and atol must be positive"),
+    # unchecked, this integrates y' = -y to y(5) = 0.678 (exact 0.0067)
+    ({"rtol": -1e-10, "atol": 1e-12}, "rtol and atol must be positive"),
+    ({"atol": -1e-12}, "rtol and atol must be positive")])
+def test_steppers_reject_invalid_tolerances_at_construction(stepper, tols,
+                                                            message):
+    def rhs(t, y):
+        raise AssertionError("the right-hand side was called")
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stepper(rhs, **{**TOLS, **tols})
 
 
 def cubic(t):
