@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -66,61 +67,90 @@ class ShootingOutcome:
     end: Optional[tuple] = None
 
     def growth_fit(self) -> Optional[float]:
-        """Quadratic-growth coefficient u(r)/r^2 at the trajectory end
-        (reported for survivors in place of an o(r^2) test)."""
-        if self.end is None:
+        """Quadratic-growth coefficient u(r)/r^2 at the trajectory end,
+        reported for survivors in place of an o(r^2) test; None for any
+        other outcome."""
+        if self.kind is not OutcomeKind.SURVIVED or self.end is None:
             return None
         r, u = self.end
         return u / r ** 2 if r > 0 else None
 
 
-def _radial_rhs_source(m: int) -> str:
-    """Source of `_radial_rhs`'s factory for m layers.
+# the names the slopes template reads: n - 1, p, the weight's exponent -a
+# and inf
+_SLOPE_NAMES = ("nm1", "p", "e", "inf")
+
+
+def _radial_slopes(m: int, weighted: bool) -> str:
+    """Template of the slopes of the radial system for m layers, the
+    fragment `_radial_rhs` carries for `AdaptiveRK`'s loop.
 
     y = (u_0, u_0', ..., u_{m-1}, u_{m-1}'): u_i' = y[2i+1] and
-    u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as r^(-a) u^p. The
-    factory `build(nm1, p, a)` binds n - 1, p and a in a closure and
-    returns the right-hand side with the weight term r^(-a), or without it
-    when a = 0; the state is unpacked into locals `y_i` and the slope is
-    one list display."""
+    u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as u^p, times the
+    weight r^(-a) when `weighted`. `{r}` is the radius, `{y[i]}` and
+    `{f[i]}` are the names of the state's and the slopes' components."""
     dim = 2 * m
-    state = ", ".join(f"y_{i}" for i in range(dim))
-    slope = []
+    lines = ["c = nm1 / {r}",
+             "try:",
+             "    top = (0.0 if {y[0]} < 0.0 else {y[0]}) ** p",
+             "except OverflowError:   # float ** raises where numpy gives inf",
+             "    top = inf"]
+    if weighted:
+        lines += ["try:",
+                  "    top *= {r} ** e",
+                  "except OverflowError:",
+                  "    top *= inf"]
     for i in range(0, dim - 2, 2):
-        slope += [f"y_{i + 1}", f"-y_{i + 2} - c * y_{i + 1}"]
-    slope += [f"y_{dim - 1}", f"-top - c * y_{dim - 1}"]
-    lines = ["def build(nm1, p, a):"]
-    for name, weight in (("rhs", ()), ("weighted_rhs", ("top *= r ** (-a)",))):
+        lines += ["{f[%d]} = {y[%d]}" % (i, i + 1),
+                  "{f[%d]} = -{y[%d]} - c * {y[%d]}" % (i + 1, i + 2, i + 1)]
+    lines += ["{f[%d]} = {y[%d]}" % (dim - 2, dim - 1),
+              "{f[%d]} = -top - c * {y[%d]}" % (dim - 1, dim - 1)]
+    return "\n".join(lines)
+
+
+def _radial_rhs_source(m: int, templates) -> str:
+    """Source of `_radial_rhs`'s factory for m layers. `build(nm1, p, e,
+    inf)` returns the right-hand side of the unweighted or, where e != 0,
+    the weighted slopes `templates`, as a function of (r, y) on lists; the
+    state is unpacked into locals `y_i` and the slopes `f_i` are returned
+    as one list display."""
+    state = [f"y_{i}" for i in range(2 * m)]
+    slopes = [f"f_{i}" for i in range(2 * m)]
+    lines = ["def build(nm1, p, e, inf):"]
+    for name, template in zip(("rhs", "weighted_rhs"), templates):
+        body = template.format(r="r", y=state, f=slopes)
         lines += [f"    def {name}(r, y):",
-                  f"        [{state}] = y",
-                  "        c = nm1 / r",
-                  "        try:",
-                  "            top = (0.0 if y_0 < 0.0 else y_0) ** p",
-                  "        except OverflowError:"
-                  "   # float ** raises where numpy gives inf",
-                  "            top = math.inf",
-                  *(f"        {line}" for line in weight),
-                  f"        return [{', '.join(slope)}]",
+                  f"        [{', '.join(state)}] = y",
+                  *(f"        {line}" for line in body.splitlines()),
+                  f"        return [{', '.join(slopes)}]",
                   ""]
-    lines.append("    return rhs if a == 0.0 else weighted_rhs")
+    lines.append("    return rhs if e == 0.0 else weighted_rhs")
     return "\n".join(lines) + "\n"
 
 
-_RADIAL_RHS: dict = {}     # m -> factory compiled from _radial_rhs_source
+# m -> (factory compiled from _radial_rhs_source, its two slopes templates)
+_RADIAL_RHS: dict = {}
 
 
 def _radial_rhs(params: HardyHenonParams):
     """The right-hand side `rhs(r, y)` of the first-order radial system on
     lists of 2m floats. Its factory is compiled once per m; building the
-    right-hand side for other (n, p, a) compiles nothing."""
-    build = _RADIAL_RHS.get(params.m)
-    if build is None:
+    right-hand side for other (n, p, a) compiles nothing. It carries its
+    slopes template as its fragment `splice`, so `AdaptiveRK` writes the
+    slopes into its loop instead of calling it."""
+    m = params.m
+    entry = _RADIAL_RHS.get(m)
+    if entry is None:
+        templates = (_radial_slopes(m, False), _radial_slopes(m, True))
         namespace = {}
-        exec(compile(_radial_rhs_source(params.m),
-                     f"<radial rhs, m {params.m}>", "exec"),
-             globals(), namespace)
-        build = _RADIAL_RHS[params.m] = namespace["build"]
-    return build(params.n - 1.0, params.p, params.a)
+        exec(compile(_radial_rhs_source(m, templates), f"<radial rhs, m {m}>",
+                     "exec"), globals(), namespace)
+        entry = _RADIAL_RHS[m] = (namespace["build"], templates)
+    build, templates = entry
+    env = (params.n - 1.0, params.p, -params.a, math.inf)
+    rhs = build(*env)
+    rhs.splice = (templates[params.a != 0.0], _SLOPE_NAMES, env)
+    return rhs
 
 
 def _lane_rhs(params: HardyHenonParams):
@@ -242,6 +272,31 @@ def _outcome(event, r_max: float, end: tuple, trace_r=None,
     return ShootingOutcome(kind, r_star, layer, trace_r, trace_y, end)
 
 
+# the names the accepted-step template reads
+_ACCEPT_NAMES = ("trace_r", "trace_y", "floor", "blow", "step_event",
+                 "sign_rows")
+
+
+@cache
+def _accept_source(m: int, classify: bool) -> str:
+    """Template of the accepted-step fragment of `_classify`'s callback,
+    for m layers: append the step to the trace, then screen the new state
+    once, unrolled, for a sign loss (when `classify`) or a blow-up; only a
+    step the screen stops builds its record and asks `_step_event` for the
+    event. `{t1}`, `{y1[i]}` and `{record}` are the step's end, its new
+    state's components and its StepRecord."""
+    rows = range(0, 2 * m, 2) if classify else ()
+    state = ", ".join("{y1[%d]}" % i for i in range(2 * m))
+    screen = " or ".join(["{y1[%d]} < floor" % j for j in rows]
+                         + ["{y1[0]} > blow"])
+    return ("trace_r.append({t1})\n"
+            "trace_y.append([" + state + "])\n"
+            "if " + screen + ":\n"
+            "    event = step_event({record}, sign_rows)\n"
+            "    if event is not None:\n"
+            "        return event")
+
+
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
               r_max: float, rtol: float, atol: float,
               classify: bool = True) -> ShootingOutcome:
@@ -270,6 +325,11 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
         trace_y.append(rec.y1)
         return _step_event(rec, sign_rows)
 
+    # the same steps written into the integrator's loop, with the
+    # thresholds this shoot reads
+    callback.splice = (_accept_source(params.m, classify), _ACCEPT_NAMES,
+                       (trace_r, trace_y, -DEFAULT_SIGN_TOL,
+                        DEFAULT_BLOW_THRESHOLD, _step_event, sign_rows))
     try:
         event = integ.integrate(r0, y0, r_max, step_callback=callback)
     except IntegratorError as exc:
@@ -362,9 +422,8 @@ class ScanResult:
 
 
 def _scan_record(init, out: ShootingOutcome) -> ScanRecord:
-    growth = out.growth_fit() if out.kind is OutcomeKind.SURVIVED else None
     return ScanRecord(tuple(init), out.kind.value, out.layer_index,
-                      out.r_star, growth)
+                      out.r_star, out.growth_fit())
 
 
 def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,

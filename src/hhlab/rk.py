@@ -14,13 +14,25 @@ construction, and read one statement of the tableau, `_STAGES`,
   Python floats (2m = 2 to 8 components for the shooting problems), and
   every stage is written out as scalar arithmetic: at that size numpy's
   fixed cost per array operation is far larger than the floating-point
-  work. `rhs(t, y)` takes and returns such lists. The trial step is
-  generated as straight-line code once per state dimension
-  (`_float_step`): the components are unpacked into locals, each stage
-  state is one list display and the error norm is unrolled, so a step
-  pays no per-component `zip` or loop. The source is written by walking
-  the tableau's rows, each coefficient a float literal. Every entry is the
-  expression a loop over the components would evaluate, in the same order.
+  work. `rhs(t, y)` takes and returns such lists. The whole integration
+  loop is generated as straight-line code (`_loop_source`), the trial
+  step inlined: the components are locals, each stage state and the error
+  norm are unrolled, and the step controller's factor is written in, so a
+  step pays no per-component `zip` or loop. The source is written by
+  walking the tableau's rows, each coefficient a float literal. Every
+  entry is the expression a loop over the components would evaluate, in
+  the same order.
+
+  A right-hand side or step callback may carry, as its own attribute
+  `splice`, a fragment (template, names, values) that the loop runs in
+  place of calling it; the names are bound to the values once per run.
+  A slopes template reads the radius `{r}` and the state `{y[i]}` and
+  assigns the slopes `{f[i]}`; an accepted-step template reads the step's
+  end `{t1}`, its new state `{y1[i]}` and its StepRecord `{record}`, and
+  a `return` in it stops the run with that value, as a callback's
+  non-None value does. Any other callable, a wrapper too, is called. A
+  loop is compiled once per state dimension and pair of templates
+  (`_LOOPS`), and reads MAX_STEPS and H_MIN_FACTOR as it runs.
 * `LaneRK` integrates many trajectories in lockstep, one row ("lane") of a
   (lanes, dim) array each. Every lane keeps its own t, h, step count and
   accept or reject decision, so each row follows the steps `AdaptiveRK`
@@ -36,7 +48,7 @@ construction, and read one statement of the tableau, `_STAGES`,
   instead of copying rows. Powers are `np.float_power` (`float_powers`),
   whose float64 loop calls the libm `pow` that float `**` calls, never
   numpy's vectorised `np.power`. So a lane's arithmetic is that of
-  `AdaptiveRK`'s generated step, operation for operation, and a lane ends
+  `AdaptiveRK`'s generated loop, operation for operation, and a lane ends
   exactly where `AdaptiveRK` ends alone.
 """
 
@@ -72,8 +84,9 @@ _ERROR = tuple((b - b4, i) for (b, i), b4 in zip(
                  187 / 2100))) + ((-1 / 40, 6),)
 
 # Step controller: h *= SAFETY err^EXPONENT after a step with scaled error
-# err, clamped to [SHRINK_MIN, GROW_MAX]; a trial state that is not finite
-# is retried at RETRY times the step
+# err, clamped to [SHRINK_MIN, GROW_MAX]; an error of 0 grows h by GROW_MAX
+# and a NaN error rejects the step and shrinks h by SHRINK_MIN; a trial
+# state that is not finite is retried at RETRY times the step
 _SAFETY, _EXPONENT = 0.9, -0.2
 _SHRINK_MIN, _GROW_MAX = 0.2, 5.0
 _RETRY = 0.25
@@ -84,15 +97,6 @@ CROSSING_TOL = 1e-13        # event bracket width relative to max(1, |t|)
 
 def _first_step(t: float, t_end: float) -> float:
     return min(1e-4 * max(abs(t), 1e-3), t_end - t)
-
-
-def _step_factor(err: float) -> float:
-    """The factor on h after a finite trial step with scaled error err. An
-    error of 0 grows the step by GROW_MAX; a NaN error rejects the step and
-    shrinks it by SHRINK_MIN."""
-    if not err > 0.0:
-        return _SHRINK_MIN if err != err else _GROW_MAX
-    return min(_GROW_MAX, max(_SHRINK_MIN, _SAFETY * err ** _EXPONENT))
 
 
 def float_powers(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -177,72 +181,132 @@ class _DormandPrince:
         self.atol = atol
 
 
-def _float_step_source(dim: int) -> str:
-    """Source of the trial step of `AdaptiveRK` for states of `dim` floats.
+def _indent(text: str, pad: int) -> list:
+    """The lines of `text`, each indented by `pad` spaces."""
+    return [" " * pad + line for line in text.splitlines()]
+
+
+# the accepted-step template of a callback that is called with the record
+_CALLED_ACCEPT = ("out = step_callback({record})\n"
+                  "if out is not None:\n"
+                  "    return out")
+
+
+def _loop_source(dim: int, slopes: tuple, accept: tuple) -> str:
+    """Source of `AdaptiveRK`'s integration loop for states of `dim` floats.
+
+    `slopes` and `accept` are the (template, names) of the right-hand side
+    and of the accepted-step code written in (module docstring); a slopes
+    template None calls `rhs`. `run` binds the names, in order, to the
+    values of `slope_env` and `accept_env`.
 
     The stage sums, the new state and the error norm are written by
     walking the rows of `_STAGES`, `_NEW_STATE` and `_ERROR`, each
-    coefficient as its `repr`, which parses back to the same float. Each
-    stage state is a list display over the unpacked components, each entry
-    the expression the stage applies to one component, and the error norm
-    is unrolled. Components are locals `s_i` (state), `z_i` (new state) and
-    `a_i`..`g_i`, `k_i` (slopes k1..k7, lettered by index); no whole
-    vector's name has an underscore, so none can collide with a component
-    at any dimension."""
+    coefficient as its `repr`, which parses back to the same float. The
+    loop's components are locals `s_i` (state), `w_i` (stage state), `z_i`
+    (new state) and `a_i`..`g_i`, `k_i` (slopes k1..k7, lettered by
+    index); besides its arguments, its scalars are t1, r (a stage's time),
+    h, err, ratio, v, x and steps. No whole vector's name has an
+    underscore, so none can collide with a component at any dimension. A
+    fragment assigns only its outputs and names of its own."""
     idx = range(dim)
     letters = "abcdegk"
 
     def names(letter):
-        return "[" + ", ".join(f"{letter}_{i}" for i in idx) + "]"
+        return [f"{letter}_{i}" for i in idx]
+
+    def vec(letter):
+        return "[" + ", ".join(names(letter)) + "]"
 
     def combo(terms, i):
         # `c * x_i + c' * y_i + ...` of the (coefficient, slope) terms
         return " + ".join(f"{coef!r} * {letters[j]}_{i}"
                           for coef, j in terms)
 
-    lines = ["def step(self, t, y, h, f0):",
-             "    rhs = self.rhs",
-             f"    {names('s')} = y",
-             f"    {names(letters[0])} = f0"]
+    template, slope_names = slopes
+    if template is None:
+        template = "[{}] = rhs({{r}}, [{}])".format(
+            ", ".join(f"{{f[{i}]}}" for i in idx),
+            ", ".join(f"{{y[{i}]}}" for i in idx))
+
+    def slope(r, state, out, pad):
+        return _indent(template.format(r=r, y=names(state), f=names(out)),
+                       pad)
+
+    record = (f"StepRecord(t, t1, {vec('s')}, {vec('z')}, {vec('a')}, "
+              f"{vec('k')})")
+    lines = ["def run(t, y, t_end, atol, rtol, slope_env, accept_env):"]
+    for env, bound in (("slope_env", slope_names), ("accept_env", accept[1])):
+        if bound:
+            lines.append(f"    {', '.join(bound)}, = {env}")
+    lines += [f"    {vec('s')} = y",
+              *slope("t", "s", "a", 4),
+              "    h = _first_step(t, t_end)",
+              "    steps = 0",
+              "    while t < t_end:",
+              "        if t_end - t < h:",
+              "            h = t_end - t",
+              "        if h < H_MIN_FACTOR * max(abs(t), 1e-30):",
+              "            raise _integrator_error(",
+              "                f\"step size underflow at r={t:.6g}\", t, "
+              f"{vec('s')})"]
     for j, (c, terms) in enumerate(_STAGES, start=1):
-        at = "h" if c == 1.0 else f"{c!r} * h"
-        stage = ", ".join(f"s_{i} + h * ({combo(terms, i)})" for i in idx)
-        lines.append(f"    {names(letters[j])} = rhs(t + {at}, "
-                     f"[{stage}])")
-    lines += [f"    z_{i} = s_{i} + h * ({combo(_NEW_STATE, i)})" for i in idx]
-    lines += [f"    y1 = {names('z')}",
-              "    k7 = rhs(t + h, y1)",
-              f"    {names(letters[6])} = k7",
-              "    atol, rtol = self.atol, self.rtol",
-              "    err = 0.0"]
+        lines.append("        r = t + h" if c == 1.0 else
+                     f"        r = t + {c!r} * h")
+        lines += [f"        w_{i} = s_{i} + h * ({combo(terms, i)})"
+                  for i in idx]
+        lines += slope("r", "w", letters[j], 8)
+    lines += [f"        z_{i} = s_{i} + h * ({combo(_NEW_STATE, i)})"
+              for i in idx]
+    finite = " and ".join(f"isfinite(z_{i})" for i in idx) or "True"
+    lines += ["        r = t + h",
+              *slope("r", "z", "k", 8),
+              "        steps += 1",
+              "        if steps > MAX_STEPS:",
+              "            raise _integrator_error(\"step budget exhausted\", "
+              f"t, {vec('s')})",
+              f"        if not ({finite}):",
+              "            h *= _RETRY",
+              "            continue",
+              "        err = 0.0"]
     for i in idx:
-        lines += [f"    ratio = abs(h * ({combo(_ERROR, i)}))",
-                  f"    v, z = abs(s_{i}), abs(z_{i})",
-                  "    ratio /= atol + rtol * (v if v > z else z)",
-                  "    if ratio > err or ratio != ratio:"
+        lines += [f"        ratio = abs(h * ({combo(_ERROR, i)}))",
+                  f"        v, x = abs(s_{i}), abs(z_{i})",
+                  "        ratio /= atol + rtol * (v if v > x else x)",
+                  "        if ratio > err or ratio != ratio:"
                   "   # a NaN sticks, and rejects",
-                  "        err = ratio"]
-    lines.append("    return y1, k7, err")
+                  "            err = ratio"]
+    lines += ["        if err <= 1.0:",
+              "            t1 = t + h",
+              *_indent(accept[0].format(t1="t1", y1=names("z"),
+                                        record=record), 12),
+              "            t = t1",
+              "            {} = {}".format(", ".join(names("s") + names("a")),
+                                           ", ".join(names("z") + names("k"))),
+              # the step controller's factor on h
+              "        if err > 0.0:",
+              f"            x = {_SAFETY!r} * err ** {_EXPONENT!r}",
+              f"            h *= (x if x < {_GROW_MAX!r} else {_GROW_MAX!r}) "
+              f"if x > {_SHRINK_MIN!r} else {_SHRINK_MIN!r}",
+              "        else:",
+              f"            h *= {_SHRINK_MIN!r} if err != err else "
+              f"{_GROW_MAX!r}",
+              "    return None"]
     return "\n".join(lines) + "\n"
 
 
-_FLOAT_STEPS: dict = {}    # state dimension -> generated trial step
+_LOOPS: dict = {}   # (dim, slopes, accept) -> generated integration loop
 
 
-def _float_step(dim: int) -> Callable:
-    """The trial step of `AdaptiveRK` for states of `dim` floats, compiled
-    from `_float_step_source` on first use and cached by dimension.
-
-    `step(self, t, y, h, f0)` returns the new state, its slope and the
-    max-norm of the scaled error (NaN when any error component is NaN). It
-    reads `self.rhs`, `self.atol` and `self.rtol` at every call."""
-    step = _FLOAT_STEPS.get(dim)
-    if step is None:
-        namespace = {}
-        exec(compile(_float_step_source(dim), f"<AdaptiveRK step, dim {dim}>",
-                     "exec"), globals(), namespace)
-        step = _FLOAT_STEPS[dim] = namespace["step"]
-    return step
+def _fragment(fn) -> Optional[tuple]:
+    """The fragment (template, names, values) that `fn` carries as its own
+    attribute `splice`, or None. A wrapper, which has `__wrapped__`,
+    carries none even where it copied the wrapped function's attributes:
+    it is called."""
+    attrs = getattr(fn, "__dict__", None)
+    if attrs is None or "__wrapped__" in attrs:
+        return None
+    return attrs.get("splice")
 
 
 class AdaptiveRK(_DormandPrince):
@@ -256,34 +320,29 @@ class AdaptiveRK(_DormandPrince):
         a non-None value stops integration and that value is returned.
         Raises IntegratorError on step-size underflow or step budget
         exhaustion; the current state (t, y) is attached as `.state`.
+
+        A right-hand side or callback that carries a fragment is written
+        into the loop instead of called (module docstring); the loop is
+        compiled once per state dimension and pair of fragments.
         """
-        t = float(t0)
         y = [float(v) for v in y0]
-        step = _float_step(len(y))
-        f = self.rhs(t, y)
-        h = _first_step(t, t_end)
-        steps = 0
-        while t < t_end:
-            h = min(h, t_end - t)
-            if h < H_MIN_FACTOR * max(abs(t), 1e-30):
-                raise _integrator_error(f"step size underflow at r={t:.6g}",
-                                        t, y)
-            y1, f1, err = step(self, t, y, h, f)
-            steps += 1
-            if steps > MAX_STEPS:
-                raise _integrator_error("step budget exhausted", t, y)
-            if not all(map(isfinite, y1)):
-                h *= _RETRY
-                continue
-            if err <= 1.0:
-                rec = StepRecord(t, t + h, y, y1, f, f1)
-                t, y, f = t + h, y1, f1
-                if step_callback is not None:
-                    out = step_callback(rec)
-                    if out is not None:
-                        return out
-            h *= _step_factor(err)
-        return None
+        rhs = self.rhs
+        slopes = _fragment(rhs) or (None, ("rhs",), (rhs,))
+        if step_callback is None:
+            accept = ("", (), ())
+        else:
+            accept = _fragment(step_callback) or (
+                _CALLED_ACCEPT, ("step_callback",), (step_callback,))
+        key = (len(y), slopes[:2], accept[:2])
+        run = _LOOPS.get(key)
+        if run is None:
+            namespace = {}
+            exec(compile(_loop_source(*key),
+                         f"<AdaptiveRK loop, dim {len(y)}>", "exec"),
+                 globals(), namespace)
+            run = _LOOPS[key] = namespace["run"]
+        return run(float(t0), y, t_end, self.atol, self.rtol, slopes[2],
+                   accept[2])
 
 
 def _lane_increment(out, tmp, terms, k, hc):
@@ -405,10 +464,10 @@ class LaneRK(_DormandPrince):
 
 
 def _lane_factors(err, finite):
-    """`_step_factor` of every lane's scaled error, or RETRY where the trial
-    state is not finite. A NaN error shrinks the step by SHRINK_MIN and an
-    error of 0 grows it by GROW_MAX (0 ** EXPONENT would divide by zero);
-    the clamp leaves both as they are."""
+    """The step controller's factor on h for every lane's scaled error, or
+    RETRY where the trial state is not finite. A NaN error shrinks the step
+    by SHRINK_MIN and an error of 0 grows it by GROW_MAX (0 ** EXPONENT
+    would divide by zero); the clamp leaves both as they are."""
     grow = err > 0.0
     factor = np.where(np.isnan(err), _SHRINK_MIN, _GROW_MAX)
     factor[grow] = _SAFETY * float_powers(err[grow], _EXPONENT)

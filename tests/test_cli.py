@@ -713,6 +713,38 @@ class TestOtherCommands:
         payload = read_json(out, "shoot.json")
         assert payload["kind"] in ("SignLoss", "BlowUp", "Survived")
 
+    @pytest.mark.parametrize("argv,kind", [
+        (["--init", "2,1", "--p", "1e308"], "SignLoss"),
+        (["--init", "1e308,1"], "SignLoss"),
+        (["--m", "1", "--p", "3", "--init", "2.8284271247461903"],
+         "Survived")], ids=["huge-p", "huge-u0", "bubble"])
+    def test_shoot_growth_fit_only_for_survivors(self, argv, kind,
+                                                  tmp_path):
+        # as scan.csv: a number for a survivor, null for any other kind;
+        # the file is strict JSON (no Infinity token)
+        code, out = run_cli(["shoot", *argv], tmp_path)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+        payload = json.loads((out / "shoot.json").read_text(),
+                             parse_constant=reject)
+        assert payload["kind"] == kind
+        if kind == "Survived":
+            assert 0.0 < payload["growth_fit"] < 1e-2
+        else:
+            assert payload["growth_fit"] is None
+
+    def test_shoot_at_a_strong_henon_weight(self, tmp_path):
+        # the weight r^2000 overflows inside trial steps: read as inf, as
+        # the scan reads it, not an OverflowError
+        code, out = run_cli(["shoot", "--init", "2,1", "--a", "-2000"],
+                            tmp_path)
+        assert code == 0
+        payload = read_json(out, "shoot.json")
+        assert (payload["kind"], payload["layer_index"],
+                payload["r_star"]) == ("SignLoss", 1, 1.0069919563093666)
+
     def test_singular_exists(self, tmp_path):
         code, out = run_cli(["singular"], tmp_path)
         assert code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import struct
@@ -274,6 +275,17 @@ class TestScanLanes:
                 assert (rec.kind, rec.layer, rec.r_star) == \
                     (kind, layer, r_star)
 
+    def test_strong_henon_weight_cell(self):
+        # at a = -2000 the weight r^2000 leaves the float range past
+        # r ~ 1.43, inside trial steps of the cell (2, 1); the lane and the
+        # shoot both read it as inf and end at the same sign loss
+        params = HardyHenonParams(4, 2, -2000.0, 2.0)
+        axes = [np.array([2.0]), np.array([1.0])]
+        res = scan(axes, params, 50.0)
+        assert res.records[0][1:4] == ("SignLoss", 1, 1.0069919563093666)
+        assert _shoot_record([2.0, 1.0], params, 50.0)[:3] == \
+            res.records[0][1:4]
+
     def test_m1_scan_with_survivors(self):
         # second order, one axis: the n = 4, p = 3 bubble amplitude
         # survives with its growth fit
@@ -352,7 +364,10 @@ def reference_radial_rhs(params):
         except OverflowError:
             top = math.inf
         if a != 0.0:
-            top *= r ** (-a)
+            try:
+                top *= r ** (-a)
+            except OverflowError:
+                top *= math.inf
         dy = y[1:]
         dy.append(-top - c * y[top_row])
         for i in range(1, top_row, 2):
@@ -365,6 +380,18 @@ def reference_radial_rhs(params):
 def _bits(values):
     # IEEE bit patterns, so signed zeros compare; any NaN reads "nan"
     return [b"nan" if v != v else struct.pack("<d", v) for v in values]
+
+
+def spliced_slopes(rhs, r, y):
+    """The slopes at (r, y) of the fragment `rhs` carries, as AdaptiveRK
+    writes it into its loop: its names bound to its values, its template
+    read with the loop's component names."""
+    template, names, values = rhs.splice
+    state = [f"w_{i}" for i in range(len(y))]
+    slopes = [f"b_{i}" for i in range(len(y))]
+    scope = dict(zip(names, values), r=r, **dict(zip(state, y)))
+    exec(template.format(r="r", y=state, f=slopes), {}, scope)
+    return [scope[name] for name in slopes]
 
 
 # u(0) negative, zero, tiny, ordinary or huge enough for u^p to overflow
@@ -392,20 +419,27 @@ class TestGeneratedRhs:
         assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("a", [0.0, 1.5])
+    @pytest.mark.parametrize("a", [0.0, 1.5, -2000.0])
     def test_overflowing_power_reads_inf(self, m, a):
-        # float ** raises OverflowError where u^p leaves the float range;
-        # the top slope is then -inf, with or without the weight
+        # float ** raises OverflowError where u^p or the weight r^(-a)
+        # leaves the float range; the top slope is then -inf, with or
+        # without the weight, called or written into AdaptiveRK's loop
         params = HardyHenonParams(4, m, a, 3.0)
-        y = [1e200] + [1.0] * (2 * m - 1)
-        got = hhlab.liouville._radial_rhs(params)(0.5, y)
-        assert got[-1] == -math.inf
-        assert _bits(got) == _bits(reference_radial_rhs(params)(0.5, y))
+        cases = [(1.0, [1e200] + [1.0] * (2 * m - 1))]   # u^p overflows
+        if a != 0.0:    # the weight overflows
+            cases.append((1e-300 if a > 0.0 else 2.0, [1.0] * (2 * m)))
+        for r, y in cases:
+            rhs = hhlab.liouville._radial_rhs(params)
+            for got in (rhs(r, list(y)), spliced_slopes(rhs, r, y)):
+                assert got[-1] == -math.inf
+                assert _bits(got) == \
+                    _bits(reference_radial_rhs(params)(r, list(y)))
 
     def test_one_source_per_shape(self, monkeypatch):
-        # 50 shoots at different (n, p, a) and m = 2 compile one step
-        # (dimension 4) and one right-hand side factory (m = 2)
-        monkeypatch.setattr(hhlab.rk, "_FLOAT_STEPS", {})
+        # 50 shoots at different (n, p, a) and m = 2 compile one loop
+        # (dimension 4, the weighted slopes, the classifying callback) and
+        # one right-hand side factory (m = 2)
+        monkeypatch.setattr(hhlab.rk, "_LOOPS", {})
         monkeypatch.setattr(hhlab.liouville, "_RADIAL_RHS", {})
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -414,7 +448,7 @@ class TestGeneratedRhs:
                                       float(rng.uniform(1.2, 5.0)))
             shoot([float(rng.uniform(0.5, 5.0)),
                    float(rng.uniform(-3.0, 3.0))], params, 2.0)
-        assert list(hhlab.rk._FLOAT_STEPS) == [4]
+        assert [key[0] for key in hhlab.rk._LOOPS] == [4]
         assert list(hhlab.liouville._RADIAL_RHS) == [2]
 
 
@@ -455,6 +489,97 @@ class TestLaneRhs:
         want = [row(ri, yi) for ri, yi in zip(r.tolist(), y.tolist())]
         assert _lane_bits(got) == _lane_bits(want)
         assert got.flags["F_CONTIGUOUS"] == y.flags["F_CONTIGUOUS"]
+
+
+def _wrapped(fn, calls, copy):
+    """fn in a plain function that counts its calls in `calls`, made as
+    perfbench's tracer makes it (functools.update_wrapper, nothing
+    updated) or as functools.wraps makes it (which copies fn's attributes,
+    its fragment included)."""
+    def call(*args):
+        calls.append(None)
+        return fn(*args)
+    return functools.update_wrapper(call, fn,
+                                    updated=("__dict__",) if copy else ())
+
+
+class TestRoutes:
+    """A shoot's right-hand side and step callback carry fragments that
+    AdaptiveRK writes into its loop; wrapped, they are called instead. The
+    two routes must give the same outcome and trace, bit for bit, and the
+    called route the call counts perfbench derives its step counts from."""
+
+    @staticmethod
+    def run(entry, wrap_rhs, wrap_callback, copy):
+        # the outcome of one shoot, or its IntegratorError, and the calls
+        # made to the wrapped right-hand side and callback
+        rhs_calls, callback_calls = [], []
+
+        class WrappingRK(hhlab.rk.AdaptiveRK):
+            def __init__(self, rhs, *args, **kwargs):
+                if wrap_rhs:
+                    rhs = _wrapped(rhs, rhs_calls, copy)
+                super().__init__(rhs, *args, **kwargs)
+
+            def integrate(self, t0, y0, t_end, step_callback=None):
+                if wrap_callback:
+                    step_callback = _wrapped(step_callback, callback_calls,
+                                             copy)
+                return super().integrate(t0, y0, t_end, step_callback)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hhlab.liouville, "AdaptiveRK", WrappingRK)
+            try:
+                out = entry()
+            except IntegratorError as exc:
+                out = (str(exc), _bits([exc.state[0]]), _bits(exc.state[1]))
+            else:
+                out = (out.kind, out.layer_index, _bits([out.r_star]),
+                       _bits(out.end), _lane_bits(out.trace_r),
+                       _lane_bits(out.trace_y))
+        return out, len(rhs_calls), len(callback_calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(1, 4),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9),
+                       st.just(-2000.0)),
+           p=st.one_of(st.floats(1.0, 6.0, exclude_min=True),
+                       st.just(400.0)),
+           u0=st.floats(0.1, 10.0), rest=st.lists(
+               st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           r_max=st.floats(1.5, 10.0), track=st.booleans(),
+           wrap=st.sampled_from([(True, True), (True, False),
+                                 (False, True)]),
+           copy=st.booleans())
+    def test_spliced_and_called_routes_agree(self, n, m, a, p, u0, rest,
+                                             r_max, track, wrap, copy):
+        # starts that end at r0 (a negative layer, or u(0)^400 past the
+        # float range), sign losses, survivors and, tracked through sign
+        # changes by shoot_from, blow-ups, u^400 overflowing in the loop
+        # and step-size underflow; at a = -2000 the weight overflows
+        params = HardyHenonParams(n, m, a, p)
+        init = [u0] + rest[:m - 1]
+        start = hhlab.liouville.taylor_starts([init], params, DEFAULT_R0)[0]
+        if track and np.isfinite(start).all():
+            def entry():
+                return shoot_from(start, DEFAULT_R0, params, r_max)
+        else:
+            def entry():
+                return shoot(init, params, r_max)
+        spliced, no_rhs_calls, no_callback_calls = self.run(
+            entry, False, False, copy)
+        assert no_rhs_calls == no_callback_calls == 0
+        called, rhs_calls, callback_calls = self.run(entry, *wrap, copy)
+        assert called == spliced
+        if wrap[0] and rhs_calls:
+            # one call to start, six per trial step
+            assert rhs_calls % 6 == 1
+        if wrap[1] and isinstance(called[0], OutcomeKind):
+            # one call per accepted step, each a point of the whole trace
+            accepted = len(called[4][0]) - 1
+            assert callback_calls == accepted or accepted == 599
+            if wrap[0]:
+                assert callback_calls <= max(rhs_calls - 1, 0) // 6
 
 
 def reference_taylor_start(init, params, r0):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import struct
@@ -550,54 +551,160 @@ def _trial_steps(draw):
             nan_at)
 
 
+def reference_step_factor(err):
+    """The step controller's factor on h after a finite trial step with
+    scaled error err, as a min/max clamp: an error of 0 grows h by 5, a NaN
+    error shrinks it by 0.2."""
+    if not err > 0.0:
+        return 0.2 if err != err else 5.0
+    return min(5.0, max(0.2, 0.9 * err ** -0.2))
+
+
+def reference_integrate(integ, t0, y0, t_end, step_callback=None):
+    """AdaptiveRK's integration loop written out around `reference_step`:
+    the loop the generated one unrolls, statement for statement."""
+    t = float(t0)
+    y = [float(v) for v in y0]
+    f = integ.rhs(t, y)
+    h = hhlab.rk._first_step(t, t_end)
+    steps = 0
+    while t < t_end:
+        h = min(h, t_end - t)
+        if h < hhlab.rk.H_MIN_FACTOR * max(abs(t), 1e-30):
+            raise hhlab.rk._integrator_error(
+                f"step size underflow at r={t:.6g}", t, y)
+        y1, f1, err = reference_step(integ, t, y, h, f)
+        steps += 1
+        if steps > hhlab.rk.MAX_STEPS:
+            raise hhlab.rk._integrator_error("step budget exhausted", t, y)
+        if not all(map(math.isfinite, y1)):
+            h *= 0.25
+            continue
+        if err <= 1.0:
+            rec = StepRecord(t, t + h, y, y1, f, f1)
+            t, y, f = t + h, y1, f1
+            if step_callback is not None:
+                out = step_callback(rec)
+                if out is not None:
+                    return out
+        h *= reference_step_factor(err)
+    return None
+
+
+def record_bits(rec):
+    return [bits(rec.t0), bits(rec.t1), bits(rec.y0), bits(rec.y1),
+            bits(rec.f0), bits(rec.f1)]
+
+
 class TestGeneratedStep:
-    """AdaptiveRK's trial step is generated per dimension; it must compute
-    what the component loops of `reference_step` compute, bit for bit."""
+    """AdaptiveRK's integration loop is generated, the trial step inlined;
+    it must do what `reference_integrate` does, bit for bit."""
 
     @staticmethod
-    def taped(slopes, calls):
-        # returns the drawn slopes in call order and records every stage
+    def taped(f0, slopes, calls):
+        # returns f0 first, then the drawn slopes of every trial step in
+        # call order, and records every call
         def rhs(t, y):
-            calls.append((t, list(y)))
-            return list(slopes[len(calls) - 1])
+            calls.append(bits(t) + bits(list(y)))
+            return list(slopes[(len(calls) - 2) % 6] if len(calls) > 1
+                        else f0)
         return rhs
 
+    @staticmethod
+    def run(integrate, rhs, t0, y0, t_end, atol, rtol, stop_at):
+        # the records and the return value or error of one run
+        records = []
+
+        def callback(rec):
+            records.append(record_bits(rec))
+            return "stop" if len(records) == stop_at else None
+        try:
+            out = integrate(AdaptiveRK(rhs, rtol=rtol, atol=atol), t0, y0,
+                            t_end, callback)
+        except IntegratorError as exc:
+            out = (str(exc), bits(exc.state[0]), bits(exc.state[1]))
+        return records, out
+
     @settings(max_examples=300, deadline=None)
-    @given(case=_trial_steps())
-    def test_step_matches_the_component_loops(self, case):
+    @given(case=_trial_steps(), budget=st.integers(1, 4),
+           stop_at=st.one_of(st.none(), st.integers(1, 3)))
+    def test_step_matches_the_component_loops(self, case, budget, stop_at):
+        # every trial step sees the same six slopes; the span is the drawn
+        # h, so a run may end at t_end, underflow, spend its budget of
+        # trial steps or be stopped by its callback
         dim, t, y, h, f0, slopes, rtol, atol, nan_at = case
         runs = []
-        for step in (hhlab.rk._float_step(dim), reference_step):
-            calls = []
-            integ = AdaptiveRK(self.taped(slopes, calls), rtol=rtol,
-                               atol=atol)
-            y1, f1, err = step(integ, t, list(y), h, list(f0))
-            runs.append(([bits(ti) + bits(yi) for ti, yi in calls],
-                         bits(y1), bits(f1), bits(err)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hhlab.rk, "MAX_STEPS", budget)
+            for integrate in (AdaptiveRK.integrate, reference_integrate):
+                calls = []
+                runs.append((calls, *self.run(
+                    integrate, self.taped(f0, slopes, calls), t, y, t + h,
+                    atol, rtol, stop_at)))
         assert runs[0] == runs[1]
-        assert len(runs[0][0]) == 6
+        assert len(runs[0][0]) % 6 == 1
         if nan_at is not None:
-            # a NaN in any component's error sticks, whatever follows it
-            assert runs[0][3] == [b"nan"]
+            # a NaN in any component's error sticks, and rejects every step
+            assert runs[0][1] == []
 
-    def test_integrate_compiles_one_step_per_dimension(self, monkeypatch):
-        monkeypatch.setattr(hhlab.rk, "_FLOAT_STEPS", {})
+    def test_integrate_compiles_one_loop_per_dimension(self, monkeypatch):
+        # and one per kind of callback: none, or one that is called
+        monkeypatch.setattr(hhlab.rk, "_LOOPS", {})
         for dim in (1, 2, 2, 5, 1):
             AdaptiveRK(lambda t, y: [-v for v in y], **TOLS).integrate(
                 0.0, [1.0] * dim, 1.0)
-        assert sorted(hhlab.rk._FLOAT_STEPS) == [1, 2, 5]
+        assert sorted(key[0] for key in hhlab.rk._LOOPS) == [1, 2, 5]
+        AdaptiveRK(lambda t, y: [-v for v in y], **TOLS).integrate(
+            0.0, [1.0, 1.0], 1.0, lambda rec: None)
+        assert sorted(key[0] for key in hhlab.rk._LOOPS) == [1, 2, 2, 5]
 
     def test_rhs_is_read_at_every_step(self):
-        # a right-hand side replaced after construction is the one called
+        # a right-hand side replaced after construction is the one called,
+        # also in place of one that carries a fragment
         calls = []
-        integ = AdaptiveRK(lambda t, y: [0.0], **TOLS)
+        integ = AdaptiveRK(decay_with_fragment(0.5), **TOLS)
 
         def counted(t, y):
             calls.append(t)
-            return [0.0]
+            return [0.0, 0.0]
         integ.rhs = counted
-        integ.integrate(0.0, [1.0], 1.0)
+        integ.integrate(0.0, [1.0, 2.0], 1.0)
         assert len(calls) % 6 == 1 and len(calls) > 6
+
+    def test_fragments_are_written_in_and_wrappers_called(self):
+        # an rhs and a callback that carry fragments run in the loop with
+        # no call; wrapped as functools wraps them (the wrapper copies the
+        # fragment, and has __wrapped__), both are called; the two routes
+        # give the same steps, bit for bit
+        runs = []
+        for wrap in (False, True):
+            rhs, calls, ends = decay_with_fragment(0.5), [], []
+
+            def callback(rec):
+                ends.append(rec.t1)
+                return "stop" if len(ends) == 5 else None
+            callback.splice = ("ends.append({t1})\n"
+                               "if len(ends) == 5:\n"
+                               "    return 'stop'", ("ends",), (ends,))
+            if wrap:
+                rhs = functools.wraps(rhs)(
+                    lambda t, y, rhs=rhs: calls.append(t) or rhs(t, y))
+                callback = functools.wraps(callback)(
+                    lambda rec, fn=callback: fn(rec))
+            out = AdaptiveRK(rhs, **TOLS).integrate(0.0, [1.0, -2.0], 3.0,
+                                                    callback)
+            runs.append((out, bits(ends)))
+            assert len(calls) == (6 * 5 + 1 if wrap else 0)
+        assert runs[0] == runs[1] and runs[0][0] == "stop"
+
+
+def decay_with_fragment(rate):
+    """y' = -rate y on two components, with the fragment of its slopes."""
+    def rhs(t, y):
+        return [-rate * y[0], -rate * y[1]]
+    rhs.splice = ("{f[0]} = -rate * {y[0]}\n{f[1]} = -rate * {y[1]}",
+                  ("rate",), (rate,))
+    return rhs
 
 
 def reference_lane_step(integ, t, y, h, f0):
@@ -704,12 +811,12 @@ class TestLaneStep:
         [5e-324, 1e-4, 0.5, 1.0, 3.0, 1845.0, 1e5, math.inf]],
         ids=["mixed", "all-positive"])
     def test_factors_are_the_float_step_factor(self, errors):
-        # each lane's factor on h is `_step_factor` of its error, clamped
-        # to [0.2, 5], or the 0.25 retry where its trial state is not finite
+        # each lane's factor on h is `reference_step_factor` of its error,
+        # or the 0.25 retry where its trial state is not finite
         err = np.array(errors)
         for finite in (np.ones(err.size, bool), np.arange(err.size) % 3 > 0):
             got = hhlab.rk._lane_factors(err, finite)
-            want = [hhlab.rk._step_factor(e) if ok else hhlab.rk._RETRY
+            want = [reference_step_factor(e) if ok else hhlab.rk._RETRY
                     for e, ok in zip(errors, finite)]
             assert bits(got.tolist()) == bits(want)
 
