@@ -31,9 +31,10 @@ _EXPORTS = {name: module for module, names in {
                "kelvin_transform", "radial_monotonicity_check", "rho_radius",
                "shooting_oracle_sup_norm", "solve_positive",
                "torsion_bound_check", "torsion_function"),
-    "radial": ("HardyHenonParams", "RadialField", "RadialGrid",
-               "iterated_green", "poisson_solve_ball", "polyharmonic_apply",
-               "radial_laplacian", "rescale", "singular_solution"),
+    "numerics": ("HardyHenonParams",),
+    "radial": ("RadialField", "RadialGrid", "iterated_green",
+               "poisson_solve_ball", "polyharmonic_apply", "radial_laplacian",
+               "rescale", "singular_solution"),
 }.items() for name in names}
 
 __all__ = list(_EXPORTS)

@@ -9,10 +9,10 @@ carries; the subcommands and `report` call these and serialise the result.
 Package functions are reached through their modules (`K.riesz_compose_check`,
 not an imported name), so that a tracer which rebinds them sees every call.
 Only `kernels` is imported at module level: it is all `kernels-selftest`
-needs. `ladder`, `liouville`, `navier` and `radial` each load scipy (the first
-two through `radial`), so the functions that call them import them. Such an
-import binds the module object, not its functions, so the tracer still sees
-every call.
+needs. `liouville`, `navier` and `radial` each load scipy (`liouville`
+through `radial`), and `ladder` is needed by few checks, so the functions
+that call them import them. Such an import binds the module object, not its
+functions, so the tracer still sees every call.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import numpy as np
 
 from . import kernels as K
 from .errors import AmplitudeRangeError
-from .numerics import Check
+from .numerics import Check, HardyHenonParams
 
 if TYPE_CHECKING:
     from . import ladder as L
     from . import liouville as LV
     from . import navier as NV
-    from . import radial as RD
 
 CONSTANT_TOL = 1e-12        # Riesz constants, Green symmetry
 GREEN_BOUNDARY_TOL = 1e-9   # |G| next to the sphere
@@ -120,8 +119,7 @@ def divergence_threshold() -> Check:
     """eq:2-29 at n = 4, p = 2, a = 0, M = 0: alpha0 = 4 and the threshold
     (2p)^(np/(p-1)^2) alpha0^(n/(p-1)) = 4^8 4^4 = 2^24."""
     from . import ladder as L
-    from . import radial as RD
-    thr = L.divergence_threshold(RD.HardyHenonParams(4, 2, 0.0, 2.0), 0.0)
+    thr = L.divergence_threshold(HardyHenonParams(4, 2, 0.0, 2.0), 0.0)
     return Check("divergence-threshold", "eq:2-29", thr, 16777216.0,
                  abs(thr - 16777216.0) < THRESHOLD_TOL)
 
@@ -138,7 +136,7 @@ def ladder_recurrence(s0: L.LadderState, l0: float, rows: list) -> Check:
                  worst < LADDER_TOL)
 
 
-def threshold_divergence(params: RD.HardyHenonParams, l0: float,
+def threshold_divergence(params: HardyHenonParams, l0: float,
                          threshold: float, rows: list) -> list:
     """eq:2-40: from l0 at or above the threshold, every row keeps
     log l_k >= nk/(p-1) log(2p). No claim below the threshold."""
@@ -152,7 +150,7 @@ def threshold_divergence(params: RD.HardyHenonParams, l0: float,
                   diverge)]
 
 
-def singular_solution(params: RD.HardyHenonParams):
+def singular_solution(params: HardyHenonParams):
     """remark:1.2: the exact solution C r^(-sigma), by a 7-point FD residual
     of (-Lap)^m u - u^p/r^a on [0.5, 2], against SINGULAR_REL C^p.
 

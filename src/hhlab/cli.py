@@ -28,6 +28,7 @@ import numpy as np
 
 from . import checks as C
 from .errors import HHLabError
+from .numerics import HardyHenonParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,10 +95,9 @@ def cmd_kernels_selftest(args) -> int:
 
 def cmd_ladder(args) -> int:
     from . import ladder as L
-    from . import radial as RD
     try:
-        params = RD.HardyHenonParams(args.n, max(1, args.n // 2), args.a,
-                                     args.p)
+        params = HardyHenonParams(args.n, max(1, args.n // 2), args.a,
+                                  args.p)
         threshold = L.divergence_threshold(params, args.M)
         l0 = args.l0
         if l0 is None:
@@ -135,9 +135,8 @@ def cmd_ladder(args) -> int:
 
 def cmd_eigen(args) -> int:
     from . import navier as NV
-    from . import radial as RD
     try:
-        params = RD.HardyHenonParams(args.n, args.m, 0.0, 2.0)
+        params = HardyHenonParams(args.n, args.m, 0.0, 2.0)
         problem = NV.NavierProblem(params, args.R)
         grid = problem.default_grid(args.nodes)
     except ValueError as exc:
@@ -154,9 +153,8 @@ def cmd_eigen(args) -> int:
 
 def cmd_solve(args) -> int:
     from . import navier as NV
-    from . import radial as RD
     try:
-        params = RD.HardyHenonParams(args.n, args.m, 0.0, args.p, args.t)
+        params = HardyHenonParams(args.n, args.m, 0.0, args.p, args.t)
         problem = NV.NavierProblem(params, args.R)
         NV.check_solver_order(problem)
         grid = problem.default_grid(args.nodes)
@@ -176,9 +174,8 @@ def cmd_solve(args) -> int:
 
 def cmd_shoot(args) -> int:
     from . import liouville as LV
-    from . import radial as RD
     try:
-        params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
+        params = HardyHenonParams(args.n, args.m, args.a, args.p)
         init = [float(v) for v in args.init.split(",")]
         LV.shoot_cell(init, params, args.r_max)
     except ValueError as exc:
@@ -193,9 +190,8 @@ def cmd_shoot(args) -> int:
 
 def cmd_scan(args) -> int:
     from . import liouville as LV
-    from . import radial as RD
     try:
-        params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
+        params = HardyHenonParams(args.n, args.m, args.a, args.p)
         for layer, flag in enumerate(("u0", "u1", "higher")):
             if getattr(args, flag) is not None and layer >= args.m:
                 raise ValueError(f"--{flag} sets an origin layer that "
@@ -228,9 +224,8 @@ def _triple(spec: str):
 
 
 def cmd_singular(args) -> int:
-    from . import radial as RD
     try:
-        params = RD.HardyHenonParams(args.n, args.m, args.a, args.p)
+        params = HardyHenonParams(args.n, args.m, args.a, args.p)
     except ValueError as exc:
         return _config_error(str(exc))
     found = C.singular_solution(params)
@@ -257,8 +252,7 @@ def cmd_report(args) -> int:
     from . import ladder as L
     from . import liouville as LV
     from . import navier as NV
-    from . import radial as RD
-    params = RD.HardyHenonParams(4, 2, 0.0, 2.0)
+    params = HardyHenonParams(4, 2, 0.0, 2.0)
     problem = NV.NavierProblem(params, 1.0)
     sol = NV.solve_positive(problem, problem.default_grid(257))
     threshold = C.divergence_threshold()

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .radial import HardyHenonParams
+from .numerics import HardyHenonParams
 
 
 def default_alpha0(params: HardyHenonParams) -> float:

@@ -28,7 +28,7 @@ from .kernels import riesz_constant
 from .numerics import surface_area
 from .radial import (HardyHenonParams, RadialField, RadialGrid,
                      weighted_cumulative)
-from .rk import (AdaptiveRK, LaneRK, StepRecord, float_powers,
+from .rk import (AdaptiveRK, LaneRK, Resume, StepRecord, float_powers,
                  hermite_crossing)
 
 DEFAULT_BLOW_THRESHOLD = 1e8
@@ -194,7 +194,10 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     layer integrates its source r^(-a) u(0)^p explicitly, which requires
     a < 2 (for a >= 2 the source is not integrable at the origin). u(0)^p
     is taken by `float_powers` (libm `pow` per cell, as float `**` takes
-    it in the float right-hand side).
+    it in the float right-hand side). Where u(0)^p overflows while r0^(2-a)
+    underflows (a huge p with a strongly negative a), the product
+    u(0)^p r0^(2-a) is inf * 0 = NaN; there, and only there, it is taken in
+    log space, so every other start keeps the bits of the direct product.
     """
     n, m, p, a = params.n, params.m, params.p, params.a
     cells = np.asarray(cells, dtype=float)
@@ -206,10 +209,17 @@ def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
     u0 = cells[:, 0]
     # at a huge p, u(0)^p overflows to inf and the top layer's start to
     # -inf: a sign loss at r0, not a fault
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         f0 = float_powers(np.where(u0 < 0.0, 0.0, u0), p)
-        y[:, -2] = top - f0 * r0 ** (2.0 - a) / ((2.0 - a) * (n - a))
-        y[:, -1] = -f0 * r0 ** (1.0 - a) / (n - a)
+        sources = []
+        for e in (2.0 - a, 1.0 - a):
+            source = f0 * r0 ** e
+            nan = np.isnan(source)
+            if nan.any():
+                source[nan] = np.exp(p * np.log(u0[nan]) + e * math.log(r0))
+            sources.append(source)
+    y[:, -2] = top - sources[0] / ((2.0 - a) * (n - a))
+    y[:, -1] = -sources[1] / (n - a)
     return y
 
 
@@ -297,28 +307,15 @@ def _accept_source(m: int, classify: bool) -> str:
             "        return event")
 
 
-def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
-              r_max: float, rtol: float, atol: float,
-              classify: bool = True) -> ShootingOutcome:
-    # built first: invalid tolerances raise even for a start that ends at r0
-    integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
-    y0 = [float(v) for v in y0]
-    sign_rows = range(0, 2 * params.m, 2) if classify else ()
-    # the start and every accepted step
+def _track(integ, m: int, r0: float, y0: list, r_max: float,
+           classify: bool, resume: Optional[Resume] = None):
+    """Integrate from (r0, y0) with `_step_event`'s rules written into the
+    loop of `integ` (an AdaptiveRK), from the start or continuing a lane
+    `resume`. Returns the event (None: r_max reached) and the trace: r0 and
+    y0, then every accepted step. A failure below the amplitude floor is
+    re-raised (`_failure_event`)."""
+    sign_rows = range(0, 2 * m, 2) if classify else ()
     trace_r, trace_y = [r0], [y0]
-
-    def outcome(event):
-        end = (trace_r[-1], trace_y[-1][0])
-        tr, ty = np.asarray(trace_r), np.asarray(trace_y)
-        if tr.size > 600:
-            keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
-            tr, ty = tr[keep], ty[keep]
-        return _outcome(event, r_max, end, tr, ty)
-
-    if classify:
-        event = _start_event(r0, y0, params.m)
-        if event is not None:
-            return outcome(event)
 
     def callback(rec: StepRecord):
         trace_r.append(rec.t1)
@@ -326,15 +323,39 @@ def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
         return _step_event(rec, sign_rows)
 
     # the same steps written into the integrator's loop, with the
-    # thresholds this shoot reads
-    callback.splice = (_accept_source(params.m, classify), _ACCEPT_NAMES,
+    # thresholds this run reads
+    callback.splice = (_accept_source(m, classify), _ACCEPT_NAMES,
                        (trace_r, trace_y, -DEFAULT_SIGN_TOL,
                         DEFAULT_BLOW_THRESHOLD, _step_event, sign_rows))
     try:
-        event = integ.integrate(r0, y0, r_max, step_callback=callback)
+        if resume is None:
+            event = integ.integrate(r0, y0, r_max, step_callback=callback)
+        else:
+            event = integ.resume(r0, y0, r_max, *resume,
+                                 step_callback=callback)
     except IntegratorError as exc:
         event = _failure_event(exc)
-    return outcome(event)
+    return event, trace_r, trace_y
+
+
+def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
+              r_max: float, rtol: float, atol: float,
+              classify: bool = True) -> ShootingOutcome:
+    # built first: invalid tolerances raise even for a start that ends at r0
+    integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
+    y0 = [float(v) for v in y0]
+    event = _start_event(r0, y0, params.m) if classify else None
+    if event is None:
+        event, trace_r, trace_y = _track(integ, params.m, r0, y0, r_max,
+                                         classify)
+    else:
+        trace_r, trace_y = [r0], [y0]
+    end = (trace_r[-1], trace_y[-1][0])
+    tr, ty = np.asarray(trace_r), np.asarray(trace_y)
+    if tr.size > 600:
+        keep = np.unique(np.linspace(0, tr.size - 1, 600).astype(int))
+        tr, ty = tr[keep], ty[keep]
+    return _outcome(event, r_max, end, tr, ty)
 
 
 def shoot_cell(init: Sequence[float], params: HardyHenonParams,
@@ -432,7 +453,11 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
 
     Cells whose Taylor start ends at r0 are recorded at once; the others
     are integrated together as the lanes of one LaneRK run, with the event
-    rules of `_classify` applied to each lane."""
+    rules of `_classify` applied to each lane. The last few lanes (at most
+    `rk.LANE_HANDOFF`, all of them when the scan has no more) are handed
+    back by LaneRK and finished one by one in `AdaptiveRK`'s generated
+    loop, with the same rules written in, from the lane's exact state, step
+    size and step count: each ends where it would have ended as a lane."""
     # built first, as in `_classify`
     integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
     r0 = DEFAULT_R0
@@ -463,16 +488,25 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
                 for k in hit}
 
     results, t, y = integ.integrate(r0, starts[lanes], r_max, callback)
+    tail = None
     for k, i in enumerate(lanes):
         event = results[k]
-        if isinstance(event, IntegratorError):
-            try:
-                event = _failure_event(event)
-            except IntegratorError:
-                records[i] = ScanRecord(tuple(cells[i]), "IntegratorFailure",
-                                        None, math.nan, None)
-                continue
         end = (float(t[k]), float(y[k, 0]))
+        try:
+            if isinstance(event, Resume):
+                if tail is None:
+                    tail = AdaptiveRK(_radial_rhs(params), rtol=rtol,
+                                      atol=atol)
+                event, trace_r, trace_y = _track(
+                    tail, params.m, end[0], y[k].tolist(), r_max, True,
+                    event)
+                end = (trace_r[-1], trace_y[-1][0])
+            elif isinstance(event, IntegratorError):
+                event = _failure_event(event)
+        except IntegratorError:
+            records[i] = ScanRecord(tuple(cells[i]), "IntegratorFailure",
+                                    None, math.nan, None)
+            continue
         records[i] = _scan_record(cells[i], _outcome(event, r_max, end))
     return records
 

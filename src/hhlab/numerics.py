@@ -2,12 +2,17 @@
 
 Gauss-Legendre panel quadrature on graded meshes (for kernels with algebraic
 endpoint singularities), Fornberg finite-difference stencils on nonuniform
-grids (for the radial operators), and the `Check` record every certificate
-is reported in.
+grids (for the radial operators), the `Check` record every certificate is
+reported in, and the problem coefficients `HardyHenonParams` every module
+reads. It imports no scipy, so a command that needs only the coefficients
+(`ladder`) loads none.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, NamedTuple
 
@@ -23,6 +28,62 @@ class Check(NamedTuple):
     value: Any
     bound: Any
     ok: bool
+
+
+@dataclass(frozen=True)
+class HardyHenonParams:
+    """Problem coefficients for (-Laplace)^m u = u^p / |x|^a + t.
+
+    n : space dimension (>= 2)
+    m : operator half-order (>= 1), so the operator order is 2m
+    a : Hardy/Henon weight exponent (a < n; a > 0 Hardy, a < 0 Henon)
+    p : nonlinearity exponent (> 1)
+    t : nonnegative constant forcing used by the Navier solver
+    """
+
+    n: int
+    m: int
+    a: float = 0.0
+    p: float = 2.0
+    t: float = 0.0
+
+    def __post_init__(self):
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("a", "p", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.n < 2:
+            raise ValueError(f"dimension n must be >= 2, got {self.n}")
+        if self.m < 1:
+            raise ValueError(f"half-order m must be >= 1, got {self.m}")
+        if not self.p > 1.0:
+            raise ValueError(f"exponent p must exceed 1, got {self.p}")
+        if not self.a < self.n:
+            raise ValueError(f"weight exponent a must satisfy a < n")
+        if self.t < 0.0:
+            raise ValueError("forcing t must be nonnegative")
+
+    @property
+    def order_class(self) -> str:
+        """'critical' when 2m = n, 'super-critical' when 2m > n."""
+        if 2 * self.m == self.n:
+            return "critical"
+        return "super-critical" if 2 * self.m > self.n else "sub-critical"
+
+    @property
+    def sigma(self) -> float:
+        """Homogeneity exponent (2m - a)/(p - 1) of the re-scaling map.
+
+        u_lam(x) = lam^sigma u(lam x) solves the equation whenever u does:
+        the left side scales as (-Lap)^m [lam^sigma u(lam x)] =
+        lam^(sigma + 2m) ((-Lap)^m u)(lam x) and the right side as
+        lam^(sigma p + a), and the two powers agree at this sigma. It equals
+        (n - a)/(p - 1) only at critical order 2m = n."""
+        return (2 * self.m - self.a) / (self.p - 1.0)
 
 
 @lru_cache(maxsize=64)

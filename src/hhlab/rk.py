@@ -33,6 +33,8 @@ construction, and read one statement of the tableau, `_STAGES`,
   non-None value does. Any other callable, a wrapper too, is called. A
   loop is compiled once per state dimension and pair of templates
   (`_LOOPS`), and reads MAX_STEPS and H_MIN_FACTOR as it runs.
+  `integrate` starts the loop at t0 with the first step `_first_step`;
+  `resume` starts it from any state, trial step and step count.
 * `LaneRK` integrates many trajectories in lockstep, one row ("lane") of a
   (lanes, dim) array each. Every lane keeps its own t, h, step count and
   accept or reject decision, so each row follows the steps `AdaptiveRK`
@@ -50,13 +52,20 @@ construction, and read one statement of the tableau, `_STAGES`,
   numpy's vectorised `np.power`. So a lane's arithmetic is that of
   `AdaptiveRK`'s generated loop, operation for operation, and a lane ends
   exactly where `AdaptiveRK` ends alone.
+
+  A pass costs the same numpy calls however few lanes are live, about as
+  much as 15 to 20 steps of `AdaptiveRK`'s loop. So once LANE_HANDOFF or
+  fewer lanes are live, `LaneRK` stops and hands each one back (`Resume`:
+  its step and step count, with its t and state), and `AdaptiveRK.resume`
+  finishes it alone, with the steps the lane would have taken. Each
+  stepper thus runs where it is cheaper, and the result is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -93,6 +102,11 @@ _RETRY = 0.25
 MAX_STEPS = 500_000         # trial steps per trajectory, rejected included
 H_MIN_FACTOR = 1e-14        # smallest step relative to |t|
 CROSSING_TOL = 1e-13        # event bracket width relative to max(1, |t|)
+# live lanes at or below which LaneRK hands its lanes back (`Resume`): a
+# pass over a few lanes takes about 155 us warm on a 2.1 GHz Xeon vCPU,
+# a step of AdaptiveRK's loop with a scan's event screen 8 us at 4
+# components and 10 us at 6, so a lane left to run alone pays at about 16
+LANE_HANDOFF = 16
 
 
 def _first_step(t: float, t_end: float) -> float:
@@ -113,6 +127,14 @@ def float_powers(base: np.ndarray, exponent: float) -> np.ndarray:
     and 0 to a negative power gives inf where `**` raises. Floating-point
     warnings are left to the caller's `np.errstate`."""
     return np.float_power(base, exponent)
+
+
+class Resume(NamedTuple):
+    """A lane `LaneRK` handed back unfinished: its next trial step and the
+    trial steps it has taken. `AdaptiveRK.resume` continues it."""
+
+    h: float
+    steps: int
 
 
 def _integrator_error(message: str, t, y) -> IntegratorError:
@@ -198,7 +220,9 @@ def _loop_source(dim: int, slopes: tuple, accept: tuple) -> str:
     `slopes` and `accept` are the (template, names) of the right-hand side
     and of the accepted-step code written in (module docstring); a slopes
     template None calls `rhs`. `run` binds the names, in order, to the
-    values of `slope_env` and `accept_env`.
+    values of `slope_env` and `accept_env`. It starts at (t, y) with the
+    trial step h after `steps` trial steps, and takes the first slope at
+    (t, y) itself.
 
     The stage sums, the new state and the error norm are written by
     walking the rows of `_STAGES`, `_NEW_STATE` and `_ERROR`, each
@@ -235,14 +259,13 @@ def _loop_source(dim: int, slopes: tuple, accept: tuple) -> str:
 
     record = (f"StepRecord(t, t1, {vec('s')}, {vec('z')}, {vec('a')}, "
               f"{vec('k')})")
-    lines = ["def run(t, y, t_end, atol, rtol, slope_env, accept_env):"]
+    lines = ["def run(t, y, t_end, h, steps, atol, rtol, slope_env, "
+             "accept_env):"]
     for env, bound in (("slope_env", slope_names), ("accept_env", accept[1])):
         if bound:
             lines.append(f"    {', '.join(bound)}, = {env}")
     lines += [f"    {vec('s')} = y",
               *slope("t", "s", "a", 4),
-              "    h = _first_step(t, t_end)",
-              "    steps = 0",
               "    while t < t_end:",
               "        if t_end - t < h:",
               "            h = t_end - t",
@@ -325,7 +348,18 @@ class AdaptiveRK(_DormandPrince):
         into the loop instead of called (module docstring); the loop is
         compiled once per state dimension and pair of fragments.
         """
-        y = [float(v) for v in y0]
+        t0 = float(t0)
+        return self.resume(t0, y0, t_end, _first_step(t0, t_end), 0,
+                           step_callback)
+
+    def resume(self, t: float, y, t_end: float, h: float, steps: int,
+               step_callback: Optional[Callable] = None):
+        """`integrate` continued from (t, y) after `steps` trial steps, with
+        the trial step h: it takes the steps `integrate` would take from
+        there and counts MAX_STEPS on from `steps`. A lane that `LaneRK`
+        hands back (`Resume`) continues here exactly as `integrate` would
+        have taken it alone."""
+        y = [float(v) for v in y]
         rhs = self.rhs
         slopes = _fragment(rhs) or (None, ("rhs",), (rhs,))
         if step_callback is None:
@@ -341,8 +375,8 @@ class AdaptiveRK(_DormandPrince):
                          f"<AdaptiveRK loop, dim {len(y)}>", "exec"),
                  globals(), namespace)
             run = _LOOPS[key] = namespace["run"]
-        return run(float(t0), y, t_end, self.atol, self.rtol, slopes[2],
-                   accept[2])
+        return run(float(t), y, t_end, float(h), steps, self.atol, self.rtol,
+                   slopes[2], accept[2])
 
 
 def _lane_increment(out, tmp, terms, k, hc):
@@ -403,11 +437,16 @@ class LaneRK(_DormandPrince):
         are valid only during the call. It returns a dict from row index to
         a stop value for the lanes that stop there, or None when none does.
         Lanes that stop, reach t_end or fail are dropped from the arrays.
+        Once LANE_HANDOFF or fewer lanes are live, before a pass (before the
+        first, when y0 has that few rows), the run ends and hands each of
+        them back unfinished: a pass costs numpy's fixed costs however few
+        lanes it has, and `AdaptiveRK.resume` steps one lane for much less.
 
         Returns (results, t, y). results[i] is lane i's stop value, None
-        when it reached t_end, or the IntegratorError (step-size underflow
-        or budget exhaustion, with `.state`) that ended it; t[i] and y[i]
-        are its time and state after its last accepted step.
+        when it reached t_end, the IntegratorError (step-size underflow
+        or budget exhaustion, with `.state`) that ended it, or its `Resume`
+        when it was handed back; t[i] and y[i] are its time and state after
+        its last accepted step.
         """
         y = np.array(y0, dtype=float, ndmin=2, order="F")
         t = np.full(y.shape[0], float(t0))
@@ -417,8 +456,8 @@ class LaneRK(_DormandPrince):
         h = np.full(lane.size, _first_step(float(t0), t_end))
         steps = 0     # every live lane takes one trial step per pass
         with np.errstate(all="ignore"):
-            f = self.rhs(t, y) if lane.size else y
-            while lane.size:
+            f = self.rhs(t, y) if lane.size > LANE_HANDOFF else y
+            while lane.size > LANE_HANDOFF:
                 h = np.minimum(h, t_end - t)
                 # an underflowing lane fails before its step: the step is
                 # taken with the others but neither counted nor accepted
@@ -460,6 +499,9 @@ class LaneRK(_DormandPrince):
                     lane, t, h = lane[keep], t[keep], h[keep]
                     y = np.asfortranarray(y[keep])
                     f = np.asfortranarray(f[keep])
+        for i, h_i in zip(lane.tolist(), h.tolist()):
+            results[i] = Resume(h_i, steps)
+        t_out[lane], y_out[lane] = t, y
         return results, t_out, y_out
 
 

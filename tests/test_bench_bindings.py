@@ -35,6 +35,14 @@ def test_rk_binding_resolves():
     assert getattr(importlib.import_module(module), attr) is AdaptiveRK
 
 
+def test_radial_params_are_numerics_params():
+    """perfbench's workload and reference recorder import HardyHenonParams
+    from hhlab.radial; the class lives in hhlab.numerics."""
+    import hhlab.numerics
+    import hhlab.radial
+    assert hhlab.radial.HardyHenonParams is hhlab.numerics.HardyHenonParams
+
+
 def test_radial_cubic_spline_is_scipys():
     import hhlab.radial
     assert hhlab.radial.CubicSpline is scipy.interpolate.CubicSpline
@@ -224,3 +232,44 @@ def test_scan_events_are_located_through_liouvilles_binding(monkeypatch):
     for rec in res.records:
         liouville.shoot(list(rec.init), params, 30.0)
     assert in_scan == len(calls)
+
+
+def test_handed_over_lanes_keep_their_records_under_the_tracers_stepper(
+        monkeypatch):
+    """The tracer binds a subclass of AdaptiveRK at hhlab.liouville that
+    wraps the right-hand side and the step callback and whose `integrate`
+    takes (t0, y0, t_end, step_callback) only. A scan that hands its last
+    lanes to AdaptiveRK finishes them through that binding, so it must
+    give the records of the untraced scan, bit for bit."""
+    import functools
+
+    import hhlab.liouville as liouville
+    import hhlab.rk as rk
+    from hhlab.radial import HardyHenonParams
+
+    base = liouville.AdaptiveRK
+    made = []
+
+    class CountingShape(base):
+        def __init__(self, rhs, *args, **kwargs):
+            made.append(self)
+            super().__init__(functools.wraps(rhs)(
+                lambda r, y, rhs=rhs: rhs(r, y)), *args, **kwargs)
+
+        def integrate(self, t0, y0, t_end, step_callback=None):
+            if step_callback is not None:
+                step_callback = functools.wraps(step_callback)(
+                    lambda rec, fn=step_callback: fn(rec))
+            return super().integrate(t0, y0, t_end, step_callback)
+
+    params = HardyHenonParams(4, 2, 0.0, 2.0)
+    axes = [np.linspace(0.5, 8.0, 6), np.linspace(-4.0, 4.0, 5)]
+    monkeypatch.setattr(rk, "LANE_HANDOFF", 4)
+    untraced = liouville.scan(axes, params, 30.0).records
+    monkeypatch.setattr(liouville, "AdaptiveRK", CountingShape)
+    traced = liouville.scan(axes, params, 30.0).records
+    assert made
+    assert [(rec.kind, rec.layer, np.float64(rec.r_star).tobytes(),
+             rec.growth_fit) for rec in traced] == \
+        [(rec.kind, rec.layer, np.float64(rec.r_star).tobytes(),
+          rec.growth_fit) for rec in untraced]

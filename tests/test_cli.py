@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -671,6 +672,21 @@ class TestScanCommand:
         reference = LV.reference_axes(HardyHenonParams(4, m, 0.0, 2.0))
         assert seen == [[replaced.get(i, ax.tolist())
                          for i, ax in enumerate(reference)]]
+
+    def test_one_cell_scan_writes_what_shoot_writes(self, tmp_path):
+        # a one-cell scan finishes its lane in the float stepper, from the
+        # lane's state: kind, layer and r* are the shoot's, to the last bit
+        code, out = run_cli(["scan", "--u0", "2,2,1", "--u1", "1,1,1"],
+                            tmp_path, "scan")
+        assert code == 0
+        with open(out / "scan.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        code, out = run_cli(["shoot", "--init", "2,1"], tmp_path, "shoot")
+        assert code == 0
+        shot = read_json(out, "shoot.json")
+        layer = None if row["layer"] == "" else int(row["layer"])
+        assert (row["kind"], layer, float(row["r_star"])) == \
+            (shot["kind"], shot["layer_index"], shot["r_star"])
 
     @pytest.mark.parametrize("m,flag", [("1", "--u1"), ("2", "--higher")])
     def test_axis_flag_without_its_layer_exits_2(self, m, flag, tmp_path,

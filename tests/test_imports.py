@@ -47,10 +47,12 @@ def test_cli_import_loads_no_scipy():
     assert _fresh(code) == SHARED
 
 
-@pytest.mark.parametrize("argv", [["--help"],
-                                  ["kernels-selftest", "--n-configs", "2"]],
-                         ids=["help", "kernels-selftest"])
-def test_command_without_scipy(argv, tmp_path):
+# a command that loads no scipy, and the modules it adds to the shared ones
+@pytest.mark.parametrize("argv,own", [
+    (["--help"], []), (["kernels-selftest", "--n-configs", "2"], []),
+    (["ladder"], ["hhlab.ladder"])],
+    ids=["help", "kernels-selftest", "ladder"])
+def test_command_without_scipy(argv, own, tmp_path):
     argv = argv + ["--quiet", "--output-dir", str(tmp_path)]
     code = ("import json, sys\n"
             "from hhlab.cli import main\n"
@@ -59,7 +61,7 @@ def test_command_without_scipy(argv, tmp_path):
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
             f"print(json.dumps([code, {LOADED}]))")
-    assert _fresh(code) == [0, SHARED]
+    assert _fresh(code) == [0, sorted(SHARED + own)]
 
 
 def test_exports_are_their_modules_objects():

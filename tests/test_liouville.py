@@ -227,9 +227,8 @@ def _cells(axes):
                     axis=1)
 
 
-def _assert_agrees(records, cells, params, r_max):
-    """Cell by cell, the lane records match the float stepper's shoot: kind
-    and layer exactly, r* and growth_fit to 1e-9 relative."""
+def _assert_identical(records, cells, params, r_max):
+    """Cell by cell, the scan records are the shoot's, bit for bit."""
     assert len(records) == len(cells)
     for rec, init in zip(records, cells):
         kind, layer, r_star, growth = _shoot_record(init, params, r_max)
@@ -238,30 +237,50 @@ def _assert_agrees(records, cells, params, r_max):
         if kind == "IntegratorFailure":
             assert math.isnan(rec.r_star) and rec.growth_fit is None
             continue
-        assert rec.r_star == pytest.approx(r_star, rel=1e-9, abs=0.0), init
-        if growth is None:
-            assert rec.growth_fit is None
-        else:
-            assert rec.growth_fit == pytest.approx(growth, rel=1e-9), init
+        assert _bits([rec.r_star]) == _bits([r_star]), init
+        assert (rec.growth_fit is None) == (growth is None), init
+        if growth is not None:
+            assert _bits([rec.growth_fit]) == _bits([growth]), init
+
+
+# LANE_HANDOFF values that put no lane, one, about half or every lane of a
+# scan of `lanes` integrated cells on the float stepper
+HANDOFFS = {"none": lambda lanes: 0, "one": lambda lanes: 1,
+            "middle": lambda lanes: max(2, lanes // 2),
+            "all": lambda lanes: lanes}
+
+
+def _lane_count(cells, params):
+    """The cells of a scan whose Taylor start leaves r0: its lanes."""
+    starts = hhlab.liouville.taylor_starts(cells, params, DEFAULT_R0)
+    return sum(hhlab.liouville._start_event(DEFAULT_R0, start, params.m)
+               is None for start in starts.tolist())
 
 
 class TestScanLanes:
-    """scan integrates its cells as the lanes of one LaneRK run; the float
-    stepper behind `shoot` is the oracle for every lane."""
+    """scan integrates its cells as the lanes of one LaneRK run, and
+    finishes the last LANE_HANDOFF of them in AdaptiveRK's loop; the float
+    stepper behind `shoot` is the oracle for every cell, on either side of
+    the handoff."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 8), m=st.integers(1, 4),
            a=st.one_of(st.just(0.0), st.floats(-2.0, 1.9)),
            p=st.floats(1.0, 6.0, exclude_min=True),
-           u0=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
-           u1=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
-           higher=st.floats(-2.0, 2.0), r_max=st.floats(2.0, 20.0))
+           u0=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
+           u1=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+           higher=st.floats(-2.0, 2.0), r_max=st.floats(2.0, 20.0),
+           handoff=st.sampled_from(sorted(HANDOFFS)))
     def test_scan_agrees_with_shoot_cell_by_cell(self, n, m, a, p, u0, u1,
-                                                  higher, r_max):
+                                                  higher, r_max, handoff):
         params = HardyHenonParams(n, m, a, p)
         axes = [u0] + [u1] * (m > 1) + [[higher]] * max(m - 2, 0)
-        res = scan(axes, params, r_max)
-        _assert_agrees(res.records, _cells(axes), params, r_max)
+        cells = _cells(axes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hhlab.rk, "LANE_HANDOFF",
+                       HANDOFFS[handoff](_lane_count(cells, params)))
+            res = scan(axes, params, r_max)
+        _assert_identical(res.records, cells, params, r_max)
 
     def test_reference_scans_match_shoot_exactly(self):
         # a lane repeats the float stepper's arithmetic operation for
@@ -295,11 +314,14 @@ class TestScanLanes:
                        HardyHenonParams(3, 1, 0.0, 5.0),
                        HardyHenonParams(6, 1, -1.0, 1.5)):
             res = scan(axes, params, 30.0)
-            _assert_agrees(res.records, _cells(axes), params, 30.0)
+            _assert_identical(res.records, _cells(axes), params, 30.0)
             kinds |= {rec.kind for rec in res.records}
             if params.n == 4:
                 assert res.records[2].kind == "Survived"
         assert kinds == {"Survived", "SignLoss"}
+
+    # the cases below run with every lane on LaneRK (LANE_HANDOFF 0) and
+    # with every lane handed to AdaptiveRK at pass 0 (LANE_HANDOFF 100)
 
     def test_blow_up_lanes(self, monkeypatch):
         # with the sign rule switched off, a negative second layer drives u
@@ -307,23 +329,35 @@ class TestScanLanes:
         monkeypatch.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", 1e30)
         params = HardyHenonParams(4, 2, 0.0, 4.0)
         cells = _cells([np.array([0.5, 1.0]), np.array([-1.0, -1e10])])
-        records = hhlab.liouville._scan_lanes(cells, params, 20.0, 1e-10,
-                                              1e-12)
-        _assert_agrees(records, cells, params, 20.0)
-        assert {rec.kind for rec in records} == {"BlowUp"}
-        assert all(DEFAULT_R0 < rec.r_star < 20.0 for rec in records)
+        for handoff in (0, 100):
+            monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
+            records = hhlab.liouville._scan_lanes(cells, params, 20.0,
+                                                  1e-10, 1e-12)
+            _assert_identical(records, cells, params, 20.0)
+            assert {rec.kind for rec in records} == {"BlowUp"}
+            assert all(DEFAULT_R0 < rec.r_star < 20.0 for rec in records)
 
     def test_non_finite_retry_and_underflow_blow_up_lanes(self, monkeypatch):
         # with no thresholds at all, u^p overflows in trial stages: those
         # lanes retry at a quarter step until h underflows above the
-        # amplitude floor, a blow-up at the failure radius
-        non_finite = []
+        # amplitude floor, a blow-up at the failure radius. The retries
+        # are seen in LaneRK's trial states, and in the float stepper's as
+        # the states it calls a wrapped right-hand side at
+        non_finite = {0: [], 100: []}
         real_step = hhlab.rk.LaneRK._step
 
         def counting(self, t, y, h, f0):
             y1, f1, err = real_step(self, t, y, h, f0)
-            non_finite.append(int(np.sum(~np.isfinite(y1).all(axis=1))))
+            non_finite[0].append(int(np.sum(~np.isfinite(y1).all(axis=1))))
             return y1, f1, err
+
+        class WrappedRK(hhlab.rk.AdaptiveRK):
+            def __init__(self, rhs, *args, **kwargs):
+                @functools.wraps(rhs)
+                def wrapped(r, y):
+                    non_finite[100].append(not all(map(math.isfinite, y)))
+                    return rhs(r, y)
+                super().__init__(wrapped, *args, **kwargs)
 
         monkeypatch.setattr(hhlab.rk.LaneRK, "_step", counting)
         monkeypatch.setattr(hhlab.liouville, "DEFAULT_BLOW_THRESHOLD",
@@ -331,23 +365,51 @@ class TestScanLanes:
         monkeypatch.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", math.inf)
         params = HardyHenonParams(4, 2, 0.0, 4.0)
         cells = _cells([np.array([1.0, 1e30]), np.array([-1.0, -1e10])])
-        records = hhlab.liouville._scan_lanes(cells, params, 20.0, 1e-10,
-                                              1e-12)
-        _assert_agrees(records, cells, params, 20.0)
-        assert {rec.kind for rec in records} == {"BlowUp"}
-        assert sum(non_finite) > 0
+        for handoff in (0, 100):
+            monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
+            with monkeypatch.context() as mp:
+                mp.setattr(hhlab.liouville, "AdaptiveRK", WrappedRK)
+                records = hhlab.liouville._scan_lanes(cells, params, 20.0,
+                                                      1e-10, 1e-12)
+            _assert_identical(records, cells, params, 20.0)
+            assert {rec.kind for rec in records} == {"BlowUp"}
+            assert sum(non_finite[handoff]) > 0
 
     def test_integrator_failure_lane(self, monkeypatch):
         # a step budget of 40 ends the long lanes below the amplitude floor:
         # recorded as IntegratorFailure, with the error shoot raises
         monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 40)
         axes = [np.array([0.5, 5.0]), np.array([-1.0, 0.0, 8.0])]
+        for handoff in (0, 100):
+            monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
+            res = scan(axes, CRITICAL, 30.0)
+            _assert_identical(res.records, _cells(axes), CRITICAL, 30.0)
+            kinds = [rec.kind for rec in res.records]
+            assert "IntegratorFailure" in kinds and "SignLoss" in kinds
+            assert res.tally["IntegratorFailure"] == kinds.count(
+                "IntegratorFailure")
+
+    def test_budget_counts_on_across_the_handoff(self, monkeypatch):
+        # the budget of 60 trial steps ends the long lanes; handed over
+        # after one lane ends, they spend the rest of it in AdaptiveRK's
+        # loop and fail at its step, as the shoots do
+        monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 60)
+        axes = [np.array([0.5, 5.0]), np.array([-1.0, 0.0, 8.0])]
+        cells = _cells(axes)
+        lanes = _lane_count(cells, CRITICAL)
+        passes = []
+        real_step = hhlab.rk.LaneRK._step
+
+        def counting(self, t, y, h, f0):
+            passes.append(y.shape[0])
+            return real_step(self, t, y, h, f0)
+
+        monkeypatch.setattr(hhlab.rk.LaneRK, "_step", counting)
+        monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", lanes - 1)
         res = scan(axes, CRITICAL, 30.0)
-        _assert_agrees(res.records, _cells(axes), CRITICAL, 30.0)
-        kinds = [rec.kind for rec in res.records]
-        assert "IntegratorFailure" in kinds and "SignLoss" in kinds
-        assert res.tally["IntegratorFailure"] == kinds.count(
-            "IntegratorFailure")
+        _assert_identical(res.records, cells, CRITICAL, 30.0)
+        assert passes[0] == lanes and 0 < len(passes) < 60
+        assert "IntegratorFailure" in [rec.kind for rec in res.records]
 
 
 def reference_radial_rhs(params):
@@ -641,7 +703,7 @@ class TestTaylorStarts:
         res = scan(axes, params, 10.0)
         assert (res.records[0].kind, res.records[0].layer,
                 res.records[0].r_star) == ("SignLoss", m - 1, DEFAULT_R0)
-        _assert_agrees(res.records, _cells(axes), params, 10.0)
+        _assert_identical(res.records, _cells(axes), params, 10.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_overflowing_power_warns_nothing(self, m):
@@ -659,6 +721,39 @@ class TestTaylorStarts:
         assert starts[0, -1] == -math.inf
         assert [(rec.kind, rec.layer) for rec in res.records] == \
             [(out.kind.value, out.layer_index) for out in outs]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflow_times_underflow_is_taken_in_log_space(self, m):
+        # at p = 400, a = -2000, u(0) = 10: u(0)^p = inf and r0^(2-a) = 0,
+        # whose direct product is NaN; in log space the source term is 0,
+        # so the start is finite, no warning is raised and scan records
+        # what shoot says, bit for bit. u(0) = 0.5 keeps its direct product
+        params = HardyHenonParams(4, m, -2000.0, 400.0)
+        axes = [np.array([10.0, 0.5])] + [np.array([1.0])] * (m - 1)
+        cells = _cells(axes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            starts = hhlab.liouville.taylor_starts(cells, params,
+                                                   DEFAULT_R0)
+            res = scan(axes, params, 10.0)
+            _assert_identical(res.records, cells, params, 10.0)
+        assert np.isfinite(starts).all()
+        assert _bits(starts[:, -2:].tolist()[0]) == _bits([cells[0, -1],
+                                                           -0.0])
+        for cell, start in zip(cells[1:], starts[1:]):
+            want = reference_taylor_start(cell, params, DEFAULT_R0)
+            assert _bits(start.tolist()) == _bits(want.tolist())
+
+    def test_log_space_product_is_the_exact_power(self):
+        # 10^400 r0^65 = 10^10, where 10^400 overflows and r0^65 = 1e-390
+        # underflows; the log-space product recovers it to rounding
+        n, a = 4, -63.0
+        params = HardyHenonParams(n, 2, a, 400.0)
+        start = hhlab.liouville.taylor_starts([[10.0, 1.0]], params,
+                                              DEFAULT_R0)[0]
+        assert start[-2] == pytest.approx(1.0 - 1e10 / ((2 - a) * (n - a)),
+                                          rel=1e-9)
+        assert start[-1] == pytest.approx(-1e16 / (n - a), rel=1e-9)
 
     @pytest.mark.parametrize("init,params,message", [
         ([1.0, 2.0, 3.0], CRITICAL, "need 2 origin values, got shape"),

@@ -253,7 +253,13 @@ def lanes_of(rhs):
 
 class TestLaneRK:
     """Every lane must take exactly the steps AdaptiveRK takes for it alone
-    (the per-row rhs below computes the same floats)."""
+    (the per-row rhs below computes the same floats). Lanes are stepped
+    here to their end (no handoff); `TestHandoff` covers the lanes LaneRK
+    hands back."""
+
+    @pytest.fixture(autouse=True)
+    def no_handoff(self, monkeypatch):
+        monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", 0)
 
     @staticmethod
     def float_run(rhs, y0, t_end, stop=None, **kwargs):
@@ -406,6 +412,83 @@ class TestLaneRK:
         results, t, y = LaneRK(lanes_of(lambda t, y: y), **TOLS).integrate(
             0.0, np.empty((0, 2)), 1.0)
         assert results == [] and t.shape == (0,) and y.shape == (0, 2)
+
+
+class TestHandoff:
+    """At LANE_HANDOFF live lanes or fewer, LaneRK hands every lane back
+    as a `Resume`; `AdaptiveRK.resume` then finishes it with the steps
+    AdaptiveRK takes for that lane alone."""
+
+    @staticmethod
+    def finish(rhs, y0, t_end, stop=None, **kwargs):
+        # each lane's records: its lane steps, then its resumed steps
+        (results, t, y), records = TestLaneRK.lane_run(rhs, y0, t_end, stop,
+                                                       **kwargs)
+        outs = []
+        for i, out in enumerate(results):
+            if isinstance(out, hhlab.rk.Resume):
+                lane = records.setdefault(float(y[i, -1]), [])
+
+                def callback(rec, lane=lane):
+                    lane.append(rec)
+                    return stop(rec) if stop else None
+                try:
+                    out = AdaptiveRK(rhs, **kwargs).resume(
+                        t[i], y[i], t_end, *out, step_callback=callback)
+                except IntegratorError as exc:
+                    out = exc
+            outs.append(out)
+        return outs, records
+
+    @pytest.mark.parametrize("handoff", [1, 2, 3, 4, 10])
+    def test_handed_back_lanes_end_where_the_float_stepper_ends(
+            self, monkeypatch, handoff):
+        # the decay rates end the lanes at different passes, so each
+        # handoff leaves a different number of lanes mid-run (all four at
+        # pass 0 for 4 and 10)
+        def rhs(t, y):
+            return [-y[1] * y[0], 0.0]
+
+        def stop(rec):
+            return ("low", rec.t1) if rec.y1[0] < 0.1 else None
+
+        monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
+        rates = [0.5, 2.0, 6.0, 30.0]
+        outs, lane_records = self.finish(rhs, [[1.0, k] for k in rates], 2.0,
+                                         stop, rtol=1e-9, atol=1e-12)
+        for i, k in enumerate(rates):
+            out, records = TestLaneRK.float_run(rhs, [1.0, k], 2.0, stop,
+                                                rtol=1e-9, atol=1e-12)
+            assert outs[i] == out
+            assert lane_records[k] == records
+
+    @pytest.mark.parametrize("handoff", [1, 2])
+    def test_budget_counts_on_across_the_handoff(self, monkeypatch, handoff):
+        # the slow lane ends early; the fast one spends its budget after it
+        # is handed back, at the trial step where it would spend it alone
+        def rhs(t, y):
+            return [-y[1] * y[0], 0.0]
+
+        monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
+        monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 30)
+        starts = [[1.0, 0.0], [1.0, 50.0], [1.0, 80.0]]
+        outs, records = self.finish(rhs, starts, 10.0, rtol=1e-10,
+                                    atol=1e-10)
+        assert outs[0] is None
+        for i in (1, 2):
+            out, float_records = TestLaneRK.float_run(
+                rhs, starts[i], 10.0, rtol=1e-10, atol=1e-10)
+            assert "budget" in str(outs[i]) and str(outs[i]) == str(out)
+            assert outs[i].state == out.state
+            assert records[starts[i][1]] == float_records
+
+    def test_pass_zero_handoff_resumes_at_the_first_step(self, monkeypatch):
+        monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", 2)
+        results, t, y = LaneRK(lanes_of(lambda t, y: [0.0, 0.0]),
+                               **TOLS).integrate(0.5, [[1.0, 2.0]], 3.0)
+        assert results == [hhlab.rk.Resume(hhlab.rk._first_step(0.5, 3.0),
+                                           0)]
+        assert t.tolist() == [0.5] and y.tolist() == [[1.0, 2.0]]
 
 
 def reference_step(integ, t, y, h, f0):
@@ -563,11 +646,17 @@ def reference_step_factor(err):
 def reference_integrate(integ, t0, y0, t_end, step_callback=None):
     """AdaptiveRK's integration loop written out around `reference_step`:
     the loop the generated one unrolls, statement for statement."""
-    t = float(t0)
-    y = [float(v) for v in y0]
+    t0 = float(t0)
+    return reference_resume(integ, t0, y0, t_end,
+                            hhlab.rk._first_step(t0, t_end), 0, step_callback)
+
+
+def reference_resume(integ, t, y, t_end, h, steps, step_callback=None):
+    """`reference_integrate` from (t, y) with the trial step h, after
+    `steps` trial steps."""
+    t = float(t)
+    y = [float(v) for v in y]
     f = integ.rhs(t, y)
-    h = hhlab.rk._first_step(t, t_end)
-    steps = 0
     while t < t_end:
         h = min(h, t_end - t)
         if h < hhlab.rk.H_MIN_FACTOR * max(abs(t), 1e-30):
@@ -646,6 +735,31 @@ class TestGeneratedStep:
         if nan_at is not None:
             # a NaN in any component's error sticks, and rejects every step
             assert runs[0][1] == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_trial_steps(), budget=st.integers(1, 4),
+           spent=st.integers(0, 4), span=st.floats(0.5, 8.0),
+           stop_at=st.one_of(st.none(), st.integers(1, 3)))
+    def test_resume_matches_the_component_loops(self, case, budget, spent,
+                                                span, stop_at):
+        # resumed with the drawn step h after `spent` trial steps, over a
+        # span of `span` h: the budget counts on from `spent`
+        dim, t, y, h, f0, slopes, rtol, atol, nan_at = case
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hhlab.rk, "MAX_STEPS", budget)
+            for resume in (AdaptiveRK.resume, reference_resume):
+                def integrate(integ, t0, y0, t_end, callback):
+                    return resume(integ, t0, y0, t_end, h, spent, callback)
+                calls = []
+                runs.append((calls, *self.run(
+                    integrate, self.taped(f0, slopes, calls), t, y,
+                    t + span * h, atol, rtol, stop_at)))
+        assert runs[0] == runs[1]
+        calls, records, out = runs[0]
+        if spent >= budget and len(calls) > 1:
+            # the first trial step taken spends the budget
+            assert records == [] and "budget" in out[0]
 
     def test_integrate_compiles_one_loop_per_dimension(self, monkeypatch):
         # and one per kind of callback: none, or one that is called
