@@ -11,6 +11,13 @@ never a configuration error. Errors go to standard error as JSON.
 A command imports the modules it runs inside its handler, so `--help` and
 `kernels-selftest` load no scipy; only `checks` (with `kernels`), which
 every certificate goes through, is imported with this module.
+
+A command's argv is read from its flag table (`_FlagTable`), recorded from
+the same functions that add its flags to its argparse parser. The table
+reads exact `--flag value`, `--flag=value` and bare switches and returns
+what argparse would return; anything else (help, an abbreviation, an
+unknown flag, a rejected or missing value) goes to the command's argparse
+parser, built only then, so every help text and error is argparse's.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,20 +38,26 @@ from .errors import HHLabError
 from .numerics import HardyHenonParams
 
 
+# A token that starts with `-` then a digit or `.` is a value, never a flag
+# (no hhlab flag looks like that): `--u1 -10,10,21` and `--a -1e-3` parse,
+# where argparse's own pattern takes only -3 or -.5 as negative numbers.
+_NEGATIVE_NUMBER = re.compile(r"^-[\d.]")
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reports errors as JSON. A token that starts
-    with `-` then a digit or `.` is a value, never a flag (no hhlab flag
-    looks like that): `--u1 -10,10,21` and `--a -1e-3` parse, where
-    argparse's own pattern takes only -3 or -.5 as negative numbers."""
+    """An ArgumentParser that reports errors as JSON and reads a token that
+    matches `_NEGATIVE_NUMBER` as a value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse internals: `_ActionsContainer.__init__` sets this pattern
-        # and `_parse_optional` reads it to take a token that starts with
-        # `-` as a value (checked against CPython 3.11's argparse). Were a
-        # later argparse to stop reading it, the argv tests in
-        # tests/test_cli.py that pass such values with a space would fail.
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        # argparse internals, the only ones this module relies on:
+        # `_ActionsContainer.__init__` sets this pattern and
+        # `_parse_optional` reads it to take a token that starts with `-`
+        # as a value (checked against CPython 3.11's argparse). Were a
+        # later argparse to stop reading it, the tests in tests/test_cli.py
+        # that check the flag table against argparse on such values, given
+        # with a space, would fail.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise SystemExit(_config_error(message))
@@ -422,6 +435,70 @@ def command_parser(name: str) -> _Parser:
     return parser
 
 
+class _Flag(NamedTuple):
+    dest: str                  # its attribute in the namespace
+    type: Optional[Callable]   # its argparse type; None keeps the string
+    takes_value: bool          # False for a store_true switch
+
+
+class _FlagTable:
+    """The flags of one subcommand, recorded from the functions that add
+    them to its parser, and a parse of argv that argparse would parse the
+    same. Its `add_argument` takes the arguments those functions pass (a
+    flag, `type`, `default`, `required`, `action="store_true"`, `help`)."""
+
+    def __init__(self, name: str):
+        self.flags = {}       # option string -> _Flag
+        self.defaults = {}    # dest -> default, in declaration order
+        self.required = []    # dests argparse requires
+        _COMMANDS[name].add_flags(self)
+        _add_common(self)
+
+    def add_argument(self, flag, type=None, default=None, action=None,
+                     required=False, help=None):
+        if action not in (None, "store_true"):
+            raise ValueError(f"{flag}: the flag table reads no {action!r}")
+        dest = flag[2:].replace("-", "_")
+        self.flags[flag] = _Flag(dest, type, action is None)
+        self.defaults[dest] = default if action is None else False
+        if required:
+            self.required.append(dest)
+
+    def parse(self, argv: list):
+        """The argparse.Namespace that argparse returns for argv (the last
+        repeat of a flag wins), where argv holds only exact `--flag value`,
+        `--flag=value` and bare switches, the values are accepted by their
+        types and every required flag is given; otherwise None."""
+        values = dict(self.defaults)
+        given = set()
+        tokens = iter(argv)
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            flag = self.flags.get(name)
+            if flag is None:
+                return None
+            if not flag.takes_value:
+                if eq:
+                    return None
+                values[flag.dest] = True
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None or (value.startswith("-") and
+                                     not _NEGATIVE_NUMBER.match(value)):
+                    return None
+            if flag.type is not None:
+                try:
+                    value = flag.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            values[flag.dest] = value
+            given.add(flag.dest)
+        if not given.issuperset(self.required):
+            return None
+        return argparse.Namespace(**values)
+
+
 def _dispatch_parser(argv: list) -> _Parser:
     """The top-level parser: it names every subcommand with its help and
     owns no flags. It only sees an argv that does not start with a command
@@ -441,12 +518,12 @@ def _dispatch_parser(argv: list) -> _Parser:
     return parser
 
 
-def _apply_config(argv: list, parser: _Parser) -> list:
+def _apply_config(argv: list, table: _FlagTable) -> list:
     """Load INI defaults for the subcommand argv[0]; flags still override.
     The file is named by `--config PATH` or `--config=PATH`. A key is its
     flag's name without the dashes, `_` standing for `-`, and keeps its
     case as on the command line: `R = 2` sets `--R`. The key of a flag
-    that takes no value in `parser` (`--quiet`) is a boolean in
+    that takes no value in `table` (`--quiet`) is a boolean in
     `ConfigParser.getboolean`'s words: true adds the bare flag."""
     path = None
     for i, token in enumerate(argv):
@@ -472,10 +549,9 @@ def _apply_config(argv: list, parser: _Parser) -> list:
     injected = []
     for key, value in items:
         flag = "--" + key.replace("_", "-")
-        # argparse internals: the parser's map from option string to action
-        action = parser._option_string_actions.get(flag)
+        known = table.flags.get(flag)
         tokens = [flag, value]
-        if action is not None and action.nargs == 0:
+        if known is not None and not known.takes_value:
             on = cp.BOOLEAN_STATES.get(value.lower())
             if on is None:
                 raise SystemExit(_config_error(
@@ -491,8 +567,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] not in _COMMANDS:
         _dispatch_parser(argv).parse_args(argv)   # exits: help or a JSON error
-    parser = command_parser(argv[0])
-    args = parser.parse_args(_apply_config(argv, parser)[1:])
+    table = _FlagTable(argv[0])
+    tokens = _apply_config(argv, table)[1:]
+    args = table.parse(tokens)
+    if args is None:    # help, an error, or a form the table does not read
+        args = command_parser(argv[0]).parse_args(tokens)
     try:
         # a floating-point fault surfaces through the finiteness checks as
         # a JSON error, never as a numpy warning on stderr

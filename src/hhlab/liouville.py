@@ -76,9 +76,36 @@ class ShootingOutcome:
         return u / r ** 2 if r > 0 else None
 
 
-# the names the slopes template reads: n - 1, p, the weight's exponent -a
-# and inf
-_SLOPE_NAMES = ("nm1", "p", "e", "inf")
+# the names the slopes template reads: n - 1, p, the weight's exponent -a,
+# inf and `_weighted_power`
+_SLOPE_NAMES = ("nm1", "p", "e", "inf", "weighted_power")
+
+
+def _weighted_power(u: float, r: float, p: float, e: float) -> float:
+    """The weighted source u^p r^e (u < 0 read as 0, u = -0.0 kept) where
+    float `**` raises on a factor: inf in the place of the factor that
+    overflows, as the lanes' numpy powers give it, except where that makes
+    inf * 0 = NaN. There the product is taken in log space, exp(p ln u +
+    e ln r) (inf past the float range), as `taylor_starts` takes it, and
+    u = 0 gives its own 0^p."""
+    v = 0.0 if u < 0.0 else u
+    try:
+        f = v ** p
+    except OverflowError:
+        f = math.inf
+    try:
+        w = r ** e
+    except OverflowError:
+        w = math.inf
+    top = f * w
+    if top == top:
+        return top
+    if v == 0.0:    # 0 * inf
+        return f
+    try:            # inf * 0, or 0 * inf at a u^p that underflows
+        return math.exp(p * math.log(v) + e * math.log(r))
+    except OverflowError:
+        return math.inf
 
 
 def _radial_slopes(m: int, weighted: bool) -> str:
@@ -87,19 +114,17 @@ def _radial_slopes(m: int, weighted: bool) -> str:
 
     y = (u_0, u_0', ..., u_{m-1}, u_{m-1}'): u_i' = y[2i+1] and
     u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as u^p, times the
-    weight r^(-a) when `weighted`. `{r}` is the radius, `{y[i]}` and
-    `{f[i]}` are the names of the state's and the slopes' components."""
+    weight r^(-a) when `weighted` (`_weighted_power` where a factor leaves
+    the float range). `{r}` is the radius, `{y[i]}` and `{f[i]}` are the
+    names of the state's and the slopes' components."""
     dim = 2 * m
+    power = "(0.0 if {y[0]} < 0.0 else {y[0]}) ** p"
     lines = ["c = nm1 / {r}",
              "try:",
-             "    top = (0.0 if {y[0]} < 0.0 else {y[0]}) ** p",
+             "    top = " + power + (" * {r} ** e" if weighted else ""),
              "except OverflowError:   # float ** raises where numpy gives inf",
-             "    top = inf"]
-    if weighted:
-        lines += ["try:",
-                  "    top *= {r} ** e",
-                  "except OverflowError:",
-                  "    top *= inf"]
+             "    top = " + ("weighted_power({y[0]}, {r}, p, e)" if weighted
+                           else "inf")]
     for i in range(0, dim - 2, 2):
         lines += ["{f[%d]} = {y[%d]}" % (i, i + 1),
                   "{f[%d]} = -{y[%d]} - c * {y[%d]}" % (i + 1, i + 2, i + 1)]
@@ -110,13 +135,13 @@ def _radial_slopes(m: int, weighted: bool) -> str:
 
 def _radial_rhs_source(m: int, templates) -> str:
     """Source of `_radial_rhs`'s factory for m layers. `build(nm1, p, e,
-    inf)` returns the right-hand side of the unweighted or, where e != 0,
-    the weighted slopes `templates`, as a function of (r, y) on lists; the
-    state is unpacked into locals `y_i` and the slopes `f_i` are returned
-    as one list display."""
+    inf, weighted_power)` returns the right-hand side of the unweighted
+    or, where e != 0, the weighted slopes `templates`, as a function of
+    (r, y) on lists; the state is unpacked into locals `y_i` and the
+    slopes `f_i` are returned as one list display."""
     state = [f"y_{i}" for i in range(2 * m)]
     slopes = [f"f_{i}" for i in range(2 * m)]
-    lines = ["def build(nm1, p, e, inf):"]
+    lines = ["def build(" + ", ".join(_SLOPE_NAMES) + "):"]
     for name, template in zip(("rhs", "weighted_rhs"), templates):
         body = template.format(r="r", y=state, f=slopes)
         lines += [f"    def {name}(r, y):",
@@ -147,7 +172,7 @@ def _radial_rhs(params: HardyHenonParams):
                      "exec"), globals(), namespace)
         entry = _RADIAL_RHS[m] = (namespace["build"], templates)
     build, templates = entry
-    env = (params.n - 1.0, params.p, -params.a, math.inf)
+    env = (params.n - 1.0, params.p, -params.a, math.inf, _weighted_power)
     rhs = build(*env)
     rhs.splice = (templates[params.a != 0.0], _SLOPE_NAMES, env)
     return rhs
@@ -157,8 +182,8 @@ def _lane_rhs(params: HardyHenonParams):
     """`_radial_rhs` for LaneRK: r holds one radius per lane and each row
     of y one lane's state, in the column layout of `_radial_rhs`. Each
     entry is computed by the same operations in the same order, u < 0
-    reads as 0 with u = -0.0 kept, and the slopes keep y's memory
-    layout."""
+    reads as 0 with u = -0.0 kept, a weighted source that is inf * 0 is
+    `_weighted_power`'s, and the slopes keep y's memory layout."""
     nm1 = params.n - 1.0
     p, a = params.p, params.a
 
@@ -168,6 +193,13 @@ def _lane_rhs(params: HardyHenonParams):
         top = float_powers(np.where(u < 0.0, 0.0, u), p)
         if a != 0.0:
             top *= float_powers(r, -a)
+            # inf * 0 = NaN at a finite u: one factor overflowed, the other
+            # is 0; the float right-hand side takes these lanes in log space
+            nan = np.isnan(top)
+            if nan.any():
+                for i in np.flatnonzero(nan & np.isfinite(u)).tolist():
+                    top[i] = _weighted_power(float(u[i]), float(r[i]), p,
+                                             -a)
         dy = np.empty_like(y)
         dy[:, 0::2] = y[:, 1::2]
         # u_i'' = -u_{i+1} - c u_i', with r^(-a) u^p in the place of u_m

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hhlab.cli
 import hhlab.liouville as LV
-from hhlab.cli import _COMMANDS, command_parser, main
+from hhlab.cli import _COMMANDS, _FlagTable, command_parser, main
 from hhlab.radial import HardyHenonParams, RadialGrid
 
 
@@ -506,6 +510,147 @@ class TestDispatch:
         code, out = run_cli(["ladder", "--k-max", "3"], tmp_path)
         assert code == 0
         assert read_json(out, "ladder.json")["pass"]
+
+
+# valid values of a flag by its type; strings include negative numbers,
+# which start with `-`, an `=` and the empty string
+_STRING_VALUES = ["-4,4,3", "-1e-3", "-.5", "0.5,2,2", "x=y", "", "a b"]
+
+
+def _values(kind):
+    if kind is None:
+        return st.sampled_from(_STRING_VALUES)
+    if kind is int:
+        return st.integers(-10 ** 6, 10 ** 6).map(str)
+    if kind is float:
+        return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+    def valid(text):
+        try:
+            kind(text)
+        except argparse.ArgumentTypeError:
+            return False
+        return True
+    # a validating type (_int_at_least, _config_count): the ints it takes
+    return st.integers(-5, 10 ** 4).map(str).filter(valid)
+
+
+@st.composite
+def _argvs(draw):
+    """A command and an argv the flag table reads: some of its flags with
+    valid values, as `--f v` or `--f=v`, shuffled and some repeated, and
+    --quiet or not; shoot always gets its required --init."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    table = _FlagTable(command)
+    valued = sorted(f for f, flag in table.flags.items()
+                    if flag.takes_value)
+    flags = draw(st.lists(st.sampled_from(valued), max_size=10))
+    flags += [f for f, flag in table.flags.items()
+              if flag.dest in table.required]
+    pieces = []
+    for name in flags:
+        value = draw(_values(table.flags[name].type))
+        pieces.append([f"{name}={value}"] if draw(st.booleans())
+                      else [name, value])
+    pieces += [["--quiet"]] * draw(st.integers(0, 2))
+    pieces = draw(st.permutations(pieces))
+    return command, [token for piece in pieces for token in piece]
+
+
+class TestFlagTable:
+    """`main` reads a command's argv from the flags its parser declares
+    (`_FlagTable`) and builds the argparse parser only for what the table
+    does not read: help, errors and the forms it leaves to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_argvs())
+    def test_table_reads_what_argparse_reads(self, case):
+        command, argv = case
+        got = _FlagTable(command).parse(argv)
+        assert got is not None, argv
+        assert vars(got) == vars(command_parser(command).parse_args(argv))
+
+    @pytest.mark.parametrize("argv,code,want", [
+        (["solve", "-h"], 0, "usage: hhlab solve "),
+        (["solve", "--help"], 0, "usage: hhlab solve "),
+        (["solve", "--nod", "257"], None, {"nodes": 257}),   # abbreviation
+        (["solve", "--p"], 2, "argument --p: expected one argument"),
+        (["solve", "--p", "-inf"], 2,
+         "argument --p: expected one argument"),
+        (["solve", "--quiet=1"], 2,
+         "argument --quiet: ignored explicit argument '1'"),
+        (["solve", "--"], 2, "unrecognized arguments: --"),
+        (["solve", "--n", "x"], 2, "argument --n: invalid int value: 'x'"),
+        (["report", "--seed", "-1"], 2,
+         "argument --seed: must be at least 0, got -1"),
+        (["kernels-selftest", "--n-configs", "3"], 2,
+         "argument --n-configs: must be even, got 3"),
+        (["shoot", "--n", "4"], 2,
+         "the following arguments are required: --init")],
+        ids=["h", "help", "abbreviation", "missing-value", "minus-inf",
+             "switch-value", "double-dash", "bad-int", "negative-seed",
+             "odd-config-count", "no-init"])
+    def test_what_the_table_leaves_to_argparse(self, argv, code, want,
+                                               capsys, monkeypatch):
+        assert _FlagTable(argv[0]).parse(argv[1:]) is None
+        seen = []
+        monkeypatch.setitem(_COMMANDS, argv[0], _COMMANDS[argv[0]]._replace(
+            run=lambda args: seen.append(vars(args)) or 0))
+        if code is None:
+            assert main(argv) == 0
+            parsed = vars(command_parser(argv[0]).parse_args(argv[1:]))
+            assert seen == [parsed] and parsed.items() >= want.items()
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and not seen
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.startswith(want) and err == ""
+        else:
+            assert json.loads(err) == {"error": want, "code": 2}
+
+    @pytest.mark.parametrize("argv,config", [
+        (["ladder", "--k-max", "3"], None),
+        (["solve", "--nodes", "33"], None),
+        (["eigen"], "[eigen]\nnodes = 33\nquiet = true\n"),
+        (["scan", "--u0", "0.5,2,2", "--u1=-1,1,2", "--r-max", "5"], None)],
+        ids=["ladder", "solve", "config-quiet", "scan-negative-axis"])
+    def test_a_valid_command_builds_no_parser(self, argv, config, tmp_path,
+                                              capsys, monkeypatch):
+        # the same files and output as through argparse, with no argparse
+        # parser built
+        if config is not None:
+            (tmp_path / "run.ini").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "run.ini")]
+        runs = []
+        for side in ("argparse", "table"):
+            with monkeypatch.context() as mp:
+                if side == "table":
+                    def no_parser(name):
+                        raise AssertionError("an argparse parser was built")
+                    mp.setattr(hhlab.cli, "command_parser", no_parser)
+                else:
+                    mp.setattr(_FlagTable, "parse", lambda self, argv: None)
+                out_dir = tmp_path / side
+                code = main(argv + ["--output-dir", str(out_dir)])
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            runs.append((code, files, capsys.readouterr()))
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+        if config is not None:
+            assert runs[1][2].out == ""
+
+    def test_flag_table_records_what_the_parser_declares(self):
+        # the table's flags and defaults are the parser's
+        for name in _COMMANDS:
+            table = _FlagTable(name)
+            parser = command_parser(name)
+            actions = [a for a in parser._actions if a.dest != "help"]
+            assert list(table.flags) == [a.option_strings[0]
+                                         for a in actions]
+            assert table.defaults == {a.dest: a.default for a in actions}
+            assert table.required == [a.dest for a in actions
+                                      if a.required]
 
 
 class TestLadderCommand:

@@ -421,15 +421,27 @@ def reference_radial_rhs(params):
 
     def rhs(r, y):
         c = nm1 / r
+        u = max(y[0], 0.0)
         try:
-            top = max(y[0], 0.0) ** p
+            top = u ** p
         except OverflowError:
             top = math.inf
         if a != 0.0:
             try:
-                top *= r ** (-a)
+                weight = r ** (-a)
             except OverflowError:
-                top *= math.inf
+                weight = math.inf
+            inf_times_zero = (top == math.inf and weight == 0.0
+                              or top == 0.0 and weight == math.inf)
+            if inf_times_zero and math.isfinite(u):
+                # in log space, where u = 0 keeps its 0^p
+                if u != 0.0:
+                    try:
+                        top = math.exp(p * math.log(u) - a * math.log(r))
+                    except OverflowError:
+                        top = math.inf
+            else:
+                top *= weight
         dy = y[1:]
         dy.append(-top - c * y[top_row])
         for i in range(1, top_row, 2):
@@ -466,9 +478,12 @@ class TestGeneratedRhs:
     """`_radial_rhs` is generated once per m; it must compute what the
     loop of `reference_radial_rhs` computes, bit for bit."""
 
+    # a = -2000: r^2000 underflows below r ~ 0.7 and overflows past 1.43,
+    # so with _U0's huge and tiny u the direct source can be inf * 0
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 8), m=st.integers(1, 4),
-           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9)),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9),
+                       st.just(-2000.0)),
            p=st.floats(1.0, 8.0, exclude_min=True),
            r=st.floats(1e-8, 1e3), u0=_U0, seed=st.integers(0, 2 ** 32 - 1))
     def test_rhs_matches_the_row_loop(self, n, m, a, p, r, u0, seed):
@@ -496,6 +511,40 @@ class TestGeneratedRhs:
                 assert got[-1] == -math.inf
                 assert _bits(got) == \
                     _bits(reference_radial_rhs(params)(r, list(y)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflow_times_underflow_is_taken_in_log_space(self, m):
+        # at a = -2000 and p = 3, u^3 overflows where r^2000 underflows
+        # (r = 0.5), or underflows where r^2000 overflows (r = 2): the
+        # direct product is inf * 0 = NaN, the source is exp(3 ln u + 2000
+        # ln r), and u <= 0 gives its own 0^3; called, written into the
+        # loop and lane by lane alike, beside a lane whose u^3 is finite
+        params = HardyHenonParams(4, m, -2000.0, 3.0)
+        def log_source(r, u):
+            return math.exp(3.0 * math.log(u) + 2000.0 * math.log(r))
+
+        cases = [(0.5, 1e200, log_source(0.5, 1e200)),
+                 (2.0, 1e-200, log_source(2.0, 1e-200)),
+                 (2.0, 0.0, 0.0), (2.0, -0.0, 0.0), (2.0, -1.0, 0.0),
+                 (0.5, 2.0, 0.0)]      # 2^3 0.5^2000: 0 directly
+        rhs = hhlab.liouville._radial_rhs(params)
+        rows = []
+        for r, u0, source in cases:
+            y = [u0] + [1.0] * (2 * m - 1)
+            want = reference_radial_rhs(params)(r, list(y))
+            # the top slope is -source - (n - 1)/r u'
+            assert want[-1] == pytest.approx(-source - 3.0 / r, rel=1e-13)
+            for got in (rhs(r, list(y)), spliced_slopes(rhs, r, y)):
+                assert _bits(got) == _bits(want)
+            rows.append(want)
+        r = np.array([case[0] for case in cases])
+        y = np.ones((len(cases), 2 * m))
+        y[:, 0] = [case[1] for case in cases]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):    # as inside LaneRK.integrate
+                got = hhlab.liouville._lane_rhs(params)(r, y)
+        assert _lane_bits(got) == _lane_bits(rows)
 
     def test_one_source_per_shape(self, monkeypatch):
         # 50 shoots at different (n, p, a) and m = 2 compile one loop
@@ -528,7 +577,8 @@ class TestLaneRhs:
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 8), m=st.integers(1, 4),
-           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9)),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9),
+                       st.just(-2000.0)),
            p=st.one_of(st.floats(1.0, 8.0, exclude_min=True),
                        st.sampled_from([3.0, 5.0])),
            u0=st.lists(_U0, min_size=1, max_size=40),
@@ -726,8 +776,11 @@ class TestTaylorStarts:
     def test_overflow_times_underflow_is_taken_in_log_space(self, m):
         # at p = 400, a = -2000, u(0) = 10: u(0)^p = inf and r0^(2-a) = 0,
         # whose direct product is NaN; in log space the source term is 0,
-        # so the start is finite, no warning is raised and scan records
-        # what shoot says, bit for bit. u(0) = 0.5 keeps its direct product
+        # so the start is finite. The right-hand side meets the same inf * 0
+        # (u^p r^2000) and takes it in log space too, so shoot classifies
+        # the cell without an IntegratorError, no warning is raised and
+        # scan records what shoot says, bit for bit. u(0) = 0.5 keeps its
+        # direct product
         params = HardyHenonParams(4, m, -2000.0, 400.0)
         axes = [np.array([10.0, 0.5])] + [np.array([1.0])] * (m - 1)
         cells = _cells(axes)
@@ -735,8 +788,11 @@ class TestTaylorStarts:
             warnings.simplefilter("error")
             starts = hhlab.liouville.taylor_starts(cells, params,
                                                    DEFAULT_R0)
+            out = shoot(cells[0], params, 10.0)
             res = scan(axes, params, 10.0)
             _assert_identical(res.records, cells, params, 10.0)
+        assert (out.kind, out.layer_index) == (OutcomeKind.SIGN_LOSS, m - 1)
+        assert "IntegratorFailure" not in [rec.kind for rec in res.records]
         assert np.isfinite(starts).all()
         assert _bits(starts[:, -2:].tolist()[0]) == _bits([cells[0, -1],
                                                            -0.0])
