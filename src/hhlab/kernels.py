@@ -185,6 +185,16 @@ def _angular_weights(n_sing: int, n_theta: int, order: int, n: int):
     return weights
 
 
+def prepare_composition(n: int) -> None:
+    """Build and cache what every composition check in dimension n reads:
+    both refinement levels' unit meshes (fine first, as a check builds
+    them) and their angular weights in dimension n. A process that forks
+    workers for its checks calls this first, so that each worker inherits
+    the meshes instead of building its own."""
+    for level in _LEVELS:
+        _angular_weights(*level, n)
+
+
 def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
                           n_sing: int, n_theta: int, order: int) -> float:
     """One graded-mesh evaluation of the composition integral at |x-z| = d.

@@ -6,6 +6,7 @@ fail here first. The tracer module is only imported, never installed."""
 import importlib
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,60 @@ def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
     kernels.riesz_compose_check(1.2, 1.7, np.zeros(4),
                                 np.array([0.0, 0.3, 0.0, 0.0]), 4)
     assert len(calls) == 4
+
+
+def test_forked_sample_builds_its_meshes_and_checks_through_kernels(
+        monkeypatch):
+    """A composition sample large enough to fork its workers builds both
+    levels' meshes before the fork, radial then angular per level, so the
+    paired panel_quadrature calls still count each level once, and each
+    worker inherits them. The chunk run in process reaches
+    riesz_compose_check through the kernels module, the binding the tracer
+    wraps; a worker's calls are the worker's own."""
+    import hhlab.checks as checks
+    import hhlab.kernels as kernels
+
+    traced = {(module, attr) for module, attr, _ in _tracer().FUNCTION_BINDINGS}
+    assert {("hhlab.kernels", "panel_quadrature"),
+            ("hhlab.kernels", "riesz_compose_check")} <= traced
+    events = []
+    real_quadrature = kernels.panel_quadrature
+    real_check = kernels.riesz_compose_check
+    real_fork = os.fork
+
+    def recording(breaks, order):
+        nodes, weights = real_quadrature(breaks, order)
+        events.append(("quadrature", float(breaks[-1]), nodes.size))
+        return nodes, weights
+
+    def counting(*args):
+        events.append(("check", args[4]))
+        return real_check(*args)
+
+    def fork():
+        events.append(("fork",))
+        return real_fork()
+
+    monkeypatch.setattr(kernels, "panel_quadrature", recording)
+    monkeypatch.setattr(kernels, "riesz_compose_check", counting)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    kernels._unit_mesh.cache_clear()
+    kernels._angular_weights.cache_clear()
+    gaps = checks.composition_sample(np.random.default_rng(5),
+                                     checks.MIN_CHUNK)
+    assert len(gaps) == 2 * checks.MIN_CHUNK
+    assert max(g["rel_gap"] for g in gaps) < checks.COMPOSITION_TOL
+    quadratures = events[:4]
+    assert [e[0] for e in quadratures] == ["quadrature"] * 4
+    assert [e[1] for e in quadratures] == pytest.approx(
+        [400.0, math.pi, 400.0, math.pi])
+    for (_, _, n_r), (_, _, n_theta), (n_sing, theta_panels, order) in zip(
+            quadratures[::2], quadratures[1::2], kernels._LEVELS):
+        assert n_r == (3 * n_sing + 10) * order
+        assert n_theta == theta_panels * order
+    # one worker takes the n = 5 half; the n = 4 half runs here
+    assert events[4:] == [("fork",)] + [("check", 4)] * checks.MIN_CHUNK
 
 
 def test_every_green_solve_of_a_solve_is_traced(monkeypatch):

@@ -26,9 +26,11 @@ import hhlab
 PACKAGE = Path(hhlab.__file__).resolve().parent
 SHARED = ["hhlab", "hhlab.checks", "hhlab.cli", "hhlab.errors",
           "hhlab.kernels", "hhlab.numerics"]
-# the hhlab and scipy modules a child has loaded, as a Python expression
-LOADED = ("sorted(m for m in sys.modules "
-          "if m.split('.')[0] in ('hhlab', 'scipy'))")
+# the hhlab and scipy modules a child has loaded, as a Python expression,
+# and the process-pool packages: `kernels-selftest` forks its workers with
+# `os` and `pickle`, which `import hhlab.cli` already loads
+LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] in "
+          "('hhlab', 'scipy', 'multiprocessing', 'concurrent'))")
 
 
 def _fresh(code: str):
@@ -50,8 +52,9 @@ def test_cli_import_loads_no_scipy():
 # a command that loads no scipy, and the modules it adds to the shared ones
 @pytest.mark.parametrize("argv,own", [
     (["--help"], []), (["kernels-selftest", "--n-configs", "2"], []),
+    (["kernels-selftest", "--n-configs", "200"], []),
     (["ladder"], ["hhlab.ladder"])],
-    ids=["help", "kernels-selftest", "ladder"])
+    ids=["help", "kernels-selftest", "kernels-selftest-forked", "ladder"])
 def test_command_without_scipy(argv, own, tmp_path):
     argv = argv + ["--quiet", "--output-dir", str(tmp_path)]
     code = ("import json, sys\n"

@@ -173,6 +173,22 @@ class TestScan:
         assert res.tally["cells"] == 49
         assert res.tally["all_positive_survivors"] == 0
 
+    def test_failed_cell_fails_the_survivor_certificate(self):
+        # a cell whose integration failed shows nothing about thm:1.1, so a
+        # scan with no survivors but a failed cell does not pass it
+        from hhlab.checks import scan_survivors
+        from hhlab.liouville import ScanRecord, ScanResult
+        failed = ScanResult(CRITICAL, (ScanRecord(
+            (10.0, 1.0), "IntegratorFailure", None, DEFAULT_R0, None),))
+        assert failed.tally["all_positive_survivors"] == 0
+        [check] = scan_survivors(failed)
+        assert (check.name, check.tag, check.value, check.bound, check.ok) \
+            == ("no-all-positive-survivors", "thm:1.1", 1, 0, False)
+        clean = ScanResult(CRITICAL, (ScanRecord(
+            (10.0, 1.0), "SignLoss", 1, 1.5, None),))
+        [check] = scan_survivors(clean)
+        assert (check.value, check.ok) == (0, True)
+
     def test_subcritical_bubble_cell_survives(self):
         params = HardyHenonParams(4, 1, 0.0, 3.0)
         res = scan([np.array([bubble_amplitude(4)])], params, 50.0)
