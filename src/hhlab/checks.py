@@ -14,23 +14,16 @@ through `radial`), and `ladder` is needed by few checks, so the functions
 that call them import them. Such an import binds the module object, not its
 functions, so the tracer still sees every call.
 
-The composition checks of a sample are independent, so `composition_sample`
-spreads them over the CPUs the process may use: contiguous chunks of at
-least `MIN_CHUNK` checks, the first in process and each other one in a
-child made with `os.fork`, which sends its (lhs, rhs) pairs, or the
-exception its chunk raised, back through a pipe. A smaller sample, a
-single CPU, a platform without `os.fork` or a running Python thread keeps
-every check in process. Either way the values, their order and the first
-error are those of one loop over the sample. A traced call made in a
-worker is not seen by the tracer of the parent.
+`composition_sample` runs its checks in one loop, in draw order, in
+process. A check integrates on the two levels of `kernels._LEVELS`, whose
+radial meshes are graded into the singular ends with Gauss orders rising
+away from them (Schwab, Computing 53, 1994; see
+`kernels._composition_mesh`): 35,464 points on both levels together.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,9 +47,6 @@ LADDER_ROWS = 13            # ladder rows k = 0..12 held to the closed form
 SINGULAR_REL = 1e-5         # FD residual of C r^(-sigma), relative to C^p
 EIGEN_REL = 2e-3            # lambda1 against the Bessel oracle
 REPRESENTATION_TOL = 1e-3   # bubble potential at 0 against 2 sqrt(2)
-# fewest composition checks a forked worker takes: a fork costs about
-# 1-2 ms and one check about 0.2-0.3 ms
-MIN_CHUNK = 16
 
 
 def riesz_constants() -> list:
@@ -89,10 +79,9 @@ def composition_sample(rng, per_n: int) -> list:
     """Quadrature gaps of the composition identity at `per_n` random draws
     for each of n = 4, 5. Orders are drawn by rejection until
     1 <= alpha1 + alpha2 <= n - 0.4, then x and z in [-2, 2]^n; the draw
-    order fixes the sample for a seed. Every draw is made before the first
-    check, which reads no randomness, and the checks are spread over the
-    CPUs the process may use (`_compose_all`)."""
-    configs = []
+    order fixes the sample for a seed. Each draw is checked as it is made,
+    so the first failing draw raises."""
+    gaps = []
     for n in (4, 5):
         for _ in range(per_n):
             while True:
@@ -102,110 +91,11 @@ def composition_sample(rng, per_n: int) -> list:
                     break
             x = rng.uniform(-2.0, 2.0, n)
             z = rng.uniform(-2.0, 2.0, n)
-            configs.append((a1, a2, x, z, n))
-    return [{"n": n, "alpha1": a1, "alpha2": a2,
-             "distance": float(np.linalg.norm(x - z)),
-             "rel_gap": abs(lhs / rhs - 1.0)}
-            for (a1, a2, x, z, n), (lhs, rhs)
-            in zip(configs, _compose_all(configs))]
-
-
-def _compose_chunk(configs: list) -> list:
-    return [K.riesz_compose_check(*config) for config in configs]
-
-
-def _worker_count(checks: int) -> int:
-    """One worker per CPU the process may use, each with at least
-    MIN_CHUNK checks; 1 where `os.fork` is missing or another Python
-    thread runs, whose state, locks included, a child would copy without
-    the thread."""
-    threading = sys.modules.get("threading")
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or \
-            (threading is not None and threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), checks // MIN_CHUNK)
-
-
-def _compose_all(configs: list) -> list:
-    """`K.riesz_compose_check` of each (alpha1, alpha2, x, z, n), in order.
-
-    Below two workers the checks run in process. Otherwise the meshes are
-    built first, so that every worker inherits them; the configurations
-    are cut into one contiguous chunk per worker, chunk 0 runs here and
-    each later one in a forked worker (`_fork_chunk`). Every worker is read
-    and reaped before this returns or raises, and a chunk whose worker
-    could not be forked or sent nothing runs here. The first chunk's error
-    is raised, so the pairs and the error are those of one loop."""
-    workers = _worker_count(len(configs))
-    if workers < 2:
-        return _compose_chunk(configs)
-    for n in sorted({config[4] for config in configs}):
-        K.prepare_composition(n)
-    edges = [len(configs) * i // workers for i in range(workers + 1)]
-    chunks = [configs[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    forked = []
-    try:
-        for chunk in chunks[1:]:
-            forked.append(_fork_chunk(chunk))
-        pairs = _compose_chunk(chunks[0])
-    finally:
-        sent = _collect(forked)
-    for chunk, data in zip(chunks[1:], sent):
-        outcome = _compose_chunk(chunk) if data is None else \
-            pickle.loads(data)
-        if isinstance(outcome, Exception):
-            raise outcome
-        pairs += outcome
-    return pairs
-
-
-def _fork_chunk(chunk: list):
-    """Fork a worker that evaluates `chunk` and writes its pairs, or the
-    exception the chunk raised, pickled, to a pipe; (pid, read end), or
-    None when the fork fails."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        # the worker ends here and never returns into the caller's stack;
-        # os._exit skips the parent's exit handlers and stdio buffers
-        status = 1
-        try:
-            os.close(read)
-            try:
-                outcome = _compose_chunk(chunk)
-            except Exception as exc:    # raised in the parent, in order
-                outcome = exc
-            with open(write, "wb") as fh:
-                pickle.dump(outcome, fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _collect(forked: list) -> list:
-    """Read each worker's pipe to its end and reap the worker; the bytes it
-    sent, or None for a worker that was not forked or ended without
-    sending."""
-    sent = []
-    for worker in forked:
-        if worker is None:
-            sent.append(None)
-            continue
-        pid, read = worker
-        try:
-            with open(read, "rb") as fh:
-                data = fh.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        sent.append(data if status == 0 else None)
-    return sent
+            lhs, rhs = K.riesz_compose_check(a1, a2, x, z, n)
+            gaps.append({"n": n, "alpha1": a1, "alpha2": a2,
+                         "distance": float(np.linalg.norm(x - z)),
+                         "rel_gap": abs(lhs / rhs - 1.0)})
+    return gaps
 
 
 def riesz_composition(gaps: list) -> Check:

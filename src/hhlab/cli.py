@@ -154,7 +154,7 @@ def cmd_eigen(args) -> int:
         grid = problem.default_grid(args.nodes)
     except ValueError as exc:
         return _config_error(str(exc))
-    eig = NV.first_eigenpair(problem, NV.EIGEN_TOL, grid)
+    eig = NV.first_eigenpair(problem, grid)
     oracle = C.bessel_oracle(problem)
     check = C.eigenvalue_vs_bessel(eig.lambda1, oracle)
     code = _finish(args, "eigen", [check], lambda1=eig.lambda1,

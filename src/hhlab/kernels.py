@@ -8,15 +8,17 @@ the Riesz composition identity
 
 valid for a1, a2, a1+a2 all in (0, n). The composition integral is reduced to
 polar coordinates about x (it depends on |x-z| only) and evaluated with
-Gauss-Legendre panels on meshes graded into the two algebraic singularities,
-plus analytic far-field tail. With r = |x-z| rho the integral is
-|x-z|^(a1+a2-n) times its value at unit distance, so each refinement level's
-mesh is built once per process at |x-z| = 1 and shared by every check. The
-angular mesh is graded toward theta = 0 for the rows with rho near 1; on a
-row the |y-z| factor is singular at theta = +-i delta(rho),
-delta = 2 asinh(|rho - 1| / (2 sqrt(rho))), so each block of 64 rows merges
-the graded panels below c min(1, delta) over its rows into one Gauss panel,
-with c = 0.1 from the Bernstein-ellipse bound (see `_unit_mesh`).
+Gauss-Legendre panels on radial meshes graded into the two algebraic
+singularities, with Gauss orders rising away from them (see
+`_composition_mesh`), plus analytic far-field tail. With r = |x-z| rho the
+integral is |x-z|^(a1+a2-n) times its value at unit distance, so each
+refinement level's mesh is built once per process at |x-z| = 1 and shared
+by every check. The angular mesh is graded toward theta = 0 for the rows
+with rho near 1; on a row the |y-z| factor is singular at
+theta = +-i delta(rho), delta = 2 asinh(|rho - 1| / (2 sqrt(rho))), so each
+block of 64 rows merges the graded panels below c min(1, delta) over its
+rows into one Gauss panel, with c = 0.1 from the Bernstein-ellipse bound
+(see `_unit_mesh`).
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def green_ball(x, y, R: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 # (n_sing, n_theta, order) of the fine and the coarse refinement level
-_LEVELS = ((24, 26, 8), (14, 15, 6))
+_LEVELS = ((18, 15, 8), (10, 9, 6))
+_GRADING = 0.2               # width ratio of neighbouring graded panels
 _OUTER_RADIUS = 400.0        # quadrature radius at unit distance
 _ROW_BLOCK = 64              # mesh rows raised to the kernel power at once
 # a row block merges the angular panels below c min(1, delta) into one
@@ -90,15 +93,25 @@ _ROW_BLOCK = 64              # mesh rows raised to the kernel power at once
 _MERGE_FRACTION = 0.1
 
 
-def _composition_mesh(n_sing: int):
-    """Radial panel breakpoints at unit distance: graded into rho = 0 and
-    rho = 1, then 10 panels growing geometrically to exactly 400."""
-    ratio = 0.4
-    inner = graded_breaks(0.0, 0.5, n_sing, ratio, toward="start")
-    into_d = graded_breaks(0.5, 1.0, n_sing, ratio, toward="end")
-    out_of_d = graded_breaks(1.0, 2.0, n_sing, ratio, toward="start")
+def _composition_mesh(n_sing: int, order: int):
+    """Radial panel breakpoints at unit distance and the Gauss order of
+    each panel: n_sing panels graded by `_GRADING` into rho = 0, into
+    rho = 1 from below and out of rho = 1, then 10 panels growing
+    geometrically to exactly 400.
+
+    The integrand behaves like rho^(alpha1-1) at 0 and |rho - 1|^(alpha2-1)
+    at 1, algebraic endpoint singularities. On a geometric mesh toward such
+    an end, the k-th panel from it (k = 0 touching it) needs a Gauss order
+    growing linearly in k to keep its error at the level of the panels
+    beside it (Schwab, Computing 53, 1994), so it gets
+    min(order, 1 + round(0.6 k)); the far panels keep the level's order."""
+    rising = [min(order, 1 + round(0.6 * k)) for k in range(n_sing)]
+    inner = graded_breaks(0.0, 0.5, n_sing, _GRADING, toward="start")
+    into_d = graded_breaks(0.5, 1.0, n_sing, _GRADING, toward="end")
+    out_of_d = graded_breaks(1.0, 2.0, n_sing, _GRADING, toward="start")
     far = geometric_breaks(2.0, _OUTER_RADIUS, 1.7)
-    return np.concatenate([inner, into_d[1:], out_of_d[1:], far[1:]])
+    breaks = np.concatenate([inner, into_d[1:], out_of_d[1:], far[1:]])
+    return breaks, rising + rising[::-1] + rising + [order] * (far.size - 1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -142,12 +155,21 @@ def _unit_mesh(n_sing: int, n_theta: int, order: int):
     with -e < n/2. At c = 0.1, R = 9 + 4 sqrt(5) = 17.9, and at the coarse
     level's order N = 6 the bound is 1.2e-17 for n = 8, smaller for n < 8
     (it grows like n 1.012^n): below eps = 2.2e-16, so the finer panels
-    below b add nothing. c = 0.125 would put it at 5.2e-16. The radial and
-    the full angular mesh come from `panel_quadrature`, radial first; the
-    merged panel maps `gauss_legendre` onto [0, b]."""
-    r_nodes, r_weights = panel_quadrature(_composition_mesh(n_sing),
-                                          order)
-    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
+    below b add nothing. c = 0.125 would put it at 5.2e-16.
+
+    The radial panels carry the orders of `_composition_mesh`, rising away
+    from each singular end (Schwab, Computing 53, 1994). The angular panels
+    all keep the level's order: the merged panel replaces a different
+    prefix of them in each block, so the panels left above it must resolve
+    the rows on their own. With orders rising from theta = 0 as on the
+    radial mesh, the low-order panels just above the merged one do not, and
+    the blocked rule missed the full mesh by up to 9e-2 in a prototype.
+    The radial and the full angular mesh come from `panel_quadrature`,
+    radial first; the merged panel maps `gauss_legendre` onto [0, b]."""
+    breaks, orders = _composition_mesh(n_sing, order)
+    r_nodes, r_weights = panel_quadrature(breaks, orders)
+    theta_breaks = graded_breaks(0.0, math.pi, n_theta, _GRADING,
+                                 toward="start")
     t_nodes, t_weights = panel_quadrature(theta_breaks, order)
     x, w = gauss_legendre(order)
     delta = 2.0 * np.arcsinh(np.abs(r_nodes - 1.0) / (2.0 * np.sqrt(r_nodes)))
@@ -162,7 +184,11 @@ def _unit_mesh(n_sing: int, n_theta: int, order: int):
         half = 0.5 * theta_breaks[j]
         nodes = np.concatenate([half + half * x, t_nodes[j * order:]])
         weights = np.concatenate([half * w, t_weights[j * order:]])
-        log_q = np.multiply.outer(4.0 * rows, np.sin(0.5 * nodes) ** 2)
+        # numpy buffers a broadcast operand, up to the block's size; Q is
+        # formed in place, one broadcast at a time, so one buffer is held
+        log_q = np.empty((rows.size, nodes.size))
+        log_q[:] = np.sin(0.5 * nodes) ** 2
+        log_q *= (4.0 * rows)[:, None]
         log_q += ((rows - 1.0) ** 2)[:, None]
         np.log(log_q, out=log_q)
         blocks.append((nodes, weights, log_q))
@@ -185,16 +211,6 @@ def _angular_weights(n_sing: int, n_theta: int, order: int, n: int):
     return weights
 
 
-def prepare_composition(n: int) -> None:
-    """Build and cache what every composition check in dimension n reads:
-    both refinement levels' unit meshes (fine first, as a check builds
-    them) and their angular weights in dimension n. A process that forks
-    workers for its checks calls this first, so that each worker inherits
-    the meshes instead of building its own."""
-    for level in _LEVELS:
-        _angular_weights(*level, n)
-
-
 def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
                           n_sing: int, n_theta: int, order: int) -> float:
     """One graded-mesh evaluation of the composition integral at |x-z| = d.
@@ -208,7 +224,7 @@ def _composition_integral(alpha1: float, alpha2: float, d: float, n: int,
     exp per point, about a third of the cost of numpy's non-integer power.
     Against Q**e it differs pointwise by at most (|e ln Q| + 4) eps
     relative: exp amplifies the rounding of the product e ln Q by its
-    size, and ln Q lies in [-51.3, 12.0] on the fine level."""
+    size, and ln Q lies in [-50.6, 12.0] on the fine level."""
     r_nodes, r_weights, blocks = _unit_mesh(n_sing, n_theta, order)
     # the separable Jacobian factors rho^(alpha1-1) and sin^(n-2) ride on
     # the weights; the kernel factor is formed a block of rows at a time,

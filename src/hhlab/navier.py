@@ -173,15 +173,13 @@ def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
     return (zero / R) ** 2
 
 
-def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
+def first_eigenpair(problem: NavierProblem,
                     grid: Optional[RadialGrid] = None) -> EigenPair:
     """First Navier eigenpair of (-Lap)^m on the ball by inverse power
     iteration on the m-fold Green operator (`iterated_green`), stopped once
-    the sup-norm change falls below `tol`; phi is normalized to sup 1. A
-    maximum of G^m phi that underflows to 0 (a ball far below unit radius)
-    raises ConvergenceError."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    the sup-norm change falls below EIGEN_TOL; phi is normalized to sup 1.
+    A maximum of G^m phi that underflows to 0 (a ball far below unit
+    radius) raises ConvergenceError."""
     n, m = problem.params.n, problem.params.m
     if grid is None:
         grid = problem.default_grid()
@@ -199,7 +197,7 @@ def first_eigenpair(problem: NavierProblem, tol: float = EIGEN_TOL,
         new = RadialField.adopt(grid, w.values / s)
         delta = float(np.max(np.abs(new.values - phi.values)))
         phi = new
-        if delta < tol:
+        if delta < EIGEN_TOL:
             return EigenPair(lam, phi)
     raise ConvergenceError(
         f"inverse power iteration stalled (last delta {delta:.3e})")
@@ -461,7 +459,7 @@ def solve_positive(problem: NavierProblem,
     # whose Green solves break down at such scales of R
     solver.check_range(math.log(rho_radius(problem)),
                        "amplitude lower bound")
-    eig = first_eigenpair(problem, EIGEN_TOL, grid)
+    eig = first_eigenpair(problem, grid)
     layers, stats = solver.run(eig)
     # run stops at a residual of at most _NEWTON_TOL < FIXED_POINT_TOL
     residual = stats.newton_residuals[-1]

@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -93,13 +94,26 @@ def gauss_legendre(order: int):
     return x, w
 
 
-def panel_quadrature(breaks, order: int):
+def panel_quadrature(breaks, order):
     """Gauss-Legendre nodes and weights for the panels defined by `breaks`.
 
     Returns flat arrays covering every panel [breaks[i], breaks[i+1]].
+    `order` is one Gauss order for every panel, or a sequence of one order
+    per panel, whose rule is the concatenation of the one-panel rules; each
+    run of panels of one order is formed at once.
     """
-    x, w = gauss_legendre(order)
     a = np.asarray(breaks, dtype=float)
+    if np.ndim(order) != 0:
+        if len(order) != a.size - 1:
+            raise ValueError(f"{len(order)} orders for {a.size - 1} panels")
+        rules, start = [], 0
+        for k, run in groupby(order):
+            end = start + len(list(run))
+            rules.append(panel_quadrature(a[start:end + 1], k))
+            start = end
+        return (np.concatenate([nodes for nodes, _ in rules]),
+                np.concatenate([weights for _, weights in rules]))
+    x, w = gauss_legendre(order)
     lo, hi = a[:-1], a[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)

@@ -138,7 +138,7 @@ def test_05_eigenvalue_oracle():
     values = {}
     for n, m in ((3, 1), (4, 1), (4, 2)):
         problem = NavierProblem(HardyHenonParams(n, m, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(problem, 1e-10, problem.default_grid(512))
+        eig = first_eigenpair(problem, problem.default_grid(512))
         oracle = first_dirichlet_eigenvalue_oracle(n, 1.0) ** m
         rel = abs(eig.lambda1 / oracle - 1.0)
         worst = max(worst, rel)

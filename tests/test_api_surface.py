@@ -122,7 +122,6 @@ SETTING_CALLERS = {
     ("liouville.scan", "atol"): "test_acceptance test_08 halves it",
     ("liouville.shoot_from", "rtol"): "the test oracle for singular profiles",
     ("liouville.shoot_from", "atol"): "the test oracle for singular profiles",
-    ("navier.first_eigenpair", "tol"): "test_acceptance test_05",
     ("rk.AdaptiveRK", "rtol"): "liouville: the tolerances of a shoot",
     ("rk.AdaptiveRK", "atol"): "liouville: the tolerances of a shoot",
     ("rk.LaneRK", "rtol"): "liouville: the tolerances of a scan",

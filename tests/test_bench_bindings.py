@@ -6,7 +6,6 @@ fail here first. The tracer module is only imported, never installed."""
 import importlib
 import importlib.util
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -72,24 +71,25 @@ def test_composition_quadrature_pairs_radial_then_angular(monkeypatch):
     assert [end for end, _ in calls] == pytest.approx(
         [400.0, math.pi, 400.0, math.pi])
     # the fine then the coarse level: the radial mesh has exactly
-    # 3 n_sing + 10 panels, the angular one exactly n_theta
+    # 3 n_sing + 10 panels of the orders _composition_mesh gives them, the
+    # angular one exactly n_theta of the level's order
     for (_, n_r), (_, n_theta), (n_sing, theta_panels, order) in zip(
             calls[::2], calls[1::2], kernels._LEVELS):
-        assert n_r == (3 * n_sing + 10) * order
+        breaks, orders = kernels._composition_mesh(n_sing, order)
+        assert len(orders) == breaks.size - 1 == 3 * n_sing + 10
+        assert n_r == sum(orders)
         assert n_theta == theta_panels * order
     kernels.riesz_compose_check(1.2, 1.7, np.zeros(4),
                                 np.array([0.0, 0.3, 0.0, 0.0]), 4)
     assert len(calls) == 4
 
 
-def test_forked_sample_builds_its_meshes_and_checks_through_kernels(
-        monkeypatch):
-    """A composition sample large enough to fork its workers builds both
-    levels' meshes before the fork, radial then angular per level, so the
-    paired panel_quadrature calls still count each level once, and each
-    worker inherits them. The chunk run in process reaches
-    riesz_compose_check through the kernels module, the binding the tracer
-    wraps; a worker's calls are the worker's own."""
+def test_sample_builds_its_meshes_and_checks_through_kernels(monkeypatch):
+    """A composition sample builds both levels' meshes in its first check,
+    radial then angular per level, so the paired panel_quadrature calls
+    count each level once, and every check reaches riesz_compose_check
+    through the kernels module, the binding the tracer wraps, in draw
+    order."""
     import hhlab.checks as checks
     import hhlab.kernels as kernels
 
@@ -99,7 +99,6 @@ def test_forked_sample_builds_its_meshes_and_checks_through_kernels(
     events = []
     real_quadrature = kernels.panel_quadrature
     real_check = kernels.riesz_compose_check
-    real_fork = os.fork
 
     def recording(breaks, order):
         nodes, weights = real_quadrature(breaks, order)
@@ -110,30 +109,24 @@ def test_forked_sample_builds_its_meshes_and_checks_through_kernels(
         events.append(("check", args[4]))
         return real_check(*args)
 
-    def fork():
-        events.append(("fork",))
-        return real_fork()
-
     monkeypatch.setattr(kernels, "panel_quadrature", recording)
     monkeypatch.setattr(kernels, "riesz_compose_check", counting)
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     kernels._unit_mesh.cache_clear()
     kernels._angular_weights.cache_clear()
-    gaps = checks.composition_sample(np.random.default_rng(5),
-                                     checks.MIN_CHUNK)
-    assert len(gaps) == 2 * checks.MIN_CHUNK
+    per_n = 16
+    gaps = checks.composition_sample(np.random.default_rng(5), per_n)
+    assert len(gaps) == 2 * per_n
     assert max(g["rel_gap"] for g in gaps) < checks.COMPOSITION_TOL
-    quadratures = events[:4]
+    quadratures = events[1:5]
     assert [e[0] for e in quadratures] == ["quadrature"] * 4
     assert [e[1] for e in quadratures] == pytest.approx(
         [400.0, math.pi, 400.0, math.pi])
     for (_, _, n_r), (_, _, n_theta), (n_sing, theta_panels, order) in zip(
             quadratures[::2], quadratures[1::2], kernels._LEVELS):
-        assert n_r == (3 * n_sing + 10) * order
+        assert n_r == sum(kernels._composition_mesh(n_sing, order)[1])
         assert n_theta == theta_panels * order
-    # one worker takes the n = 5 half; the n = 4 half runs here
-    assert events[4:] == [("fork",)] + [("check", 4)] * checks.MIN_CHUNK
+    assert events[:1] + events[5:] == \
+        [("check", 4)] * per_n + [("check", 5)] * per_n
 
 
 def test_every_green_solve_of_a_solve_is_traced(monkeypatch):

@@ -77,49 +77,11 @@ class TestKernelsSelftest:
         assert len(read_json(out, "kernels-selftest.json")
                    ["composition_gaps"]) == 2
 
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestForkedCompositions:
-    """kernels-selftest spreads its composition checks over one forked
-    worker per CPU (`checks._compose_all`). Its files, errors and exit
-    codes are those of one in-process loop, and no worker outlives the
-    command. Two CPUs are set where a run must fork, so the forked path
-    is tested on a host with one."""
-
-    ARGV = ["kernels-selftest", "--n-configs", "200"]
-
-    @pytest.mark.parametrize("seed", ["101", "311"])
-    def test_same_bytes_as_in_process(self, seed, tmp_path, monkeypatch):
-        argv = self.ARGV + ["--seed", seed]
-        forks = []
-        real_fork = os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        _cpus(monkeypatch, 2)
-        code, forked = run_cli(argv, tmp_path, "forked")
-        assert (code, len(forks)) == (0, 1)
-        _cpus(monkeypatch, 1)
-        code, single = run_cli(argv, tmp_path, "single")
-        assert (code, len(forks)) == (0, 1)
-        assert (forked / "kernels-selftest.json").read_bytes() == \
-            (single / "kernels-selftest.json").read_bytes()
-        _assert_no_child_left()
-
-    def test_a_workers_error_is_the_in_process_error(self, tmp_path,
-                                                     monkeypatch, capsys):
+    def test_first_failing_draw_is_the_json_error(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """A QuadratureError at the last of 200 draws ends the command with
+        exit 1 and that error as JSON, after every earlier draw was
+        checked, and writes no artefact."""
         from hhlab.errors import QuadratureError
         drawn = []
 
@@ -127,12 +89,13 @@ class TestForkedCompositions:
             drawn.append(alpha1)
             return 1.0, 1.0
 
+        argv = ["kernels-selftest", "--n-configs", "200"]
         monkeypatch.setattr("hhlab.kernels.riesz_compose_check", recording)
-        _cpus(monkeypatch, 1)
-        assert run_cli(self.ARGV, tmp_path, "draws")[0] == 0
-        last = drawn[-1]
+        assert run_cli(argv, tmp_path, "draws")[0] == 0
+        last, checked = drawn[-1], []
 
         def failing_last(alpha1, alpha2, x, z, n):
+            checked.append(alpha1)
             if alpha1 == last:
                 raise QuadratureError("composition integral did not "
                                       "converge at the last draw")
@@ -141,84 +104,12 @@ class TestForkedCompositions:
         monkeypatch.setattr("hhlab.kernels.riesz_compose_check",
                             failing_last)
         capsys.readouterr()
-        outcomes = []
-        for cpus in (2, 1):
-            _cpus(monkeypatch, cpus)
-            code, out = run_cli(self.ARGV, tmp_path, f"cpus{cpus}")
-            outcomes.append((code, capsys.readouterr().err, out.exists()))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == 1 and not outcomes[0][2]
-        assert json.loads(outcomes[0][1]) == {
+        code, out = run_cli(argv, tmp_path, "failing")
+        assert code == 1 and not out.exists()
+        assert checked == drawn
+        assert json.loads(capsys.readouterr().err) == {
             "error": "composition integral did not converge at the last "
                      "draw", "code": 1, "type": "QuadratureError"}
-        _assert_no_child_left()
-
-    def test_an_interrupt_in_process_reaps_the_worker(self, monkeypatch):
-        from hhlab import checks
-
-        def interrupted(alpha1, alpha2, x, z, n):
-            if n == 4:      # chunk 0, the one run in process
-                raise KeyboardInterrupt
-            return 1.0, 1.0
-
-        monkeypatch.setattr("hhlab.kernels.riesz_compose_check",
-                            interrupted)
-        _cpus(monkeypatch, 2)
-        with pytest.raises(KeyboardInterrupt):
-            checks.composition_sample(np.random.default_rng(1),
-                                      checks.MIN_CHUNK)
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("failure", ["fork", "exit"])
-    def test_a_chunk_no_worker_sends_is_run_in_process(self, failure,
-                                                       monkeypatch):
-        from hhlab import checks
-        parent = os.getpid()
-
-        def dying_in_a_worker(alpha1, alpha2, x, z, n):
-            if os.getpid() != parent:
-                os._exit(3)
-            return alpha1, alpha2
-
-        def no_fork():
-            raise OSError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr("hhlab.kernels.riesz_compose_check",
-                            dying_in_a_worker)
-        if failure == "fork":
-            monkeypatch.setattr(os, "fork", no_fork)
-        samples = []
-        for cpus in (2, 1):
-            _cpus(monkeypatch, cpus)
-            samples.append(checks.composition_sample(
-                np.random.default_rng(1), checks.MIN_CHUNK))
-        assert samples[0] == samples[1]
-        assert len(samples[0]) == 2 * checks.MIN_CHUNK
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("argv,name", [
-        (["report"], "report"),
-        (["kernels-selftest", "--n-configs", "20"], "kernels-selftest")],
-        ids=["report", "kernels-selftest-20"])
-    def test_small_samples_never_fork(self, argv, name, tmp_path,
-                                      monkeypatch):
-        # 6 and 20 checks are too few for two chunks of MIN_CHUNK, even
-        # with two CPUs
-        _cpus(monkeypatch, 2)
-        code, plain = run_cli(argv, tmp_path, "plain")
-        assert code == 0
-
-        def no_fork():
-            raise AssertionError("a worker was forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        code, unforked = run_cli(argv, tmp_path, "unforked")
-        assert code == 0
-        files = sorted(p.name for p in plain.iterdir())
-        assert f"{name}.json" in files
-        assert sorted(p.name for p in unforked.iterdir()) == files
-        for f in files:
-            assert (plain / f).read_bytes() == (unforked / f).read_bytes()
 
 
 class TestSolve:
@@ -285,7 +176,7 @@ class TestSolve:
         code, out = run_cli(["solve", "--nodes", "129"], tmp_path)
         assert code == 0
         problem = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(problem, 1e-10, problem.default_grid(129))
+        eig = first_eigenpair(problem, problem.default_grid(129))
         assert read_json(out, "solve.json")["lambda1"] == eig.lambda1
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhlab.errors import KernelDomainError
-from hhlab.kernels import (_LEVELS, _MERGE_FRACTION, _OUTER_RADIUS,
-                           _composition_integral, _composition_mesh,
-                           _unit_mesh, green_ball, riesz_compose_check,
-                           riesz_constant)
+from hhlab.checks import composition_sample
+from hhlab.kernels import (_GRADING, _LEVELS, _MERGE_FRACTION,
+                           _OUTER_RADIUS, _composition_integral,
+                           _composition_mesh, _unit_mesh, green_ball,
+                           riesz_compose_check, riesz_constant)
 from hhlab.numerics import (geometric_breaks, graded_breaks,
                             panel_quadrature, sin_power_integral,
                             surface_area)
@@ -187,9 +188,10 @@ def _broadcast_composition_integral(alpha1, alpha2, d, n, n_sing, n_theta,
     """The composition integral with its full-size broadcast integrand on a
     mesh built afresh at unit distance, times d^(alpha1+alpha2-n); the
     oracle for the blocked evaluation on the cached mesh."""
-    r_breaks = _composition_mesh(n_sing)
-    r_nodes, r_weights = panel_quadrature(r_breaks, order)
-    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
+    r_breaks, r_orders = _composition_mesh(n_sing, order)
+    r_nodes, r_weights = panel_quadrature(r_breaks, r_orders)
+    theta_breaks = graded_breaks(0.0, math.pi, n_theta, _GRADING,
+                                 toward="start")
     t_nodes, t_weights = panel_quadrature(theta_breaks, order)
     sin_half2 = np.sin(0.5 * t_nodes) ** 2
     sin_pow = np.sin(t_nodes) ** (n - 2)
@@ -287,11 +289,81 @@ def test_blocked_angular_rules_match_full_mesh(n, u1, u2):
 def test_far_breaks_end_exactly_at_the_outer_radius(level):
     # past the 3 n_sing graded panels the mesh is geometric_breaks to 400,
     # whose last break is the outer radius itself
-    n_sing = level[0]
+    n_sing, _, order = level
     far = geometric_breaks(2.0, 400.0, 1.7)
-    breaks = _composition_mesh(n_sing)
+    breaks, _ = _composition_mesh(n_sing, order)
     np.testing.assert_array_equal(breaks[3 * n_sing:], far)
     assert breaks[-1] == _OUTER_RADIUS
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_radial_orders_rise_away_from_each_singular_end(level):
+    """The k-th graded panel from rho = 0 or rho = 1 (k = 0 touching it)
+    has Gauss order min(order, 1 + round(0.6 k)); the far panels have the
+    level's order, and each graded chain shrinks by _GRADING per panel."""
+    n_sing, _, order = level
+    breaks, orders = _composition_mesh(n_sing, order)
+    assert len(orders) == breaks.size - 1 == 3 * n_sing + 10
+    rising = [min(order, 1 + round(0.6 * k)) for k in range(n_sing)]
+    assert orders[:n_sing] == rising
+    assert orders[n_sing:2 * n_sing] == rising[::-1]
+    assert orders[2 * n_sing:3 * n_sing] == rising
+    assert orders[3 * n_sing:] == [order] * 10
+    # beside rho = 1 the widths fall to about 1e-13, and the breaks there
+    # are rounded to 1.1e-16
+    widths = np.diff(breaks)
+    for chain in (widths[1:n_sing], widths[2 * n_sing - 2:n_sing - 1:-1],
+                  widths[2 * n_sing + 1:3 * n_sing]):
+        np.testing.assert_allclose(chain[:-1] / chain[1:], _GRADING,
+                                   rtol=1e-2)
+
+
+def _broadcast_panel_quadrature(breaks, order):
+    """One Gauss order on every panel, as one broadcast over the panels:
+    panel_quadrature's rule for an integer order, operation for
+    operation."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    a = np.asarray(breaks, dtype=float)
+    half = 0.5 * (a[1:] - a[:-1])
+    mid = 0.5 * (a[1:] + a[:-1])
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
+@pytest.mark.parametrize("order", [1, 2, 6, 8])
+def test_panel_quadrature_integer_order_is_unchanged(order):
+    n_sing, _, level_order = _LEVELS[0]
+    breaks, _ = _composition_mesh(n_sing, level_order)
+    nodes, weights = panel_quadrature(breaks, order)
+    expected = _broadcast_panel_quadrature(breaks, order)
+    np.testing.assert_array_equal(nodes, expected[0])
+    np.testing.assert_array_equal(weights, expected[1])
+    # the same order given once per panel gives the same bits
+    for got, want in zip(panel_quadrature(breaks,
+                                          [order] * (breaks.size - 1)),
+                         (nodes, weights)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("orders", [[1, 3, 8, 2], np.array([5, 1, 1, 4])],
+                         ids=["list", "array"])
+def test_panel_quadrature_per_panel_orders_concatenate_panel_rules(orders):
+    breaks = [0.0, 0.1, 0.5, 2.0, 3.0]
+    nodes, weights = panel_quadrature(breaks, orders)
+    start = 0
+    for i, k in enumerate(orders):
+        one_nodes, one_weights = panel_quadrature(breaks[i:i + 2], int(k))
+        np.testing.assert_array_equal(nodes[start:start + k], one_nodes)
+        np.testing.assert_array_equal(weights[start:start + k], one_weights)
+        start += k
+    assert start == nodes.size == weights.size
+    assert weights.sum() == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("orders", [[3], [3, 3, 3]])
+def test_panel_quadrature_rejects_an_order_count_not_the_panel_count(orders):
+    with pytest.raises(ValueError, match="orders for 2 panels"):
+        panel_quadrature([0.0, 1.0, 2.0], orders)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 400.0), (-1.0, 400.0),
@@ -320,7 +392,8 @@ def test_merged_angular_panel_stays_below_the_singular_distance(level):
     full angular mesh. A block whose reach lies below the first break keeps
     the full mesh."""
     n_sing, n_theta, order = level
-    theta_breaks = graded_breaks(0.0, math.pi, n_theta, 0.38, toward="start")
+    theta_breaks = graded_breaks(0.0, math.pi, n_theta, _GRADING,
+                                 toward="start")
     full_nodes, full_weights = panel_quadrature(theta_breaks, order)
     merged_blocks = 0
     for rows, t_nodes, t_weights, _ in _mesh_blocks(_unit_mesh(*level)):
@@ -344,6 +417,31 @@ def test_merged_angular_panel_stays_below_the_singular_distance(level):
             np.testing.assert_array_equal(t_nodes, full_nodes)
             np.testing.assert_array_equal(t_weights, full_weights)
     assert merged_blocks > 0
+
+
+# the worst rel_gap of the kernels-selftest sample (100 per n) on the
+# previous radial mesh: panels graded by 0.4 with order 8 (6 on the coarse
+# level) on every one
+@pytest.mark.parametrize("seed,previous_worst",
+                         [(101, 8.9e-7), (311, 1.7e-6), (7, 2.1e-6)])
+def test_selftest_sample_beats_the_previous_mesh(seed, previous_worst):
+    gaps = composition_sample(np.random.default_rng(seed), 100)
+    assert len(gaps) == 200
+    assert max(g["rel_gap"] for g in gaps) < previous_worst
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_levels_agree_at_the_corners_of_the_selftest_orders(n):
+    """The coarse and fine levels agree to 1e-3 at the corners of the order
+    domain kernels-selftest draws from, five times inside the 5e-3 at which
+    riesz_compose_check raises."""
+    for u1 in (0.0, 1.0):
+        for u2 in (0.0, 1.0):
+            alpha1, alpha2 = _selftest_orders(n, u1, u2)
+            fine, coarse = (_composition_integral(alpha1, alpha2, 1.0, n,
+                                                  *level)
+                            for level in _LEVELS)
+            assert abs(fine - coarse) < 1e-3 * abs(fine)
 
 
 @settings(max_examples=30, deadline=None)

@@ -103,15 +103,10 @@ class TestApplyK:
 
 
 class TestEigenpair:
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_bad_tolerance(self, unit_problem, tol):
-        with pytest.raises(ValueError):
-            first_eigenpair(unit_problem, tol, unit_problem.default_grid(65))
-
     @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (4, 2)])
     def test_matches_bessel_oracle(self, n, m):
         problem = NavierProblem(HardyHenonParams(n, m, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(problem, 1e-10, problem.default_grid(512))
+        eig = first_eigenpair(problem, problem.default_grid(512))
         oracle = first_dirichlet_eigenvalue_oracle(n, 1.0) ** m
         assert abs(eig.lambda1 / oracle - 1.0) < 2e-3
 
@@ -131,14 +126,14 @@ class TestEigenpair:
     def test_reference_values(self):
         # pi^2 for n=3 and powers of the first J1 zero for n=4
         p3 = NavierProblem(HardyHenonParams(3, 1, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(p3, 1e-10)
+        eig = first_eigenpair(p3)
         assert eig.lambda1 == pytest.approx(math.pi ** 2, rel=1e-5)
         p42 = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(p42, 1e-10)
+        eig = first_eigenpair(p42)
         assert eig.lambda1 == pytest.approx(215.5606, rel=1e-4)
 
     def test_eigenfunction_properties(self, unit_problem):
-        eig = first_eigenpair(unit_problem, 1e-10)
+        eig = first_eigenpair(unit_problem)
         phi = eig.phi
         assert float(np.max(phi.values)) == pytest.approx(1.0, abs=1e-12)
         assert np.all(phi.values[:-1] > 0.0)
@@ -146,7 +141,7 @@ class TestEigenpair:
 
     def test_fixed_point_certificate(self, unit_problem):
         from hhlab.radial import iterated_green
-        eig = first_eigenpair(unit_problem, 1e-12)
+        eig = first_eigenpair(unit_problem)
         layers = iterated_green(
             eig.phi.with_values(eig.lambda1 * eig.phi.values),
             unit_problem.R, 4, 2)
@@ -157,8 +152,8 @@ class TestEigenpair:
         # lambda1 scales like R^(-2m)
         p1 = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
         p2 = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 2.0)
-        e1 = first_eigenpair(p1, 1e-10)
-        e2 = first_eigenpair(p2, 1e-10)
+        e1 = first_eigenpair(p1)
+        e2 = first_eigenpair(p2)
         assert e2.lambda1 == pytest.approx(e1.lambda1 / 16.0, rel=1e-6)
 
 
@@ -207,8 +202,7 @@ class TestSolve:
         assert all(c.ok for c in sol.certificates)
 
     def test_carries_its_eigenpair(self, unit_problem, unit_solution):
-        eig = first_eigenpair(unit_problem, navier.EIGEN_TOL,
-                              unit_problem.default_grid(513))
+        eig = first_eigenpair(unit_problem, unit_problem.default_grid(513))
         assert unit_solution.eigen.lambda1 == eig.lambda1
         np.testing.assert_array_equal(unit_solution.eigen.phi.values,
                                       eig.phi.values)
@@ -524,13 +518,13 @@ class TestTorsion:
 
 class TestEnergyBound:
     def test_zero_field(self, unit_problem, unit_solution):
-        eig = first_eigenpair(unit_problem, 1e-10)
+        eig = first_eigenpair(unit_problem)
         zero = RadialField.constant(eig.phi.grid, 0.0)
         lhs, rhs, ok = energy_bound_check(zero, eig, unit_problem)
         assert lhs == 0.0 and ok
 
     def test_computed_solution(self, unit_problem, unit_solution):
-        eig = first_eigenpair(unit_problem, 1e-10)
+        eig = first_eigenpair(unit_problem)
         lhs, rhs, ok = energy_bound_check(unit_solution.u, eig, unit_problem)
         assert ok
         # tightness probe, reported but not asserted
