@@ -38,10 +38,12 @@ from .errors import HHLabError
 from .numerics import HardyHenonParams
 
 
-# A token that starts with `-` then a digit or `.` is a value, never a flag
-# (no hhlab flag looks like that): `--u1 -10,10,21` and `--a -1e-3` parse,
-# where argparse's own pattern takes only -3 or -.5 as negative numbers.
-_NEGATIVE_NUMBER = re.compile(r"^-[\d.]")
+# A token that starts with `-` then a digit, `.`, `inf` or `nan` in any
+# case (every negative spelling `float` reads, `-infinity` too) is a value,
+# never a flag (no hhlab flag looks like that): `--u1 -10,10,21`,
+# `--a -1e-3` and `--a -inf` parse, where argparse's own pattern takes
+# only -3 or -.5 as negative numbers.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):

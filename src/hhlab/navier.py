@@ -347,8 +347,13 @@ class _FixedPointSolve:
         n, p = self.problem.params.n, self.problem.params.p
         phi = eig.phi.values
         green = self.grid.green(n)
+        power = green.integral(phi ** (p + 1.0))
+        if not 0.0 < power < math.inf:
+            # phi1 <= 1, so a large p underflows the integral to 0: the
+            # projected amplitude, exp(+inf), is past every float
+            self.check_range(math.inf, "projected amplitude")
         log_s = (math.log(eig.lambda1) + math.log(green.integral(phi * phi))
-                 - math.log(green.integral(phi ** (p + 1.0)))) / (p - 1.0)
+                 - math.log(power)) / (p - 1.0)
         self.check_range(log_s, "projected amplitude")
         return RadialField.adopt(self.grid, math.exp(log_s) * phi)
 

@@ -272,6 +272,31 @@ class TestErrorClasses:
         equals = read_json(out, name)
         assert spaced == equals
 
+    @pytest.mark.parametrize("args", [
+        ["shoot", "--init", "1,0", "--a", "-inf"],
+        ["shoot", "--init", "1,0", "--a", "-Infinity"],
+        ["shoot", "--init", "1,0", "--p", "-NaN"],
+        ["solve", "--p", "-INF"],
+        ["shoot", "--init", "-inf,0"],
+        ["shoot", "--init", "1,-nan"],
+        ["scan", "--u1", "-inf,1,3"],
+        ["scan", "--u1", "-iNfInItY,1,3"]],
+        ids=["a-inf", "a-infinity", "p-nan", "solve-p-inf", "init-inf",
+             "init-nan", "u1-inf", "u1-infinity"])
+    def test_minus_inf_or_nan_with_a_space_is_a_value(self, args, tmp_path,
+                                                      capsys):
+        # every negative spelling float() reads is a value, in any case:
+        # the space and `=` forms give the same finiteness error
+        errors = []
+        for argv in (args, args[:-2] + [f"{args[-2]}={args[-1]}"]):
+            code = main(argv + ["--output-dir", str(tmp_path / "x"),
+                                "--quiet"])
+            assert code == 2
+            errors.append(json.loads(capsys.readouterr().err.strip()))
+        assert errors[0] == errors[1]
+        assert "finite" in errors[0]["error"]
+        assert not (tmp_path / "x").exists()
+
     def test_negative_origin_value_with_a_space(self, tmp_path, capsys):
         # `--init -1,2` is the value -1,2, rejected as u(0) <= 0
         code = main(["shoot", "--init", "-1,2", "--output-dir",
@@ -311,6 +336,19 @@ class TestErrorClasses:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == 1 and err["type"] == "AmplitudeRangeError"
+
+    @pytest.mark.parametrize("p", ["1e15", "1e300"])
+    def test_projected_amplitude_of_a_huge_p_exits_1(self, p, tmp_path,
+                                                     capsys):
+        # the integral of phi1^(p+1) underflows to 0 at such p
+        code = main(["solve", "--p", p, "--output-dir", str(tmp_path / "x"),
+                     "--quiet"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "K overflows the float range at the "
+                                "projected amplitude exp(inf)",
+                       "code": 1, "type": "AmplitudeRangeError"}
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["eigen", "solve"])
     def test_failed_allocation_exits_1(self, command, tmp_path, capsys,
@@ -548,7 +586,8 @@ class TestDispatch:
 
 # valid values of a flag by its type; strings include negative numbers,
 # which start with `-`, an `=` and the empty string
-_STRING_VALUES = ["-4,4,3", "-1e-3", "-.5", "0.5,2,2", "x=y", "", "a b"]
+_STRING_VALUES = ["-4,4,3", "-1e-3", "-.5", "-inf,1,3", "-NaN,2", "0.5,2,2",
+                  "x=y", "", "a b"]
 
 
 def _values(kind):
@@ -557,7 +596,8 @@ def _values(kind):
     if kind is int:
         return st.integers(-10 ** 6, 10 ** 6).map(str)
     if kind is float:
-        return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        # a NaN would read back as a float unequal to itself
+        return st.floats(allow_nan=False).map(repr)
 
     def valid(text):
         try:
@@ -609,7 +649,7 @@ class TestFlagTable:
         (["solve", "--help"], 0, "usage: hhlab solve "),
         (["solve", "--nod", "257"], None, {"nodes": 257}),   # abbreviation
         (["solve", "--p"], 2, "argument --p: expected one argument"),
-        (["solve", "--p", "-inf"], 2,
+        (["solve", "--p", "-x"], 2,
          "argument --p: expected one argument"),
         (["solve", "--quiet=1"], 2,
          "argument --quiet: ignored explicit argument '1'"),
@@ -621,7 +661,7 @@ class TestFlagTable:
          "argument --n-configs: must be even, got 3"),
         (["shoot", "--n", "4"], 2,
          "the following arguments are required: --init")],
-        ids=["h", "help", "abbreviation", "missing-value", "minus-inf",
+        ids=["h", "help", "abbreviation", "missing-value", "minus-word",
              "switch-value", "double-dash", "bad-int", "negative-seed",
              "odd-config-count", "no-init"])
     def test_what_the_table_leaves_to_argparse(self, argv, code, want,
@@ -938,7 +978,7 @@ class TestOtherCommands:
         assert code == 0
         payload = read_json(out, "shoot.json")
         assert (payload["kind"], payload["layer_index"],
-                payload["r_star"]) == ("SignLoss", 1, 1.0069919563093666)
+                payload["r_star"]) == ("SignLoss", 1, 1.0069919563093728)
 
     def test_singular_exists(self, tmp_path):
         code, out = run_cli(["singular"], tmp_path)

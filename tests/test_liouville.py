@@ -317,7 +317,7 @@ class TestScanLanes:
         params = HardyHenonParams(4, 2, -2000.0, 2.0)
         axes = [np.array([2.0]), np.array([1.0])]
         res = scan(axes, params, 50.0)
-        assert res.records[0][1:4] == ("SignLoss", 1, 1.0069919563093666)
+        assert res.records[0][1:4] == ("SignLoss", 1, 1.0069919563093728)
         assert _shoot_record([2.0, 1.0], params, 50.0)[:3] == \
             res.records[0][1:4]
 

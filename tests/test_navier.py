@@ -337,6 +337,16 @@ class TestNewtonSolver:
         with pytest.raises(AmplitudeRangeError, match="projected amplitude"):
             solve_positive(prob, prob.default_grid(65))
 
+    @pytest.mark.parametrize("p", [1e15, 1e300], ids=["1e15", "1e300"])
+    def test_projected_amplitude_of_a_huge_p(self, p):
+        # phi1^(p+1) underflows to 0 everywhere, so its integral is 0 and
+        # the projected amplitude exp(+inf): a range error, not a math
+        # domain error from log(0)
+        prob = NavierProblem(HardyHenonParams(4, 2, 0.0, p), 1.0)
+        with pytest.raises(AmplitudeRangeError,
+                           match="projected amplitude exp\\(inf\\)"):
+            solve_positive(prob, prob.default_grid(65))
+
     def test_operator_overflow_at_rho(self):
         # rho ~ 1e200 is a float, but rho^p is not
         prob = NavierProblem(HardyHenonParams(4, 2, 0.0, 4.0), 1e-150)

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +191,29 @@ class TestHermite:
         root = hermite_crossing(self.REC, 0, cubic(0.6))
         assert abs(root - 0.6) < 1e-12
 
+    def test_crossing_brackets_one_of_three_roots(self):
+        # on [-1.5, 2.5] the cubic crosses 0 at -1, 0.3 and 2; Newton's
+        # chord start and bisections may end at any of them, but the
+        # result brackets a root to CROSSING_TOL
+        rec = StepRecord(-1.5, 2.5, [cubic(-1.5)], [cubic(2.5)],
+                         [cubic_slope(-1.5)], [cubic_slope(2.5)])
+        root = hermite_crossing(rec, 0, 0.0)
+        width = hhlab.rk.CROSSING_TOL * max(1.0, abs(root))
+        assert min(abs(root - r) for r in (-1.0, 0.3, 2.0)) <= width
+        assert sign_change_near(rec, 0, 0.0, root)
+
+    def test_crossing_where_the_cubic_rounds_to_the_level(self):
+        # the cubic starts at the level, dips below it and comes back near
+        # t = 1.5756e-5, where it rounds to the level exactly over a span
+        # of thousands of tolerance widths: Newton steps are 0 there, and
+        # probing past them again and again would creep through the span
+        y0 = -1225.127988955893
+        rec = StepRecord(1e-7, 1e-7 + 10.0, [y0], [65.43793172274559],
+                         [-0.0007274882044906939], [-77.51299885218923])
+        root = hermite_crossing(rec, 0, y0)
+        assert abs(root - 1.5756e-5) < 1e-9
+        assert sign_change_near(rec, 0, y0, root)
+
 
 def reference_hermite(rec, t, j):
     """Component j of the cubic Hermite interpolant of `rec` at t, every
@@ -206,7 +230,8 @@ def reference_hermite(rec, t, j):
 
 def reference_crossing(rec, j, level):
     """Bisection on `reference_hermite`, carrying the low end's value: the
-    formula `hermite_crossing` takes with the step's data bound once."""
+    location `hermite_crossing` made before it took Newton steps, kept as
+    the tests' reference for a cubic with one root in the step."""
     lo, hi = rec.t0, rec.t1
     glo = rec.y0[j] - level
     for _ in range(200):
@@ -219,6 +244,62 @@ def reference_crossing(rec, j, level):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def roundoff(rec, j, level, t):
+    """A bound on the rounding error of `reference_hermite` - level at t:
+    16 units of roundoff of the sum of its terms' magnitudes."""
+    h = rec.t1 - rec.t0
+    s = (t - rec.t0) / h
+    terms = ((1 + 2 * s) * (1 - s) ** 2 * rec.y0[j],
+             s * s * (3 - 2 * s) * rec.y1[j],
+             h * s * (1 - s) ** 2 * rec.f0[j],
+             h * s * s * (s - 1) * rec.f1[j], level)
+    return 16 * sys.float_info.epsilon * sum(map(abs, terms))
+
+
+def hermite_slope(rec, t, j):
+    """The t-derivative of component j's cubic Hermite interpolant at t."""
+    y0, y1, f0, f1 = rec.y0[j], rec.y1[j], rec.f0[j], rec.f1[j]
+    h = rec.t1 - rec.t0
+    s = (t - rec.t0) / h
+    return 6 * s * (1 - s) * (y1 - y0) / h + (1 - s) * (1 - 3 * s) * f0 \
+        + s * (3 * s - 2) * f1
+
+
+def sign_change_near(rec, j, level, t):
+    """Whether `reference_hermite` - level changes sign (as `g <= 0` reads
+    it) between t and a point of the step at most CROSSING_TOL max(1, |t|)
+    from it: a bracket around t no wider than the crossing's tolerance.
+
+    Near a root the rounded cubic can flip sign more than once, so the
+    points are a grid of 64 on either side of t, not the window's ends.
+    Where the cubic is so flat that its rounding hides the sign across a
+    window wider than the tolerance, it flips at scattered floats that no
+    grid reaches; there t must be a root to within `roundoff`."""
+    width = hhlab.rk.CROSSING_TOL * max(1.0, abs(t))
+    g = reference_hermite(rec, t, j) - level
+    return any(
+        (reference_hermite(rec, min(rec.t1, max(rec.t0, t + d)), j)
+         - level <= 0.0) != (g <= 0.0)
+        for k in range(1, 65) for d in (k * width / 64, -k * width / 64)) \
+        or abs(g) <= roundoff(rec, j, level, t)
+
+
+def monotone(rec, j):
+    """Whether component j's cubic Hermite interpolant is monotone on the
+    step, so that it crosses each level between its end values once: its
+    slope, a quadratic in s, keeps one sign at s = 0, at s = 1 and at its
+    vertex when that lies inside."""
+    y0, y1, f0, f1 = rec.y0[j], rec.y1[j], rec.f0[j], rec.f1[j]
+    h = rec.t1 - rec.t0
+    # the slope is a s^2 + b s + f0
+    a = 3 * (f0 + f1) - 6 * (y1 - y0) / h
+    b = 6 * (y1 - y0) / h - 4 * f0 - 2 * f1
+    points = [0.0, 1.0] + ([-b / (2 * a)] if a != 0.0 and
+                           0.0 < -b / (2 * a) < 1.0 else [])
+    values = [hermite_slope(rec, rec.t0 + s * h, j) for s in points]
+    return all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,8 +320,21 @@ def test_interpolant_and_crossing_match_the_reference(t0, h, seed, dim,
         assert bits(hermite_at(rec, t, j)) == \
             bits(reference_hermite(rec, t, j))
         level = y0[j] + where * (y1[j] - y0[j])
-        assert bits(hermite_crossing(rec, j, level)) == \
-            bits(reference_crossing(rec, j, level))
+        root = hermite_crossing(rec, j, level)
+        assert rec.t0 <= root <= rec.t1
+        if (y0[j] - level <= 0.0) == (y1[j] - level <= 0.0) \
+                or math.isnan(f1[j]):
+            continue
+        assert sign_change_near(rec, j, level, root)
+        if monotone(rec, j):
+            # both locations lie within the tolerance of a sign change of
+            # the rounded cubic, and its sign changes lie within the span
+            # where rounding can hide its sign, roundoff / |slope|
+            width = hhlab.rk.CROSSING_TOL * max(1.0, abs(root))
+            band = roundoff(rec, j, level, root) \
+                / abs(hermite_slope(rec, root, j))
+            assert abs(root - reference_crossing(rec, j, level)) \
+                <= width + 2 * band
 
 
 def lanes_of(rhs):
