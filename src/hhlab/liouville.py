@@ -179,34 +179,43 @@ def _radial_rhs(params: HardyHenonParams):
 
 
 def _lane_rhs(params: HardyHenonParams):
-    """`_radial_rhs` for LaneRK: r holds one radius per lane and each row
-    of y one lane's state, in the column layout of `_radial_rhs`. Each
-    entry is computed by the same operations in the same order, u < 0
-    reads as 0 with u = -0.0 kept, a weighted source that is inf * 0 is
-    `_weighted_power`'s, and the slopes keep y's memory layout."""
+    """`_radial_rhs` for LaneRK: `rhs(r, y, out)` writes the slopes into
+    `out`, where r holds one radius per lane and each row of y one lane's
+    state, in the column layout of `_radial_rhs`. Each entry is computed by
+    the same operations in the same order, u < 0 reads as 0 with u = -0.0
+    kept, and a weighted source that is inf * 0 where a power of a finite
+    factor overflowed (where float `**` raises) is `_weighted_power`'s.
+
+    u_i'' = -u_{i+1} - c u_i' is formed in out as c u_i', negated, minus
+    u_{i+1}: (-x) - y and (-y) - x are the same IEEE sum, -(x + y) rounded
+    to nearest, signed zeros and NaN included, so the slope keeps the
+    float right-hand side's bits with no temporary for -u_{i+1}."""
     nm1 = params.n - 1.0
     p, a = params.p, params.a
 
-    def rhs(r, y):
+    def rhs(r, y, out):
         c = nm1 / r
         u = y[:, 0]
-        top = float_powers(np.where(u < 0.0, 0.0, u), p)
+        base = np.where(u < 0.0, 0.0, u)
+        top = float_powers(base, p)
         if a != 0.0:
             top *= float_powers(r, -a)
-            # inf * 0 = NaN at a finite u: one factor overflowed, the other
-            # is 0; the float right-hand side takes these lanes in log space
+            # inf * 0 = NaN at a finite base and radius: one factor
+            # overflowed, the other is 0; the float right-hand side takes
+            # these lanes in log space. An infinite base or radius gives
+            # its inf without raising there, and stays NaN
             nan = np.isnan(top)
             if nan.any():
-                for i in np.flatnonzero(nan & np.isfinite(u)).tolist():
+                for i in np.flatnonzero(nan & np.isfinite(base)
+                                        & np.isfinite(r)).tolist():
                     top[i] = _weighted_power(float(u[i]), float(r[i]), p,
                                              -a)
-        dy = np.empty_like(y)
-        dy[:, 0::2] = y[:, 1::2]
-        # u_i'' = -u_{i+1} - c u_i', with r^(-a) u^p in the place of u_m
-        second = np.multiply(c[:, None], y[:, 1::2], out=dy[:, 1::2])
-        np.subtract(-y[:, 2::2], second[:, :-1], out=second[:, :-1])
-        np.subtract(-top, second[:, -1], out=second[:, -1])
-        return dy
+        out[:, 0::2] = y[:, 1::2]
+        # -(c u_i'), then minus u_{i+1}, with r^(-a) u^p in the place of u_m
+        second = np.multiply(c[:, None], y[:, 1::2], out=out[:, 1::2])
+        np.negative(second, out=second)
+        np.subtract(second[:, :-1], y[:, 2::2], out=second[:, :-1])
+        np.subtract(second[:, -1], top, out=second[:, -1])
 
     return rhs
 
@@ -508,16 +517,17 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
 
     sign_rows = range(0, 2 * params.m, 2)
 
-    def callback(t0, t1, y0, y1, f0, f1):
-        # screen every lane at once; build a StepRecord only for those
-        # where _step_event finds an event
-        hit = np.flatnonzero((y1[:, 0::2] < -DEFAULT_SIGN_TOL).any(axis=1)
-                             | (y1[:, 0] > DEFAULT_BLOW_THRESHOLD))
+    def callback(accept, t0, t1, y0, y1, f0, f1):
+        # screen every lane at once; build a StepRecord only for the
+        # accepted lanes the screen hits, and ask _step_event about those
+        hit = np.flatnonzero(accept & (
+            (y1[:, 0::2] < -DEFAULT_SIGN_TOL).any(axis=1)
+            | (y1[:, 0] > DEFAULT_BLOW_THRESHOLD)))
         return {k: _step_event(StepRecord(float(t0[k]), float(t1[k]),
                                           y0[k].tolist(), y1[k].tolist(),
                                           f0[k].tolist(), f1[k].tolist()),
                                sign_rows)
-                for k in hit}
+                for k in hit.tolist()}
 
     results, t, y = integ.integrate(r0, starts[lanes], r_max, callback)
     tail = None

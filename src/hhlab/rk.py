@@ -42,26 +42,32 @@ construction, and read one statement of the tableau, `_STAGES`,
   (lanes, dim) array each. Every lane keeps its own t, h, step count and
   accept or reject decision, so each row follows the steps `AdaptiveRK`
   would take for it alone; one pass pays numpy's fixed costs once for all
-  lanes. `rhs(t, y)` takes the lanes' times (lanes,) and states
-  (lanes, dim) and returns the slopes as a new (lanes, dim) array. A pass
-  allocates little: each stage state and the error norm are accumulated
-  in place in two reused buffers, term by term in the tableau's order,
+  lanes. A pass allocates almost nothing: one workspace per lane count
+  (`_LaneWork`, made at the first pass and after each compaction) holds
+  the seven (lanes, dim) slope slots, the stage and trial states, and the
+  six stage radii, which one broadcast `t + c h` fills. `rhs(t, y, out)`
+  takes the lanes' radii (lanes,) and states (lanes, dim) and writes the
+  slopes into the slot `out` it is given. Each stage state and the error
+  norm are accumulated in place, term by term in the tableau's order,
   then scaled by h and added to y, which float `+` and `*` commuting
   makes the same value as `y + h * (sum)`. The arrays are column-major,
-  so the reductions over a row run down contiguous columns, and a pass in
-  which every lane accepts takes the trial arrays as the new state
-  instead of copying rows. Powers are `np.float_power` (`float_powers`),
-  whose float64 loop calls the libm `pow` that float `**` calls, never
-  numpy's vectorised `np.power`. So a lane's arithmetic is that of
-  `AdaptiveRK`'s generated loop, operation for operation, and a lane ends
-  exactly where `AdaptiveRK` ends alone.
+  so the reductions over a row run down contiguous columns. Accepted
+  lanes take their new t, state and slope by `np.copyto(..., where=
+  accept)`; when every lane accepts, the trial state and the k7 slot
+  become the state and its slope by swapping references (FSAL), and
+  nothing is copied. The step callback sees every lane and the accept
+  mask, so it can screen all lanes with one set of numpy calls. Powers are
+  `np.float_power` (`float_powers`), whose float64 loop calls the libm
+  `pow` that float `**` calls, never numpy's vectorised `np.power`. So a
+  lane's arithmetic is that of `AdaptiveRK`'s generated loop, operation
+  for operation, and a lane ends exactly where `AdaptiveRK` ends alone.
 
   A pass costs the same numpy calls however few lanes are live, about as
-  much as 15 to 20 steps of `AdaptiveRK`'s loop. So once LANE_HANDOFF or
+  much as 22 to 34 steps of `AdaptiveRK`'s loop. So once LANE_HANDOFF or
   fewer lanes are live, `LaneRK` stops and hands each one back (`Resume`:
   its step and step count, with its t and state), and `AdaptiveRK.resume`
-  finishes it alone, with the steps the lane would have taken. Each
-  stepper thus runs where it is cheaper, and the result is the same.
+  finishes it alone, with the steps the lane would have taken: the
+  result is the same on either side of the handoff.
 """
 
 from __future__ import annotations
@@ -108,10 +114,14 @@ H_MIN_FACTOR = 1e-14        # smallest step relative to |t|
 # `hermite_crossing` closes around an event, by Newton's steps, a probe
 # half this width past a converged one, or bisection
 CROSSING_TOL = 1e-13
-# live lanes at or below which LaneRK hands its lanes back (`Resume`): a
-# pass over a few lanes takes about 155 us warm on a 2.1 GHz Xeon vCPU,
-# a step of AdaptiveRK's loop with a scan's event screen 8 us at 4
-# components and 10 us at 6, so a lane left to run alone pays at about 16
+# live lanes at or below which LaneRK hands its lanes back (`Resume`).
+# Warm on a 2.1 GHz Xeon vCPU, a pass over 4 to 48 lanes of a reference
+# scan takes 124-143 us at 4 components and 125-157 us at 6, and a step of
+# AdaptiveRK's loop with a scan's event screen 4.2 and 5.8 us: a pass costs
+# about 22 to 34 such steps. A fresh process also compiles the handed-back
+# tail's loop and radial rhs once (2-4 ms), whatever the value. The two
+# reference scans, forked after import, differ at 16, 24 and 32 by less
+# than their run-to-run spread, so the value stays
 LANE_HANDOFF = 16
 
 
@@ -440,39 +450,82 @@ def _lane_increment(out, tmp, terms, k, hc):
     return out
 
 
+# the radii of the slopes k2..k7 relative to a step: t + c h with the c of
+# each `_STAGES` row, then t + h for k7 at the new state (1.0 h is h)
+_LANE_NODES = np.array([c for c, _ in _STAGES] + [1.0])[:, None]
+
+
+class _LaneWork:
+    """The scratch of one lane pass, sized for one lane count: seven
+    column-major (lanes, dim) slope slots k1..k7, the stage state, a
+    term of a sum and the trial state, and the (6, lanes) stage radii.
+    Slot k1 is whatever array holds the lanes' current slope f (`_step`
+    puts its f0 there); the right-hand side writes k2..k7 into theirs."""
+
+    __slots__ = ("shape", "k", "stage", "term", "trial", "radii")
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.k = [np.empty(shape, order="F") for _ in range(7)]
+        self.stage, self.term, self.trial = (np.empty(shape, order="F")
+                                             for _ in range(3))
+        self.radii = np.empty((len(_LANE_NODES), shape[0]))
+
+
 class LaneRK(_DormandPrince):
     """The Dormand-Prince 5(4) stepper of `AdaptiveRK`, advancing the rows
     of a (lanes, dim) array in lockstep.
 
-    The lane arrays are column-major (order "F"): each component's lanes
-    are contiguous, so the reductions over a row (the error norm, the
-    finiteness test) run down a few contiguous columns. `rhs(t, y)` must
-    return a new array and keep no reference to y, since the stage states
-    it is given are scratch that the next stage overwrites; returning
-    `np.empty_like(y)` filled in keeps the layout."""
+    `rhs(t, y, out)` takes the lanes' radii (lanes,) and states
+    (lanes, dim) and writes their slopes into `out`, a (lanes, dim) slot
+    of the pass's workspace; it must write nothing else and keep no
+    reference to y or out, which are scratch that the next stage
+    overwrites. The lane arrays are column-major (order "F"): each
+    component's lanes are contiguous, so the reductions over a row (the
+    error norm, the finiteness test) run down a few contiguous columns.
+    One workspace (`_LaneWork`) serves every pass with the same number of
+    live lanes; a new one is made only when that number changes."""
+
+    _work = None
+
+    def _workspace(self, shape) -> _LaneWork:
+        """The workspace for lane arrays of `shape`, made when the shape
+        differs from the last pass's."""
+        work = self._work
+        if work is None or work.shape != shape:
+            work = self._work = _LaneWork(shape)
+        return work
 
     def _step(self, t, y, h, f0):
         """One trial step of every lane: new states, their slopes and each
         lane's max-norm of the scaled error (NaN when any component is).
 
-        Every sum is accumulated in place in reused (lanes, dim) buffers,
+        The new states and slopes are the workspace's trial buffer and k7
+        slot, valid until the next pass. Every sum is accumulated in place,
         then scaled by h and added to y. Float `+` and `*` commute exactly,
         so `(sum) * h + y` is the value `y + h * (sum)` takes, element for
         element, and the error norm is `AdaptiveRK`'s to the last bit."""
         rhs = self.rhs
+        work = self._workspace(y.shape)
+        k = work.k
+        k[0] = f0
+        acc, tmp = work.stage, work.term
         hc = h[:, None]
-        acc, tmp = np.empty_like(y), np.empty_like(y)
-        k = [f0]
-        for c, terms in _STAGES:
+        # every stage's radius t + c h at once
+        r = np.multiply(_LANE_NODES, h, out=work.radii)
+        r += t
+        for j, (_, terms) in enumerate(_STAGES, start=1):
             _lane_increment(acc, tmp, terms, k, hc)
             acc += y
-            k.append(rhs(t + c * h, acc))
-        y1 = _lane_increment(np.empty_like(y), tmp, _NEW_STATE, k, hc)
+            rhs(r[j - 1], acc, k[j])
+        y1 = _lane_increment(work.trial, tmp, _NEW_STATE, k, hc)
         y1 += y
-        k.append(rhs(t + h, y1))
+        rhs(r[-1], y1, k[6])
         ratio = _lane_increment(acc, tmp, _ERROR, k, hc)
         np.abs(ratio, out=ratio)
-        scale = np.maximum(np.abs(y, out=tmp), np.abs(y1), out=tmp)
+        # no weight of the new state or the error reads k2: its slot holds
+        # |y1| for the scale
+        scale = np.maximum(np.abs(y, out=tmp), np.abs(y1, out=k[1]), out=tmp)
         scale *= self.rtol
         scale += self.atol
         ratio /= scale
@@ -482,15 +535,20 @@ class LaneRK(_DormandPrince):
                   step_callback: Optional[Callable] = None):
         """Integrate every row of y0 from t0 to t_end.
 
-        `step_callback(t0, t1, y0, y1, f0, f1)` is invoked after every pass
-        with the steps accepted in it, one row per accepted lane; the arrays
-        are valid only during the call. It returns a dict from row index to
-        a stop value for the lanes that stop there, or None when none does.
-        Lanes that stop, reach t_end or fail are dropped from the arrays.
-        Once LANE_HANDOFF or fewer lanes are live, before a pass (before the
-        first, when y0 has that few rows), the run ends and hands each of
-        them back unfinished: a pass costs numpy's fixed costs however few
-        lanes it has, and `AdaptiveRK.resume` steps one lane for much less.
+        `step_callback(accept, t0, t1, y0, y1, f0, f1)` is invoked after
+        every pass with every live lane's step: `accept` marks the lanes
+        whose step was accepted, and (t0, y0, f0) to (t1, y1, f1) is each
+        lane's step, meaningful where `accept` holds; the arrays are valid
+        only during the call and must not be written. It returns a dict
+        from row index (of an accepted lane) to a stop value for the lanes
+        that stop there, or None when none does; a callback that screens
+        all rows at once and looks closer only at the accepted rows the
+        screen hits pays one set of numpy calls per pass. Lanes that stop,
+        reach t_end or fail are dropped from the arrays. Once LANE_HANDOFF
+        or fewer lanes are live, before a pass (before the first, when y0
+        has that few rows), the run ends and hands each of them back
+        unfinished: a pass costs numpy's fixed costs however few lanes it
+        has, and `AdaptiveRK.resume` steps one lane for much less.
 
         Returns (results, t, y). results[i] is lane i's stop value, None
         when it reached t_end, the IntegratorError (step-size underflow
@@ -506,9 +564,11 @@ class LaneRK(_DormandPrince):
         h = np.full(lane.size, _first_step(float(t0), t_end))
         steps = 0     # every live lane takes one trial step per pass
         with np.errstate(all="ignore"):
-            f = self.rhs(t, y) if lane.size > LANE_HANDOFF else y
+            if lane.size > LANE_HANDOFF:
+                f = self._workspace(y.shape).k[0]
+                self.rhs(t, y, f)
             while lane.size > LANE_HANDOFF:
-                h = np.minimum(h, t_end - t)
+                np.minimum(h, t_end - t, out=h)
                 # an underflowing lane fails before its step: the step is
                 # taken with the others but neither counted nor accepted
                 done = h < H_MIN_FACTOR * np.maximum(np.abs(t), 1e-30)
@@ -523,25 +583,27 @@ class LaneRK(_DormandPrince):
                             "step budget exhausted", t[i], y[i])
                     done[:] = True
                 finite = np.isfinite(y1).all(axis=1)
-                accept = finite & (err <= 1.0) & ~done
-                if accept.all():
-                    # every lane accepts: the step's arrays become the state
-                    rows = np.arange(lane.size)
-                    accepted = (t, t + h, y, y1, f, f1)
-                    t, y, f = accepted[1], y1, f1
-                else:
-                    rows = np.flatnonzero(accept)
-                    t_ok = t[rows]
-                    accepted = (t_ok, t_ok + h[rows], y[rows], y1[rows],
-                                f[rows], f1[rows])
-                    t[rows], y[rows], f[rows] = accepted[1::2]
-                if step_callback is not None and rows.size:
-                    stops = step_callback(*accepted)
+                accept = finite & (err <= 1.0)
+                accept &= ~done
+                t1 = t + h
+                if step_callback is not None:
+                    stops = step_callback(accept, t, t1, y, y1, f, f1)
                     for k, value in (stops or {}).items():
-                        results[lane[rows[k]]] = value
-                        done[rows[k]] = True
+                        results[lane[k]] = value
+                        done[k] = True
+                if accept.all():
+                    # every lane accepts: the trial state and k7 become the
+                    # state and its slope, and the workspace takes the old
+                    # arrays as its trial buffer and k7 slot
+                    work = self._work
+                    t, y, f, work.trial, work.k[6] = t1, y1, f1, y, f
+                else:
+                    np.copyto(t, t1, where=accept)
+                    rows = accept[:, None]
+                    np.copyto(y, y1, where=rows)
+                    np.copyto(f, f1, where=rows)
                 done |= t >= t_end
-                h = h * _lane_factors(err, finite)
+                h *= _lane_factors(err, finite)
                 if done.any():
                     ended = lane[done]
                     t_out[ended], y_out[ended] = t[done], y[done]
@@ -557,12 +619,12 @@ class LaneRK(_DormandPrince):
 
 def _lane_factors(err, finite):
     """The step controller's factor on h for every lane's scaled error, or
-    RETRY where the trial state is not finite. A NaN error shrinks the step
-    by SHRINK_MIN and an error of 0 grows it by GROW_MAX (0 ** EXPONENT
-    would divide by zero); the clamp leaves both as they are."""
-    grow = err > 0.0
-    factor = np.where(np.isnan(err), _SHRINK_MIN, _GROW_MAX)
-    factor[grow] = _SAFETY * float_powers(err[grow], _EXPONENT)
-    np.minimum(np.maximum(factor, _SHRINK_MIN, out=factor), _GROW_MAX,
+    RETRY where the trial state is not finite. Every lane's power is
+    taken, with no gather of the positive errors: an error of 0 gives
+    SAFETY 0 ** EXPONENT = inf, which the clamp reads as GROW_MAX, and a
+    NaN error gives NaN, which `np.fmax` reads as SHRINK_MIN."""
+    factor = float_powers(err, _EXPONENT)
+    factor *= _SAFETY
+    np.minimum(np.fmax(factor, _SHRINK_MIN, out=factor), _GROW_MAX,
                out=factor)
     return np.where(finite, factor, _RETRY)

@@ -558,8 +558,7 @@ class TestGeneratedRhs:
         y[:, 0] = [case[1] for case in cases]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(all="ignore"):    # as inside LaneRK.integrate
-                got = hhlab.liouville._lane_rhs(params)(r, y)
+            got = lane_slopes(params, r, y)
         assert _lane_bits(got) == _lane_bits(rows)
 
     def test_one_source_per_shape(self, monkeypatch):
@@ -584,6 +583,47 @@ def _lane_bits(a):
     a = np.array(a, dtype=float)
     nan = np.isnan(a)
     return nan.tolist(), np.where(nan, 0.0, a).view(np.uint64).tolist()
+
+
+def lane_slopes(params, r, y):
+    """The slopes `_lane_rhs(params)` writes at (r, y) into a slot laid out
+    as y, as a lane pass calls it (under `LaneRK.integrate`'s errstate).
+    The call is made twice, into a slot filled with NaN and into one filled
+    with 7.0: both must come out the same, so every entry is written, and
+    r and y must keep their bits, so nothing but the slot is."""
+    rhs = hhlab.liouville._lane_rhs(params)
+    before = _lane_bits(r), _lane_bits(y)
+    slots = []
+    for fill in (math.nan, 7.0):
+        out = np.full_like(y, fill)
+        with np.errstate(all="ignore"):
+            rhs(r, y, out)
+        slots.append(out)
+    assert _lane_bits(slots[0]) == _lane_bits(slots[1])
+    assert (_lane_bits(r), _lane_bits(y)) == before
+    return slots[0]
+
+
+# a state entry: ordinary, huge, signed zero, infinite or NaN
+_EDGE = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_ENTRY = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e308, 1e308), _EDGE)
+
+
+@st.composite
+def _lane_states(draw):
+    """m, and the radii and states of 1-12 lanes: u from `_U0` or `_EDGE`,
+    the other entries from `_ENTRY`, radii from 1e-300 to inf. At
+    a = -2000 the weight r^2000 of a radius below 0.7 underflows and of one
+    above 1.43 overflows, so with a huge or tiny u the direct source is
+    inf * 0, taken in log space."""
+    m = draw(st.integers(1, 4))
+    lanes = draw(st.integers(1, 12))
+    r = draw(st.lists(st.floats(1e-300, math.inf), min_size=lanes,
+                      max_size=lanes))
+    y = [[draw(st.one_of(_U0, _EDGE))]
+         + draw(st.lists(_ENTRY, min_size=2 * m - 1, max_size=2 * m - 1))
+         for _ in range(lanes)]
+    return m, r, y
 
 
 class TestLaneRhs:
@@ -611,12 +651,29 @@ class TestLaneRhs:
         # signed zeros in some entries, where a reordered sign would show
         zeros = rng.random((lanes, 2 * m - 1)) < 0.2
         y[:, 1:][zeros] = rng.choice([0.0, -0.0], zeros.sum())
-        with np.errstate(all="ignore"):    # as inside LaneRK.integrate
-            got = hhlab.liouville._lane_rhs(params)(r, y)
+        got = lane_slopes(params, r, y)
         row = reference_radial_rhs(params)
         want = [row(ri, yi) for ri, yi in zip(r.tolist(), y.tolist())]
         assert _lane_bits(got) == _lane_bits(want)
         assert got.flags["F_CONTIGUOUS"] == y.flags["F_CONTIGUOUS"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_lane_states(), n=st.integers(2, 8),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9),
+                       st.just(-2000.0)),
+           p=st.one_of(st.floats(1.0, 8.0, exclude_min=True),
+                       st.integers(1, 4).map(lambda k: 2.0 * k + 1)),
+           order=st.sampled_from("CF"))
+    def test_slot_matches_the_float_rhs(self, case, n, a, p, order):
+        # the slot a lane pass hands the right-hand side must receive, row
+        # by row, the slopes `_radial_rhs` returns for that lane alone, with
+        # the same IEEE bits (NaN compared by position)
+        m, r, y = case
+        params = HardyHenonParams(n, m, a, p)
+        got = lane_slopes(params, np.array(r), np.array(y, order=order))
+        rhs = hhlab.liouville._radial_rhs(params)
+        want = [rhs(ri, list(yi)) for ri, yi in zip(r, y)]
+        assert _lane_bits(got) == _lane_bits(want)
 
 
 def _wrapped(fn, calls, copy):

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,8 @@ from scipy.interpolate import CubicSpline
 from hhlab.errors import (AmplitudeRangeError, GridError,
                           NonIntegrableSourceError)
 from hhlab.navier import NavierProblem, first_eigenpair
-from hhlab.radial import (HardyHenonParams, RadialField, RadialGrid,
-                          iterated_green, poisson_solve_ball,
+from hhlab.radial import (LOG_HUGE, LOG_TINY, HardyHenonParams, RadialField,
+                          RadialGrid, iterated_green, poisson_solve_ball,
                           polyharmonic_apply, radial_laplacian, rescale,
                           singular_solution, weighted_cumulative)
 
@@ -513,6 +514,89 @@ class TestSingularSolutionSuperCritical:
         # p -> 1 sends C = P^(1/(p-1)) far past the largest float
         with pytest.raises(AmplitudeRangeError):
             singular_solution(HardyHenonParams(4, 2, 0.0, 1.0001))
+
+
+def monomial_laplacian_chain(n, s, m):
+    """(-Lap)^m applied to r^(-s) in log space by the closed-form rule
+    -Lap r^(-s) = s (n - 2 - s) r^(-s - 2): the sign of the coefficient
+    (0 where a factor is 0), the log of its magnitude where it is not 0,
+    and the exponent of r^(-exponent) it multiplies."""
+    sign, log_coef = 1.0, 0.0
+    for _ in range(m):
+        factor = s * (n - 2 - s)
+        if factor == 0.0:
+            sign = 0.0
+        else:
+            sign *= math.copysign(1.0, factor)
+            log_coef += math.log(abs(s)) + math.log(abs(n - 2 - s))
+        s = s + 2
+    return sign, log_coef, s
+
+
+@st.composite
+def _non_subcritical(draw):
+    """(n, m, a, p) with critical or super-critical order 2m >= n, a
+    weight a < 2m (so sigma > 0, and a < n) and p > 1, from p near 1,
+    where the amplitude leaves the float range, to p = 30."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers((n + 1) // 2, (n + 1) // 2 + 2))
+    a = draw(st.one_of(st.just(0.0), st.floats(-4.0, float(n),
+                                                exclude_max=True)))
+    p = draw(st.one_of(st.floats(1.0, 1.05, exclude_min=True),
+                       st.floats(1.05, 30.0)))
+    return n, m, a, p
+
+
+class TestScalingInvariants:
+    """Remark 1.2's power law C r^(-sigma) and the scaling map u_lam(r) =
+    lam^sigma u(lam r) of every equation with 2m >= n, checked against the
+    closed-form monomial rule, not by finite differences."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_non_subcritical(), k=st.integers(-6, 6))
+    def test_amplitude_and_rescale_fixed_point(self, case, k):
+        n, m, a, p = case
+        params = HardyHenonParams(n, m, a, p)
+        sigma = params.sigma
+        sign, log_coef, exponent = monomial_laplacian_chain(n, sigma, m)
+        # (-Lap)^m C r^(-sigma) and C^p r^(-sigma p - a) are one power
+        eps = sys.float_info.epsilon
+        assert abs(exponent - (sigma * p + a)) <= \
+            8 * eps * max(exponent, abs(sigma * p), abs(a))
+        if sign <= 0.0:
+            # the chain's coefficient P is not positive: no C r^(-sigma)
+            assert singular_solution(params) is None
+            return
+        if not LOG_TINY <= log_coef / (p - 1.0) <= LOG_HUGE:
+            with pytest.raises(AmplitudeRangeError):
+                singular_solution(params)
+            return
+        found_sigma, amplitude = singular_solution(params)
+        assert found_sigma == sigma
+        # C^(p-1) = P, in log space: P's m products round, as does the
+        # power 1/(p-1)
+        assert abs((p - 1.0) * math.log(amplitude) - log_coef) <= \
+            (4 * m + 8 + p) * eps * max(1.0, abs(log_coef))
+
+        # rescale maps C r^(-sigma) onto itself on the induced grid; with
+        # lam a power of two the grid maps exactly, and only the powers
+        # and products round
+        lam = math.ldexp(1.0, k)
+        grid = RadialGrid(np.geomspace(0.5, 2.0, 40))
+        with np.errstate(all="ignore"):
+            values = amplitude * grid.nodes ** -sigma
+            want = amplitude * (grid.nodes / lam) ** -sigma
+            scale = np.float_power(lam, sigma)
+        # ulps are read where every value and lam^sigma is a normal float
+        normal = [sys.float_info.min, sys.float_info.max]
+        if not all(normal[0] <= np.min(x) and np.max(x) <= normal[1]
+                   for x in (values, want, scale)):
+            return
+        v = rescale(RadialField(grid, values), lam, params)
+        assert np.array_equal(v.grid.nodes, grid.nodes / lam)
+        assert np.array_equal(want, amplitude * v.grid.nodes ** -sigma)
+        ulps = np.abs(v.values.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 4
 
 
 class TestRescale:

@@ -338,11 +338,26 @@ def test_interpolant_and_crossing_match_the_reference(t0, h, seed, dim,
 
 
 def lanes_of(rhs):
-    """A LaneRK right-hand side that applies the float `rhs` row by row."""
-    def lane_rhs(t, y):
-        return np.array([rhs(ti, yi) for ti, yi in zip(t.tolist(),
-                                                      y.tolist())])
+    """A LaneRK right-hand side that applies the float `rhs` row by row and
+    writes the slopes into its slot."""
+    def lane_rhs(t, y, out):
+        out[...] = [rhs(ti, yi) for ti, yi in zip(t.tolist(), y.tolist())]
     return lane_rhs
+
+
+def taped_line(rate, tape):
+    """y = (x, label) with x' = rate t, except at the calls (numbered from
+    1) that `tape` maps to another slope of x. DP5(4) integrates x' = rate
+    t exactly, so its error estimate is rounding and each accepted step
+    grows h fivefold. A lane's trial step k makes calls 6k - 4 to 6k + 1
+    (its stages k2..k7) after the one call at the start, in LaneRK's
+    passes and in AdaptiveRK's loop alike."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return [tape.get(len(calls), rate * t), 0.0]
+    return rhs
 
 
 class TestLaneRK:
@@ -356,14 +371,14 @@ class TestLaneRK:
         monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", 0)
 
     @staticmethod
-    def float_run(rhs, y0, t_end, stop=None, **kwargs):
+    def float_run(rhs, y0, t_end, stop=None, t0=0.0, **kwargs):
         records = []
 
         def callback(rec):
             records.append(rec)
             return stop(rec) if stop else None
         try:
-            out = AdaptiveRK(rhs, **kwargs).integrate(0.0, y0, t_end,
+            out = AdaptiveRK(rhs, **kwargs).integrate(t0, y0, t_end,
                                                       callback)
         except IntegratorError as exc:
             out = exc
@@ -373,9 +388,9 @@ class TestLaneRK:
     def lane_run(rhs, y0, t_end, stop=None, **kwargs):
         records = {}
 
-        def callback(t0, t1, ya, yb, fa, fb):
+        def callback(accept, t0, t1, ya, yb, fa, fb):
             stops = {}
-            for k in range(t0.size):
+            for k in np.flatnonzero(accept).tolist():
                 rec = StepRecord(float(t0[k]), float(t1[k]), ya[k].tolist(),
                                  yb[k].tolist(), fa[k].tolist(),
                                  fb[k].tolist())
@@ -461,18 +476,17 @@ class TestLaneRK:
 
         lane_calls = []
 
-        def lane_rhs(t, y):
+        def lane_rhs(t, y, out):
             lane_calls.append(t)
-            dy = np.zeros_like(y)
-            dy[:, 0] = 1.0
+            out[...] = 0.0
+            out[:, 0] = 1.0
             if len(lane_calls) == poisoned + 1:
-                dy[1, 0] = math.nan
-            return dy
+                out[1, 0] = math.nan
 
         records = {}
 
-        def callback(t0, t1, ya, yb, fa, fb):
-            for k in range(t0.size):
+        def callback(accept, t0, t1, ya, yb, fa, fb):
+            for k in np.flatnonzero(accept).tolist():
                 records.setdefault(float(ya[k, 1]), []).append(StepRecord(
                     float(t0[k]), float(t1[k]), ya[k].tolist(),
                     yb[k].tolist(), fa[k].tolist(), fb[k].tolist()))
@@ -501,6 +515,77 @@ class TestLaneRK:
         assert isinstance(results[1], IntegratorError)
         assert "budget" in str(results[1])
         assert results[1].state == out.state
+
+    def test_mixed_passes(self, monkeypatch):
+        # six lanes y = (x, label) of `taped_line` from t = 1, where the
+        # first step is 1e-4. In pass 18 lane 0, whose slope is inf,
+        # underflows after 17 quarter-step retries; lane 1 is rejected (a
+        # slope of -1e12 in one stage), lane 2 retries (a NaN slope), and
+        # the rest accept: lanes 4 and 5 reach t_end, and lane 3 (x' =
+        # 1000 t, behind since its rejection in pass 10) crosses the level
+        # the callback's screen stops at. Pass 19 accepts all three live
+        # lanes (the slot swap) and pass 20 rejects lane 5 alone (its
+        # second rejection), which then spends the budget of 20 trial
+        # steps in pass 21, after two compactions
+        monkeypatch.setattr(hhlab.rk, "MAX_STEPS", 20)
+        h18 = 1e-4 * 5.0 ** 17
+        t_end = 1.0 + 0.75 * h18
+        level = 0.4 * h18 ** 2
+        stage = {k: 6 * k - 3 for k in (10, 18, 20)}    # each pass's k3
+        lanes = [(math.inf, {}), (1.0, {stage[18]: -1e12}),
+                 (1.0, {stage[18]: math.nan}), (1e3, {stage[10]: -1e12}),
+                 (1.0, {}), (1.0, {stage[10]: -1e12, stage[20]: -1e12})]
+
+        def stop(rec):
+            return ("stop", rec.t1) if rec.y1[0] > level else None
+
+        taped = [taped_line(rate, tape) for rate, tape in lanes]
+        passes, lane_records = [], {}
+
+        def callback(accept, t0, t1, ya, yb, fa, fb):
+            labels = ya[:, 1].tolist()
+            passes.append(dict(zip(labels, accept.tolist())))
+            for k in np.flatnonzero(accept).tolist():
+                lane_records.setdefault(labels[k], []).append(StepRecord(
+                    float(t0[k]), float(t1[k]), ya[k].tolist(),
+                    yb[k].tolist(), fa[k].tolist(), fb[k].tolist()))
+            # the screen over every lane, a record only where it hits
+            hit = np.flatnonzero(accept & (yb[:, 0] > level))
+            return {k: stop(StepRecord(float(t0[k]), float(t1[k]),
+                                       ya[k].tolist(), yb[k].tolist(),
+                                       fa[k].tolist(), fb[k].tolist()))
+                    for k in hit.tolist()}
+
+        def lane_rhs(t, y, out):
+            out[...] = [taped[int(yi[1])](ti, yi)
+                        for ti, yi in zip(t.tolist(), y.tolist())]
+
+        results, t, y = LaneRK(lane_rhs, **TOLS).integrate(
+            1.0, [[0.0, float(i)] for i in range(6)], t_end, callback)
+        assert len(passes) == 21
+        assert passes[17] == {0.0: False, 1.0: False, 2.0: False, 3.0: True,
+                              4.0: True, 5.0: True}
+        assert passes[18] == {1.0: True, 2.0: True, 5.0: True}
+        assert passes[19] == {1.0: True, 2.0: True, 5.0: False}
+        assert passes[20] == {5.0: False}
+        for i, (rate, tape) in enumerate(lanes):
+            out, records = self.float_run(taped_line(rate, tape), [0.0, i],
+                                          t_end, stop, t0=1.0, **TOLS)
+            assert lane_records.get(float(i), []) == records
+            if isinstance(out, IntegratorError):
+                assert type(results[i]) is IntegratorError
+                assert str(results[i]) == str(out)
+                assert results[i].state == out.state
+                assert (t[i], y[i].tolist()) == out.state
+            else:
+                assert results[i] == out
+                assert (t[i], y[i].tolist()) == (records[-1].t1,
+                                                 records[-1].y1)
+        assert [type(out).__name__ for out in results] == [
+            "IntegratorError", "NoneType", "NoneType", "tuple", "NoneType",
+            "IntegratorError"]
+        assert "underflow" in str(results[0]) and "budget" in str(results[5])
+        assert results[3] == ("stop", t[3]) and t[3] < t_end == t[4]
 
     def test_no_lanes(self):
         results, t, y = LaneRK(lanes_of(lambda t, y: y), **TOLS).integrate(
@@ -919,7 +1004,11 @@ def reference_lane_step(integ, t, y, h, f0):
     """The lane trial step as one broadcast expression per stage: the
     formula `LaneRK._step` accumulates in place, operation for operation,
     with its own literal copy of the coefficients of Table II.5.2."""
-    rhs = integ.rhs
+    def rhs(r, y):
+        out = np.empty_like(y)
+        integ.rhs(r, y, out)
+        return out
+
     hc = h[:, None]
     k1 = f0
     k2 = rhs(t + 1 / 5 * h, y + hc * (1 / 5 * k1))
@@ -988,11 +1077,11 @@ class TestLaneStep:
 
     @staticmethod
     def taped(slopes, calls):
-        # returns a fresh copy of the drawn slopes in call order and
-        # records a copy of every stage (the stage buffer is scratch)
-        def rhs(t, y):
+        # writes the drawn slopes into its slot in call order and records
+        # a copy of every stage (the stage buffer is scratch)
+        def rhs(t, y, out):
             calls.append((t.copy(), np.array(y)))
-            return slopes[len(calls) - 1].copy(order="K")
+            out[...] = slopes[len(calls) - 1]
         return rhs
 
     @settings(max_examples=200, deadline=None)
@@ -1023,7 +1112,9 @@ class TestLaneStep:
         # or the 0.25 retry where its trial state is not finite
         err = np.array(errors)
         for finite in (np.ones(err.size, bool), np.arange(err.size) % 3 > 0):
-            got = hhlab.rk._lane_factors(err, finite)
+            # under LaneRK.integrate's errstate: 0 ** -0.2 divides by zero
+            with np.errstate(all="ignore"):
+                got = hhlab.rk._lane_factors(err, finite)
             want = [reference_step_factor(e) if ok else hhlab.rk._RETRY
                     for e, ok in zip(errors, finite)]
             assert bits(got.tolist()) == bits(want)
