@@ -35,7 +35,8 @@ DEFAULT_BLOW_THRESHOLD = 1e8
 DEFAULT_SIGN_TOL = 1e-10
 # shooting from origin data starts at this radius, off the r = 0 singularity
 DEFAULT_R0 = 1e-6
-# DP5(4) error control of `shoot` and `scan`
+# DP5(4) error control of every shooting run, read when the run builds its
+# stepper
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 # below this amplitude a step-size underflow is an integrator fault, not a
@@ -199,15 +200,17 @@ def _lane_rhs(params: HardyHenonParams):
         base = np.where(u < 0.0, 0.0, u)
         top = float_powers(base, p)
         if a != 0.0:
-            top *= float_powers(r, -a)
-            # inf * 0 = NaN at a finite base and radius: one factor
-            # overflowed, the other is 0; the float right-hand side takes
-            # these lanes in log space. An infinite base or radius gives
-            # its inf without raising there, and stays NaN
+            weight = float_powers(r, -a)
+            top *= weight
+            # inf * 0 = NaN where the power of a finite base or radius
+            # overflowed (where float `**` raises): the float right-hand
+            # side takes these lanes in log space. An infinite base or
+            # radius gives its inf without raising, and stays NaN
             nan = np.isnan(top)
             if nan.any():
-                for i in np.flatnonzero(nan & np.isfinite(base)
-                                        & np.isfinite(r)).tolist():
+                nan &= (np.isinf(float_powers(base, p)) & np.isfinite(base)
+                        | np.isinf(weight) & np.isfinite(r))
+                for i in np.flatnonzero(nan).tolist():
                     top[i] = _weighted_power(float(u[i]), float(r[i]), p,
                                              -a)
         out[:, 0::2] = y[:, 1::2]
@@ -380,13 +383,12 @@ def _track(integ, m: int, r0: float, y0: list, r_max: float,
 
 
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
-              r_max: float, rtol: float, atol: float,
-              classify: bool = True) -> ShootingOutcome:
-    # built first: invalid tolerances raise even for a start that ends at r0
-    integ = AdaptiveRK(_radial_rhs(params), rtol=rtol, atol=atol)
+              r_max: float, classify: bool = True) -> ShootingOutcome:
     y0 = [float(v) for v in y0]
     event = _start_event(r0, y0, params.m) if classify else None
     if event is None:
+        integ = AdaptiveRK(_radial_rhs(params), rtol=DEFAULT_RTOL,
+                           atol=DEFAULT_ATOL)
         event, trace_r, trace_y = _track(integ, params.m, r0, y0, r_max,
                                          classify)
     else:
@@ -416,18 +418,16 @@ def shoot_cell(init: Sequence[float], params: HardyHenonParams,
     return init
 
 
-def shoot(init: Sequence[float], params: HardyHenonParams, r_max: float,
-          rtol: float = DEFAULT_RTOL,
-          atol: float = DEFAULT_ATOL) -> ShootingOutcome:
+def shoot(init: Sequence[float], params: HardyHenonParams,
+          r_max: float) -> ShootingOutcome:
     """Integrate outward from origin layer values and classify the fate."""
     init = shoot_cell(init, params, r_max)
     y0 = taylor_starts(init[None], params, DEFAULT_R0)[0]
-    return _classify(params, DEFAULT_R0, y0, r_max, rtol, atol)
+    return _classify(params, DEFAULT_R0, y0, r_max)
 
 
 def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
-               r_max: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> ShootingOutcome:
+               r_max: float) -> ShootingOutcome:
     """Integrate from an explicit full state (u_i, u_i') at r0 > 0.
 
     The trajectory runs to r_max regardless of sign changes, ending only on
@@ -440,7 +440,7 @@ def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
         raise ValueError(f"state must have length {2 * params.m}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("state must be finite")
-    return _classify(params, r0, y0, r_max, rtol, atol, classify=False)
+    return _classify(params, r0, y0, r_max, classify=False)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +488,8 @@ def _scan_record(init, out: ShootingOutcome) -> ScanRecord:
                       out.r_star, out.growth_fit())
 
 
-def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
-                rtol: float, atol: float) -> list:
+def _scan_lanes(cells: np.ndarray, params: HardyHenonParams,
+                r_max: float) -> list:
     """The ScanRecord of every cell, as `shoot` would classify it alone.
 
     Cells whose Taylor start ends at r0 are recorded at once; the others
@@ -499,8 +499,6 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
     back by LaneRK and finished one by one in `AdaptiveRK`'s generated
     loop, with the same rules written in, from the lane's exact state, step
     size and step count: each ends where it would have ended as a lane."""
-    # built first, as in `_classify`
-    integ = LaneRK(_lane_rhs(params), rtol=rtol, atol=atol)
     r0 = DEFAULT_R0
     starts = taylor_starts(cells, params, r0)
     records = [None] * len(cells)
@@ -529,6 +527,7 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
                                sign_rows)
                 for k in hit.tolist()}
 
+    integ = LaneRK(_lane_rhs(params), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
     results, t, y = integ.integrate(r0, starts[lanes], r_max, callback)
     tail = None
     for k, i in enumerate(lanes):
@@ -537,8 +536,8 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams, r_max: float,
         try:
             if isinstance(event, Resume):
                 if tail is None:
-                    tail = AdaptiveRK(_radial_rhs(params), rtol=rtol,
-                                      atol=atol)
+                    tail = AdaptiveRK(_radial_rhs(params), rtol=DEFAULT_RTOL,
+                                      atol=DEFAULT_ATOL)
                 event, trace_r, trace_y = _track(
                     tail, params.m, end[0], y[k].tolist(), r_max, True,
                     event)
@@ -572,8 +571,7 @@ def scan_cells(init_axes: Sequence[Sequence[float]],
 
 
 def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
-         r_max: float, rtol: float = DEFAULT_RTOL,
-         atol: float = DEFAULT_ATOL) -> ScanResult:
+         r_max: float) -> ScanResult:
     """Classify every cell of the Cartesian grid of origin data.
 
     `init_axes` gives one array of origin values per layer, checked with
@@ -583,8 +581,7 @@ def scan(init_axes: Sequence[Sequence[float]], params: HardyHenonParams,
     recorded per cell, not raised.
     """
     cells = scan_cells(init_axes, params, r_max)
-    return ScanResult(params,
-                      tuple(_scan_lanes(cells, params, r_max, rtol, atol)))
+    return ScanResult(params, tuple(_scan_lanes(cells, params, r_max)))
 
 
 def reference_axes(params: HardyHenonParams) -> list:

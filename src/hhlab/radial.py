@@ -457,10 +457,18 @@ def rescale(u: RadialField, lam: float, params: HardyHenonParams
     the induced grid.
 
     The grid nodes map to r/lam, so no interpolation takes place and the
-    scale-invariant profiles are fixed exactly.
+    scale-invariant profiles are fixed exactly. A factor lam^sigma outside
+    the normal floats raises AmplitudeRangeError instead of overflowing or
+    flushing the field to zero.
     """
-    if lam <= 0.0:
-        raise ValueError("scaling factor must be positive")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"scaling factor must be finite and positive, "
+                         f"got {lam!r}")
+    log_scale = params.sigma * math.log(lam)
+    if not LOG_TINY <= log_scale <= LOG_HUGE:
+        raise AmplitudeRangeError(
+            f"scaling factor lam^sigma = exp({log_scale:.6g}) is outside "
+            f"the float range")
     nodes = u.grid.nodes / lam
     values = lam ** params.sigma * u.values
     return RadialField(RadialGrid(nodes), values)

@@ -180,15 +180,19 @@ def test_07_torsion_bound():
             f"worst formula error {worst:.2e}, bounds hold: {bounds}")
 
 
-def test_08_liouville_scan():
+def test_08_liouville_scan(monkeypatch):
     r_max = 50.0
     survivors = {}
     stable = True
     for m in (2, 3):
         params = HardyHenonParams(4, m, 0.0, 2.0)
         axes = reference_axes(params)
-        base = scan(axes, params, r_max, rtol=1e-10, atol=1e-12)
-        tight = scan(axes, params, r_max, rtol=5e-11, atol=5e-13)
+        runs = []
+        for rtol, atol in ((1e-10, 1e-12), (5e-11, 5e-13)):
+            monkeypatch.setattr("hhlab.liouville.DEFAULT_RTOL", rtol)
+            monkeypatch.setattr("hhlab.liouville.DEFAULT_ATOL", atol)
+            runs.append(scan(axes, params, r_max))
+        base, tight = runs
         survivors[m] = base.tally["all_positive_survivors"]
         assert base.tally["cells"] == 441
         for r1, r2 in zip(base.records, tight.records):
@@ -199,7 +203,9 @@ def test_08_liouville_scan():
                 stable = False
 
     sub = HardyHenonParams(4, 1, 0.0, 3.0)
-    out = shoot([bubble_amplitude(4)], sub, r_max, rtol=1e-12, atol=1e-14)
+    monkeypatch.setattr("hhlab.liouville.DEFAULT_RTOL", 1e-12)
+    monkeypatch.setattr("hhlab.liouville.DEFAULT_ATOL", 1e-14)
+    out = shoot([bubble_amplitude(4)], sub, r_max)
     exact = bubble_amplitude(4) / (1.0 + out.trace_r ** 2)
     tracking = float(np.max(np.abs(out.trace_y[:, 0] - exact)))
     survived = out.kind is OutcomeKind.SURVIVED

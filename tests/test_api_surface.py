@@ -1,11 +1,12 @@
-"""Every name the package exports has a caller outside the unit tests: a
-module of the package, the acceptance battery or the benchmark harness.
-A name that only unit tests reach is either a test oracle, listed with its
-reason, or dead API to delete. The exported names are pinned, so a name is
-added to or dropped from the package's export table only together with its
-entry here; so are the flags of every subcommand, each with its entry in
-CLI_FLAGS. No public function takes a tolerance, threshold or budget as a
-keyword unless a caller outside the unit tests sets it."""
+"""Every public function and class a module of the package defines has a
+caller outside the unit tests: a module of the package, the acceptance
+battery or the benchmark harness. A name that only unit tests reach is
+either a test oracle, listed with its reason, or dead API to delete. The
+public names are read from the modules themselves, so a new one needs a
+caller, not an entry here. The flags of every subcommand are pinned, each
+with its entry in CLI_FLAGS. No public function takes a tolerance,
+threshold or budget as a keyword unless a caller outside the unit tests
+sets it."""
 
 import importlib
 import inspect
@@ -15,13 +16,12 @@ from types import FunctionType
 
 import pytest
 
-import hhlab
 from hhlab.cli import _COMMANDS, command_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hhlab"
 
-# exported for the unit tests only, as references the package's own code is
+# public for the unit tests only, as references the package's own code is
 # compared against
 TEST_ORACLES = {
     "ladder_advance_direct": "the ladder step in plain arithmetic, the "
@@ -31,39 +31,19 @@ TEST_ORACLES = {
 }
 
 
-# every name `import hhlab` exports, in sorted order
-EXPORTS = [
-    "ClosedFormBound", "ConvergenceError", "EigenPair", "GridError",
-    "HHLabError", "HardyHenonParams", "IntegratorError",
-    "KernelDomainError", "LadderState", "NavierProblem", "NavierSolution",
-    "NonIntegrableSourceError", "OutcomeKind", "QuadratureError",
-    "RadialField", "RadialGrid", "RepresentationCheck", "ScanResult",
-    "ShootingOutcome", "apply_K", "blowup_normalize", "bubble_amplitude",
-    "bubble_oracle", "default_alpha0", "divergence_threshold",
-    "energy_bound_check", "first_dirichlet_eigenvalue_oracle",
-    "first_eigenpair", "geometry_constant", "green_ball", "iterated_green",
-    "kelvin_transform", "ladder_advance", "ladder_advance_direct",
-    "ladder_closed_form", "ladder_table", "monomial_poisson_coefficient",
-    "poisson_solve_ball", "polyharmonic_apply", "radial_laplacian",
-    "radial_monotonicity_check", "reference_axes", "representation_check",
-    "rescale", "rho_radius", "riesz_compose_check", "riesz_constant",
-    "scan", "shoot", "shoot_from", "shooting_oracle_sup_norm",
-    "singular_solution", "solve_positive", "torsion_bound_check",
-    "torsion_function",
-]
-
-
-def _exported():
-    return sorted(hhlab._EXPORTS)
-
-
-def test_exports_are_pinned():
-    assert _exported() == EXPORTS
+def _public():
+    """(module, name, object) of every public function and class the
+    package's modules define."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"hhlab.{path.stem}")
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and \
+                    getattr(obj, "__module__", None) == module.__name__:
+                yield path.stem, name, obj
 
 
 def _sources():
-    files = [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"]
+    files = sorted(PACKAGE.glob("*.py"))
     files += [ROOT / "tests" / "test_acceptance.py"]
     files += sorted((ROOT / "perfbench").glob("*.py"))
     return [p.read_text() for p in files]
@@ -76,13 +56,14 @@ def _referenced(name, sources):
                for text in sources for line in text.splitlines())
 
 
-@pytest.mark.parametrize("name", _exported())
+# a name two modules define is read by name, so it is one case
+@pytest.mark.parametrize("name", sorted({name for _, name, _ in _public()}))
 def test_export_has_a_caller(name):
     referenced = _referenced(name, _sources())
     if name in TEST_ORACLES:
         assert not referenced, f"{name} has a caller; drop its oracle entry"
     else:
-        assert referenced, (f"{name} is exported but nothing outside the "
+        assert referenced, (f"{name} is public but nothing outside the "
                             f"unit tests uses it")
 
 
@@ -116,12 +97,6 @@ SETTING = re.compile(r"(r|a|sign_)?tol|(\w+_)?budget|max_\w+|\w+_threshold")
 # the keywords of that kind that stay, each with the caller outside the unit
 # tests that sets it
 SETTING_CALLERS = {
-    ("liouville.shoot", "rtol"): "test_acceptance test_08: the bubble shot",
-    ("liouville.shoot", "atol"): "test_acceptance test_08: the bubble shot",
-    ("liouville.scan", "rtol"): "test_acceptance test_08 halves it",
-    ("liouville.scan", "atol"): "test_acceptance test_08 halves it",
-    ("liouville.shoot_from", "rtol"): "the test oracle for singular profiles",
-    ("liouville.shoot_from", "atol"): "the test oracle for singular profiles",
     ("rk.AdaptiveRK", "rtol"): "liouville: the tolerances of a shoot",
     ("rk.AdaptiveRK", "atol"): "liouville: the tolerances of a shoot",
     ("rk.LaneRK", "rtol"): "liouville: the tolerances of a scan",
@@ -132,25 +107,20 @@ SETTING_CALLERS = {
 def _signatures():
     """(module.name, parameter names) of every public function, class
     constructor and method the package's modules define."""
-    for path in sorted(PACKAGE.glob("[!_]*.py")):
-        module = importlib.import_module(f"hhlab.{path.stem}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or \
-                    getattr(obj, "__module__", None) != module.__name__:
+    for module, name, obj in _public():
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", getattr(obj, attr))
+                        for attr, member in vars(obj).items()
+                        if not attr.startswith("_") and isinstance(
+                            member, (FunctionType, classmethod,
+                                     staticmethod))]
+        for qualname, fn in members:
+            try:
+                params = inspect.signature(fn).parameters
+            except ValueError:   # an exception class: no signature
                 continue
-            members = [(name, obj)]
-            if inspect.isclass(obj):
-                members += [(f"{name}.{attr}", getattr(obj, attr))
-                            for attr, member in vars(obj).items()
-                            if not attr.startswith("_") and isinstance(
-                                member, (FunctionType, classmethod,
-                                         staticmethod))]
-            for qualname, fn in members:
-                try:
-                    params = inspect.signature(fn).parameters
-                except ValueError:   # an exception class: no signature
-                    continue
-                yield f"{path.stem}.{qualname}", list(params)
+            yield f"{module}.{qualname}", list(params)
 
 
 def test_no_keyword_restates_a_setting():

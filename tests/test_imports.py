@@ -1,5 +1,6 @@
-"""What each entry point imports. `import hhlab.cli` loads no scipy and only
-the modules every command shares; a command imports the modules it runs.
+"""What each entry point imports. `import hhlab` loads no submodule and no
+numpy, `import hhlab.cli` no scipy and only the modules every command
+shares; a command imports the modules it runs.
 
 An import inside a function runs on that function's first call, so it lands
 inside the call a user times, and inside the timed operation of the
@@ -43,6 +44,12 @@ def _fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_package_import_loads_no_submodule_or_numpy():
+    code = ("import json, sys, hhlab; print(json.dumps(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('hhlab', 'numpy'))))")
+    assert _fresh(code) == ["hhlab"]
+
+
 def test_cli_import_loads_no_scipy():
     code = f"import json, sys, hhlab.cli; print(json.dumps({LOADED}))"
     assert _fresh(code) == SHARED
@@ -64,32 +71,6 @@ def test_command_without_scipy(argv, own, tmp_path):
             "    code = exc.code\n"
             f"print(json.dumps([code, {LOADED}]))")
     assert _fresh(code) == [0, sorted(SHARED + own)]
-
-
-def test_exports_are_their_modules_objects():
-    code = ("import importlib, json, hhlab\n"
-            "print(json.dumps(sorted(name for name, module in "
-            "hhlab._EXPORTS.items() if getattr(hhlab, name) is not getattr("
-            "importlib.import_module('hhlab.' + module), name))))")
-    assert _fresh(code) == []
-
-
-def test_dir_lists_every_export():
-    listed = _fresh("import json, hhlab; print(json.dumps(dir(hhlab)))")
-    assert set(hhlab._EXPORTS) <= set(listed)
-
-
-def test_an_export_is_read_from_its_module_each_time(monkeypatch):
-    from hhlab import navier
-    assert hhlab.solve_positive is navier.solve_positive
-    sentinel = object()
-    monkeypatch.setattr(navier, "solve_positive", sentinel)
-    assert hhlab.solve_positive is sentinel
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        hhlab.no_such_name
 
 
 def _function_imports(tree):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hhlab.liouville
@@ -45,7 +45,7 @@ class TestShoot:
         assert out.kind is not OutcomeKind.SURVIVED
         assert out.r_star <= 50.0
 
-    def test_singular_solution_tracking(self):
+    def test_singular_solution_tracking(self, monkeypatch):
         # start exactly on C r^(-sigma); layers alternate sign so the run
         # with shoot_from, which tracks through sign changes; the trajectory
         # must follow the profile
@@ -53,7 +53,9 @@ class TestShoot:
         r0, r_max = 0.5, 6.0
         state = [C * r0 ** -sigma, -sigma * C * r0 ** (-sigma - 1),
                  -8.0 * C * r0 ** -6.0, 48.0 * C * r0 ** -7.0]
-        out = shoot_from(state, r0, CRITICAL, r_max, rtol=1e-12, atol=1e-14)
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_RTOL", 1e-12)
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_ATOL", 1e-14)
+        out = shoot_from(state, r0, CRITICAL, r_max)
         assert out.kind is OutcomeKind.SURVIVED
         exact = C * out.trace_r ** -sigma
         rel = np.max(np.abs(out.trace_y[:, 0] - exact) / exact)
@@ -74,11 +76,6 @@ class TestShoot:
         ([1.0, 0.5], {"r_max": math.inf}),
         ([1.0, 0.5], {"r_max": DEFAULT_R0}),    # an empty span
         ([1.0, 0.5], {"r_max": -1.0}),
-        ([1.0, 0.5], {"rtol": 0.0}),
-        ([1.0, 0.5], {"atol": -1e-12}),
-        ([1.0, 0.5], {"rtol": math.nan}),
-        ([1.0, 0.5], {"atol": math.inf}),
-        ([1e200, 1.0], {"atol": -1.0}),     # a start that ends at r0
     ])
     def test_shoot_rejects_non_finite_and_non_positive_input(self, init,
                                                              kwargs):
@@ -91,7 +88,6 @@ class TestShoot:
         ([1.0, 0.0, -math.inf, 0.0], 0.5, {}),
         ([1.0, 0.0, 1.0, 0.0], math.nan, {}),
         ([1.0, 0.0, 1.0, 0.0], 0.5, {"r_max": math.inf}),
-        ([1.0, 0.0, 1.0, 0.0], 0.5, {"rtol": -1.0}),
     ])
     def test_shoot_from_rejects_non_finite_input(self, state, r0, kwargs):
         kwargs = {"r_max": 10.0, **kwargs}
@@ -144,14 +140,9 @@ class TestScan:
         ([[1.0, math.nan], [1.0]], 10.0, {}),
         ([[1.0], [math.inf]], 10.0, {}),
         ([[1.0], [1.0]], math.nan, {}),
-        ([[1.0], [1.0]], 10.0, {"rtol": 0.0}),
-        ([[1.0], [1.0]], 10.0, {"atol": math.nan}),
-        ([[1e200], [1.0]], 10.0, {"rtol": 0.0}),    # every cell ends at r0
     ])
     def test_rejects_bad_input_before_any_cell(self, axes, r_max, kwargs,
                                                monkeypatch):
-        # the tolerances are checked as the integrator is built, before the
-        # cells' Taylor starts
         def no_cells(*args, **kw):
             raise AssertionError("a cell was started")
 
@@ -347,8 +338,7 @@ class TestScanLanes:
         cells = _cells([np.array([0.5, 1.0]), np.array([-1.0, -1e10])])
         for handoff in (0, 100):
             monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
-            records = hhlab.liouville._scan_lanes(cells, params, 20.0,
-                                                  1e-10, 1e-12)
+            records = hhlab.liouville._scan_lanes(cells, params, 20.0)
             _assert_identical(records, cells, params, 20.0)
             assert {rec.kind for rec in records} == {"BlowUp"}
             assert all(DEFAULT_R0 < rec.r_star < 20.0 for rec in records)
@@ -385,8 +375,7 @@ class TestScanLanes:
             monkeypatch.setattr(hhlab.rk, "LANE_HANDOFF", handoff)
             with monkeypatch.context() as mp:
                 mp.setattr(hhlab.liouville, "AdaptiveRK", WrappedRK)
-                records = hhlab.liouville._scan_lanes(cells, params, 20.0,
-                                                      1e-10, 1e-12)
+                records = hhlab.liouville._scan_lanes(cells, params, 20.0)
             _assert_identical(records, cells, params, 20.0)
             assert {rec.kind for rec in records} == {"BlowUp"}
             assert sum(non_finite[handoff]) > 0
@@ -664,6 +653,10 @@ class TestLaneRhs:
            p=st.one_of(st.floats(1.0, 8.0, exclude_min=True),
                        st.integers(1, 4).map(lambda k: 2.0 * k + 1)),
            order=st.sampled_from("CF"))
+    # u^p overflows at a lane with r = inf, where r^(-a) is 0: float `**`
+    # raises on u^p, and the float right-hand side's source is 0
+    @example(case=(1, [math.inf], [[1.35e154, 0.0]]), n=2, a=1.0, p=2.0,
+             order="C")
     def test_slot_matches_the_float_rhs(self, case, n, a, p, order):
         # the slot a lane pass hands the right-hand side must receive, row
         # by row, the slopes `_radial_rhs` returns for that lane alone, with
@@ -895,10 +888,14 @@ class TestTaylorStarts:
 
 
 class TestClassificationStability:
-    def test_tolerance_halving_preserves_kinds(self):
+    def test_tolerance_halving_preserves_kinds(self, monkeypatch):
         axes = [np.linspace(0.5, 8.0, 5), np.linspace(-8.0, 8.0, 5)]
-        base = scan(axes, CRITICAL, 30.0, rtol=1e-10, atol=1e-12)
-        tight = scan(axes, CRITICAL, 30.0, rtol=5e-11, atol=5e-13)
+        runs = []
+        for rtol, atol in ((1e-10, 1e-12), (5e-11, 5e-13)):
+            monkeypatch.setattr(hhlab.liouville, "DEFAULT_RTOL", rtol)
+            monkeypatch.setattr(hhlab.liouville, "DEFAULT_ATOL", atol)
+            runs.append(scan(axes, CRITICAL, 30.0))
+        base, tight = runs
         for r1, r2 in zip(base.records, tight.records):
             assert r1.kind == r2.kind
             assert r1.layer == r2.layer

@@ -491,7 +491,9 @@ class TestSingularSolutionSuperCritical:
             s = sigma + 2 * i
             state += [coef * r0 ** -s, -s * coef * r0 ** (-s - 1)]
             coef *= s * (n - 2 - s)
-        out = shoot_from(state, r0, params, 3.0, rtol=1e-12, atol=1e-14)
+        monkeypatch.setattr("hhlab.liouville.DEFAULT_RTOL", 1e-12)
+        monkeypatch.setattr("hhlab.liouville.DEFAULT_ATOL", 1e-14)
+        out = shoot_from(state, r0, params, 3.0)
         exact = amplitude * out.trace_r ** -sigma
         assert np.max(np.abs(out.trace_y[:, 0] - exact) / exact) < 1e-8
 
@@ -617,6 +619,18 @@ class TestRescale:
             v = rescale(u, lam, params)
             expected = amplitude * v.grid.nodes ** -sigma
             np.testing.assert_allclose(v.values, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("lam,error", [
+        (64.0, AmplitudeRangeError), (1.0 / 64.0, AmplitudeRangeError),
+        (math.nan, ValueError), (math.inf, ValueError), (0.0, ValueError),
+        (-2.0, ValueError)])
+    def test_rejects_a_factor_outside_the_float_range(self, lam, error):
+        # sigma = 200: 64^sigma overflows and 64^-sigma underflows to 0
+        params = HardyHenonParams(4, 2, 0.0, 1.02)
+        u = RadialField.from_function(RadialGrid.uniform(0.5, 2.0, 64),
+                                      lambda r: 1.0 / r)
+        with pytest.raises(error, match="scaling factor"):
+            rescale(u, lam, params)
 
     def test_pde_invariance_critical_order(self):
         # residual(u_lam)(r) = lam^(sigma + 2m) residual(u)(lam r): exact at
