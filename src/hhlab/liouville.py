@@ -28,8 +28,8 @@ from .kernels import riesz_constant
 from .numerics import surface_area
 from .radial import (HardyHenonParams, RadialField, RadialGrid,
                      weighted_cumulative)
-from .rk import (AdaptiveRK, LaneRK, Resume, StepRecord, float_powers,
-                 hermite_crossing)
+from .rk import (AdaptiveRK, Fragment, LaneRK, Resume, StepRecord,
+                 float_powers, hermite_crossing)
 
 DEFAULT_BLOW_THRESHOLD = 1e8
 DEFAULT_SIGN_TOL = 1e-10
@@ -109,9 +109,10 @@ def _weighted_power(u: float, r: float, p: float, e: float) -> float:
         return math.inf
 
 
+@cache
 def _radial_slopes(m: int, weighted: bool) -> str:
-    """Template of the slopes of the radial system for m layers, the
-    fragment `_radial_rhs` carries for `AdaptiveRK`'s loop.
+    """Template of the slopes of the radial system for m layers, from
+    which `_radial_rhs` builds its fragment.
 
     y = (u_0, u_0', ..., u_{m-1}, u_{m-1}'): u_i' = y[2i+1] and
     u_i'' = -u_{i+1} - (n-1)/r u_i', with u_m read as u^p, times the
@@ -134,49 +135,15 @@ def _radial_slopes(m: int, weighted: bool) -> str:
     return "\n".join(lines)
 
 
-def _radial_rhs_source(m: int, templates) -> str:
-    """Source of `_radial_rhs`'s factory for m layers. `build(nm1, p, e,
-    inf, weighted_power)` returns the right-hand side of the unweighted
-    or, where e != 0, the weighted slopes `templates`, as a function of
-    (r, y) on lists; the state is unpacked into locals `y_i` and the
-    slopes `f_i` are returned as one list display."""
-    state = [f"y_{i}" for i in range(2 * m)]
-    slopes = [f"f_{i}" for i in range(2 * m)]
-    lines = ["def build(" + ", ".join(_SLOPE_NAMES) + "):"]
-    for name, template in zip(("rhs", "weighted_rhs"), templates):
-        body = template.format(r="r", y=state, f=slopes)
-        lines += [f"    def {name}(r, y):",
-                  f"        [{', '.join(state)}] = y",
-                  *(f"        {line}" for line in body.splitlines()),
-                  f"        return [{', '.join(slopes)}]",
-                  ""]
-    lines.append("    return rhs if e == 0.0 else weighted_rhs")
-    return "\n".join(lines) + "\n"
-
-
-# m -> (factory compiled from _radial_rhs_source, its two slopes templates)
-_RADIAL_RHS: dict = {}
-
-
 def _radial_rhs(params: HardyHenonParams):
     """The right-hand side `rhs(r, y)` of the first-order radial system on
-    lists of 2m floats. Its factory is compiled once per m; building the
-    right-hand side for other (n, p, a) compiles nothing. It carries its
-    slopes template as its fragment `splice`, so `AdaptiveRK` writes the
-    slopes into its loop instead of calling it."""
-    m = params.m
-    entry = _RADIAL_RHS.get(m)
-    if entry is None:
-        templates = (_radial_slopes(m, False), _radial_slopes(m, True))
-        namespace = {}
-        exec(compile(_radial_rhs_source(m, templates), f"<radial rhs, m {m}>",
-                     "exec"), globals(), namespace)
-        entry = _RADIAL_RHS[m] = (namespace["build"], templates)
-    build, templates = entry
+    lists of 2m floats, built by `rk` from the unweighted or, where a != 0,
+    the weighted slopes template; it carries the template as its fragment
+    `splice`, so `AdaptiveRK` writes the slopes into its loop instead of
+    calling it."""
     env = (params.n - 1.0, params.p, -params.a, math.inf, _weighted_power)
-    rhs = build(*env)
-    rhs.splice = (templates[params.a != 0.0], _SLOPE_NAMES, env)
-    return rhs
+    return Fragment(_radial_slopes(params.m, params.a != 0.0), _SLOPE_NAMES,
+                    env).rhs(2 * params.m)
 
 
 def _lane_rhs(params: HardyHenonParams):
@@ -227,7 +194,7 @@ def _check_origin_weight(params: HardyHenonParams) -> None:
     """Origin data needs an integrable source r^(-a) u(0)^p: a < 2."""
     if params.a >= 2.0:
         raise ValueError("origin data requires a < 2; start from r0 > 0 "
-                         "with an explicit state instead")
+                         "with an explicit state, liouville.shoot_from")
 
 
 def taylor_starts(cells, params: HardyHenonParams, r0: float) -> np.ndarray:
@@ -282,7 +249,7 @@ def _check_run(r0: float, r_max: float) -> None:
 # shoots (`_classify`) and scan lanes (`_scan_lanes`) share these rules.
 
 def _start_event(r0: float, y0, m: int):
-    """The event of a classified start state that ends at r0, or None."""
+    """The event of a start state that ends at r0, or None."""
     for j in range(0, 2 * m, 2):
         if y0[j] < -DEFAULT_SIGN_TOL:
             return r0, OutcomeKind.SIGN_LOSS, j // 2
@@ -291,16 +258,15 @@ def _start_event(r0: float, y0, m: int):
     return None
 
 
-def _step_event(rec: StepRecord, sign_rows):
-    """The event inside the accepted step `rec`, or None: a sign loss in a
-    row of `sign_rows` or a blow-up of u, on the step's Hermite interpolant."""
+def _step_event(rec: StepRecord):
+    """The event inside the accepted step `rec`, or None: a sign loss of a
+    layer or a blow-up of u, on the step's Hermite interpolant."""
     y1 = rec.y1
     events = []
-    for j in sign_rows:
+    for j in range(0, len(y1), 2):
         if y1[j] < -DEFAULT_SIGN_TOL:
             t_star = hermite_crossing(rec, j, -DEFAULT_SIGN_TOL)
             events.append((t_star, OutcomeKind.SIGN_LOSS, j // 2))
-    # amplitude blow-up terminates even in pure tracking mode
     if y1[0] > DEFAULT_BLOW_THRESHOLD:
         t_star = hermite_crossing(rec, 0, DEFAULT_BLOW_THRESHOLD)
         events.append((t_star, OutcomeKind.BLOW_UP, None))
@@ -327,50 +293,39 @@ def _outcome(event, r_max: float, end: tuple, trace_r=None,
 
 
 # the names the accepted-step template reads
-_ACCEPT_NAMES = ("trace_r", "trace_y", "floor", "blow", "step_event",
-                 "sign_rows")
+_ACCEPT_NAMES = ("trace_r", "trace_y", "floor", "blow", "step_event")
 
 
 @cache
-def _accept_source(m: int, classify: bool) -> str:
-    """Template of the accepted-step fragment of `_classify`'s callback,
-    for m layers: append the step to the trace, then screen the new state
-    once, unrolled, for a sign loss (when `classify`) or a blow-up; only a
-    step the screen stops builds its record and asks `_step_event` for the
-    event. `{t1}`, `{y1[i]}` and `{record}` are the step's end, its new
-    state's components and its StepRecord."""
-    rows = range(0, 2 * m, 2) if classify else ()
+def _accept_source(m: int) -> str:
+    """Template of `_track`'s accepted-step fragment for m layers: append
+    the step to the trace, then screen the new state once, unrolled, for a
+    sign loss or a blow-up; only a step the screen stops builds its record
+    and asks `_step_event` for the event. `{t1}`, `{y1[i]}` and `{record}`
+    are the step's end, its new state's components and its StepRecord."""
     state = ", ".join("{y1[%d]}" % i for i in range(2 * m))
-    screen = " or ".join(["{y1[%d]} < floor" % j for j in rows]
+    screen = " or ".join(["{y1[%d]} < floor" % j for j in range(0, 2 * m, 2)]
                          + ["{y1[0]} > blow"])
     return ("trace_r.append({t1})\n"
             "trace_y.append([" + state + "])\n"
             "if " + screen + ":\n"
-            "    event = step_event({record}, sign_rows)\n"
+            "    event = step_event({record})\n"
             "    if event is not None:\n"
             "        return event")
 
 
 def _track(integ, m: int, r0: float, y0: list, r_max: float,
-           classify: bool, resume: Optional[Resume] = None):
+           resume: Optional[Resume] = None):
     """Integrate from (r0, y0) with `_step_event`'s rules written into the
     loop of `integ` (an AdaptiveRK), from the start or continuing a lane
     `resume`. Returns the event (None: r_max reached) and the trace: r0 and
     y0, then every accepted step. A failure below the amplitude floor is
     re-raised (`_failure_event`)."""
-    sign_rows = range(0, 2 * m, 2) if classify else ()
     trace_r, trace_y = [r0], [y0]
-
-    def callback(rec: StepRecord):
-        trace_r.append(rec.t1)
-        trace_y.append(rec.y1)
-        return _step_event(rec, sign_rows)
-
-    # the same steps written into the integrator's loop, with the
-    # thresholds this run reads
-    callback.splice = (_accept_source(m, classify), _ACCEPT_NAMES,
-                       (trace_r, trace_y, -DEFAULT_SIGN_TOL,
-                        DEFAULT_BLOW_THRESHOLD, _step_event, sign_rows))
+    # the step callback built from the template, with this run's thresholds
+    callback = Fragment(_accept_source(m), _ACCEPT_NAMES,
+                        (trace_r, trace_y, -DEFAULT_SIGN_TOL,
+                         DEFAULT_BLOW_THRESHOLD, _step_event)).callback(2 * m)
     try:
         if resume is None:
             event = integ.integrate(r0, y0, r_max, step_callback=callback)
@@ -383,14 +338,15 @@ def _track(integ, m: int, r0: float, y0: list, r_max: float,
 
 
 def _classify(params: HardyHenonParams, r0: float, y0: Sequence[float],
-              r_max: float, classify: bool = True) -> ShootingOutcome:
+              r_max: float) -> ShootingOutcome:
+    """The outcome from the state y0 at r0: the event of its start or of
+    its run to r_max, with the trace downsampled to at most 600 points."""
     y0 = [float(v) for v in y0]
-    event = _start_event(r0, y0, params.m) if classify else None
+    event = _start_event(r0, y0, params.m)
     if event is None:
         integ = AdaptiveRK(_radial_rhs(params), rtol=DEFAULT_RTOL,
                            atol=DEFAULT_ATOL)
-        event, trace_r, trace_y = _track(integ, params.m, r0, y0, r_max,
-                                         classify)
+        event, trace_r, trace_y = _track(integ, params.m, r0, y0, r_max)
     else:
         trace_r, trace_y = [r0], [y0]
     end = (trace_r[-1], trace_y[-1][0])
@@ -428,19 +384,18 @@ def shoot(init: Sequence[float], params: HardyHenonParams,
 
 def shoot_from(state: Sequence[float], r0: float, params: HardyHenonParams,
                r_max: float) -> ShootingOutcome:
-    """Integrate from an explicit full state (u_i, u_i') at r0 > 0.
-
-    The trajectory runs to r_max regardless of sign changes, ending only on
-    a blow-up (used to track reference profiles such as the singular
-    power-law solution, which has sign-changing layers).
-    """
+    """Integrate from an explicit full state (u_i, u_i') at r0 > 0 and
+    classify it by `shoot`'s rules: from the Taylor start of origin data
+    it gives `shoot`'s outcome, bit for bit. A reference profile with
+    sign-changing layers, such as the singular power-law solution, is
+    followed to r_max with `DEFAULT_SIGN_TOL` set to inf."""
     _check_run(r0, r_max)
     y0 = np.asarray(state, dtype=float)
     if y0.shape != (2 * params.m,):
         raise ValueError(f"state must have length {2 * params.m}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("state must be finite")
-    return _classify(params, r0, y0, r_max, classify=False)
+    return _classify(params, r0, y0, r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +468,6 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams,
     if not lanes:
         return records
 
-    sign_rows = range(0, 2 * params.m, 2)
-
     def callback(accept, t0, t1, y0, y1, f0, f1):
         # screen every lane at once; build a StepRecord only for the
         # accepted lanes the screen hits, and ask _step_event about those
@@ -523,8 +476,7 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams,
             | (y1[:, 0] > DEFAULT_BLOW_THRESHOLD)))
         return {k: _step_event(StepRecord(float(t0[k]), float(t1[k]),
                                           y0[k].tolist(), y1[k].tolist(),
-                                          f0[k].tolist(), f1[k].tolist()),
-                               sign_rows)
+                                          f0[k].tolist(), f1[k].tolist()))
                 for k in hit.tolist()}
 
     integ = LaneRK(_lane_rhs(params), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
@@ -539,8 +491,7 @@ def _scan_lanes(cells: np.ndarray, params: HardyHenonParams,
                     tail = AdaptiveRK(_radial_rhs(params), rtol=DEFAULT_RTOL,
                                       atol=DEFAULT_ATOL)
                 event, trace_r, trace_y = _track(
-                    tail, params.m, end[0], y[k].tolist(), r_max, True,
-                    event)
+                    tail, params.m, end[0], y[k].tolist(), r_max, event)
                 end = (trace_r[-1], trace_y[-1][0])
             elif isinstance(event, IntegratorError):
                 event = _failure_event(event)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -78,7 +77,7 @@ class NavierProblem:
         return self.diameter ** 2 / (2.0 * self.params.n)
 
     def default_grid(self, n_nodes: int = DEFAULT_NODES) -> RadialGrid:
-        """The graded grid on [0, R] every solver uses unless given one."""
+        """The graded grid on [0, R] of n_nodes nodes."""
         return RadialGrid.graded(0.0, self.R, n_nodes)
 
 
@@ -105,8 +104,6 @@ class NavierSolution:
     certifies it."""
 
     layers: tuple
-    residual: float
-    sup_norm: float
     certificates: tuple  # of Check, from build_certificates
     eigen: EigenPair
     stats: SolverStats
@@ -114,6 +111,15 @@ class NavierSolution:
     @property
     def u(self) -> RadialField:
         return self.layers[0]
+
+    @property
+    def residual(self) -> float:
+        """max|u - K(u)| / sup u at the last Newton iterate."""
+        return self.stats.newton_residuals[-1]
+
+    @property
+    def sup_norm(self) -> float:
+        return self.layers[0].sup_norm
 
 
 @dataclass(frozen=True)
@@ -173,16 +179,13 @@ def first_dirichlet_eigenvalue_oracle(n: int, R: float = 1.0) -> float:
     return (zero / R) ** 2
 
 
-def first_eigenpair(problem: NavierProblem,
-                    grid: Optional[RadialGrid] = None) -> EigenPair:
-    """First Navier eigenpair of (-Lap)^m on the ball by inverse power
-    iteration on the m-fold Green operator (`iterated_green`), stopped once
-    the sup-norm change falls below EIGEN_TOL; phi is normalized to sup 1.
-    A maximum of G^m phi that underflows to 0 (a ball far below unit
-    radius) raises ConvergenceError."""
+def first_eigenpair(problem: NavierProblem, grid: RadialGrid) -> EigenPair:
+    """First Navier eigenpair of (-Lap)^m on the ball, on `grid`, by inverse
+    power iteration on the m-fold Green operator (`iterated_green`),
+    stopped once the sup-norm change falls below EIGEN_TOL; phi is
+    normalized to sup 1. A maximum of G^m phi that underflows to 0 (a ball
+    far below unit radius) raises ConvergenceError."""
     n, m = problem.params.n, problem.params.m
-    if grid is None:
-        grid = problem.default_grid()
     r = grid.nodes
     phi = RadialField(grid, 1.0 - (r / problem.R) ** 2)
     lam = math.nan
@@ -430,11 +433,9 @@ class _FixedPointSolve:
         return dx
 
 
-def solve_positive(problem: NavierProblem,
-                   grid: Optional[RadialGrid] = None) -> NavierSolution:
-    """Find a positive fixed point of K on `grid` (default
-    `problem.default_grid()`, and it must run from 0 to R) with certified
-    residual max|u - K(u)| / sup u below FIXED_POINT_TOL.
+def solve_positive(problem: NavierProblem, grid: RadialGrid) -> NavierSolution:
+    """Find a positive fixed point of K on `grid`, which runs from 0 to R,
+    with certified residual max|u - K(u)| / sup u below FIXED_POINT_TOL.
 
     The first eigenpair (lambda1, phi1) is computed first and carried to
     the certificates. Damped Newton-GMRES on F(u) = u - K(u) starts from
@@ -453,9 +454,7 @@ def solve_positive(problem: NavierProblem,
     (4, 2, 2), while the minimal solution's largest ratio is below 1.
     """
     check_solver_order(problem)
-    if grid is None:
-        grid = problem.default_grid()
-    elif grid.r0 != 0.0 or grid.r_max != problem.R:
+    if grid.r0 != 0.0 or grid.r_max != problem.R:
         raise GridError(f"solver grid must run from 0 to R={problem.R:g}, "
                         f"got [{grid.r0:g}, {grid.r_max:g}]")
     solver = _FixedPointSolve(problem, grid)
@@ -467,10 +466,9 @@ def solve_positive(problem: NavierProblem,
     eig = first_eigenpair(problem, grid)
     layers, stats = solver.run(eig)
     # run stops at a residual of at most _NEWTON_TOL < FIXED_POINT_TOL
-    residual = stats.newton_residuals[-1]
-    return NavierSolution(layers, residual, layers[0].sup_norm,
-                          build_certificates(layers, residual, eig, problem),
-                          eig, stats)
+    certificates = build_certificates(layers, stats.newton_residuals[-1],
+                                      eig, problem)
+    return NavierSolution(layers, certificates, eig, stats)
 
 
 def build_certificates(layers: tuple, residual: float, eig: EigenPair,

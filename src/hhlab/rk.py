@@ -33,9 +33,12 @@ construction, and read one statement of the tableau, `_STAGES`,
   assigns the slopes `{f[i]}`; an accepted-step template reads the step's
   end `{t1}`, its new state `{y1[i]}` and its StepRecord `{record}`, and
   a `return` in it stops the run with that value, as a callback's
-  non-None value does. Any other callable, a wrapper too, is called. A
-  loop is compiled once per state dimension and pair of templates
-  (`_LOOPS`), and reads MAX_STEPS and H_MIN_FACTOR as it runs.
+  non-None value does. Any other callable, a wrapper too, is called.
+  `Fragment.rhs` and `Fragment.callback` build the called form of a
+  template, the function a wrapper calls, and attach the fragment to it,
+  so each rule is stated once, as its template. A loop is compiled once
+  per state dimension and pair of templates (`_LOOPS`), and reads
+  MAX_STEPS and H_MIN_FACTOR as it runs.
   `integrate` starts the loop at t0 with the first step `_first_step`;
   `resume` starts it from any state, trial step and step count.
 * `LaneRK` integrates many trajectories in lockstep, one row ("lane") of a
@@ -390,6 +393,50 @@ def _fragment(fn) -> Optional[tuple]:
     if attrs is None or "__wrapped__" in attrs:
         return None
     return attrs.get("splice")
+
+
+_CALLED: dict = {}  # (signature, dim, template, names) -> factory
+
+
+class Fragment(NamedTuple):
+    """A template, the names it reads and the values a run binds them to
+    (module docstring), with the builders of its called form."""
+
+    template: str
+    names: tuple
+    values: tuple
+
+    def rhs(self, dim: int) -> Callable:
+        """`rhs(r, y)` of a slopes template on lists of `dim` floats."""
+        f = [f"f_{i}" for i in range(dim)]
+        return self._called("rhs(r, y)", "y", dim, lambda y: [
+            self.template.format(r="r", y=y, f=f), f"return [{', '.join(f)}]"])
+
+    def callback(self, dim: int) -> Callable:
+        """`callback(rec)` of an accepted-step template on StepRecords of
+        `dim` components: None unless the template returns."""
+        return self._called("callback(rec)", "rec.y1", dim, lambda y: [
+            self.template.format(t1="rec.t1", y1=y, record="rec")])
+
+    def _called(self, signature: str, state: str, dim: int, body):
+        # `signature` unpacks `state` into locals y_i and runs the lines
+        # `body(y_i)`; the factory that binds the names is compiled once
+        key = (signature, dim, self.template, self.names)
+        build = _CALLED.get(key)
+        if build is None:
+            y = [f"y_{i}" for i in range(dim)]
+            source = "\n".join([f"def build({', '.join(self.names)}):",
+                                f"    def {signature}:",
+                                f"        [{', '.join(y)}] = {state}",
+                                *_indent("\n".join(body(y)), 8),
+                                f"    return {signature.split('(')[0]}\n"])
+            namespace = {}
+            exec(compile(source, f"<{signature}, dim {dim}>", "exec"),
+                 globals(), namespace)
+            build = _CALLED[key] = namespace["build"]
+        fn = build(*self.values)
+        fn.splice = self
+        return fn
 
 
 class AdaptiveRK(_DormandPrince):

@@ -13,7 +13,7 @@ def unit_problem():
 
 @pytest.fixture(scope="session")
 def unit_solution(unit_problem):
-    return solve_positive(unit_problem)
+    return solve_positive(unit_problem, unit_problem.default_grid())
 
 
 @pytest.fixture()

@@ -26,8 +26,6 @@ PACKAGE = ROOT / "src" / "hhlab"
 TEST_ORACLES = {
     "ladder_advance_direct": "the ladder step in plain arithmetic, the "
                              "reference for the log-space step",
-    "shoot_from": "integrates the layer system from any radius, the "
-                  "reference trajectory for the exact singular profiles",
 }
 
 

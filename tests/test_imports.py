@@ -10,6 +10,9 @@ the traced modules before it starts the clock. So no function under
 `checks` (one check's modules) import sibling modules inside a function.
 Everything else is imported at the top of the module that uses it.
 
+Every name a module imports at its top level is read in that module: a
+module imports what it uses, never a name for another module's sake.
+
 Import state is per process, so the checks of what an import loads run
 in fresh interpreters."""
 
@@ -96,3 +99,34 @@ def test_no_deferred_scipy_or_sibling_import():
                                   not in ("cli.py", "checks.py")):
                 found.append(f"{path.name}:{line} imports {module}")
     assert not found, sorted(found)
+
+
+def _top_level_imports(tree):
+    """(line, bound name) of every import at a module's top level, in an
+    `if` or `try` there too; `__future__` binds no name."""
+    body = list(tree.body)
+    for node in body:
+        if isinstance(node, (ast.If, ast.Try)):
+            body += node.body + node.orelse + getattr(node, "finalbody", [])
+            body += [line for handler in getattr(node, "handlers", [])
+                     for line in handler.body]
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, (a.asname or a.name).split(".")[0])
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name)
+                        for a in node.names)
+
+
+def test_every_top_level_import_is_used():
+    # a name a module imports and never reads is a second route to it, kept
+    # for some caller elsewhere: that caller imports it from its module
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} imports {name}"
+                   for line, name in _top_level_imports(tree)
+                   if name not in read]
+    assert not unused, unused

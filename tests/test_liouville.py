@@ -46,13 +46,14 @@ class TestShoot:
         assert out.r_star <= 50.0
 
     def test_singular_solution_tracking(self, monkeypatch):
-        # start exactly on C r^(-sigma); layers alternate sign so the run
-        # with shoot_from, which tracks through sign changes; the trajectory
+        # start exactly on C r^(-sigma); layers alternate sign, so the run
+        # with shoot_from has the sign rule switched off; the trajectory
         # must follow the profile
         sigma, C = singular_solution(CRITICAL)
         r0, r_max = 0.5, 6.0
         state = [C * r0 ** -sigma, -sigma * C * r0 ** (-sigma - 1),
                  -8.0 * C * r0 ** -6.0, 48.0 * C * r0 ** -7.0]
+        monkeypatch.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", math.inf)
         monkeypatch.setattr(hhlab.liouville, "DEFAULT_RTOL", 1e-12)
         monkeypatch.setattr(hhlab.liouville, "DEFAULT_ATOL", 1e-14)
         out = shoot_from(state, r0, CRITICAL, r_max)
@@ -553,9 +554,9 @@ class TestGeneratedRhs:
     def test_one_source_per_shape(self, monkeypatch):
         # 50 shoots at different (n, p, a) and m = 2 compile one loop
         # (dimension 4, the weighted slopes, the classifying callback) and
-        # one right-hand side factory (m = 2)
+        # the called forms of its two templates, one each
         monkeypatch.setattr(hhlab.rk, "_LOOPS", {})
-        monkeypatch.setattr(hhlab.liouville, "_RADIAL_RHS", {})
+        monkeypatch.setattr(hhlab.rk, "_CALLED", {})
         rng = np.random.default_rng(7)
         for _ in range(50):
             params = HardyHenonParams(int(rng.integers(3, 9)), 2,
@@ -564,7 +565,8 @@ class TestGeneratedRhs:
             shoot([float(rng.uniform(0.5, 5.0)),
                    float(rng.uniform(-3.0, 3.0))], params, 2.0)
         assert [key[0] for key in hhlab.rk._LOOPS] == [4]
-        assert list(hhlab.liouville._RADIAL_RHS) == [2]
+        assert [key[:2] for key in hhlab.rk._CALLED] == [("rhs(r, y)", 4),
+                                                         ("callback(rec)", 4)]
 
 
 def _lane_bits(a):
@@ -669,6 +671,39 @@ class TestLaneRhs:
         assert _lane_bits(got) == _lane_bits(want)
 
 
+def _shot_bits(entry):
+    """The outcome `entry()` returns as its kind, layer and the IEEE bits
+    of r*, end and trace, or the message and state bits of the
+    IntegratorError it raises."""
+    try:
+        out = entry()
+    except IntegratorError as exc:
+        return str(exc), _bits([exc.state[0]]), _bits(exc.state[1])
+    return (out.kind, out.layer_index, _bits([out.r_star]), _bits(out.end),
+            _lane_bits(out.trace_r), _lane_bits(out.trace_y))
+
+
+class TestShootFrom:
+    """`shoot_from` classifies an explicit state by `shoot`'s rules, in the
+    one mode there is: from the Taylor start of origin data it gives the
+    outcome `shoot` gives, sign losses at r0 and on the way included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(1, 4),
+           a=st.one_of(st.just(0.0), st.floats(-3.0, 1.9)),
+           p=st.floats(1.0, 6.0, exclude_min=True), u0=st.floats(0.1, 10.0),
+           rest=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           r_max=st.floats(1.5, 10.0))
+    def test_taylor_start_gives_shoots_outcome(self, n, m, a, p, u0, rest,
+                                               r_max):
+        params = HardyHenonParams(n, m, a, p)
+        init = [u0] + rest[:m - 1]
+        start = hhlab.liouville.taylor_starts([init], params, DEFAULT_R0)[0]
+        assert _shot_bits(lambda: shoot_from(start, DEFAULT_R0, params,
+                                             r_max)) == \
+            _shot_bits(lambda: shoot(init, params, r_max))
+
+
 def _wrapped(fn, calls, copy):
     """fn in a plain function that counts its calls in `calls`, made as
     perfbench's tracer makes it (functools.update_wrapper, nothing
@@ -707,14 +742,7 @@ class TestRoutes:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hhlab.liouville, "AdaptiveRK", WrappingRK)
-            try:
-                out = entry()
-            except IntegratorError as exc:
-                out = (str(exc), _bits([exc.state[0]]), _bits(exc.state[1]))
-            else:
-                out = (out.kind, out.layer_index, _bits([out.r_star]),
-                       _bits(out.end), _lane_bits(out.trace_r),
-                       _lane_bits(out.trace_y))
+            out = _shot_bits(entry)
         return out, len(rhs_calls), len(callback_calls)
 
     @settings(max_examples=60, deadline=None)
@@ -733,14 +761,17 @@ class TestRoutes:
                                              r_max, track, wrap, copy):
         # starts that end at r0 (a negative layer, or u(0)^400 past the
         # float range), sign losses, survivors and, tracked through sign
-        # changes by shoot_from, blow-ups, u^400 overflowing in the loop
-        # and step-size underflow; at a = -2000 the weight overflows
+        # changes by shoot_from with the sign rule off, blow-ups, u^400
+        # overflowing in the loop and step-size underflow; at a = -2000
+        # the weight overflows
         params = HardyHenonParams(n, m, a, p)
         init = [u0] + rest[:m - 1]
         start = hhlab.liouville.taylor_starts([init], params, DEFAULT_R0)[0]
         if track and np.isfinite(start).all():
             def entry():
-                return shoot_from(start, DEFAULT_R0, params, r_max)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(hhlab.liouville, "DEFAULT_SIGN_TOL", math.inf)
+                    return shoot_from(start, DEFAULT_R0, params, r_max)
         else:
             def entry():
                 return shoot(init, params, r_max)

@@ -126,14 +126,14 @@ class TestEigenpair:
     def test_reference_values(self):
         # pi^2 for n=3 and powers of the first J1 zero for n=4
         p3 = NavierProblem(HardyHenonParams(3, 1, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(p3)
+        eig = first_eigenpair(p3, p3.default_grid())
         assert eig.lambda1 == pytest.approx(math.pi ** 2, rel=1e-5)
         p42 = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
-        eig = first_eigenpair(p42)
+        eig = first_eigenpair(p42, p42.default_grid())
         assert eig.lambda1 == pytest.approx(215.5606, rel=1e-4)
 
     def test_eigenfunction_properties(self, unit_problem):
-        eig = first_eigenpair(unit_problem)
+        eig = first_eigenpair(unit_problem, unit_problem.default_grid())
         phi = eig.phi
         assert float(np.max(phi.values)) == pytest.approx(1.0, abs=1e-12)
         assert np.all(phi.values[:-1] > 0.0)
@@ -141,7 +141,7 @@ class TestEigenpair:
 
     def test_fixed_point_certificate(self, unit_problem):
         from hhlab.radial import iterated_green
-        eig = first_eigenpair(unit_problem)
+        eig = first_eigenpair(unit_problem, unit_problem.default_grid())
         layers = iterated_green(
             eig.phi.with_values(eig.lambda1 * eig.phi.values),
             unit_problem.R, 4, 2)
@@ -152,8 +152,8 @@ class TestEigenpair:
         # lambda1 scales like R^(-2m)
         p1 = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 1.0)
         p2 = NavierProblem(HardyHenonParams(4, 2, 0.0, 2.0), 2.0)
-        e1 = first_eigenpair(p1)
-        e2 = first_eigenpair(p2)
+        e1 = first_eigenpair(p1, p1.default_grid())
+        e2 = first_eigenpair(p2, p2.default_grid())
         assert e2.lambda1 == pytest.approx(e1.lambda1 / 16.0, rel=1e-6)
 
 
@@ -213,7 +213,7 @@ class TestSolve:
     def test_rejects_subcritical_order(self):
         prob = NavierProblem(HardyHenonParams(4, 1, 0.0, 3.0), 1.0)
         with pytest.raises(ValueError):
-            solve_positive(prob)
+            solve_positive(prob, prob.default_grid())
 
     def test_scaling_consistency(self, unit_solution):
         # rescaling the unit-ball solution with lam = 1/2 solves the R=2 ball
@@ -528,13 +528,13 @@ class TestTorsion:
 
 class TestEnergyBound:
     def test_zero_field(self, unit_problem, unit_solution):
-        eig = first_eigenpair(unit_problem)
+        eig = first_eigenpair(unit_problem, unit_problem.default_grid())
         zero = RadialField.constant(eig.phi.grid, 0.0)
         lhs, rhs, ok = energy_bound_check(zero, eig, unit_problem)
         assert lhs == 0.0 and ok
 
     def test_computed_solution(self, unit_problem, unit_solution):
-        eig = first_eigenpair(unit_problem)
+        eig = first_eigenpair(unit_problem, unit_problem.default_grid())
         lhs, rhs, ok = energy_bound_check(unit_solution.u, eig, unit_problem)
         assert ok
         # tightness probe, reported but not asserted

@@ -484,6 +484,7 @@ class TestSingularSolutionSuperCritical:
         from hhlab.liouville import shoot_from
         monkeypatch.setattr("hhlab.liouville.DEFAULT_BLOW_THRESHOLD",
                             math.inf)
+        monkeypatch.setattr("hhlab.liouville.DEFAULT_SIGN_TOL", math.inf)
         params = HardyHenonParams(n, m, a, p)
         sigma, amplitude = singular_solution(params)
         r0, state, coef = 1.0, [], amplitude
@@ -586,13 +587,15 @@ class TestScalingInvariants:
         lam = math.ldexp(1.0, k)
         grid = RadialGrid(np.geomspace(0.5, 2.0, 40))
         with np.errstate(all="ignore"):
-            values = amplitude * grid.nodes ** -sigma
-            want = amplitude * (grid.nodes / lam) ** -sigma
+            powers = grid.nodes ** -sigma, (grid.nodes / lam) ** -sigma
+            values, want = (amplitude * power for power in powers)
             scale = np.float_power(lam, sigma)
-        # ulps are read where every value and lam^sigma is a normal float
+        # ulps are read where every value, power and lam^sigma is a normal
+        # float: a subnormal power r^(-sigma) has lost digits before the
+        # amplitude scales it back into range
         normal = [sys.float_info.min, sys.float_info.max]
         if not all(normal[0] <= np.min(x) and np.max(x) <= normal[1]
-                   for x in (values, want, scale)):
+                   for x in (*powers, values, want, scale)):
             return
         v = rescale(RadialField(grid, values), lam, params)
         assert np.array_equal(v.grid.nodes, grid.nodes / lam)
